@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +29,7 @@ from .constitutive import (ConstitutiveError, ModelParams, SamplingSpec,
                            divided_difference_H, pointwise_step_inequalities)
 from .energy import write_ledger_csv
 from .harness import SimulationSetup, study_delta, study_defect, study_tau
-from .linalg import KrylovConfig, MeanPoissonSolver, SolverFailure
+from .linalg import MeanPoissonSolver, SolverFailure
 from .mesh import (FIELD_KIND_CELL, FIELD_KIND_XFACE, FIELD_KIND_YFACE, Grid,
                    sbp_selftest, write_field_snapshot)
 from .state import ScenarioConfig, initialize_scenario
@@ -71,19 +74,12 @@ _SCHEMA = {
     },
     "stepper": {
         "tau": ("float", 1e-3, "tau: time step"),
-        "omega": ("float", 1.0, "omega: fixed-point damping in (0, 1]"),
         "tol_nl": ("float", 1e-10, "relative nonlinear residual tolerance"),
-        "max_picard": ("int", 200, "fixed-point iteration budget"),
-        "newton": ("bool", True, "enable Newton once close or stalled"),
-        "newton_threshold": ("float", 1e-3, "residual level that enables Newton"),
-        "max_newton": ("int", 50, "Newton iteration budget"),
+        "max_newton": ("int", 50, "Newton iteration budget per tau attempt"),
         "tau_backoff": ("float", 0.5, "step halving factor on failure"),
         "max_backoff": ("int", 8, "maximum step halvings"),
         "v0_mode": ("bool", False, "freeze v = 0 (exact energy-estimate mode)"),
         "extrapolate": ("bool", False, "extrapolated initial iterate"),
-        "lin_rel_tol": ("float", 1e-10, "linear solver relative tolerance"),
-        "lin_abs_tol": ("float", 1e-14, "linear solver absolute tolerance"),
-        "preconditioner": ("str", "jacobi", "none | jacobi | incomplete-cholesky"),
     },
     "scenario": {
         "name": ("str", "uniform", "uniform | droplet | shear-droplet | random-seed"),
@@ -205,17 +201,7 @@ def build_objects(values: dict):
                                 phi_hi=csec["audit_phi_hi"],
                                 n_pairs=csec["audit_pairs"],
                                 seed=csec["audit_seed"])
-        ssec = values["stepper"]
-        stepcfg = StepConfig(
-            tau=ssec["tau"], omega=ssec["omega"], tol_nl=ssec["tol_nl"],
-            max_picard=ssec["max_picard"], newton=ssec["newton"],
-            newton_threshold=ssec["newton_threshold"],
-            max_newton=ssec["max_newton"], tau_backoff=ssec["tau_backoff"],
-            max_backoff=ssec["max_backoff"], v0_mode=ssec["v0_mode"],
-            extrapolate=ssec["extrapolate"],
-            krylov=KrylovConfig(rel_tol=ssec["lin_rel_tol"],
-                                abs_tol=ssec["lin_abs_tol"],
-                                preconditioner=ssec["preconditioner"]))
+        stepcfg = StepConfig(**values["stepper"])
         scenario = ScenarioConfig(**values["scenario"])
         if scenario.name not in ("uniform", "droplet", "shear-droplet",
                                  "random-seed"):
@@ -241,6 +227,23 @@ def _write_snapshots(outdir: Path, state, prefix: str = "") -> None:
                              ("vy", state.v.uy, FIELD_KIND_YFACE)):
         write_field_snapshot(fields / f"{name}_{tag}.bin", data, g.nx, g.ny,
                              kind, state.t, state.k)
+
+
+def _json_safe(x):
+    """``x`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    return x
+
+
+def _write_failure_json(path, report) -> None:
+    """The full report of a failed step (residual history included)."""
+    path.write_text(json.dumps(_json_safe(dataclasses.asdict(report)),
+                               indent=1, allow_nan=False) + "\n")
 
 
 def _cmd_print_config(values, outdir, args) -> int:
@@ -329,10 +332,8 @@ def _cmd_run(values, outdir, args) -> int:
                      callbacks=callbacks)
     except StepFailure as exc:
         write_ledger_csv(outdir / "ledger.csv", exc.partial.rows)
+        _write_failure_json(outdir / "failure.json", exc.report)
         print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except SolverFailure as exc:
-        print(f"linear solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     write_ledger_csv(outdir / "ledger.csv", result.rows)
     if write_fields:
@@ -344,9 +345,9 @@ def _cmd_run(values, outdir, args) -> int:
         opdir = outdir / "operators"
         opdir.mkdir(parents=True, exist_ok=True)
         for name, mat in (("velocity_form", lin.A_form),
-                          ("q_diffusion", lin.P_q.lap),
-                          ("mu_diffusion", lin.P_mu.lap),
-                          ("phi_laplacian", lin.P_phi.lap)):
+                          ("q_diffusion", lin.lap_q),
+                          ("mu_diffusion", lin.lap_mu),
+                          ("phi_laplacian", params.epsilon * lin.lap_unit)):
             if mat is not None:
                 export_matrix_market(opdir / f"{name}.mtx", mat)
     last = result.rows[-1]

@@ -21,7 +21,7 @@ identity survives floating point even for nearly equal arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class ConstitutiveSet:
     """A complete set of model functions.  All callables broadcast over numpy
     arrays.  ``secant_W`` is the exact divided difference of W;
     ``dsecant_W_da`` is its derivative in the first argument (used by the
-    Newton path; may be None, which disables Newton)."""
+    stepper's Newton Jacobian)."""
 
     W: Callable
     Wp: Callable
@@ -120,7 +120,7 @@ class ConstitutiveSet:
     rho: Callable
     rhop: Callable
     secant_W: Callable
-    dsecant_W_da: Optional[Callable]
+    dsecant_W_da: Callable
     params: ModelParams
 
 

@@ -28,7 +28,7 @@ __all__ = ["EnergyComponents", "EnergyLedgerRow", "LEDGER_COLUMNS",
 LEDGER_COLUMNS = (
     "step", "t", "tau", "E_kin", "E_grad", "E_surf", "E_bulk", "E_tot",
     "visc", "q_diss", "mu_diss", "kin_jump", "grad_jump", "phi_jump",
-    "biharm", "slack", "phi_mass", "surf_total", "div_inf", "picard_iters",
+    "biharm", "slack", "phi_mass", "surf_total", "div_inf", "nl_iters",
 )
 
 
@@ -78,7 +78,7 @@ class EnergyLedgerRow:
     phi_mass: float
     surf_total: float
     div_inf: float
-    picard_iters: int
+    nl_iters: int
 
     def to_csv_line(self) -> str:
         vals = []
@@ -90,7 +90,7 @@ class EnergyLedgerRow:
 
 def audit_step(state_k: State, state_k1: State, cset: ConstitutiveSet,
                params: ModelParams, tau: float,
-               picard_iters: int = 0) -> EnergyLedgerRow:
+               nl_iters: int = 0) -> EnergyLedgerRow:
     """Evaluate the one-step energy estimate term by term.
 
     Dissipation coefficients follow the one-step estimate (no factor of two
@@ -144,7 +144,7 @@ def audit_step(state_k: State, state_k1: State, cset: ConstitutiveSet,
         visc=visc, q_diss=q_diss, mu_diss=mu_diss, kin_jump=kin_jump,
         grad_jump=grad_jump, phi_jump=phi_jump, biharm=biharm, slack=slack,
         phi_mass=obs.phi_mass, surf_total=obs.surf_total,
-        div_inf=obs.div_inf, picard_iters=picard_iters,
+        div_inf=obs.div_inf, nl_iters=nl_iters,
     )
 
 

@@ -6,25 +6,21 @@ energy-stable discretization prescribes: viscosity, mobilities, density and
 the transported gradients use the old phi/q, while the potentials f, g, h
 and the secant slope H of W are evaluated implicitly.
 
-The solver iterates the damped fixed point
-
-    w_{m+1} = (1 - omega) w_m + omega * Linv(F(w_m)),
-
-where Linv applies the frozen linear blocks (viscous/biharmonic saddle
-system for v, mean-augmented diffusion for q and mu, mean-augmented
-Laplacian for phi) and F collects every remaining term at the current
-iterate.  Damping adapts by rejection (an iterate that increases the
-coupled residual is discarded and omega halved), so the accepted residual
-history is monotone.  An optional Newton phase on the full coupled system
-takes over once the residual is small or the fixed point stalls; step-size
-halving retries the step when everything else fails.
+The solver is Newton's method on the full coupled residual, started from
+the first iterate (the old state, or the extrapolated predictor).  Each
+iteration solves with a sparse LU of the coupled Jacobian; the
+factorization is reused while the residual contracts by at least a factor
+of four per iteration and rebuilt otherwise.  A backtracking line search
+accepts an iterate only if it lowers the scaled residual, so the accepted
+residual history is strictly decreasing.  When the line search stalls or
+the iteration budget runs out, the step is retried with tau halved.
 
 Momentum convection uses the skew form (M . grad) v + (div M) v / 2 with
 mass flux M = rho_k v + J, discretized by ``mesh.convect_skew`` so that its
 kinetic-energy contribution vanishes identically; the half density-rate
 correction then cancels the excess from the d_t(rho v) telescope exactly.
 Every coupling term shared by two equations (the transported phi gradient,
-the capillary/Marangoni pair) is evaluated once per iteration from one
+the capillary/Marangoni pair) is evaluated once per iterate from one
 discrete form; the cell<->face averaging pair is an exact transpose pair,
 which makes the mu-part of that coupling cancel exactly in the energy
 telescope.  The part that cannot cancel on a fixed stencil (the nonlinear
@@ -43,54 +39,42 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .constitutive import ConstitutiveSet, ModelParams
-from .linalg import (KrylovConfig, MeanPoissonSolver, SaddleSolver,
-                     SolverFailure, assemble_velocity_form)
+from .linalg import assemble_velocity_form
 from .mesh import (Grid, ScalarField, VectorField, convect_flux_jacobian,
                    convect_matrix, convect_skew)
 from .state import State
 
 __all__ = [
-    "StepConfig", "StepReport", "StepFailure", "LinearizedSystem", "RhsBlocks",
-    "compute_Jtilde", "assemble_linear", "assemble_rhs", "step", "run",
-    "RunResult", "transport_defect",
+    "StepConfig", "StepReport", "StepFailure", "LinearizedSystem",
+    "compute_Jtilde", "assemble_linear", "step", "run", "RunResult",
+    "transport_defect",
 ]
 
 
 @dataclass(frozen=True)
 class StepConfig:
     tau: float = 1e-3
-    omega: float = 1.0                 # fixed-point damping in (0, 1]
     tol_nl: float = 1e-10              # relative coupled-residual tolerance
-    max_picard: int = 200
-    newton: bool = True                # enable Newton once close or stalled
-    newton_threshold: float = 1e-3
-    max_newton: int = 50
+    max_newton: int = 50               # Newton iterations per tau attempt
     tau_backoff: float = 0.5
     max_backoff: int = 8
     v0_mode: bool = False              # freeze v = 0, drop transport entirely
     extrapolate: bool = False          # initial guess from previous increment
-    krylov: KrylovConfig = field(default_factory=KrylovConfig)
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if not (0.0 < self.omega <= 1.0):
-            raise ValueError("omega must lie in (0, 1]")
         if self.tol_nl <= 0:
             raise ValueError("tol_nl must be positive")
 
 
 @dataclass
 class StepReport:
-    iterations: int = 0
+    iterations: int = 0                 # accepted iterates, one residual each
     newton_iterations: int = 0
     residual_history: list = field(default_factory=list)   # accepted, per block
-    rejected: int = 0
-    omega_final: float = 1.0
-    newton_engaged: bool = False
+    rejected: int = 0                   # line-search trials not accepted
     linear_solves: int = 0
-    max_linear_residual: float = 0.0
-    div_inf: float = 0.0
     tau_used: float = 0.0
     backoffs: int = 0
     converged: bool = False
@@ -129,30 +113,11 @@ class LinearizedSystem:
     g_qk: np.ndarray
     m_faces: np.ndarray
     mt_faces: np.ndarray
-    # solvers / matrices
-    saddle: Optional[SaddleSolver]
-    A_form: Optional[sp.csr_matrix]
-    P_q: MeanPoissonSolver
-    P_mu: MeanPoissonSolver
-    P_phi: MeanPoissonSolver
-    lap_unit: sp.csr_matrix
-
-    def symmetry_probes(self) -> dict:
-        """Random-probe symmetry defect of every assembled block."""
-        out = {}
-        rng = np.random.default_rng(3)
-        for name, mat in (("velocity", self.A_form), ("q", self.P_q.lap),
-                          ("mu", self.P_mu.lap), ("phi", self.P_phi.lap)):
-            if mat is None:
-                continue
-            worst = 0.0
-            for _ in range(6):
-                x = rng.standard_normal(mat.shape[0])
-                y = rng.standard_normal(mat.shape[0])
-                a, b = float((mat @ x) @ y), float(x @ (mat @ y))
-                worst = max(worst, abs(a - b) / (1.0 + abs(a) + abs(b)))
-            out[name] = worst
-        return out
+    # frozen operators
+    A_form: Optional[sp.csr_matrix]     # velocity form (None in v0 mode)
+    lap_q: sp.csr_matrix                # div(m grad .)
+    lap_mu: sp.csr_matrix               # div(mtilde grad .)
+    lap_unit: sp.csr_matrix             # div(grad .)
 
 
 def compute_Jtilde(phi_k: ScalarField, mu_next: ScalarField,
@@ -169,13 +134,13 @@ def compute_Jtilde(phi_k: ScalarField, mu_next: ScalarField,
 
 def assemble_linear(state_k: State, grid: Grid, cset: ConstitutiveSet,
                     params: ModelParams, cfg: StepConfig) -> LinearizedSystem:
-    """Freeze the invertible linear blocks at the old time level.
+    """Freeze the coefficient fields and linear operators of one step.
 
-    Velocity block: 2 eta(phi_k) symmetric-gradient form plus the
-    delta-weighted biharmonic pairing, with the incompressibility constraint
-    appended.  Scalar blocks: mean-augmented div(m grad .), div(mtilde grad .)
-    and epsilon Lap.  Mobility/viscosity values outside [c1, c2] at the state
-    samples are rejected.
+    Velocity form: 2 eta(phi_k) symmetric-gradient form plus the
+    delta-weighted biharmonic pairing (coupled mode only).  Scalar blocks:
+    div(m grad .) and div(mtilde grad .) with face-averaged old-level
+    mobilities, and the unit Laplacian.  Mobility/viscosity values outside
+    [c1, c2] at the state samples are rejected.
     """
     phi_k, q_k = state_k.phi.data, state_k.q.data
     mvals = np.broadcast_to(cset.m(phi_k, q_k), phi_k.shape)
@@ -189,14 +154,10 @@ def assemble_linear(state_k: State, grid: Grid, cset: ConstitutiveSet,
                 f"at state samples (range [{lo:.3g}, {hi:.3g}])")
 
     ops = grid.ops
-    kcfg = cfg.krylov
-    saddle = None
-    A_form = None
-    if not cfg.v0_mode:
-        A_form = assemble_velocity_form(grid, evals, params.delta)
-        saddle = SaddleSolver(grid, A_form, kcfg)
     rho_k = cset.rho(phi_k)
-    lin = LinearizedSystem(
+    m_faces = ops.Acf @ mvals
+    mt_faces = ops.Acf @ mtvals
+    return LinearizedSystem(
         grid=grid, params=params,
         phi_k=phi_k.copy(), q_k=q_k.copy(), v_k=state_k.v.data.copy(),
         rho_k=rho_k, rho_k_faces=ops.Acf @ rho_k,
@@ -204,34 +165,22 @@ def assemble_linear(state_k: State, grid: Grid, cset: ConstitutiveSet,
         grad_phi_k=ops.G @ phi_k,
         W_k=cset.W(phi_k), Wp_k=cset.Wp(phi_k),
         f_qk=cset.f(q_k), g_qk=cset.g(q_k),
-        m_faces=ops.Acf @ mvals, mt_faces=ops.Acf @ mtvals,
-        saddle=saddle, A_form=A_form,
-        P_q=MeanPoissonSolver(grid, ops.Acf @ mvals, kcfg),
-        P_mu=MeanPoissonSolver(grid, ops.Acf @ mtvals, kcfg),
-        P_phi=MeanPoissonSolver(grid, np.full(grid.n_faces, params.epsilon), kcfg),
+        m_faces=m_faces, mt_faces=mt_faces,
+        A_form=None if cfg.v0_mode
+        else assemble_velocity_form(grid, evals, params.delta),
+        lap_q=(ops.D @ sp.diags(m_faces) @ ops.G).tocsr(),
+        lap_mu=(ops.D @ sp.diags(mt_faces) @ ops.G).tocsr(),
         lap_unit=(ops.D @ ops.G).tocsr(),
     )
-    return lin
 
 
 # ---------------------------------------------------------------------------
-# nonlinear terms at an iterate
+# nonlinear terms and the residual at an iterate
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RhsBlocks:
-    """Right-hand sides for the frozen linear blocks, evaluated at an
-    iterate.  Each scalar block includes its mean augmentation term."""
-
-    v: Optional[np.ndarray]      # faces, field units (None in v0 mode)
-    q: np.ndarray
-    mu: np.ndarray               # rhs of the order-parameter evolution block
-    phi: np.ndarray              # rhs of the chemical-potential relation block
-
 
 class _Terms:
     """All nonlinear couplings evaluated at one iterate (shared forms are
-    computed once and reused by the rhs, the residual and the defect)."""
+    computed once and reused by the residual, the Jacobian and the defect)."""
 
     def __init__(self, lin: LinearizedSystem, cset: ConstitutiveSet,
                  cfg: StepConfig, tau: float,
@@ -256,6 +205,8 @@ class _Terms:
             + (self.g_q - lin.g_qk) / tau
         self.surf_dens = self.f_q * lin.W_k / eps + self.g_q
         self.grad_surf = ops.G @ self.surf_dens
+        self.mu_relation_explicit = self.h_q * self.H / eps \
+            + delta * (phi - lin.phi_k) / tau
 
         if cfg.v0_mode:
             self.transport_q = np.zeros(g.n_cells)
@@ -279,74 +230,62 @@ class _Terms:
             vf = VectorField(g, v)
             self.conv = convect_skew(self.M, vf).data
             self.corr = 0.5 * (ops.Acf @ ((self.rho_it - lin.rho_k) / tau)) * v
+            # momentum load: everything but the viscous form and grad p
             self.rhs_v = self.cap - self.time_term - self.conv + self.corr
 
-        # scalar block right-hand sides, with mean augmentation at the iterate
-        dV = g.dV
-        self.rhs_q = self.Fq_time + self.transport_q - dV * q.sum()
-        self.rhs_mu = (phi - lin.phi_k) / tau + self.transport_phi - dV * mu.sum()
-        self.mu_relation_explicit = self.h_q * self.H / eps \
-            + delta * (phi - lin.phi_k) / tau
-        self.rhs_phi = self.mu_relation_explicit - mu - dV * phi.sum()
-
     def residual(self, lin: LinearizedSystem, cfg: StepConfig, tau: float):
-        """Per-block equation residuals in field units, with scales."""
+        """(stacked residual, per-block scaled norms) at this iterate.
+
+        The vector follows the Jacobian's row order; each norm is
+        ``|r| / (1 + largest term norm)`` of one equation in field units.
+        Periodic constant momentum modes are projected out of the norm only:
+        in the vector the border multiplier columns absorb them, pinning the
+        velocity component means instead.
+        """
         g = lin.grid
         ops = g.ops
         eps = lin.params.epsilon
-        out = {}
 
         diff_q = ops.D @ (lin.m_faces * (ops.G @ self.q))
         r_q = self.Fq_time + self.transport_q - diff_q
-        out["q"] = _rel(r_q, [self.Fq_time, self.transport_q, diff_q])
-
         diff_mu = ops.D @ (lin.mt_faces * (ops.G @ self.mu))
         dphi = (self.phi - lin.phi_k) / tau
         r_mu = dphi + self.transport_phi - diff_mu
-        out["phi_evolution"] = _rel(r_mu, [dphi, self.transport_phi, diff_mu])
-
         # factored application: exactly zero on constants, unlike the
         # precomputed product matrix
         lap_phi = eps * (ops.D @ (ops.G @ self.phi))
         r_phi = self.mu + lap_phi - self.mu_relation_explicit
-        out["mu_relation"] = _rel(r_phi, [self.mu, lap_phi,
-                                          self.mu_relation_explicit])
+        norms = {
+            "q": _rel(r_q, [self.Fq_time, self.transport_q, diff_q]),
+            "phi_evolution": _rel(r_mu, [dphi, self.transport_phi, diff_mu]),
+            "mu_relation": _rel(r_phi, [self.mu, lap_phi,
+                                        self.mu_relation_explicit]),
+        }
+        if cfg.v0_mode:
+            return np.concatenate([r_q, r_mu, r_phi]), norms
 
-        if not cfg.v0_mode:
-            visc = (lin.A_form @ self.v) / g.dV
-            gp = ops.G @ self.p
-            r_v = visc + gp - self.rhs_v
-            if g.periodic:
-                # constant modes are outside the periodic momentum space
-                nxf = g.n_xfaces
-                r_v = r_v.copy()
-                r_v[:nxf] -= r_v[:nxf].mean()
-                r_v[nxf:] -= r_v[nxf:].mean()
-            out["momentum"] = _rel(r_v, [visc, gp, self.cap, self.time_term,
-                                         self.conv])
-        return out
+        visc = (lin.A_form @ self.v) / g.dV
+        gp = ops.G @ self.p
+        r_v = visc + gp - self.rhs_v
+        r_v_free = r_v
+        nxf = g.n_xfaces
+        if g.periodic:
+            r_v_free = r_v.copy()
+            r_v_free[:nxf] -= r_v_free[:nxf].mean()
+            r_v_free[nxf:] -= r_v_free[nxf:].mean()
+        norms["momentum"] = _rel(r_v_free, [visc, gp, self.cap,
+                                            self.time_term, self.conv])
+        r_div = ops.D @ self.v
+        r_div[0] = self.p[0]               # redundant row replaced by the p pin
+        parts = [r_v, r_div, r_q, r_mu, r_phi]
+        if g.periodic:
+            parts.append(np.array([self.v[:nxf].sum(), self.v[nxf:].sum()]))
+        return np.concatenate(parts), norms
 
 
 def _rel(r: np.ndarray, terms) -> float:
     scale = max((float(np.linalg.norm(t)) for t in terms), default=0.0)
     return float(np.linalg.norm(r)) / (1.0 + scale)
-
-
-def assemble_rhs(state_k: State, iterate: State, grid: Grid,
-                 cset: ConstitutiveSet, params: ModelParams,
-                 cfg: StepConfig, lin: Optional[LinearizedSystem] = None,
-                 tau: Optional[float] = None) -> RhsBlocks:
-    """Evaluate the nonlinear side of the scheme at ``iterate``.
-
-    Returns the loads for the frozen linear blocks (momentum in field units;
-    scalar blocks include their mean-augmentation terms).
-    """
-    if lin is None:
-        lin = assemble_linear(state_k, grid, cset, params, cfg)
-    t = _Terms(lin, cset, cfg, tau if tau is not None else cfg.tau,
-               iterate.v.data, iterate.p.data, iterate.q.data,
-               iterate.mu.data, iterate.phi.data)
-    return RhsBlocks(v=t.rhs_v, q=t.rhs_q, mu=t.rhs_mu, phi=t.rhs_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +312,9 @@ def _jacobian(lin: LinearizedSystem, cset: ConstitutiveSet, cfg: StepConfig,
     Wp_it = cset.Wp(t.phi)
     dH = cset.dsecant_W_da(t.phi, lin.phi_k)
 
-    lap_q = (ops.D @ sp.diags(lin.m_faces) @ ops.G).tocsr()
-    lap_mu = (ops.D @ sp.diags(lin.mt_faces) @ ops.G).tocsr()
-
-    Jqq = sp.diags(fq_p * t.W_phi / (eps * tau) + gq_p / tau) - lap_q
+    Jqq = sp.diags(fq_p * t.W_phi / (eps * tau) + gq_p / tau) - lin.lap_q
     Jq_phi = sp.diags(t.f_q * Wp_it / (eps * tau))
-    Jmu_mu = -lap_mu
+    Jmu_mu = -lin.lap_mu
     Jmu_phi = Ic / tau
     Jp_q = sp.diags(-hq_p * t.H / eps)
     Jp_mu = Ic
@@ -386,12 +322,11 @@ def _jacobian(lin: LinearizedSystem, cset: ConstitutiveSet, cfg: StepConfig,
               - (delta / tau) * Ic)
 
     if cfg.v0_mode:
-        J = sp.bmat([
+        return sp.bmat([
             [Jqq, None, Jq_phi],
             [None, Jmu_mu, Jmu_phi],
             [Jp_q, Jp_mu, Jp_phi],
         ], format="csc")
-        return J, None
 
     nf = g.n_faces
     vf = VectorField(g, t.v)
@@ -428,7 +363,7 @@ def _jacobian(lin: LinearizedSystem, cset: ConstitutiveSet, cfg: StepConfig,
         [None, None, Jp_q, Jp_mu, Jp_phi],
     ]
     if not g.periodic:
-        return sp.bmat(blocks, format="csc"), 0
+        return sp.bmat(blocks, format="csc")
     # periodic: border multipliers absorb the constant momentum modes and
     # pin the velocity component means
     E = np.zeros((nf, 2))
@@ -438,32 +373,7 @@ def _jacobian(lin: LinearizedSystem, cset: ConstitutiveSet, cfg: StepConfig,
     J = sp.bmat(blocks, format="csr")
     col = sp.vstack([E, sp.csr_matrix((4 * nc, 2))], format="csr")
     row = sp.hstack([E.T, sp.csr_matrix((2, 4 * nc))], format="csr")
-    J = sp.bmat([[J, col], [row, sp.csr_matrix((2, 2))]], format="csc")
-    return J, 2
-
-
-def _residual_vector(lin: LinearizedSystem, cfg: StepConfig, tau: float,
-                     t: _Terms):
-    """Stacked equation residuals matching the Jacobian's row order."""
-    g = lin.grid
-    ops = g.ops
-    eps = lin.params.epsilon
-    r_q = t.Fq_time + t.transport_q - ops.D @ (lin.m_faces * (ops.G @ t.q))
-    r_mu = (t.phi - lin.phi_k) / tau + t.transport_phi \
-        - ops.D @ (lin.mt_faces * (ops.G @ t.mu))
-    r_phi = t.mu + eps * (ops.D @ (ops.G @ t.phi)) - t.mu_relation_explicit
-    if cfg.v0_mode:
-        return np.concatenate([r_q, r_mu, r_phi])
-    # periodic constant modes are not projected here: the border multiplier
-    # columns absorb them, pinning the component means instead
-    r_v = (lin.A_form @ t.v) / g.dV + ops.G @ t.p - t.rhs_v
-    r_div = ops.D @ t.v
-    r_div[0] = t.p[0]                  # redundant row replaced by the p pin
-    parts = [r_v, r_div, r_q, r_mu, r_phi]
-    if g.periodic:
-        parts.append(np.array([t.v[:g.n_xfaces].sum(),
-                               t.v[g.n_xfaces:].sum()]))
-    return np.concatenate(parts)
+    return sp.bmat([[J, col], [row, sp.csr_matrix((2, 2))]], format="csc")
 
 
 # ---------------------------------------------------------------------------
@@ -476,70 +386,35 @@ class _Iterate:
     def __init__(self, v, p, q, mu, phi):
         self.v, self.p, self.q, self.mu, self.phi = v, p, q, mu, phi
 
-    def copy(self):
-        return _Iterate(self.v.copy(), self.p.copy(), self.q.copy(),
-                        self.mu.copy(), self.phi.copy())
+    @classmethod
+    def of(cls, s: State) -> "_Iterate":
+        return cls(s.v.data, s.p.data, s.q.data, s.mu.data, s.phi.data)
 
-    def blend(self, other, omega):
-        return _Iterate(*((1.0 - omega) * a + omega * b for a, b in (
-            (self.v, other.v), (self.p, other.p), (self.q, other.q),
-            (self.mu, other.mu), (self.phi, other.phi))))
+    def __iter__(self):
+        return iter((self.v, self.p, self.q, self.mu, self.phi))
 
 
 def _terms_at(lin, cset, cfg, tau, w: _Iterate) -> _Terms:
-    return _Terms(lin, cset, cfg, tau, w.v, w.p, w.q, w.mu, w.phi)
-
-
-def _apply_linv(lin: LinearizedSystem, cfg: StepConfig, t: _Terms,
-                w: _Iterate, report: StepReport) -> _Iterate:
-    """One application of the frozen inverse: w_new = Linv(F(w))."""
-    if cfg.v0_mode:
-        v_new, p_new = w.v, w.p
-    else:
-        v_new, p_new, st = lin.saddle.solve(t.rhs_v)
-        report.linear_solves += 1
-        report.max_linear_residual = max(report.max_linear_residual, st.residual)
-        report.div_inf = max(report.div_inf, st.div_inf)
-    q_new, st_q = lin.P_q.solve(t.rhs_q)
-    mu_new, st_m = lin.P_mu.solve(t.rhs_mu)
-    phi_new, st_p = lin.P_phi.solve(t.rhs_phi)
-    report.linear_solves += 3
-    report.max_linear_residual = max(report.max_linear_residual, st_q.residual,
-                                     st_m.residual, st_p.residual)
-    return _Iterate(v_new, p_new, q_new, mu_new, phi_new)
+    return _Terms(lin, cset, cfg, tau, *w)
 
 
 def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
-              params: ModelParams, cfg: StepConfig, tau: float,
-              report: StepReport, w0: Optional[_Iterate] = None) -> Optional[State]:
-    """Solve the coupled system for one tau; None on non-convergence.
-
-    Ladder: damped fixed point -> Newton (once close or visibly stalled) ->
-    back to the fixed point if a Newton line search jams far from the root
-    (at most twice) -> give up, letting the caller halve tau.
-    """
+              cfg: StepConfig, tau: float, report: StepReport,
+              w: _Iterate) -> Optional[State]:
+    """Newton's method on the coupled system for one tau from the iterate
+    ``w``; None when the line search stalls or the budget runs out."""
     grid = state_k.grid
-    w = w0.copy() if w0 is not None else _Iterate(
-        state_k.v.data.copy(), state_k.p.data.copy(), state_k.q.data.copy(),
-        state_k.mu.data.copy(), state_k.phi.data.copy())
-    omega = cfg.omega
-    omega_min = cfg.omega / 1024.0
-    newton_ok = cfg.newton and cset.dsecant_W_da is not None
-    mode = "picard"
-    slow = 0
-    prev_res = np.inf
-    picard_left = cfg.max_picard
+    nc, nf = grid.n_cells, grid.n_faces
+    if cfg.v0_mode:
+        cuts = [nc, 2 * nc]
+    else:
+        cuts = [nf, nf + nc, nf + 2 * nc, nf + 3 * nc, nf + 4 * nc]
+    t = _terms_at(lin, cset, cfg, tau, w)
+    rvec, blocks = t.residual(lin, cfg, tau)
     newton_left = cfg.max_newton
-    newton_stalls = 0
     lu = None
-    refactor = True
-    prev_newton_res = np.inf
-    nc = grid.n_cells
-    nf = grid.n_faces
-
-    while picard_left > 0 or (mode == "newton" and newton_left > 0):
-        t = _terms_at(lin, cset, cfg, tau, w)
-        blocks = t.residual(lin, cfg, tau)
+    prev_res = np.inf
+    while True:
         res = max(blocks.values())
         report.iterations += 1
         report.residual_history.append(dict(blocks, total=res))
@@ -549,103 +424,40 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
         if res <= cfg.tol_nl:
             report.converged = True
             return _finalize(state_k, grid, w, tau)
-
-        if mode == "picard":
-            if picard_left <= 0:
-                if newton_ok and newton_left > 0:
-                    mode = "newton"
-                else:
-                    report.failure_reason = "fixed-point iteration budget exhausted"
-                    return None
-            else:
-                slow = slow + 1 if res > 0.98 * prev_res else 0
-                if newton_ok and newton_left > 0 \
-                        and (res < cfg.newton_threshold or slow >= 3):
-                    mode = "newton"
-                prev_res = res
-
-        if mode == "picard":
-            picard_left -= 1
-            w_full = _apply_linv(lin, cfg, t, w, report)
-            accepted = False
-            while omega >= omega_min:
-                w_try = w.blend(w_full, omega)
-                t_try = _terms_at(lin, cset, cfg, tau, w_try)
-                res_try = max(t_try.residual(lin, cfg, tau).values())
-                if np.isfinite(res_try) and res_try <= res:
-                    w = w_try
-                    accepted = True
-                    break
-                report.rejected += 1
-                omega *= 0.5
-            report.omega_final = omega
-            if not accepted:
-                if newton_ok and newton_left > 0:
-                    mode = "newton"
-                else:
-                    report.failure_reason = "fixed point diverged at minimal damping"
-                    return None
-            continue
-
-        # Newton iteration; the factorization is reused while the residual
-        # keeps contracting well
-        report.newton_engaged = True
-        report.newton_iterations += 1
+        if newton_left == 0:
+            report.failure_reason = "Newton iteration budget exhausted"
+            return None
         newton_left -= 1
-        if res > 0.25 * prev_newton_res:
-            refactor = True
-        prev_newton_res = res
-        if refactor or lu is None:
-            J, _ = _jacobian(lin, cset, cfg, tau, t)
+        report.newton_iterations += 1
+
+        # the factorization is reused while the residual contracts well
+        if lu is None or res > 0.25 * prev_res:
             try:
-                lu = spla.splu(J)
+                lu = spla.splu(_jacobian(lin, cset, cfg, tau, t))
             except RuntimeError as exc:
                 report.failure_reason = f"Newton linearization failed: {exc}"
                 return None
-            refactor = False
-        rvec = _residual_vector(lin, cfg, tau, t)
-        dx = lu.solve(-rvec)
+        prev_res = res
+        dx = np.split(lu.solve(-rvec), cuts)
         report.linear_solves += 1
-        if cfg.v0_mode:
-            dq, dmu, dphi = dx[:nc], dx[nc:2 * nc], dx[2 * nc:3 * nc]
-            dv = dp = None
-        else:
-            dv, dp = dx[:nf], dx[nf:nf + nc]
-            dq = dx[nf + nc:nf + 2 * nc]
-            dmu = dx[nf + 2 * nc:nf + 3 * nc]
-            dphi = dx[nf + 3 * nc:nf + 4 * nc]
+        # v and p are frozen in v0 mode; periodic border multipliers dropped
+        dw = [None, None] + dx[:3] if cfg.v0_mode else dx[:5]
+
         alpha = 1.0
-        improved = False
-        while alpha >= 1.0 / 256.0:
-            w_try = w.copy()
-            if dv is not None:
-                w_try.v = w.v + alpha * dv
-                w_try.p = w.p + alpha * dp
-            w_try.q = w.q + alpha * dq
-            w_try.mu = w.mu + alpha * dmu
-            w_try.phi = w.phi + alpha * dphi
+        while True:
+            w_try = _Iterate(*(a if d is None else a + alpha * d
+                               for a, d in zip(w, dw)))
             t_try = _terms_at(lin, cset, cfg, tau, w_try)
-            res_try = max(t_try.residual(lin, cfg, tau).values())
+            rvec_try, blocks_try = t_try.residual(lin, cfg, tau)
+            res_try = max(blocks_try.values())
             if np.isfinite(res_try) and res_try < res:
-                w = w_try
-                improved = True
+                w, t, rvec, blocks = w_try, t_try, rvec_try, blocks_try
                 break
             report.rejected += 1
             alpha *= 0.5
-        if not improved:
-            newton_stalls += 1
-            if newton_stalls >= 3 or picard_left <= 0:
+            if alpha < 1.0 / 256.0:
                 report.failure_reason = "Newton line search stalled"
                 return None
-            # jammed far from the root: hand back to the damped fixed point
-            mode = "picard"
-            lu = None
-            refactor = True
-            prev_res = np.inf
-            prev_newton_res = np.inf
-            slow = -8       # give the fixed point room before re-engaging
-    report.failure_reason = "iteration budget exhausted"
-    return None
 
 
 def _finalize(state_k: State, grid: Grid, w: _Iterate, tau: float) -> State:
@@ -667,28 +479,24 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
          initial_guess: Optional[State] = None):
     """Advance one implicit step, halving tau on failure up to the limit.
 
-    Returns (state_{k+1}, StepReport).  Raises StepFailure when every retry
-    is exhausted; no partial state escapes.
+    ``initial_guess`` is a predictor for the full ``cfg.tau``; on a retry
+    with a smaller tau its increment over ``state_k`` is scaled by
+    ``tau / cfg.tau``.  Returns (state_{k+1}, StepReport).  Raises
+    StepFailure when every retry is exhausted; no partial state escapes.
     """
     t0 = _time.perf_counter()
     if cfg.v0_mode and float(np.abs(state_k.v.data).max()) != 0.0:
         raise ValueError("v0_mode requires a state with identically zero velocity")
     if lin is None:
         lin = assemble_linear(state_k, grid, cset, params, cfg)
-    report = StepReport(omega_final=cfg.omega)
-    w0 = None
-    if initial_guess is not None:
-        w0 = _Iterate(initial_guess.v.data.copy(), initial_guess.p.data.copy(),
-                      initial_guess.q.data.copy(), initial_guess.mu.data.copy(),
-                      initial_guess.phi.data.copy())
+    report = StepReport()
+    base = _Iterate.of(state_k)
+    guess = _Iterate.of(initial_guess) if initial_guess is not None else None
+    w0 = guess if guess is not None else base
     tau = cfg.tau
     for attempt in range(cfg.max_backoff + 1):
         report.tau_used = tau
-        try:
-            out = _try_step(state_k, lin, cset, params, cfg, tau, report, w0)
-        except SolverFailure as exc:
-            out = None
-            report.failure_reason = f"linear solve failed: {exc}"
+        out = _try_step(state_k, lin, cset, cfg, tau, report, w0)
         if out is not None:
             report.wall_time = _time.perf_counter() - t0
             return out, report
@@ -697,6 +505,9 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
             report.backoffs += 1
             report.residual_history.append({"total": np.inf,
                                             "note": f"retry tau={tau:g}"})
+            if guess is not None:
+                fac = tau / cfg.tau
+                w0 = _Iterate(*(a + fac * (b - a) for a, b in zip(base, guess)))
     report.wall_time = _time.perf_counter() - t0
     raise StepFailure(
         f"step failed after {cfg.max_backoff} tau halvings "
@@ -779,7 +590,7 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
             exc.partial = result
             raise
         row = energy.audit_step(s, s_new, cset, params, rep.tau_used,
-                                picard_iters=rep.iterations)
+                                nl_iters=rep.iterations)
         rep.energy_slack = row.slack
         rows.append(row)
         reports.append(rep)

@@ -1,9 +1,11 @@
 """Command-line interface: config validation, exit codes, reproducibility."""
 
+import json
+
 import numpy as np
 import pytest
 
-from surfflow.cli import (EXIT_OK, EXIT_VALIDATION, ConfigError,
+from surfflow.cli import (EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, ConfigError,
                           default_config, effective_config_text, main,
                           parse_config)
 from surfflow.mesh import read_field_snapshot
@@ -121,6 +123,70 @@ t_final = 6e-3
         data, meta = read_field_snapshot(snap)
         assert meta["nx"] == 8 and meta["step"] == 2
         assert np.allclose(data, 0.2)
+
+    def test_failure_writes_report(self, tmp_path, capsys):
+        path = write(tmp_path, """
+[grid]
+nx = 8
+ny = 8
+
+[scenario]
+name = droplet
+q0 = 0.1
+
+[stepper]
+tau = 2e-3
+v0_mode = true
+max_newton = 1
+max_backoff = 0
+
+[output]
+t_final = 6e-3
+""")
+        out = tmp_path / "out"
+        code = main(["run", path, "--out", str(out)])
+        assert code == EXIT_SOLVER
+        assert "solver failure" in capsys.readouterr().err
+        assert (out / "ledger.csv").read_text().count("\n") == 1   # header
+        report = json.loads((out / "failure.json").read_text())
+        assert report["converged"] is False
+        assert report["backoffs"] == 0
+        assert report["tau_used"] == 2e-3
+        assert report["newton_iterations"] == 1
+        assert "budget" in report["failure_reason"]
+        hist = report["residual_history"]
+        assert len(hist) == 2
+        assert hist[1]["total"] < hist[0]["total"]
+        assert set(hist[0]) == {"q", "phi_evolution", "mu_relation", "total"}
+
+    def test_failure_report_nonfinite_as_null(self, tmp_path):
+        # the retry note carries an infinite residual; JSON has no inf
+        path = write(tmp_path, """
+[grid]
+nx = 8
+ny = 8
+
+[scenario]
+name = droplet
+q0 = 0.1
+
+[stepper]
+tau = 2e-3
+v0_mode = true
+max_newton = 1
+max_backoff = 1
+
+[output]
+t_final = 6e-3
+""")
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == EXIT_SOLVER
+        text = (out / "failure.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        report = json.loads(text)
+        assert report["backoffs"] == 1
+        notes = [h for h in report["residual_history"] if "note" in h]
+        assert notes == [{"total": None, "note": "retry tau=0.001"}]
 
     def test_print_config(self, tmp_path, capsys):
         path = self._uniform_cfg(tmp_path)

@@ -1,0 +1,68 @@
+"""Every shipped config combined with every boolean stepper option.
+
+Each combination either runs to its (shortened) horizon with every step
+converged, or is rejected by validation with a message naming the cause.
+Stepper keys that no longer exist are rejected by the config parser.
+"""
+
+import configparser
+import itertools
+from pathlib import Path
+
+import pytest
+
+from surfflow.cli import ConfigError, build_objects, parse_config
+from surfflow.constitutive import build_default_set
+from surfflow.state import initialize_scenario
+from surfflow.stepper import run
+
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
+STEPS = 2
+REMOVED_KEYS = ("omega", "max_picard", "newton", "newton_threshold",
+                "preconditioner", "lin_rel_tol", "lin_abs_tol")
+
+
+def _with_options(src: Path, dest: Path, **stepper) -> str:
+    cp = configparser.ConfigParser()
+    cp.read(src)
+    for key, value in stepper.items():
+        cp.set("stepper", key, str(value).lower())
+    tau = cp.getfloat("stepper", "tau", fallback=1e-3)
+    cp.set("output", "t_final", repr(STEPS * tau))
+    with open(dest, "w") as fh:
+        cp.write(fh)
+    return str(dest)
+
+
+def test_shipped_configs_found():
+    assert {p.stem for p in CONFIGS} >= {"droplet", "relaxation-v0",
+                                         "shear-droplet"}
+
+
+@pytest.mark.parametrize("v0_mode,extrapolate",
+                         list(itertools.product((False, True), repeat=2)))
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_option_matrix(tmp_path, config, v0_mode, extrapolate):
+    path = _with_options(config, tmp_path / "c.ini", v0_mode=v0_mode,
+                         extrapolate=extrapolate)
+    grid, params, _, cfg, scenario, T = build_objects(parse_config(path))
+    cset = build_default_set(params)
+    state0 = initialize_scenario(scenario, grid, params, cset)
+    if v0_mode and float(abs(state0.v.data).max()) > 0.0:
+        # a scenario with initial flow cannot freeze v = 0
+        with pytest.raises(ValueError, match="v0_mode"):
+            run(state0, grid, cset, params, cfg, T)
+        return
+    res = run(state0, grid, cset, params, cfg, T)
+    assert len(res.rows) == STEPS
+    assert res.final_state.t == pytest.approx(T, rel=1e-12)
+    assert all(rep.converged for rep in res.reports)
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_stepper_key_rejected(tmp_path, key):
+    path = tmp_path / "c.ini"
+    path.write_text(f"[stepper]\ntau = 1e-3\n{key} = 1\n")
+    with pytest.raises(ConfigError, match="unknown configuration keys") as exc:
+        parse_config(str(path))
+    assert key in str(exc.value)

@@ -8,11 +8,12 @@ from scipy.optimize import root
 
 from surfflow.constitutive import ModelParams, build_default_set
 from surfflow.energy import total_energy
+from surfflow.linalg import MeanPoissonSolver
 from surfflow.mesh import Grid, ScalarField, VectorField, convect_skew
 from surfflow.state import ScenarioConfig, State, initialize_scenario
 from surfflow.stepper import (StepConfig, StepFailure,
-                              _Iterate, _jacobian, _residual_vector, _terms_at,
-                              assemble_linear, assemble_rhs, compute_Jtilde,
+                              _Iterate, _jacobian, _terms_at,
+                              assemble_linear, compute_Jtilde,
                               run, step, transport_defect)
 
 
@@ -120,12 +121,22 @@ class TestMassFlux:
 
 
 class TestAssembly:
-    def test_blocks_symmetric(self, cset, params):
+    def test_blocks_symmetric(self, cset, params, rng):
         g = Grid(12, 12)
         s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.2),
                                  g, params, cset)
         lin = assemble_linear(s0, g, cset, params, StepConfig(tau=1e-3))
-        probes = lin.symmetry_probes()
+        probes = {}
+        for name, mat in (("velocity", lin.A_form), ("q", lin.lap_q),
+                          ("mu", lin.lap_mu),
+                          ("phi", params.epsilon * lin.lap_unit)):
+            worst = 0.0
+            for _ in range(6):
+                x = rng.standard_normal(mat.shape[0])
+                y = rng.standard_normal(mat.shape[0])
+                a, b = float((mat @ x) @ y), float(x @ (mat @ y))
+                worst = max(worst, abs(a - b) / (1.0 + abs(a) + abs(b)))
+            probes[name] = worst
         assert all(v <= 1e-13 for v in probes.values()), probes
 
     def test_mean_augmented_blocks_invertibility_witness(self, cset, params):
@@ -133,7 +144,7 @@ class TestAssembly:
         s0 = initialize_scenario(ScenarioConfig(name="uniform"), g, params, cset)
         lin = assemble_linear(s0, g, cset, params, StepConfig(tau=1e-3))
         c = np.full(g.n_cells, 4.0)
-        out = lin.P_q.apply(c)
+        out = MeanPoissonSolver(g, lin.m_faces).apply(c)
         assert np.allclose(out, -4.0 * g.volume)
 
     def test_coefficient_bounds_enforced(self, cset, params):
@@ -152,8 +163,9 @@ class TestAssembly:
         t = _terms_at(lin, cset, cfg, cfg.tau,
                       _Iterate(s0.v.data, s0.p.data, s0.q.data, s0.mu.data,
                                s0.phi.data))
-        res = t.residual(lin, cfg, cfg.tau)
+        r, res = t.residual(lin, cfg, cfg.tau)
         assert max(res.values()) == 0.0
+        assert np.all(r == 0.0)
 
     def test_single_interface_momentum_rhs_is_capillary(self, cset, params):
         # v = 0, uniform q: the momentum load reduces to the capillary force
@@ -165,10 +177,11 @@ class TestAssembly:
                          + cset.h(q.data) * cset.Wp(phi.data) / params.epsilon)
         s0 = State(VectorField.zeros(g), ScalarField.zeros(g), phi, mu, q)
         cfg = StepConfig(tau=1e-3)
-        blocks = assemble_rhs(s0, s0, g, cset, params, cfg)
+        lin = assemble_linear(s0, g, cset, params, cfg)
+        t = _terms_at(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
         cap_cells = mu.data - cset.h(q.data) * cset.Wp(phi.data) / params.epsilon
         expect = (g.ops.Acf @ cap_cells) * (g.ops.G @ phi.data)
-        assert np.abs(blocks.v - expect).max() < 1e-13
+        assert np.abs(t.rhs_v - expect).max() < 1e-13
 
     def test_matched_density_rhs_reduction(self, params, rng):
         # rho' = 0: no diffusive flux, no density-rate correction; the
@@ -245,25 +258,68 @@ class TestStepBehavior:
         g = Grid(16, 16)
         s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
                                  g, params, cset)
-        cfg = StepConfig(tau=1e-3, v0_mode=True, max_picard=2, newton=False,
-                         max_backoff=1)
+        # one Newton iteration cannot reach tol_nl from the old state
+        cfg = StepConfig(tau=1e-3, v0_mode=True, max_newton=1, max_backoff=1)
         with pytest.raises(StepFailure) as exc:
             step(s0, g, cset, params, cfg)
-        assert exc.value.report.backoffs == 1
-        assert not exc.value.report.converged
+        rep = exc.value.report
+        assert rep.backoffs == 1
+        assert not rep.converged
+        assert "budget" in rep.failure_reason
+        assert rep.tau_used == pytest.approx(5e-4)
 
     def test_backoff_reduces_tau_and_recovers(self, cset, params):
         g = Grid(12, 12)
         s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
                                  g, params, cset)
         # iteration budget too small for the large step, enough for smaller
-        cfg = StepConfig(tau=0.2, v0_mode=True, max_picard=4, max_newton=4,
-                         max_backoff=10)
+        cfg = StepConfig(tau=0.2, v0_mode=True, max_newton=5, max_backoff=10)
         s1, rep = step(s0, g, cset, params, cfg)
         assert rep.converged
         assert rep.tau_used < 0.2
         assert rep.backoffs >= 1
         assert s1.t == pytest.approx(s0.t + rep.tau_used)
+
+    def test_backoff_rescales_extrapolated_guess(self, cset, params):
+        # the predictor is extrapolated for the full tau; a retry at tau/2
+        # must start from the predictor with half the increment
+        g = Grid(12, 12)
+        s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
+                                 g, params, cset)
+        tau = 0.02
+        s1, _ = step(s0, g, cset, params, StepConfig(tau=tau, v0_mode=True))
+        guess = s1.copy()              # the run loop's predictor
+        for a, b in ((guess.v.data, s0.v.data), (guess.q.data, s0.q.data),
+                     (guess.mu.data, s0.mu.data), (guess.phi.data, s0.phi.data)):
+            a += a - b
+        cfg = StepConfig(tau=tau, v0_mode=True, extrapolate=True,
+                         max_newton=1, max_backoff=1)
+        with pytest.raises(StepFailure) as exc:
+            step(s1, g, cset, params, cfg, initial_guess=guess)
+        hist = exc.value.report.residual_history
+        notes = [i for i, h in enumerate(hist) if "note" in h]
+        assert len(notes) == 1 and hist[notes[0]]["note"] == f"retry tau={tau / 2:g}"
+        first_retry = hist[notes[0] + 1]["total"]
+
+        def first_residual(initial):
+            half = StepConfig(tau=tau / 2, v0_mode=True, max_newton=1,
+                              max_backoff=0)
+            try:
+                _, rep = step(s1, g, cset, params, half, initial_guess=initial)
+            except StepFailure as e:
+                rep = e.report
+            return rep.residual_history[0]["total"]
+
+        rescaled = guess.copy()
+        for a, b, c in ((rescaled.v.data, s1.v.data, guess.v.data),
+                        (rescaled.p.data, s1.p.data, guess.p.data),
+                        (rescaled.q.data, s1.q.data, guess.q.data),
+                        (rescaled.mu.data, s1.mu.data, guess.mu.data),
+                        (rescaled.phi.data, s1.phi.data, guess.phi.data)):
+            a[:] = b + 0.5 * (c - b)
+        assert first_retry == first_residual(rescaled)
+        # the unscaled predictor starts elsewhere, so the check has teeth
+        assert first_retry != first_residual(guess)
 
 
 class TestRun:
@@ -308,11 +364,11 @@ class TestRun:
         g = Grid(12, 12)
         s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
                                  g, params, cset)
-        cfg = StepConfig(tau=1e-3, v0_mode=True, max_picard=2, newton=False,
-                         max_backoff=0)
+        cfg = StepConfig(tau=1e-3, v0_mode=True, max_newton=1, max_backoff=0)
         with pytest.raises(StepFailure) as exc:
             run(s0, g, cset, params, cfg, T=1e-2)
         assert hasattr(exc.value, "partial")
+        assert exc.value.partial.rows == []
 
     def test_final_partial_step_lands_on_horizon(self, cset, params):
         g = Grid(8, 8)
@@ -395,12 +451,12 @@ class TestJacobian:
             s0.phi.data + 0.01 * rng.standard_normal(g.n_cells))
         tau = cfg.tau
         t = _terms_at(lin, cset, cfg, tau, w)
-        J, _ = _jacobian(lin, cset, cfg, tau, t)
+        J = _jacobian(lin, cset, cfg, tau, t)
         nf, nc = g.n_faces, g.n_cells
         ntot = 3 * nc if v0 else nf + 4 * nc
 
         def unpack(d):
-            w2 = w.copy()
+            w2 = _Iterate(*w)
             off = 0
             if not v0:
                 w2.v = w.v + d[:nf]
@@ -414,10 +470,10 @@ class TestJacobian:
         h = 1e-7
         for _ in range(4):
             dx = rng.standard_normal(ntot)
-            rp = _residual_vector(lin, cfg, tau, _terms_at(lin, cset, cfg, tau,
-                                                           unpack(h * dx)))
-            rm = _residual_vector(lin, cfg, tau, _terms_at(lin, cset, cfg, tau,
-                                                           unpack(-h * dx)))
+            rp, _ = _terms_at(lin, cset, cfg, tau,
+                              unpack(h * dx)).residual(lin, cfg, tau)
+            rm, _ = _terms_at(lin, cset, cfg, tau,
+                              unpack(-h * dx)).residual(lin, cfg, tau)
             fd = (rp - rm) / (2 * h)
             full = np.concatenate([dx, np.zeros(J.shape[0] - ntot)])
             jd = (J @ full)[:fd.size]
