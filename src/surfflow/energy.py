@@ -23,13 +23,15 @@ from .linalg import assemble_velocity_form
 from .state import State, observables
 
 __all__ = ["EnergyComponents", "EnergyLedgerRow", "LEDGER_COLUMNS",
-           "total_energy", "audit_step", "write_ledger_csv", "rows_to_csv"]
+           "total_energy", "audit_step", "ledger_slack", "write_ledger_csv",
+           "rows_to_csv"]
 
 LEDGER_COLUMNS = (
     "step", "t", "tau", "E_kin", "E_grad", "E_surf", "E_bulk", "E_tot",
     "visc", "q_diss", "mu_diss", "kin_jump", "grad_jump", "phi_jump",
     "biharm", "slack", "phi_mass", "surf_total", "div_inf", "nl_iters",
 )
+DISSIPATION_COLUMNS = LEDGER_COLUMNS[8:15]        # visc ... biharm
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,21 @@ def audit_step(state_k: State, state_k1: State, cset: ConstitutiveSet,
         phi_mass=obs.phi_mass, surf_total=obs.surf_total,
         div_inf=obs.div_inf, nl_iters=nl_iters,
     )
+
+
+def ledger_slack(rows):
+    """(relative slack, pre-step energy E(k-1)) of each ledger row, as arrays.
+
+    E(k-1) is the previous row's E_tot; for the first row it is its E_tot +
+    slack + dissipation, the initial state's total energy.  The relative
+    slack is slack / max(|E(k-1)|, 1).
+    """
+    first = rows[0]
+    dissipation = sum(getattr(first, c) for c in DISSIPATION_COLUMNS)
+    e_prev = np.array([first.E_tot + first.slack + dissipation]
+                      + [r.E_tot for r in rows[:-1]])
+    slack = np.array([r.slack for r in rows])
+    return slack / np.maximum(np.abs(e_prev), 1.0), e_prev
 
 
 def rows_to_csv(rows) -> str:

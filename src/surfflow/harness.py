@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .constitutive import ConstitutiveSet, ModelParams, build_default_set
+from .energy import ledger_slack
 from .mesh import Grid
 from .state import ScenarioConfig, initialize_scenario
 from .stepper import RunResult, StepConfig, StepFailure, run
@@ -125,55 +126,36 @@ def _execute_all(setups, threads: int):
         return list(pool.map(job, setups))
 
 
-def _slack_summary(result: RunResult):
-    slacks = np.array([r.slack for r in result.rows])
-    e_prev = np.array([result.rows[0].E_tot + result.rows[0].slack]
-                      + [r.E_tot for r in result.rows[:-1]])
-    floor = np.maximum(np.abs(e_prev), 1.0)
-    return float(np.min(slacks / floor)), float(np.min(slacks))
-
-
-def energy_monotone(result: RunResult, tol: float = 0.0) -> bool:
-    """Total energy non-increasing step over step, including the first step
-    (the pre-step energy is reconstructed from slack + dissipation)."""
-    rows = result.rows
-    first = rows[0]
-    drop0 = first.slack + (first.visc + first.q_diss + first.mu_diss
-                           + first.kin_jump + first.grad_jump
-                           + first.phi_jump + first.biharm)
-    if drop0 < -tol:
-        return False
-    E = [r.E_tot for r in rows]
-    return all(a >= b - tol for a, b in zip(E, E[1:]))
-
-
-def study_delta(base: SimulationSetup, deltas, threads: int = 1) -> StudyReport:
-    """Cauchy continuation in the regularization strength.
-
-    Requires at least three strictly descending values; compares the final
-    order parameter between consecutive runs and expects the differences to
-    decrease monotonically.
-    """
-    deltas = [float(d) for d in deltas]
-    if len(deltas) < 3:
-        raise ValueError("delta continuation needs at least 3 values for a ratio")
-    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise ValueError("delta list must be strictly descending")
-    setups = [replace(base, params=replace(base.params, delta=d)) for d in deltas]
-    results = _execute_all(setups, threads)
-    rep = StudyReport(kind="delta", config_hash=base.fingerprint())
+def _continuation(base: SimulationSetup, kind: str, values, vary, threads: int,
+                  slack_rel_tol: Optional[float] = None) -> StudyReport:
+    """Runs ``vary(value)`` for at least three strictly descending values and
+    reports the L2 differences of the final order parameter between
+    consecutive runs; with ``slack_rel_tol`` a run whose relative slack falls
+    below ``-slack_rel_tol`` is a failure."""
+    values = [float(x) for x in values]
+    if len(values) < 3:
+        raise ValueError(f"{kind} continuation needs at least 3 values for a ratio")
+    if any(x2 >= x1 for x1, x2 in zip(values, values[1:])):
+        raise ValueError(f"{kind} list must be strictly descending")
+    results = _execute_all([vary(x) for x in values], threads)
+    rep = StudyReport(kind=kind, config_hash=base.fingerprint())
     finals = []
-    for d, res in zip(deltas, results):
-        rep.labels.append(f"delta={d:g}")
+    for x, res in zip(values, results):
+        label = f"{kind}={x:g}"
+        rep.labels.append(label)
         if isinstance(res, Exception):
-            rep.failures.append(f"delta={d:g}: {res}")
+            rep.failures.append(f"{label}: {res}")
             rep.rows.append({"failed": 1})
             finals.append(None)
             continue
-        rel_slack, _ = _slack_summary(res)
+        rel_slack = float(ledger_slack(res.rows)[0].min())
         rep.rows.append({"E_final": res.rows[-1].E_tot,
                          "min_rel_slack": rel_slack,
                          "steps": len(res.rows)})
+        if slack_rel_tol is not None and rel_slack < -slack_rel_tol:
+            abs_slack = min(r.slack for r in res.rows)
+            rep.failures.append(
+                f"{label}: energy slack {abs_slack:.3e} below tolerance")
         finals.append(res.final_state.phi.data)
     if all(f is not None for f in finals):
         rep.diffs = [_l2(base.grid, finals[i], finals[i + 1])
@@ -184,44 +166,23 @@ def study_delta(base: SimulationSetup, deltas, threads: int = 1) -> StudyReport:
         rep.monotone = all(d1 >= d2 or d1 < 1e-14
                            for d1, d2 in zip(rep.diffs, rep.diffs[1:]))
     return rep
+
+
+def study_delta(base: SimulationSetup, deltas, threads: int = 1) -> StudyReport:
+    """Cauchy continuation in the regularization strength; expects the
+    differences to decrease monotonically."""
+    return _continuation(
+        base, "delta", deltas,
+        lambda d: replace(base, params=replace(base.params, delta=d)), threads)
 
 
 def study_tau(base: SimulationSetup, taus, threads: int = 1,
               slack_rel_tol: float = 1e-8) -> StudyReport:
     """Step-size refinement to a common horizon with slack verification."""
-    taus = [float(t) for t in taus]
-    if len(taus) < 3:
-        raise ValueError("tau refinement needs at least 3 values for a ratio")
-    if any(t2 >= t1 for t1, t2 in zip(taus, taus[1:])):
-        raise ValueError("tau list must be strictly descending")
-    setups = [replace(base, stepcfg=replace(base.stepcfg, tau=t)) for t in taus]
-    results = _execute_all(setups, threads)
-    rep = StudyReport(kind="tau", config_hash=base.fingerprint())
-    finals = []
-    for t, res in zip(taus, results):
-        rep.labels.append(f"tau={t:g}")
-        if isinstance(res, Exception):
-            rep.failures.append(f"tau={t:g}: {res}")
-            rep.rows.append({"failed": 1})
-            finals.append(None)
-            continue
-        rel_slack, abs_slack = _slack_summary(res)
-        rep.rows.append({"E_final": res.rows[-1].E_tot,
-                         "min_rel_slack": rel_slack,
-                         "steps": len(res.rows)})
-        if rel_slack < -slack_rel_tol:
-            rep.failures.append(
-                f"tau={t:g}: energy slack {abs_slack:.3e} below tolerance")
-        finals.append(res.final_state.phi.data)
-    if all(f is not None for f in finals):
-        rep.diffs = [_l2(base.grid, finals[i], finals[i + 1])
-                     for i in range(len(finals) - 1)]
-        rep.ratios = [rep.diffs[i] / rep.diffs[i + 1]
-                      if rep.diffs[i + 1] > 0 else np.inf
-                      for i in range(len(rep.diffs) - 1)]
-        rep.monotone = all(d1 >= d2 or d1 < 1e-14
-                           for d1, d2 in zip(rep.diffs, rep.diffs[1:]))
-    return rep
+    return _continuation(
+        base, "tau", taus,
+        lambda t: replace(base, stepcfg=replace(base.stepcfg, tau=t)), threads,
+        slack_rel_tol)
 
 
 def study_defect(base: SimulationSetup, grid_sizes, threads: int = 1,
@@ -250,12 +211,14 @@ def study_defect(base: SimulationSetup, grid_sizes, threads: int = 1,
             rep.rows.append({"failed": 1})
             continue
         defect = max((abs(d) for d in res.defects), default=0.0)
-        rel_slack, _ = _slack_summary(res)
+        rel_slack, e_prev = ledger_slack(res.rows)
+        E = np.array([r.E_tot for r in res.rows])
         neg_slack = max(0.0, -min(r.slack for r in res.rows))
         rep.rows.append({"dx": base.grid.lx / n, "defect_max": defect,
-                         "neg_slack": neg_slack, "min_rel_slack": rel_slack,
+                         "neg_slack": neg_slack,
+                         "min_rel_slack": float(rel_slack.min()),
                          "E_final": res.rows[-1].E_tot,
-                         "E_monotone": int(energy_monotone(res, tol=1e-12)),
+                         "E_monotone": int(bool(np.all(e_prev >= E - 1e-12))),
                          "steps": len(res.rows)})
         metrics.append(defect)
         dxs.append(base.grid.lx / n)

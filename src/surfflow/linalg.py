@@ -1,96 +1,31 @@
-"""Sparse symmetric solvers for the per-iteration linear systems.
+"""The velocity form and the one certified direct solve outside the stepper.
 
-Three solve families:
-
-  * generic SPD systems (conjugate gradients, or a direct factorization
-    below ``DIRECT_THRESHOLD`` unknowns),
-  * mean-augmented variable-coefficient Neumann-Poisson problems,
-    div(w grad x) - (integral of x) = rhs, which are invertible on the whole
-    cell space (the mean functional removes the constant kernel),
-  * the incompressible saddle-point system [A, G; G^T, 0] with the pressure
-    mean pinned to zero.
-
-Every solve is certified by recomputing the residual through a forward
-application of the operator; iteration-reported residuals are never trusted.
-All paths are deterministic for fixed inputs.
+``assemble_velocity_form`` builds the viscous-plus-biharmonic form matrix
+the stepper's momentum block and the energy audit share.
+``MeanPoissonSolver`` solves the mean-augmented variable-coefficient
+Neumann-Poisson problem div(w grad x) - (integral of x) = rhs, which is
+invertible on the whole cell space (the mean functional removes the
+constant kernel), by a sparse LU of the bordered operator.  Every solve is
+certified by recomputing the residual through a forward application of the
+operator and raises ``SolverFailure`` when it misses the tolerance.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Grid, ScalarField, VectorField
+from .mesh import Grid
 
-__all__ = [
-    "DIRECT_THRESHOLD", "KrylovConfig", "SparseOperator", "SolveStats",
-    "SolverFailure", "solve_spd", "MeanPoissonSolver", "solve_neumann_poisson",
-    "SaddleSolver", "solve_saddle", "assemble_velocity_form",
-]
+__all__ = ["SolverFailure", "MeanPoissonSolver", "assemble_velocity_form"]
 
-DIRECT_THRESHOLD = 20_000     # unknowns; direct sparse LU below, Krylov above
+REL_TOL = 1e-10
+ABS_TOL = 1e-14
 
 
 class SolverFailure(RuntimeError):
-    """Linear solve did not certify; carries the residual history."""
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = list(history) if history is not None else []
-
-
-@dataclass(frozen=True)
-class KrylovConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_iter: Optional[int] = None          # default 10 * n
-    preconditioner: str = "jacobi"          # none | jacobi | incomplete-cholesky
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.preconditioner not in ("none", "jacobi", "incomplete-cholesky"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
-
-
-@dataclass
-class SparseOperator:
-    """CSR matrix with a symmetry promise that can be spot-checked."""
-
-    mat: sp.csr_matrix
-    symmetric: bool = False
-
-    @property
-    def shape(self):
-        return self.mat.shape
-
-    def __matmul__(self, x):
-        return self.mat @ x
-
-    def probe_symmetry(self, n_probes: int = 8, seed: int = 11) -> float:
-        rng = np.random.default_rng(seed)
-        n = self.mat.shape[0]
-        worst = 0.0
-        for _ in range(n_probes):
-            x = rng.standard_normal(n)
-            y = rng.standard_normal(n)
-            a = float((self.mat @ x) @ y)
-            b = float(x @ (self.mat @ y))
-            worst = max(worst, abs(a - b) / (1.0 + abs(a) + abs(b)))
-        return worst
-
-
-@dataclass
-class SolveStats:
-    method: str
-    iterations: int
-    residual: float               # recomputed by forward application
-    history: list = field(default_factory=list)
-    div_inf: float = 0.0
+    """A linear solve whose forward residual missed the tolerance."""
 
 
 def assemble_velocity_form(grid: Grid, eta_cells: np.ndarray,
@@ -117,87 +52,6 @@ def assemble_velocity_form(grid: Grid, eta_cells: np.ndarray,
     return A
 
 
-def _make_preconditioner(A: sp.csr_matrix, kind: str):
-    if kind == "none":
-        return None
-    if kind == "jacobi":
-        d = A.diagonal().copy()
-        d[d == 0.0] = 1.0
-        inv = 1.0 / d
-        return lambda r: inv * r
-    ilu = spla.spilu(A.tocsc(), drop_tol=1e-5, fill_factor=10)
-    return ilu.solve
-
-
-def _cg(matvec, b, x0, rel_tol, abs_tol, max_iter, precond=None):
-    """Plain preconditioned CG; returns (x, history)."""
-    x = x0.copy()
-    r = b - matvec(x)
-    z = precond(r) if precond else r
-    p = z.copy()
-    rz = float(r @ z)
-    nb = float(np.linalg.norm(b))
-    history = [float(np.linalg.norm(r))]
-    target = rel_tol * nb + abs_tol
-    for _ in range(max_iter):
-        if history[-1] <= target:
-            break
-        Ap = matvec(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            break                          # loss of positive definiteness
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        history.append(float(np.linalg.norm(r)))
-        z = precond(r) if precond else r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, history
-
-
-def solve_spd(A: SparseOperator, b: np.ndarray, cfg: KrylovConfig = KrylovConfig(),
-              x0: Optional[np.ndarray] = None):
-    """Solve A x = b for symmetric positive definite A.
-
-    Direct sparse factorization below DIRECT_THRESHOLD unknowns, conjugate
-    gradients above.  The returned residual is recomputed from A x - b.
-    Raises SolverFailure when the certified residual misses the tolerance.
-    """
-    mat = A.mat if isinstance(A, SparseOperator) else A
-    b = np.asarray(b, dtype=float).ravel()
-    n = mat.shape[0]
-    nb = float(np.linalg.norm(b))
-    target = cfg.rel_tol * nb + cfg.abs_tol
-    if nb == 0.0:
-        return np.zeros(n), SolveStats("trivial", 0, 0.0)
-    if n <= DIRECT_THRESHOLD:
-        lu = spla.splu(mat.tocsc())
-        x = lu.solve(b)
-        res = float(np.linalg.norm(mat @ x - b))
-        stats = SolveStats("direct-lu", 1, res)
-        if res > max(target, 1e-9 * nb):
-            raise SolverFailure(f"direct SPD solve residual {res:.3e} > {target:.3e}",
-                                [res])
-        return x, stats
-    max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * n
-    precond = _make_preconditioner(mat, cfg.preconditioner)
-    x0 = np.zeros(n) if x0 is None else x0
-    x, history = _cg(lambda v: mat @ v, b, x0, cfg.rel_tol, cfg.abs_tol,
-                     max_iter, precond)
-    res = float(np.linalg.norm(mat @ x - b))
-    stats = SolveStats("cg", len(history) - 1, res, history)
-    if res > target:
-        raise SolverFailure(f"CG did not certify: residual {res:.3e} > {target:.3e} "
-                            f"after {stats.iterations} iterations", history)
-    return x, stats
-
-
-# ---------------------------------------------------------------------------
-# mean-augmented Neumann-Poisson
-# ---------------------------------------------------------------------------
-
 class MeanPoissonSolver:
     """Solves  div(w grad x) - (integral x) * 1 = rhs  on cell fields.
 
@@ -206,204 +60,36 @@ class MeanPoissonSolver:
     Factorized once per coefficient field and reused.
     """
 
-    def __init__(self, grid: Grid, coeff_faces: np.ndarray,
-                 cfg: KrylovConfig = KrylovConfig()):
+    def __init__(self, grid: Grid, coeff_faces: np.ndarray):
         coeff_faces = np.asarray(coeff_faces, dtype=float).ravel()
         if coeff_faces.size != grid.n_faces:
             raise ValueError("coefficient must live on faces")
         if np.any(coeff_faces <= 0):
             raise ValueError("mean-augmented solve needs positive face coefficients")
-        self.grid = grid
-        self.cfg = cfg
         ops = grid.ops
         self.lap = (ops.D @ sp.diags(coeff_faces) @ ops.G).tocsr()
         self.dV = grid.dV
         self.volume = grid.volume
-        n = grid.n_cells
-        self._direct = n <= DIRECT_THRESHOLD
-        if self._direct:
-            e = np.full((n, 1), 1.0)
-            bordered = sp.bmat([[self.lap, e], [e.T, None]], format="csc")
-            self._lu = spla.splu(bordered)
-        else:
-            diag = -self.lap.diagonal() + self.dV
-            diag[diag <= 0] = 1.0
-            self._precond_diag = 1.0 / diag
+        e = np.full((grid.n_cells, 1), 1.0)
+        self._lu = spla.splu(sp.bmat([[self.lap, e], [e.T, None]], format="csc"))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.lap @ x - (self.dV * x.sum())
 
-    def solve(self, rhs: np.ndarray):
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float).ravel()
-        n = self.grid.n_cells
+        n = rhs.size
         nb = float(np.linalg.norm(rhs))
-        target = self.cfg.rel_tol * nb + self.cfg.abs_tol
         if nb == 0.0:
-            return np.zeros(n), SolveStats("trivial", 0, 0.0)
-        if self._direct:
-            # integral of x is determined by integrating the equation:
-            # the diffusion part integrates to zero exactly
-            int_x = -float(rhs.sum()) * self.dV / self.volume
-            rhs_pde = rhs + int_x
-            sol = self._lu.solve(np.concatenate([rhs_pde, [0.0]]))
-            x = sol[:n] + int_x / self.volume
-            method = "bordered-lu"
-            iters = 1
-            history = []
-        else:
-            matvec = lambda v: -(self.lap @ v) + (self.dV * v.sum())
-            pre = lambda r: self._precond_diag * r
-            max_iter = self.cfg.max_iter if self.cfg.max_iter is not None else 10 * n
-            x, history = _cg(matvec, -rhs, np.zeros(n), self.cfg.rel_tol,
-                             self.cfg.abs_tol, max_iter, pre)
-            method = "cg"
-            iters = len(history) - 1
+            return np.zeros(n)
+        # integral of x is determined by integrating the equation:
+        # the diffusion part integrates to zero exactly
+        int_x = -float(rhs.sum()) * self.dV / self.volume
+        sol = self._lu.solve(np.concatenate([rhs + int_x, [0.0]]))
+        x = sol[:n] + int_x / self.volume
         res = float(np.linalg.norm(self.apply(x) - rhs))
-        stats = SolveStats(method, iters, res, history)
+        target = REL_TOL * nb + ABS_TOL
         if res > max(target, 1e-9 * nb):
             raise SolverFailure(f"mean-augmented solve residual {res:.3e} "
-                                f"> {target:.3e}", [res])
-        return x, stats
-
-
-def solve_neumann_poisson(grid: Grid, coeff_faces: np.ndarray, rhs: ScalarField,
-                          cfg: KrylovConfig = KrylovConfig()):
-    """One-shot interface over MeanPoissonSolver."""
-    solver = MeanPoissonSolver(grid, coeff_faces, cfg)
-    x, stats = solver.solve(rhs.data)
-    return ScalarField(grid, x), stats
-
-
-# ---------------------------------------------------------------------------
-# saddle-point system
-# ---------------------------------------------------------------------------
-
-class SaddleSolver:
-    """Incompressible saddle system for a given SPD velocity form matrix.
-
-        A v + dV G p = dV * rhs_v
-        dV G^T v     = dV * mean(p) ... = 0   (pressure mean pinned)
-
-    ``A`` is the assembled velocity form (volume weights included).  Direct
-    symmetric-indefinite factorization below DIRECT_THRESHOLD total unknowns;
-    Uzawa/Schur-complement CG with nested A-solves above (inner tolerance
-    0.01 x outer).
-    """
-
-    def __init__(self, grid: Grid, A_form: sp.spmatrix,
-                 cfg: KrylovConfig = KrylovConfig()):
-        self.grid = grid
-        self.cfg = cfg
-        self.A = A_form.tocsr()
-        ops = grid.ops
-        nf, nc = grid.n_faces, grid.n_cells
-        if self.A.shape != (nf, nf):
-            raise ValueError("velocity block must act on faces")
-        self.Gp = (grid.dV * ops.G).tocsr()       # pressure gradient load
-        self.Dp = self.Gp.T.tocsr()
-        self.n = nf + nc
-        self._direct = self.n <= DIRECT_THRESHOLD
-        # in periodic mode constant velocities are in the kernel of the form;
-        # the solve acts on the mean-free velocity space per component
-        self._pin_v_means = grid.periodic
-        if self._direct:
-            # the continuity rows sum to zero identically, so one of them is
-            # redundant; replacing it by a single-entry pressure pin keeps the
-            # factorization sparse (a dense mean row would be fill-in poison),
-            # and the solution is shifted to mean(p) = 0 afterwards
-            Dp_mod = self.Dp.tolil()
-            Dp_mod[0, :] = 0.0
-            pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(nc, nc))
-            blocks = [[self.A, self.Gp],
-                      [Dp_mod.tocsr(), pin]]
-            if self._pin_v_means:
-                E = np.zeros((nf, 2))
-                E[:grid.n_xfaces, 0] = 1.0
-                E[grid.n_xfaces:, 1] = 1.0
-                blocks = [[self.A, self.Gp, E],
-                          [Dp_mod.tocsr(), pin, None],
-                          [E.T, None, None]]
-            saddle = sp.bmat(blocks, format="csc")
-            self._lu = spla.splu(saddle)
-        else:
-            self._A_lu = spla.splu(self.A.tocsc()) if nf <= DIRECT_THRESHOLD else None
-
-    def _solve_A(self, b, rel_tol):
-        if self._A_lu is not None and not self._pin_v_means:
-            return self._A_lu.solve(b)
-        nx_dof = self.grid.n_xfaces
-        w = self.grid.dV
-
-        def matvec(v):
-            out = self.A @ v
-            if self._pin_v_means:
-                out = out.copy()
-                out[:nx_dof] += w * v[:nx_dof].sum()
-                out[nx_dof:] += w * v[nx_dof:].sum()
-            return out
-
-        pre = _make_preconditioner(self.A, "jacobi")
-        x, _ = _cg(matvec, b, np.zeros_like(b),
-                   rel_tol, self.cfg.abs_tol, 10 * self.A.shape[0], pre)
+                                f"> {target:.3e}")
         return x
-
-    def solve(self, rhs_v: np.ndarray):
-        """rhs_v in field units on faces; returns (v, p, stats)."""
-        grid = self.grid
-        rhs_v = np.asarray(rhs_v, dtype=float).ravel()
-        nf, nc = grid.n_faces, grid.n_cells
-        b = grid.dV * rhs_v
-        if self._pin_v_means:
-            bx, by = b[:grid.n_xfaces], b[grid.n_xfaces:]
-            b = np.concatenate([bx - bx.mean(), by - by.mean()])
-        nb = float(np.linalg.norm(b))
-        if nb == 0.0:
-            return np.zeros(nf), np.zeros(nc), SolveStats("trivial", 0, 0.0)
-        if self._direct:
-            extra = nc + 2 if self._pin_v_means else nc
-            sol = self._lu.solve(np.concatenate([b, np.zeros(extra)]))
-            v, p = sol[:nf], sol[nf:nf + nc]
-            method, iters, history = "direct-lu", 1, []
-        else:
-            inner_tol = 0.01 * self.cfg.rel_tol
-            v0 = self._solve_A(b, inner_tol)
-            rhs_p = self.Dp @ v0
-            mean_weight = grid.dV / nc
-
-            def schur(pvec):
-                return self.Dp @ self._solve_A(self.Gp @ pvec, inner_tol) \
-                    + mean_weight * pvec.sum()
-
-            pre = lambda r: r / grid.dV
-            p, history = _cg(schur, rhs_p, np.zeros(nc), self.cfg.rel_tol,
-                             self.cfg.abs_tol, 20 * nc, pre)
-            p = p - p.mean()
-            v = self._solve_A(b - self.Gp @ p, inner_tol)
-            method, iters = "uzawa-cg", len(history) - 1
-        p = p - p.mean()
-        # certification by forward application
-        mom_res = float(np.linalg.norm(self.A @ v + self.Gp @ p - b))
-        div_inf = float(np.abs(grid.ops.D @ v).max())
-        stats = SolveStats(method, iters, mom_res, history)
-        stats.div_inf = div_inf
-        target = self.cfg.rel_tol * nb + self.cfg.abs_tol
-        if mom_res > max(target, 1e-8 * nb):
-            raise SolverFailure(f"saddle solve momentum residual {mom_res:.3e} "
-                                f"> {target:.3e}", history or [mom_res])
-        return v, p, stats
-
-
-def solve_saddle(visc_block, grid: Grid, rhs_v: VectorField,
-                 cfg: KrylovConfig = KrylovConfig()):
-    """One-shot interface: returns (VectorField v, ScalarField p, stats)."""
-    mat = visc_block.mat if isinstance(visc_block, SparseOperator) else visc_block
-    solver = SaddleSolver(grid, mat, cfg)
-    v, p, stats = solver.solve(rhs_v.data)
-    return VectorField(grid, v), ScalarField(grid, p), stats
-
-
-def export_matrix_market(path, op) -> None:
-    """Optional operator dump for offline inspection."""
-    import scipy.io as sio
-    mat = op.mat if isinstance(op, SparseOperator) else op
-    sio.mmwrite(str(path), mat)

@@ -23,7 +23,7 @@ Operators acting along x are kron(Op1d, I_ny); along y, kron(I_nx, Op1d).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -31,9 +31,8 @@ import scipy.sparse as sp
 
 __all__ = [
     "Grid", "ScalarField", "VectorField",
-    "grad", "div", "laplace_neumann", "vector_laplacian",
-    "sbp_selftest", "SbpReport",
-    "write_field_snapshot", "read_field_snapshot", "write_field_csv",
+    "grad", "div", "sbp_selftest", "SbpReport",
+    "write_field_snapshot", "read_field_snapshot",
     "FIELD_KIND_CELL", "FIELD_KIND_XFACE", "FIELD_KIND_YFACE",
 ]
 
@@ -452,22 +451,6 @@ def div(u: VectorField) -> ScalarField:
     return ScalarField(u.grid, u.grid.ops.D @ u.data)
 
 
-def laplace_neumann(c: ScalarField, coeff: np.ndarray) -> ScalarField:
-    """div(coeff * grad c) with face coefficients coeff > 0."""
-    coeff = np.asarray(coeff, dtype=float).ravel()
-    if coeff.size != c.grid.n_faces:
-        raise ValueError("coefficient must live on faces")
-    if np.any(coeff <= 0):
-        raise ValueError("laplace_neumann requires strictly positive face coefficients")
-    ops = c.grid.ops
-    return ScalarField(c.grid, ops.D @ (coeff * (ops.G @ c.data)))
-
-
-def vector_laplacian(u: VectorField) -> VectorField:
-    """Componentwise five-point Laplacian with Dirichlet velocity ghosts."""
-    return VectorField(u.grid, u.grid.ops.Lvec @ u.data)
-
-
 def _conv_parts(g: Grid, M: VectorField):
     ops = g.ops
     return (
@@ -640,10 +623,3 @@ def read_field_snapshot(path):
     return data, {"nx": int(nx), "ny": int(ny), "kind": int(kind),
                   "time": float(time), "step": int(step)}
 
-
-def write_field_csv(path, field: ScalarField) -> None:
-    X, Y = field.grid.cell_centers()
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for x, y, v in zip(X.ravel(), Y.ravel(), field.data):
-            fh.write("%.17g,%.17g,%.17g\n" % (x, y, v))

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .constitutive import ConstitutiveSet, ModelParams
-from .linalg import SaddleSolver
+from .linalg import MeanPoissonSolver
 from .mesh import Grid, ScalarField, VectorField, div
 
 __all__ = ["State", "Observables", "observables", "initialize_scenario",
@@ -99,13 +98,20 @@ class ScenarioConfig:
 
 
 def project_divergence_free(v: VectorField) -> VectorField:
-    """L2 projection onto the discretely divergence-free space (same saddle
-    machinery as the momentum solve, with a mass velocity block)."""
+    """L2 projection onto the discretely divergence-free face fields.
+
+    v - G x with x from the mean-augmented pressure Poisson problem
+    D G x - (integral x) = D v, plus one refinement on the projection's own
+    residual D v - D (G x); D = -G^T makes the result orthogonal to every
+    discrete gradient.
+    """
     g = v.grid
-    mass = sp.identity(g.n_faces, format="csr") * g.dV
-    solver = SaddleSolver(g, mass)
-    vd, _, _ = solver.solve(v.data)
-    return VectorField(g, vd)
+    ops = g.ops
+    solver = MeanPoissonSolver(g, np.ones(g.n_faces))
+    div_v = ops.D @ v.data
+    x = solver.solve(div_v)
+    x += solver.solve(div_v - ops.D @ (ops.G @ x))
+    return VectorField(g, v.data - ops.G @ x)
 
 
 def _consistent_mu(phi: ScalarField, q: ScalarField, cset: ConstitutiveSet,

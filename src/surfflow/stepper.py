@@ -46,8 +46,7 @@ from .state import State
 
 __all__ = [
     "StepConfig", "StepReport", "StepFailure", "LinearizedSystem",
-    "compute_Jtilde", "assemble_linear", "step", "run", "RunResult",
-    "transport_defect",
+    "assemble_linear", "step", "run", "RunResult", "transport_defect",
 ]
 
 
@@ -118,18 +117,6 @@ class LinearizedSystem:
     lap_q: sp.csr_matrix                # div(m grad .)
     lap_mu: sp.csr_matrix               # div(mtilde grad .)
     lap_unit: sp.csr_matrix             # div(grad .)
-
-
-def compute_Jtilde(phi_k: ScalarField, mu_next: ScalarField,
-                   cset: ConstitutiveSet) -> VectorField:
-    """Diffusive mass flux -rho'(phi_k) mtilde(phi_k) grad(mu), face valued.
-
-    Coefficients are evaluated at cells and averaged to faces with the same
-    averaging as every other variable-coefficient operator.
-    """
-    g = phi_k.grid
-    coef = g.ops.Acf @ (cset.rhop(phi_k.data) * cset.mtilde(phi_k.data))
-    return VectorField(g, -coef * (g.ops.G @ mu_next.data))
 
 
 def assemble_linear(state_k: State, grid: Grid, cset: ConstitutiveSet,

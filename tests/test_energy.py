@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from surfflow.energy import (LEDGER_COLUMNS, audit_step, rows_to_csv,
-                             total_energy)
+from surfflow.energy import (LEDGER_COLUMNS, audit_step, ledger_slack,
+                             rows_to_csv, total_energy)
 from surfflow.mesh import Grid
 from surfflow.state import ScenarioConfig, initialize_scenario
 from surfflow.stepper import StepConfig, run, step
@@ -103,6 +103,20 @@ class TestAuditStep:
         header, line = text.strip().splitlines()
         assert header == ",".join(LEDGER_COLUMNS)
         assert len(line.split(",")) == len(LEDGER_COLUMNS)
+
+
+class TestLedgerSlack:
+    def test_first_row_floor_is_initial_energy(self, cset, params):
+        # the first step's pre-step energy includes that step's dissipation
+        g = Grid(16, 16)
+        s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
+                                 g, params, cset)
+        res = run(s0, g, cset, params, StepConfig(tau=1e-3), T=2e-3)
+        rel, e_prev = ledger_slack(res.rows)
+        E0 = total_energy(s0, cset, params).E_tot
+        assert max(abs(e_prev[0]), 1.0) == max(abs(E0), 1.0)
+        assert rel[0] == res.rows[0].slack / max(abs(E0), 1.0)
+        assert np.array_equal(e_prev[1:], [r.E_tot for r in res.rows[:-1]])
 
 
 class TestSlackTracksTolerance:

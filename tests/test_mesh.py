@@ -1,16 +1,36 @@
 """Staggered-grid operators: exact dualities, consistency, convection, I/O."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from surfflow.constitutive import ModelParams, build_default_set
 from surfflow.mesh import (FIELD_KIND_CELL, Grid, ScalarField, VectorField,
                            convect_flux_jacobian, convect_matrix, convect_skew,
-                           div, grad, laplace_neumann, read_field_snapshot,
-                           sbp_selftest, vector_laplacian, write_field_csv,
+                           div, grad, read_field_snapshot, sbp_selftest,
                            write_field_snapshot)
+from surfflow.state import State
+from surfflow.stepper import StepConfig, assemble_linear
 
 BCS = ("box", "periodic")
+
+
+def _stepper_laplacians(g, rng, m=None):
+    """The stepper's frozen diffusion blocks over a random state: lap_q =
+    div(m grad .), lap_mu = div(mtilde grad .) and lap_unit = div(grad .),
+    with mobilities that vary from face to face."""
+    params = ModelParams()
+    cset = dataclasses.replace(
+        build_default_set(params),
+        m=m or (lambda phi, q: np.exp(0.3 * np.tanh(phi + q))),
+        mtilde=lambda phi: np.exp(-0.3 * np.tanh(phi)))
+    s = State(v=VectorField.zeros(g), p=ScalarField.zeros(g),
+              phi=ScalarField(g, rng.standard_normal(g.n_cells)),
+              mu=ScalarField.zeros(g),
+              q=ScalarField(g, rng.standard_normal(g.n_cells)))
+    return assemble_linear(s, g, cset, params, StepConfig(v0_mode=True))
 
 
 class TestGradDiv:
@@ -64,64 +84,67 @@ class TestLaplaceNeumann:
     def test_constants_in_kernel(self, rng):
         for bc in BCS:
             g = Grid(12, 12, 1.0, 1.0, bc)
-            w = np.exp(rng.standard_normal(g.n_faces) * 0.2)
-            out = laplace_neumann(ScalarField.full(g, 2.0), w)
-            assert np.all(out.data == 0.0)
+            lin = _stepper_laplacians(g, rng)
+            # the residual applies the blocks factored, D (w G c), which is
+            # exact on constants (the assembled product is only to round-off)
+            c = np.full(g.n_cells, 2.0)
+            for w in (lin.m_faces, lin.mt_faces):
+                assert np.all(g.ops.D @ (w * (g.ops.G @ c)) == 0.0)
 
-    def test_periodic_eigenfunction(self):
+    def test_periodic_eigenfunction(self, rng):
         g = Grid(64, 8, 1.0, 1.0, "periodic")
         k = 2 * np.pi / g.lx
         c = ScalarField.from_function(g, lambda X, Y: np.cos(k * X))
-        out = laplace_neumann(c, np.ones(g.n_faces))
+        out = _stepper_laplacians(g, rng).lap_unit @ c.data
         sym = -(2.0 * np.sin(0.5 * k * g.dx) / g.dx) ** 2
         # exact discrete eigenvalue, and second-order close to the analytic one
-        assert np.abs(out.data - sym * c.data).max() < 1e-11
+        assert np.abs(out - sym * c.data).max() < 1e-11
         assert abs(sym + k * k) < k ** 4 * g.dx ** 2
 
     def test_symmetry(self, rng):
         for bc in BCS:
             g = Grid(10, 14, 1.0, 1.0, bc)
-            w = np.exp(rng.standard_normal(g.n_faces) * 0.3)
-            a = ScalarField(g, rng.standard_normal(g.n_cells))
-            b = ScalarField(g, rng.standard_normal(g.n_cells))
-            s1 = float(laplace_neumann(a, w).data @ b.data)
-            s2 = float(a.data @ laplace_neumann(b, w).data)
-            assert abs(s1 - s2) <= 1e-13 * (1 + abs(s1) + abs(s2))
+            lin = _stepper_laplacians(g, rng)
+            a = rng.standard_normal(g.n_cells)
+            b = rng.standard_normal(g.n_cells)
+            for lap in (lin.lap_q, lin.lap_mu):
+                s1 = float((lap @ a) @ b)
+                s2 = float(a @ (lap @ b))
+                assert abs(s1 - s2) <= 1e-13 * (1 + abs(s1) + abs(s2))
 
     def test_mean_preservation(self, rng):
         g = Grid(16, 16, 1.0, 1.0, "box")
-        w = np.exp(rng.standard_normal(g.n_faces) * 0.3)
-        c = ScalarField(g, rng.standard_normal(g.n_cells))
-        out = laplace_neumann(c, w)
-        assert abs(out.data.sum() * g.dV) < 1e-13
+        lin = _stepper_laplacians(g, rng)
+        c = rng.standard_normal(g.n_cells)
+        for lap in (lin.lap_q, lin.lap_mu):
+            assert abs((lap @ c).sum() * g.dV) < 1e-13
 
-    def test_rejects_nonpositive_coefficient(self):
+    def test_rejects_nonpositive_coefficient(self, rng):
+        # the stepper checks its mobilities against [c1, c2] before building
+        # the diffusion blocks
         g = Grid(8, 8)
-        w = np.ones(g.n_faces)
-        w[3] = 0.0
-        with pytest.raises(ValueError, match="positive"):
-            laplace_neumann(ScalarField.zeros(g), w)
+        with pytest.raises(ValueError, match="coefficient m leaves"):
+            _stepper_laplacians(g, rng, m=lambda phi, q: 0.0 * phi)
 
 
 class TestVectorLaplacian:
     def test_zero(self):
         g = Grid(8, 8)
-        assert np.all(vector_laplacian(VectorField.zeros(g)).data == 0.0)
+        assert np.all(g.ops.Lvec @ np.zeros(g.n_faces) == 0.0)
 
     def test_linear_profile_harmonic_periodic(self):
         g = Grid(16, 16, 1.0, 1.0, "periodic")
         # constant x-velocity: harmonic, Laplacian vanishes
-        u = VectorField(g, np.concatenate([np.full(g.n_xfaces, 0.7),
-                                           np.zeros(g.n_yfaces)]))
-        assert np.abs(vector_laplacian(u).data).max() < 1e-13
+        u = np.concatenate([np.full(g.n_xfaces, 0.7), np.zeros(g.n_yfaces)])
+        assert np.abs(g.ops.Lvec @ u).max() < 1e-13
 
     def test_biharmonic_pairing_symmetry(self, rng):
         for bc in BCS:
             g = Grid(10, 12, 1.0, 1.0, bc)
-            u = VectorField(g, rng.standard_normal(g.n_faces))
-            w = VectorField(g, rng.standard_normal(g.n_faces))
-            b1 = float(vector_laplacian(u).data @ vector_laplacian(w).data)
-            b2 = float(vector_laplacian(w).data @ vector_laplacian(u).data)
+            lu = g.ops.Lvec @ rng.standard_normal(g.n_faces)
+            lw = g.ops.Lvec @ rng.standard_normal(g.n_faces)
+            b1 = float(lu @ lw)
+            b2 = float(lw @ lu)
             assert abs(b1 - b2) <= 1e-13 * (1 + abs(b1))
 
 
@@ -303,15 +326,6 @@ class TestSnapshots:
         path.write_bytes(b"\0" * 128)
         with pytest.raises(ValueError, match="magic"):
             read_field_snapshot(path)
-
-    def test_csv_export(self, tmp_path):
-        g = Grid(3, 2)
-        f = ScalarField(g, np.arange(6.0))
-        path = tmp_path / "f.csv"
-        write_field_csv(path, f)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,y,value"
-        assert len(lines) == 7
 
 
 class TestGridValidation:

@@ -121,10 +121,27 @@ class TestStateValidation:
             s.validate(div_tol=1e-9)
 
     def test_projection_helper(self, rng, cset, params):
-        g = Grid(16, 16)
-        v = VectorField(g, rng.standard_normal(g.n_faces))
-        vp = project_divergence_free(v)
-        assert np.abs(div(vp).data).max() < 1e-11
-        # projection removes only gradient parts: re-projecting is idempotent
-        vpp = project_divergence_free(vp)
-        assert np.abs(vpp.data - vp.data).max() < 1e-11
+        for bc in ("box", "periodic"):
+            g = Grid(16, 16, 1.0, 1.0, bc)
+            v = VectorField(g, rng.standard_normal(g.n_faces))
+            vp = project_divergence_free(v)
+            assert np.abs(div(vp).data).max() < 1e-11
+            # projection removes only gradient parts: re-projecting is
+            # idempotent, and the result is orthogonal to every gradient
+            vpp = project_divergence_free(vp)
+            assert np.abs(vpp.data - vp.data).max() < 1e-11
+            c = rng.standard_normal(g.n_cells)
+            assert abs((g.ops.G @ c) @ vp.data) * g.dV < 1e-10
+            # a discrete gradient projects to zero
+            vg = project_divergence_free(VectorField(g, g.ops.G @ c))
+            assert np.abs(vg.data).max() < 1e-11
+
+
+@pytest.mark.parametrize("bc", ("box", "periodic"))
+@pytest.mark.parametrize("n", (64, 96))
+def test_shear_droplet_initializes_on_fine_grids(n, bc, cset, params):
+    # the initial projection must reach validate's div_tol = 1e-12 here
+    s = initialize_scenario(
+        ScenarioConfig(name="shear-droplet", shear=0.5, q0=0.1),
+        Grid(n, n, 1.0, 1.0, bc), params, cset)
+    assert np.abs(div(s.v).data).max() <= 1e-12
