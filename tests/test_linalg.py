@@ -1,10 +1,11 @@
-"""The velocity form and the certified mean-augmented Poisson solve."""
+"""The velocity form, the mean-augmented Poisson solve and the projection."""
 
 import numpy as np
 import pytest
 
 from surfflow.linalg import MeanPoissonSolver, assemble_velocity_form
-from surfflow.mesh import Grid, ScalarField, VectorField
+from surfflow.mesh import Grid, ScalarField, VectorField, div
+from surfflow.state import project_divergence_free
 
 
 class TestMeanPoisson:
@@ -54,6 +55,39 @@ class TestMeanPoisson:
         w[0] = -1.0
         with pytest.raises(ValueError, match="positive"):
             MeanPoissonSolver(g, w)
+
+
+class TestSaddle:
+    """The mass-block saddle problem solved by the initial projection."""
+
+    def test_gradient_rhs_recovers_pressure(self, rng):
+        for bc in ("box", "periodic"):
+            g = Grid(14, 14, 1.0, 1.0, bc)
+            c = rng.standard_normal(g.n_cells)
+            gc = g.ops.G @ c
+            v = project_divergence_free(VectorField(g, gc))
+            assert np.abs(v.data).max() < 1e-11
+            # the pressure of a gradient load is its potential, mean pinned
+            p = MeanPoissonSolver(g, np.ones(g.n_faces)).solve(g.ops.D @ gc)
+            assert np.abs(p - (c - c.mean())).max() < 1e-9
+
+    def test_divergence_free_rhs_identity_block(self, rng):
+        g = Grid(12, 12)
+        u = rng.standard_normal(g.n_faces)
+        v0 = project_divergence_free(VectorField(g, u))
+        v1 = project_divergence_free(v0)
+        assert np.abs(v1.data - v0.data).max() < 1e-11
+        p1 = MeanPoissonSolver(g, np.ones(g.n_faces)).solve(g.ops.D @ v0.data)
+        assert np.abs(p1).max() < 1e-11
+
+    def test_output_discretely_divergence_free(self, rng):
+        g = Grid(16, 16)
+        v = project_divergence_free(
+            VectorField(g, rng.standard_normal(g.n_faces)))
+        assert np.abs(div(v).data).max() < 1e-10
+        # orthogonality to all discrete gradients
+        c = rng.standard_normal(g.n_cells)
+        assert abs((g.ops.G @ c) @ v.data) * g.dV < 1e-10
 
 
 class TestVelocityForm:
