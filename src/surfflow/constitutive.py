@@ -169,7 +169,8 @@ def _default_secant_W(a, b):
     e = _WELL_EDGE
     s = _WELL_SLOPE
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # branches np.select discards may divide by a subnormal gap
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         den = np.where(hi > lo, hi - lo, 1.0)
         both_q = _secant_quartic(lo, hi)
         left_cross = (s * (e + lo) + _secant_quartic(-e, hi) * (hi + e)) / den

@@ -8,12 +8,17 @@ and the secant slope H of W are evaluated implicitly.
 
 The solver is Newton's method on the full coupled residual, started from
 the first iterate (the old state, or the extrapolated predictor).  Each
-iteration solves with a sparse LU of the coupled Jacobian; the
-factorization is reused while the residual contracts by at least a factor
-of four per iteration and rebuilt otherwise.  A backtracking line search
-accepts an iterate only if it lowers the scaled residual, so the accepted
-residual history is strictly decreasing.  When the line search stalls or
-the iteration budget runs out, the step is retried with tau halved.
+iteration solves with a sparse LU of the coupled Jacobian.  ``run`` holds
+that LU from step to step: it is reused while the residual contracts by at
+least a factor of four per iteration, rebuilt at the current iterate
+otherwise, and dropped whenever tau differs from the tau it was factored
+at (the shorter last step, every tau halving).  A full step from an LU not
+factored at the current iterate that does not lower the residual is
+solved again with a fresh LU.  A backtracking line search on a fresh LU's
+direction accepts an iterate only if it lowers the scaled residual, so the
+accepted residual history is strictly decreasing.  When the line search
+stalls or the iteration budget runs out, the step is retried with tau
+halved.
 
 Momentum convection uses the skew form (M . grad) v + (div M) v / 2 with
 mass flux M = rho_k v + J, discretized by ``mesh.convect_skew`` so that its
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -74,6 +80,7 @@ class StepReport:
     residual_history: list = field(default_factory=list)   # accepted, per block
     rejected: int = 0                   # line-search trials not accepted
     linear_solves: int = 0
+    factorizations: int = 0             # Jacobian LUs built, all tau attempts
     tau_used: float = 0.0
     backoffs: int = 0
     converged: bool = False
@@ -114,9 +121,27 @@ class LinearizedSystem:
     mt_faces: np.ndarray
     # frozen operators
     A_form: Optional[sp.csr_matrix]     # velocity form (None in v0 mode)
-    lap_q: sp.csr_matrix                # div(m grad .)
-    lap_mu: sp.csr_matrix               # div(mtilde grad .)
-    lap_unit: sp.csr_matrix             # div(grad .)
+
+    # the diffusion blocks are built on first use: only the Jacobian (and
+    # the operator dump) reads them, and a step solved with a held LU
+    # builds no Jacobian
+    @cached_property
+    def lap_q(self) -> sp.csr_matrix:
+        """div(m grad .)"""
+        ops = self.grid.ops
+        return (ops.D @ sp.diags(self.m_faces) @ ops.G).tocsr()
+
+    @cached_property
+    def lap_mu(self) -> sp.csr_matrix:
+        """div(mtilde grad .)"""
+        ops = self.grid.ops
+        return (ops.D @ sp.diags(self.mt_faces) @ ops.G).tocsr()
+
+    @cached_property
+    def lap_unit(self) -> sp.csr_matrix:
+        """div(grad .)"""
+        ops = self.grid.ops
+        return (ops.D @ ops.G).tocsr()
 
 
 def assemble_linear(state_k: State, grid: Grid, cset: ConstitutiveSet,
@@ -124,10 +149,11 @@ def assemble_linear(state_k: State, grid: Grid, cset: ConstitutiveSet,
     """Freeze the coefficient fields and linear operators of one step.
 
     Velocity form: 2 eta(phi_k) symmetric-gradient form plus the
-    delta-weighted biharmonic pairing (coupled mode only).  Scalar blocks:
-    div(m grad .) and div(mtilde grad .) with face-averaged old-level
-    mobilities, and the unit Laplacian.  Mobility/viscosity values outside
-    [c1, c2] at the state samples are rejected.
+    delta-weighted biharmonic pairing (coupled mode only).  Scalar blocks,
+    built on first use: div(m grad .) and div(mtilde grad .) with
+    face-averaged old-level mobilities, and the unit Laplacian.
+    Mobility/viscosity values outside [c1, c2] at the state samples are
+    rejected.
     """
     phi_k, q_k = state_k.phi.data, state_k.q.data
     mvals = np.broadcast_to(cset.m(phi_k, q_k), phi_k.shape)
@@ -155,9 +181,6 @@ def assemble_linear(state_k: State, grid: Grid, cset: ConstitutiveSet,
         m_faces=m_faces, mt_faces=mt_faces,
         A_form=None if cfg.v0_mode
         else assemble_velocity_form(grid, evals, params.delta),
-        lap_q=(ops.D @ sp.diags(m_faces) @ ops.G).tocsr(),
-        lap_mu=(ops.D @ sp.diags(mt_faces) @ ops.G).tocsr(),
-        lap_unit=(ops.D @ ops.G).tocsr(),
     )
 
 
@@ -385,21 +408,33 @@ def _terms_at(lin, cset, cfg, tau, w: _Iterate) -> _Terms:
     return _Terms(lin, cset, cfg, tau, *w)
 
 
+@dataclass
+class _HeldLU:
+    """One-slot holder for the Newton LU and the tau it was factored at."""
+    lu: Optional[object] = None
+    tau: float = 0.0
+
+
 def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
               cfg: StepConfig, tau: float, report: StepReport,
-              w: _Iterate) -> Optional[State]:
+              w: _Iterate, held: _HeldLU) -> Optional[State]:
     """Newton's method on the coupled system for one tau from the iterate
-    ``w``; None when the line search stalls or the budget runs out."""
+    ``w``; None when the line search stalls or the budget runs out.
+
+    The LU in ``held`` may come from an earlier iterate or step (a chord
+    iteration); it is dropped when it was factored at another tau.
+    """
     grid = state_k.grid
     nc, nf = grid.n_cells, grid.n_faces
     if cfg.v0_mode:
         cuts = [nc, 2 * nc]
     else:
         cuts = [nf, nf + nc, nf + 2 * nc, nf + 3 * nc, nf + 4 * nc]
+    if held.tau != tau:
+        held.lu = None
     t = _terms_at(lin, cset, cfg, tau, w)
     rvec, blocks = t.residual(lin, cfg, tau)
     newton_left = cfg.max_newton
-    lu = None
     prev_res = np.inf
     while True:
         res = max(blocks.values())
@@ -418,20 +453,18 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
         report.newton_iterations += 1
 
         # the factorization is reused while the residual contracts well
-        if lu is None or res > 0.25 * prev_res:
-            try:
-                lu = spla.splu(_jacobian(lin, cset, cfg, tau, t))
-            except RuntimeError as exc:
-                report.failure_reason = f"Newton linearization failed: {exc}"
-                return None
+        fresh = held.lu is None or res > 0.25 * prev_res
+        if fresh and not _factor(lin, cset, cfg, tau, t, held, report):
+            return None
         prev_res = res
-        dx = np.split(lu.solve(-rvec), cuts)
-        report.linear_solves += 1
-        # v and p are frozen in v0 mode; periodic border multipliers dropped
-        dw = [None, None] + dx[:3] if cfg.v0_mode else dx[:5]
-
         alpha = 1.0
         while True:
+            if alpha == 1.0:      # first trial, or after a stale-LU refactor
+                dx = np.split(held.lu.solve(-rvec), cuts)
+                report.linear_solves += 1
+                # v and p are frozen in v0 mode; periodic border multipliers
+                # dropped
+                dw = [None, None] + dx[:3] if cfg.v0_mode else dx[:5]
             w_try = _Iterate(*(a if d is None else a + alpha * d
                                for a, d in zip(w, dw)))
             t_try = _terms_at(lin, cset, cfg, tau, w_try)
@@ -441,10 +474,32 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 w, t, rvec, blocks = w_try, t_try, rvec_try, blocks_try
                 break
             report.rejected += 1
+            if not fresh:
+                # a held LU gave a full step that does not descend:
+                # refactor at this iterate, line search only on that direction
+                fresh = True
+                if not _factor(lin, cset, cfg, tau, t, held, report):
+                    return None
+                continue
             alpha *= 0.5
             if alpha < 1.0 / 256.0:
                 report.failure_reason = "Newton line search stalled"
                 return None
+
+
+def _factor(lin, cset, cfg, tau, t: _Terms, held: _HeldLU,
+            report: StepReport) -> bool:
+    """Replace the held LU by one of the Jacobian at ``t``; False (with the
+    reason in the report) when the factorization fails."""
+    held.lu = None                 # free the old LU before building the new
+    try:
+        held.lu = spla.splu(_jacobian(lin, cset, cfg, tau, t))
+    except RuntimeError as exc:
+        report.failure_reason = f"Newton linearization failed: {exc}"
+        return False
+    held.tau = tau
+    report.factorizations += 1
+    return True
 
 
 def _finalize(state_k: State, grid: Grid, w: _Iterate, tau: float) -> State:
@@ -463,13 +518,16 @@ def _finalize(state_k: State, grid: Grid, w: _Iterate, tau: float) -> State:
 def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
          params: ModelParams, cfg: StepConfig,
          lin: Optional[LinearizedSystem] = None,
-         initial_guess: Optional[State] = None):
+         initial_guess: Optional[State] = None,
+         held: Optional[_HeldLU] = None):
     """Advance one implicit step, halving tau on failure up to the limit.
 
     ``initial_guess`` is a predictor for the full ``cfg.tau``; on a retry
     with a smaller tau its increment over ``state_k`` is scaled by
-    ``tau / cfg.tau``.  Returns (state_{k+1}, StepReport).  Raises
-    StepFailure when every retry is exhausted; no partial state escapes.
+    ``tau / cfg.tau``.  ``held`` carries the Newton LU from step to step
+    (``run`` passes one); without it the LU lives for this call only.
+    Returns (state_{k+1}, StepReport).  Raises StepFailure when every retry
+    is exhausted; no partial state escapes.
     """
     t0 = _time.perf_counter()
     if cfg.v0_mode and float(np.abs(state_k.v.data).max()) != 0.0:
@@ -480,10 +538,12 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
     base = _Iterate.of(state_k)
     guess = _Iterate.of(initial_guess) if initial_guess is not None else None
     w0 = guess if guess is not None else base
+    if held is None:
+        held = _HeldLU()
     tau = cfg.tau
     for attempt in range(cfg.max_backoff + 1):
         report.tau_used = tau
-        out = _try_step(state_k, lin, cset, cfg, tau, report, w0)
+        out = _try_step(state_k, lin, cset, cfg, tau, report, w0, held)
         if out is not None:
             report.wall_time = _time.perf_counter() - t0
             return out, report
@@ -544,8 +604,9 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
         cfg: StepConfig, T: float, callbacks=None, keep_states: bool = False):
     """Repeated stepping to the horizon T with per-step energy accounting.
 
-    Appends one ledger row per accepted step.  A StepFailure propagates with
-    the partial ledger attached to the exception (``exc.partial``).
+    Appends one ledger row per accepted step.  The Newton LU is held from
+    step to step.  A StepFailure propagates with the partial ledger attached
+    to the exception (``exc.partial``).
     """
     from . import energy
 
@@ -558,6 +619,7 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
     s = state0
     prev = None
     prev_tau = 0.0
+    held = _HeldLU()
     result = RunResult(rows, reports, state0, states, defects)
     while s.t < T - 1e-12 * max(T, 1.0):
         step_cfg = cfg
@@ -572,7 +634,8 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
                          (guess.mu.data, prev.mu.data), (guess.phi.data, prev.phi.data)):
                 a += fac * (a - b)
         try:
-            s_new, rep = step(s, grid, cset, params, step_cfg, initial_guess=guess)
+            s_new, rep = step(s, grid, cset, params, step_cfg, initial_guess=guess,
+                              held=held)
         except StepFailure as exc:
             exc.partial = result
             raise

@@ -153,6 +153,7 @@ t_final = 6e-3
         assert report["backoffs"] == 0
         assert report["tau_used"] == 2e-3
         assert report["newton_iterations"] == 1
+        assert report["factorizations"] == 1      # the first step's only LU
         assert "budget" in report["failure_reason"]
         hist = report["residual_history"]
         assert len(hist) == 2

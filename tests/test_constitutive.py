@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from surfflow.constitutive import (ConstitutiveError, ModelParams,
@@ -183,3 +185,61 @@ class TestStepInequalities:
         assert rep.min_slack_f < 0.0
         assert rep.violations == 1
         assert rep.witness == (0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# property tests: the same relations and tolerances as the point tests above,
+# on inputs drawn around the piece boundaries of W (+-2) and of f, h
+# (q_min, q_max)
+# ---------------------------------------------------------------------------
+
+_PROPERTY = settings(max_examples=300, derandomize=True, database=None,
+                     deadline=None)
+_PARAMS = ModelParams()
+_CSET = build_default_set(_PARAMS)
+_BOUNDARIES = (-2.0, 2.0, _PARAMS.q_min, _PARAMS.q_max)
+
+
+def _near(points, lo, hi):
+    """Floats in [lo, hi], often a boundary point or a hair beside one."""
+    offsets = st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9])
+    at_point = st.builds(lambda x, d: x + d, st.sampled_from(points), offsets)
+    return st.one_of(at_point, st.floats(lo, hi))
+
+
+_PHI = _near((-2.0, 2.0, -1.0, 1.0, 0.0), -4.0, 4.0)
+_GAP = st.one_of(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9]),
+                 st.floats(-3.0, 3.0))
+
+
+class TestSecantProperties:
+    @_PROPERTY
+    @given(a=_PHI, gap=_GAP)
+    def test_secant_identity(self, a, gap):
+        b = a + gap
+        H = float(_CSET.secant_W(a, b))
+        Wa, Wb = float(_CSET.W(a)), float(_CSET.W(b))
+        assert abs(H * (a - b) - (Wa - Wb)) <= 1e-14 * (1.0 + abs(Wa) + abs(Wb))
+
+    @_PROPERTY
+    @given(a=_PHI.filter(lambda x: abs(x) <= 3.0 and abs(abs(x) - 2.0) > 1e-4),
+           b=_near((-2.0, 2.0, -1.0, 1.0, 0.0), -3.0, 3.0))
+    def test_secant_derivative_matches_central_differences(self, a, b):
+        h = 1e-6
+        fd = (float(_CSET.secant_W(a + h, b))
+              - float(_CSET.secant_W(a - h, b))) / (2 * h)
+        an = float(_CSET.dsecant_W_da(a, b))
+        assert abs(fd - an) / (1.0 + abs(an)) < 1e-6
+
+
+class TestStepInequalityProperties:
+    @_PROPERTY
+    @given(a=_near(_BOUNDARIES, -3.0, 4.0), b=_near(_BOUNDARIES, -3.0, 4.0))
+    def test_nonnegative_slack_at_piece_boundaries(self, a, b):
+        # next to q_max the exact slack of the first inequality is ~0 (f' and
+        # f - f(a) vanish there), so it holds to round-off: both slacks get
+        # the -1e-13 floor of the g inequality in the sweep above
+        rep = pointwise_step_inequalities(_CSET, [(a, b)])
+        assert rep.violations == 0
+        assert rep.min_slack_f >= -1e-13
+        assert rep.min_slack_g >= -1e-13

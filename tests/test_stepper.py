@@ -11,8 +11,8 @@ from surfflow.energy import total_energy
 from surfflow.linalg import MeanPoissonSolver
 from surfflow.mesh import Grid, ScalarField, VectorField, convect_skew
 from surfflow.state import ScenarioConfig, State, initialize_scenario
-from surfflow.stepper import (StepConfig, StepFailure,
-                              _Iterate, _jacobian, _terms_at,
+from surfflow.stepper import (StepConfig, StepFailure, StepReport,
+                              _factor, _HeldLU, _Iterate, _jacobian, _terms_at,
                               assemble_linear, run, step, transport_defect)
 
 
@@ -440,6 +440,94 @@ class TestRun:
         masses = [r.phi_mass for r in res.rows]
         assert max(masses) - min(masses) <= 1e-11
         assert all(rep.converged for rep in res.reports)
+
+
+@pytest.fixture(scope="module")
+def relax16(cset, params):
+    """relaxation-v0 at 16^2: grid, initial state, stepper config."""
+    g = Grid(16, 16)
+    s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
+                             g, params, cset)
+    return g, s0, StepConfig(tau=1e-3, v0_mode=True)
+
+
+def _held_at(s, g, cset, params, cfg) -> _HeldLU:
+    """A holder with the LU of the Jacobian at the state ``s``."""
+    lin = assemble_linear(s, g, cset, params, cfg)
+    held = _HeldLU()
+    assert _factor(lin, cset, cfg, cfg.tau,
+                   _terms_at(lin, cset, cfg, cfg.tau, _Iterate.of(s)),
+                   held, StepReport())
+    return held
+
+
+class TestHeldLU:
+    """The Newton LU outlives the step: reused while the residual contracts,
+    dropped on a tau change, refactored when a stale full step fails."""
+
+    def test_fewer_factorizations_than_steps(self, cset, params, relax16):
+        g, s0, cfg = relax16
+        res = run(s0, g, cset, params, cfg, T=20 * cfg.tau)
+        assert len(res.reports) == 20
+        assert sum(rep.factorizations for rep in res.reports) < 20
+        assert res.reports[0].factorizations >= 1
+        assert all(rep.tau_used == cfg.tau and rep.backoffs == 0
+                   for rep in res.reports)
+
+    def test_shorter_last_step_refactors(self, cset, params, relax16):
+        g, s0, cfg = relax16
+        res = run(s0, g, cset, params, cfg, T=5.5 * cfg.tau)
+        last = res.reports[-1]
+        assert last.tau_used < cfg.tau
+        assert last.factorizations >= 1
+
+    def test_backoff_refactors_at_each_tau(self, cset, params, relax16):
+        g, s0, cfg = relax16
+        held = _HeldLU()
+        s = s0
+        for _ in range(3):
+            s, _ = step(s, g, cset, params, cfg, held=held)
+        # five chord iterations from the held LU cannot reach tol_nl at the
+        # full tau: the step backs off
+        tight = dataclasses.replace(cfg, max_newton=5, max_backoff=3)
+        s, rep = step(s, g, cset, params, tight, held=held)
+        assert rep.converged and rep.backoffs >= 1
+        # every halved tau drops the LU and factors its own
+        assert rep.factorizations >= rep.backoffs
+        assert held.tau == rep.tau_used < cfg.tau
+        # the next full-tau step drops the LU of the smaller tau
+        _, rep = step(s, g, cset, params, cfg, held=held)
+        assert rep.backoffs == 0 and rep.factorizations >= 1
+        assert held.tau == cfg.tau
+
+    def test_lu_from_initial_state_still_converges(self, cset, params, relax16):
+        g, s0, cfg = relax16
+        s20 = run(s0, g, cset, params, cfg, T=20 * cfg.tau).final_state
+        held = _held_at(s0, g, cset, params, cfg)
+        _, rep = step(s20, g, cset, params, cfg, held=held)
+        assert rep.converged
+        assert rep.backoffs == 0 and rep.tau_used == cfg.tau
+
+    def test_stale_full_step_refactors_instead_of_backing_off(
+            self, cset, params, relax16):
+        g, s0, cfg = relax16
+        # an LU from an unrelated (uniform) state: its full step from the
+        # droplet does not lower the residual
+        other = initialize_scenario(ScenarioConfig(name="uniform", phi0=0.3,
+                                                   q0=0.5), g, params, cset)
+        held = _held_at(other, g, cset, params, cfg)
+        _, rep = step(s0, g, cset, params, cfg, held=held)
+        assert rep.converged and rep.backoffs == 0
+        assert rep.rejected >= 1 and rep.factorizations >= 1
+        # the rejected direction is solved again with the fresh LU
+        assert rep.linear_solves > rep.newton_iterations
+
+    def test_reruns_bitwise_identical(self, cset, params, relax16):
+        g, s0, cfg = relax16
+        a, b = (run(s0, g, cset, params, cfg, T=20 * cfg.tau)
+                for _ in range(2))
+        assert [dataclasses.astuple(r) for r in a.rows] == \
+            [dataclasses.astuple(r) for r in b.rows]
 
 
 class TestJacobian:
