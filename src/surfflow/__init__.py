@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .constitutive import (AuditReport, ConstitutiveSet, ModelParams,
                            SamplingSpec, audit_assumptions, build_default_set,
-                           divided_difference_H, pointwise_step_inequalities)
+                           pointwise_step_inequalities)
 from .energy import EnergyLedgerRow, audit_step, total_energy
 from .mesh import Grid, ScalarField, VectorField, div, grad, sbp_selftest
 from .state import ScenarioConfig, State, initialize_scenario, observables
@@ -15,8 +15,7 @@ from .stepper import StepConfig, StepFailure, StepReport, run, step
 __all__ = [
     "__version__",
     "AuditReport", "ConstitutiveSet", "ModelParams", "SamplingSpec",
-    "audit_assumptions", "build_default_set", "divided_difference_H",
-    "pointwise_step_inequalities",
+    "audit_assumptions", "build_default_set", "pointwise_step_inequalities",
     "EnergyLedgerRow", "audit_step", "total_energy",
     "Grid", "ScalarField", "VectorField", "div", "grad", "sbp_selftest",
     "ScenarioConfig", "State", "initialize_scenario", "observables",

@@ -34,7 +34,6 @@ __all__ = [
     "AuditReport",
     "InequalityReport",
     "build_default_set",
-    "divided_difference_H",
     "audit_assumptions",
     "pointwise_step_inequalities",
 ]
@@ -313,11 +312,6 @@ def build_default_set(params: ModelParams) -> ConstitutiveSet:
         dsecant_W_da=_default_dsecant_W_da,
         params=params,
     )
-
-
-def divided_difference_H(a, b, cset: ConstitutiveSet):
-    """Secant slope of W: H(a,b)(a-b) = W(a) - W(b), H(a,a) = W'(a)."""
-    return cset.secant_W(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,10 @@ LEDGER_COLUMNS = (
 )
 DISSIPATION_COLUMNS = LEDGER_COLUMNS[8:15]        # visc ... biharm
 
+# a relative slack (see ``ledger_slack``) below -SLACK_TOL flags a step that
+# did not dissipate
+SLACK_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class EnergyComponents:

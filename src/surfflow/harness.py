@@ -26,13 +26,16 @@ from typing import Optional
 import numpy as np
 
 from .constitutive import ConstitutiveSet, ModelParams, build_default_set
-from .energy import ledger_slack
+from .energy import SLACK_TOL, ledger_slack
 from .mesh import Grid
 from .state import ScenarioConfig, initialize_scenario
 from .stepper import RunResult, StepConfig, StepFailure, run
 
 __all__ = ["SimulationSetup", "StudyReport", "study_delta", "study_tau",
            "study_defect"]
+
+# a largest per-step transport defect at or below this counts as absent
+DEFECT_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -48,11 +51,10 @@ class SimulationSetup:
     def constitutive(self) -> ConstitutiveSet:
         return build_default_set(self.params)
 
-    def execute(self, keep_states: bool = False) -> RunResult:
+    def execute(self) -> RunResult:
         cset = self.constitutive()
         state0 = initialize_scenario(self.scenario, self.grid, self.params, cset)
-        return run(state0, self.grid, cset, self.params, self.stepcfg,
-                   self.T, keep_states=keep_states)
+        return run(state0, self.grid, cset, self.params, self.stepcfg, self.T)
 
     def fingerprint(self) -> str:
         text = repr((self.grid, self.params, self.scenario, self.stepcfg, self.T))
@@ -127,11 +129,11 @@ def _execute_all(setups, threads: int):
 
 
 def _continuation(base: SimulationSetup, kind: str, values, vary, threads: int,
-                  slack_rel_tol: Optional[float] = None) -> StudyReport:
+                  check_slack: bool = False) -> StudyReport:
     """Runs ``vary(value)`` for at least three strictly descending values and
     reports the L2 differences of the final order parameter between
-    consecutive runs; with ``slack_rel_tol`` a run whose relative slack falls
-    below ``-slack_rel_tol`` is a failure."""
+    consecutive runs; with ``check_slack`` a run whose relative slack falls
+    below ``-energy.SLACK_TOL`` is a failure."""
     values = [float(x) for x in values]
     if len(values) < 3:
         raise ValueError(f"{kind} continuation needs at least 3 values for a ratio")
@@ -152,7 +154,7 @@ def _continuation(base: SimulationSetup, kind: str, values, vary, threads: int,
         rep.rows.append({"E_final": res.rows[-1].E_tot,
                          "min_rel_slack": rel_slack,
                          "steps": len(res.rows)})
-        if slack_rel_tol is not None and rel_slack < -slack_rel_tol:
+        if check_slack and rel_slack < -SLACK_TOL:
             abs_slack = min(r.slack for r in res.rows)
             rep.failures.append(
                 f"{label}: energy slack {abs_slack:.3e} below tolerance")
@@ -176,17 +178,16 @@ def study_delta(base: SimulationSetup, deltas, threads: int = 1) -> StudyReport:
         lambda d: replace(base, params=replace(base.params, delta=d)), threads)
 
 
-def study_tau(base: SimulationSetup, taus, threads: int = 1,
-              slack_rel_tol: float = 1e-8) -> StudyReport:
+def study_tau(base: SimulationSetup, taus, threads: int = 1) -> StudyReport:
     """Step-size refinement to a common horizon with slack verification."""
     return _continuation(
         base, "tau", taus,
         lambda t: replace(base, stepcfg=replace(base.stepcfg, tau=t)), threads,
-        slack_rel_tol)
+        check_slack=True)
 
 
-def study_defect(base: SimulationSetup, grid_sizes, threads: int = 1,
-                 defect_floor: float = 1e-13) -> StudyReport:
+def study_defect(base: SimulationSetup, grid_sizes,
+                 threads: int = 1) -> StudyReport:
     """Grid refinement of the per-step transport energy defect.
 
     The defect is the measured residual of the transport/Marangoni
@@ -223,9 +224,9 @@ def study_defect(base: SimulationSetup, grid_sizes, threads: int = 1,
         metrics.append(defect)
         dxs.append(base.grid.lx / n)
     if len(metrics) == len(sizes):
-        if max(metrics) <= defect_floor:
+        if max(metrics) <= DEFECT_FLOOR:
             rep.order = float("inf")     # defect absent (e.g. transport off)
         else:
-            m = np.maximum(metrics, defect_floor)
+            m = np.maximum(metrics, DEFECT_FLOOR)
             rep.order = float(np.polyfit(np.log(dxs), np.log(m), 1)[0])
     return rep

@@ -8,6 +8,10 @@ Two boundary modes:
               stored), cell scalars get homogeneous Neumann ghosts
   periodic -- everything wraps
 
+The boundary mode is decided only in the 1D building blocks below; the
+operator bundle combines them by Kronecker products in one form for both
+modes.
+
 The discrete gradient and divergence are exact negative adjoints of each
 other under the uniform cell/face inner products (D = -G^T as matrices), and
 cell<->face averaging operators are exact transposes of each other.  Every
@@ -76,16 +80,22 @@ def _avg1(n: int, periodic: bool) -> sp.csr_matrix:
     return m
 
 
-def _lap1_between(n: int, d: float) -> sp.csr_matrix:
-    """1D Laplacian for nodes that lie between zero-valued boundary nodes at
-    distance d (normal direction of a face component in box mode)."""
-    main = -2.0 * np.ones(n)
-    off = np.ones(n - 1)
+def _lap1_normal(n: int, d: float, periodic: bool) -> sp.csr_matrix:
+    """1D Laplacian of a face component along its normal.  box: (n-1, n-1)
+    on the interior faces, which lie between zero-valued wall nodes at
+    distance d; periodic: (n, n)."""
+    if periodic:
+        return _lap1_periodic(n, d)
+    main = -2.0 * np.ones(n - 1)
+    off = np.ones(n - 2)
     return sp.diags([off, main, off], [-1, 0, 1], format="csr") / (d * d)
 
 
-def _lap1_reflect(n: int, d: float) -> sp.csr_matrix:
-    """1D Laplacian with odd-reflection ghosts (wall at half spacing, value 0)."""
+def _lap1_tangential(n: int, d: float, periodic: bool) -> sp.csr_matrix:
+    """1D Laplacian of a face component along its face.  box: odd-reflection
+    ghosts (wall at half spacing, value 0); periodic: wraps.  (n, n)."""
+    if periodic:
+        return _lap1_periodic(n, d)
     main = -2.0 * np.ones(n)
     main[0] = main[-1] = -3.0
     off = np.ones(n - 1)
@@ -114,14 +124,6 @@ def _d1_corner(n: int, d: float, periodic: bool) -> sp.csr_matrix:
     return m.tocsr()
 
 
-def _embed_interior(n: int) -> sp.csr_matrix:
-    """(n+1, n-1) embedding of interior face indices into corner lines."""
-    m = sp.lil_matrix((n + 1, n - 1))
-    for j in range(1, n):
-        m[j, j - 1] = 1.0
-    return m.tocsr()
-
-
 def _avg1_corner(n: int, periodic: bool) -> sp.csr_matrix:
     """Cell -> corner-line average; nearest cell at box boundary lines."""
     if periodic:
@@ -140,7 +142,10 @@ def _embed_wall_zero(n: int, periodic: bool) -> sp.csr_matrix:
     wall edges.  box: (n+1, n-1); periodic: identity (n, n)."""
     if periodic:
         return sp.identity(n, format="csr")
-    return _embed_interior(n)
+    m = sp.lil_matrix((n + 1, n - 1))
+    for j in range(1, n):
+        m[j, j - 1] = 1.0
+    return m.tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +274,12 @@ class GridOperators:
         self.Afc = self.Acf.T.tocsr()
 
         # componentwise vector Laplacian (Dirichlet ghosts in box mode)
-        if per:
-            lxx = sp.kron(_lap1_periodic(nx, dx), Iy) + sp.kron(Ix, _lap1_periodic(ny, dy))
-            lyy = lxx.copy()
-        else:
-            Ixf = sp.identity(nx - 1, format="csr")
-            Iyf = sp.identity(ny - 1, format="csr")
-            lxx = (sp.kron(_lap1_between(nx - 1, dx), Iy)
-                   + sp.kron(Ixf, _lap1_reflect(ny, dy)))
-            lyy = (sp.kron(_lap1_reflect(nx, dx), Iyf)
-                   + sp.kron(Ix, _lap1_between(ny - 1, dy)))
-        self.Lxx = lxx.tocsr()
-        self.Lyy = lyy.tocsr()
+        Ifx = sp.identity(d1x.shape[0], format="csr")     # x-face lines in x
+        Ify = sp.identity(d1y.shape[0], format="csr")     # y-face lines in y
+        self.Lxx = (sp.kron(_lap1_normal(nx, dx, per), Iy)
+                    + sp.kron(Ifx, _lap1_tangential(ny, dy, per))).tocsr()
+        self.Lyy = (sp.kron(_lap1_tangential(nx, dx, per), Ify)
+                    + sp.kron(Ix, _lap1_normal(ny, dy, per))).tocsr()
         self.Lvec = sp.block_diag([self.Lxx, self.Lyy], format="csr")
 
         # symmetric-gradient pieces: normal strains at cells, shear at corners
@@ -288,74 +287,25 @@ class GridOperators:
         self.B22 = (-self.Gy.T).tocsr()
         dcx, dcy = _d1_corner(nx, dx, per), _d1_corner(ny, dy, per)
         ex, ey = _embed_wall_zero(nx, per), _embed_wall_zero(ny, per)
-        if per:
-            self.B12x = sp.kron(Ix, dcy, format="csr")
-            self.B12y = sp.kron(dcx, Iy, format="csr")
-            self.Acorner = sp.kron(_avg1_corner(nx, True), _avg1_corner(ny, True),
-                                   format="csr")
-            self.n_corners = nx * ny
-        else:
-            self.B12x = sp.kron(ex, dcy, format="csr")
-            self.B12y = sp.kron(dcx, ey, format="csr")
-            self.Acorner = sp.kron(_avg1_corner(nx, False), _avg1_corner(ny, False),
-                                   format="csr")
-            self.n_corners = (nx + 1) * (ny + 1)
+        self.B12x = sp.kron(ex, dcy, format="csr")
+        self.B12y = sp.kron(dcx, ey, format="csr")
+        self.Acorner = sp.kron(_avg1_corner(nx, per), _avg1_corner(ny, per),
+                               format="csr")
 
         # skew convection: per component, conservative edge-flux divergence
         # P (edges->nodes difference), Q (nodes->edges average), and the flux
-        # interpolation from face vector fields onto the edge sets.
-        # x-component nodes: x-edges on the cell lattice, y-edges on corner rows
-        if per:
-            # normal-direction edges sit a half spacing ahead of their node
-            # (backward difference / forward average); tangential edges sit a
-            # half spacing behind (forward difference / backward average)
-            dnx = _diff1(nx, dx, True)
-            dny = _diff1(ny, dy, True)
-            anx, any_ = _avg1(nx, True), _avg1(ny, True)
-            self.conv_x = (sp.kron(dnx, Iy).tocsr(), sp.kron(anx, Iy).T.tocsr(),
-                           sp.kron(Ix, -dny.T).tocsr(), sp.kron(Ix, any_).tocsr())
-            self.flux_x_e1 = self.Acf_x.T.tocsr()                     # Mx -> cells
-            self.flux_x_e2 = sp.kron(a1x, sp.identity(ny), format="csr")  # My -> corners
-            self.conv_y = (sp.kron(Ix, dny).tocsr(), sp.kron(Ix, any_).T.tocsr(),
-                           sp.kron(-dnx.T, Iy).tocsr(), sp.kron(anx, Iy).tocsr())
-            self.flux_y_e1 = self.Acf_y.T.tocsr()                     # My -> cells
-            self.flux_y_e2 = sp.kron(sp.identity(nx), a1y, format="csr")  # Mx -> corners
-        else:
-            Ixf = sp.identity(nx - 1, format="csr")
-            Iyf = sp.identity(ny - 1, format="csr")
-
-            def node_diff(n, d):
-                # (n, n+1): difference of edge-line values onto n nodes
-                rows = np.repeat(np.arange(n), 2)
-                cols = np.empty(2 * n, dtype=int)
-                cols[0::2] = np.arange(n)
-                cols[1::2] = np.arange(1, n + 1)
-                vals = np.tile([-1.0 / d, 1.0 / d], n)
-                return sp.csr_matrix((vals, (rows, cols)), shape=(n, n + 1))
-
-            def node_avg_reflect(n):
-                # (n+1, n): node average onto edge lines, zero at wall lines
-                m = sp.lil_matrix((n + 1, n))
-                for j in range(1, n):
-                    m[j, j - 1] = 0.5
-                    m[j, j] = 0.5
-                return m.tocsr()
-
-            # x-component: x-edges = cells in x (nx) ; y-edges = (nx-1)x(ny+1)
-            self.conv_x = (sp.kron(d1x, Iy).tocsr(),
-                           sp.kron(a1x, Iy).T.tocsr(),
-                           sp.kron(Ixf, node_diff(ny, dy)).tocsr(),
-                           sp.kron(Ixf, node_avg_reflect(ny)).tocsr())
-            self.flux_x_e1 = self.Acf_x.T.tocsr()
-            self.flux_x_e2 = sp.kron(a1x, _embed_interior(ny), format="csr")
-            self.conv_y = (sp.kron(Ix, d1y).tocsr(),
-                           sp.kron(Ix, a1y).T.tocsr(),
-                           sp.kron(node_diff(nx, dx), Iyf).tocsr(),
-                           sp.kron(node_avg_reflect(nx), Iyf).tocsr())
-            self.flux_y_e1 = self.Acf_y.T.tocsr()
-            self.flux_y_e2 = sp.kron(_embed_interior(nx), a1y, format="csr")
-
-        self.cell_integral = np.full(g.n_cells, g.dV)
+        # interpolation from face vector fields onto the edge sets.  Normal
+        # edges sit on the cell lattice, a half spacing ahead of their node;
+        # tangential edges sit on the interior corner lines, a half spacing
+        # behind (box wall edges carry zero flux and are left out).
+        self.conv_x = (sp.kron(d1x, Iy).tocsr(), sp.kron(a1x, Iy).T.tocsr(),
+                       sp.kron(Ifx, -d1y.T).tocsr(), sp.kron(Ifx, a1y).tocsr())
+        self.flux_x_e1 = self.Acf_x.T.tocsr()                # Mx -> cells
+        self.flux_x_e2 = sp.kron(a1x, Ify, format="csr")     # My -> corners
+        self.conv_y = (sp.kron(Ix, d1y).tocsr(), sp.kron(Ix, a1y).T.tocsr(),
+                       sp.kron(-d1x.T, Ify).tocsr(), sp.kron(a1x, Ify).tocsr())
+        self.flux_y_e1 = self.Acf_y.T.tocsr()                # My -> cells
+        self.flux_y_e2 = sp.kron(Ifx, a1y, format="csr")     # Mx -> corners
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +415,9 @@ def convect_skew(M: VectorField, v: VectorField) -> VectorField:
     Discretizes (M . grad) v + (div M) v / 2 component by component as the
     antisymmetric part of a conservative edge-flux divergence, so that
     <convect_skew(M, v), v> = 0 to round-off for any M (even when div M is
-    nonzero).  In box mode the wall edges carry zero flux because the normal
-    components of M vanish on the boundary.
+    nonzero).  In box mode the edge sets hold interior edges only: the wall
+    edges carry zero flux because the normal components of M vanish on the
+    boundary.
     """
     g = M.grid
     out = np.empty(g.n_faces)

@@ -55,8 +55,6 @@ class Observables:
     surf_total: float
     kinetic: float
     div_inf: float
-    phi_range: tuple
-    q_range: tuple
 
 
 def observables(s: State, cset: ConstitutiveSet, params: ModelParams) -> Observables:
@@ -77,8 +75,6 @@ def observables(s: State, cset: ConstitutiveSet, params: ModelParams) -> Observa
         surf_total=float(surf.sum()) * dV,
         kinetic=kinetic,
         div_inf=float(np.abs(div(s.v).data).max()),
-        phi_range=(float(phi.min()), float(phi.max())),
-        q_range=(float(q.min()), float(q.max())),
     )
 
 

@@ -35,6 +35,7 @@ chain rule of the surfactant transport) is measurable per step through
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -61,16 +62,18 @@ class StepConfig:
     tau: float = 1e-3
     tol_nl: float = 1e-10              # relative coupled-residual tolerance
     max_newton: int = 50               # Newton iterations per tau attempt
-    tau_backoff: float = 0.5
-    max_backoff: int = 8
+    max_backoff: int = 8               # tau halvings per step
     v0_mode: bool = False              # freeze v = 0, drop transport entirely
     extrapolate: bool = False          # initial guess from previous increment
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.tol_nl <= 0:
-            raise ValueError("tol_nl must be positive")
+        for key in ("tau", "tol_nl"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be positive and finite, got {value}")
+        for key in ("max_newton", "max_backoff"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
 
 
 @dataclass
@@ -85,7 +88,6 @@ class StepReport:
     backoffs: int = 0
     converged: bool = False
     failure_reason: str = ""
-    energy_slack: Optional[float] = None      # filled by the run loop
     wall_time: float = 0.0
 
 
@@ -207,28 +209,20 @@ class _Terms:
         self.h_q = cset.h(q)
         self.W_phi = cset.W(phi)
         self.H = cset.secant_W(phi, lin.phi_k)
-        self.rho_it = cset.rho(phi)
 
         # surfactant equation pieces (old-level W in the transported density)
         self.Fq_time = ((self.f_q - lin.f_qk) * lin.W_k
                         + self.f_q * (self.W_phi - lin.W_k)) / (eps * tau) \
             + (self.g_q - lin.g_qk) / tau
-        self.surf_dens = self.f_q * lin.W_k / eps + self.g_q
-        self.grad_surf = ops.G @ self.surf_dens
         self.mu_relation_explicit = self.h_q * self.H / eps \
             + delta * (phi - lin.phi_k) / tau
 
         if cfg.v0_mode:
             self.transport_q = np.zeros(g.n_cells)
             self.transport_phi = np.zeros(g.n_cells)
-            self.cap = None
-            self.time_term = None
-            self.conv = None
-            self.corr = None
-            self.rhs_v = None
-            self.M = None
-            self.Jt = None
         else:
+            self.rho_it = cset.rho(phi)
+            self.grad_surf = ops.G @ (self.f_q * lin.W_k / eps + self.g_q)
             self.transport_q = ops.Afc @ (self.grad_surf * v)
             self.transport_phi = ops.Afc @ (lin.grad_phi_k * v)
             cap_cells = mu - self.h_q * lin.Wp_k / eps
@@ -517,7 +511,6 @@ def _finalize(state_k: State, grid: Grid, w: _Iterate, tau: float) -> State:
 
 def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
          params: ModelParams, cfg: StepConfig,
-         lin: Optional[LinearizedSystem] = None,
          initial_guess: Optional[State] = None,
          held: Optional[_HeldLU] = None):
     """Advance one implicit step, halving tau on failure up to the limit.
@@ -532,8 +525,7 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
     t0 = _time.perf_counter()
     if cfg.v0_mode and float(np.abs(state_k.v.data).max()) != 0.0:
         raise ValueError("v0_mode requires a state with identically zero velocity")
-    if lin is None:
-        lin = assemble_linear(state_k, grid, cset, params, cfg)
+    lin = assemble_linear(state_k, grid, cset, params, cfg)
     report = StepReport()
     base = _Iterate.of(state_k)
     guess = _Iterate.of(initial_guess) if initial_guess is not None else None
@@ -548,7 +540,7 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
             report.wall_time = _time.perf_counter() - t0
             return out, report
         if attempt < cfg.max_backoff:
-            tau *= cfg.tau_backoff
+            tau *= 0.5
             report.backoffs += 1
             report.residual_history.append({"total": np.inf,
                                             "note": f"retry tau={tau:g}"})
@@ -570,7 +562,6 @@ class RunResult:
     rows: list                    # energy-ledger rows (see energy module)
     reports: list
     final_state: State
-    states: Optional[list] = None
     defects: Optional[list] = None
 
 
@@ -601,7 +592,7 @@ def transport_defect(state_k: State, state_k1: State, cset: ConstitutiveSet,
 
 
 def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
-        cfg: StepConfig, T: float, callbacks=None, keep_states: bool = False):
+        cfg: StepConfig, T: float, callbacks=None):
     """Repeated stepping to the horizon T with per-step energy accounting.
 
     Appends one ledger row per accepted step.  The Newton LU is held from
@@ -615,12 +606,11 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
     rows = []
     reports = []
     defects = []
-    states = [state0.copy()] if keep_states else None
     s = state0
     prev = None
     prev_tau = 0.0
     held = _HeldLU()
-    result = RunResult(rows, reports, state0, states, defects)
+    result = RunResult(rows, reports, state0, defects)
     while s.t < T - 1e-12 * max(T, 1.0):
         step_cfg = cfg
         remaining = T - s.t
@@ -641,13 +631,10 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
             raise
         row = energy.audit_step(s, s_new, cset, params, rep.tau_used,
                                 nl_iters=rep.iterations)
-        rep.energy_slack = row.slack
         rows.append(row)
         reports.append(rep)
         defects.append(0.0 if cfg.v0_mode else
                        transport_defect(s, s_new, cset, params))
-        if keep_states:
-            states.append(s_new.copy())
         if callbacks:
             for cb in callbacks:
                 cb(s_new, rep, row)

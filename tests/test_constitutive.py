@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from surfflow.constitutive import (ConstitutiveError, ModelParams,
                                    SamplingSpec, audit_assumptions,
-                                   build_default_set, divided_difference_H,
+                                   build_default_set,
                                    pointwise_step_inequalities)
 
 
@@ -72,7 +72,7 @@ class TestSecantSlope:
 
         a, b = Fraction(12, 10), Fraction(3, 10)
         exact = float((W(a) - W(b)) / (a - b))
-        got = float(divided_difference_H(1.2, 0.3, cset))
+        got = float(cset.secant_W(1.2, 0.3))
         assert got == pytest.approx(exact, abs=1e-14 * (1 + abs(exact)))
         assert abs(got * 0.9 - (float(cset.W(1.2)) - float(cset.W(0.3)))) \
             <= 1e-14 * (1 + abs(float(cset.W(1.2))) + abs(float(cset.W(0.3))))

@@ -2,24 +2,37 @@
 
 Each combination either runs to its (shortened) horizon with every step
 converged, or is rejected by validation with a message naming the cause.
-Stepper keys that no longer exist are rejected by the config parser.
+Out-of-range stepper values are rejected by validation, keys that no longer
+exist by the config parser, and the parser's defaults are the dataclasses'
+defaults.
 """
 
 import configparser
 import itertools
+import math
 from pathlib import Path
 
 import pytest
 
-from surfflow.cli import ConfigError, build_objects, parse_config
-from surfflow.constitutive import build_default_set
-from surfflow.state import initialize_scenario
-from surfflow.stepper import run
+from surfflow.cli import (ConfigError, build_objects, default_config,
+                          parse_config)
+from surfflow.constitutive import ModelParams, SamplingSpec, build_default_set
+from surfflow.state import ScenarioConfig, initialize_scenario
+from surfflow.stepper import StepConfig, run
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
 STEPS = 2
-REMOVED_KEYS = ("omega", "max_picard", "newton", "newton_threshold",
-                "preconditioner", "lin_rel_tol", "lin_abs_tol")
+REMOVED_KEYS = (
+    [("stepper", k) for k in ("omega", "max_picard", "newton",
+                              "newton_threshold", "preconditioner",
+                              "lin_rel_tol", "lin_abs_tol", "tau_backoff")]
+    + [("output", "slack_tol")]
+    + [("constitutive", k) for k in ("audit_n", "audit_pad", "audit_phi_lo",
+                                     "audit_phi_hi", "audit_pairs",
+                                     "audit_seed")])
+INVALID_STEPPER = [("max_newton", -3), ("max_backoff", -1),
+                   ("tau", math.nan), ("tau", math.inf),
+                   ("tol_nl", math.nan), ("tol_nl", math.inf)]
 
 
 def _with_options(src: Path, dest: Path, **stepper) -> str:
@@ -59,10 +72,29 @@ def test_option_matrix(tmp_path, config, v0_mode, extrapolate):
     assert all(rep.converged for rep in res.reports)
 
 
-@pytest.mark.parametrize("key", REMOVED_KEYS)
-def test_removed_stepper_key_rejected(tmp_path, key):
+@pytest.mark.parametrize("section,key",
+                         [pytest.param(s, k, id=k) for s, k in REMOVED_KEYS])
+def test_removed_stepper_key_rejected(tmp_path, section, key):
+    """Removed keys of any section fail; a removed section is named whole."""
     path = tmp_path / "c.ini"
-    path.write_text(f"[stepper]\ntau = 1e-3\n{key} = 1\n")
+    path.write_text(f"[{section}]\n{key} = 1\n")
     with pytest.raises(ConfigError, match="unknown configuration keys") as exc:
         parse_config(str(path))
-    assert key in str(exc.value)
+    assert key in str(exc.value) or f"[{section}]" in str(exc.value)
+
+
+@pytest.mark.parametrize("key,value", INVALID_STEPPER,
+                         ids=[f"{k}={v}" for k, v in INVALID_STEPPER])
+def test_invalid_stepper_value_rejected(key, value):
+    values = default_config()
+    values["stepper"][key] = value
+    with pytest.raises(ConfigError, match=key):
+        build_objects(values)
+
+
+def test_schema_defaults_match_dataclasses():
+    _, params, sampling, cfg, scenario, _ = build_objects(default_config())
+    assert params == ModelParams()
+    assert cfg == StepConfig()
+    assert scenario == ScenarioConfig()
+    assert sampling == SamplingSpec()
