@@ -31,7 +31,6 @@ LEDGER_COLUMNS = (
     "visc", "q_diss", "mu_diss", "kin_jump", "grad_jump", "phi_jump",
     "biharm", "slack", "phi_mass", "surf_total", "div_inf", "nl_iters",
 )
-DISSIPATION_COLUMNS = LEDGER_COLUMNS[8:15]        # visc ... biharm
 
 # a relative slack (see ``ledger_slack``) below -SLACK_TOL flags a step that
 # did not dissipate
@@ -154,17 +153,14 @@ def audit_step(state_k: State, state_k1: State, cset: ConstitutiveSet,
     )
 
 
-def ledger_slack(rows):
+def ledger_slack(rows, E0: float):
     """(relative slack, pre-step energy E(k-1)) of each ledger row, as arrays.
 
-    E(k-1) is the previous row's E_tot; for the first row it is its E_tot +
-    slack + dissipation, the initial state's total energy.  The relative
-    slack is slack / max(|E(k-1)|, 1).
+    E(k-1) is the previous row's E_tot; for the first row it is ``E0``, the
+    initial state's total energy.  The relative slack is
+    slack / max(|E(k-1)|, 1).
     """
-    first = rows[0]
-    dissipation = sum(getattr(first, c) for c in DISSIPATION_COLUMNS)
-    e_prev = np.array([first.E_tot + first.slack + dissipation]
-                      + [r.E_tot for r in rows[:-1]])
+    e_prev = np.array([E0] + [r.E_tot for r in rows[:-1]])
     slack = np.array([r.slack for r in rows])
     return slack / np.maximum(np.abs(e_prev), 1.0), e_prev
 

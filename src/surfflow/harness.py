@@ -150,7 +150,7 @@ def _continuation(base: SimulationSetup, kind: str, values, vary, threads: int,
             rep.rows.append({"failed": 1})
             finals.append(None)
             continue
-        rel_slack = float(ledger_slack(res.rows)[0].min())
+        rel_slack = float(ledger_slack(res.rows, res.E0)[0].min())
         rep.rows.append({"E_final": res.rows[-1].E_tot,
                          "min_rel_slack": rel_slack,
                          "steps": len(res.rows)})
@@ -212,7 +212,7 @@ def study_defect(base: SimulationSetup, grid_sizes,
             rep.rows.append({"failed": 1})
             continue
         defect = max((abs(d) for d in res.defects), default=0.0)
-        rel_slack, e_prev = ledger_slack(res.rows)
+        rel_slack, e_prev = ledger_slack(res.rows, res.E0)
         E = np.array([r.E_tot for r in res.rows])
         neg_slack = max(0.0, -min(r.slack for r in res.rows))
         rep.rows.append({"dx": base.grid.lx / n, "defect_max": defect,

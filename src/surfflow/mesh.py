@@ -160,7 +160,7 @@ class Grid:
         if nx < 2 or ny < 2:
             raise ValueError("grid needs nx, ny >= 2")
         if bc not in (BOX, PERIODIC):
-            raise ValueError(f"unknown bc mode {bc!r}")
+            raise ValueError(f"bc must be {BOX} or {PERIODIC}, got {bc!r}")
         if lx <= 0 or ly <= 0:
             raise ValueError("domain extents must be positive")
         self.nx = int(nx)

@@ -9,16 +9,16 @@ and the secant slope H of W are evaluated implicitly.
 The solver is Newton's method on the full coupled residual, started from
 the first iterate (the old state, or the extrapolated predictor).  Each
 iteration solves with a sparse LU of the coupled Jacobian.  ``run`` holds
-that LU from step to step: it is reused while the residual contracts by at
-least a factor of four per iteration, rebuilt at the current iterate
-otherwise, and dropped whenever tau differs from the tau it was factored
-at (the shorter last step, every tau halving).  A full step from an LU not
-factored at the current iterate that does not lower the residual is
-solved again with a fresh LU.  A backtracking line search on a fresh LU's
-direction accepts an iterate only if it lowers the scaled residual, so the
-accepted residual history is strictly decreasing.  When the line search
-stalls or the iteration budget runs out, the step is retried with tau
-halved.
+that LU from step to step (chord iterations) and rebuilds it at the current
+iterate when the chord iterations still expected cost more than a new
+factorization (see ``_HeldLU``), and drops it whenever tau differs from the
+tau it was factored at (the shorter last step, every tau halving).  A full
+step from an LU not factored at the current iterate that does not lower the
+residual is solved again with a fresh LU.  A backtracking line search on a
+fresh LU's direction accepts an iterate only if it lowers the scaled
+residual, so the accepted residual history is strictly decreasing.  When
+the line search stalls or the iteration budget runs out, the step is
+retried with tau halved.
 
 Momentum convection uses the skew form (M . grad) v + (div M) v / 2 with
 mass flux M = rho_k v + J, discretized by ``mesh.convect_skew`` so that its
@@ -402,11 +402,61 @@ def _terms_at(lin, cset, cfg, tau, w: _Iterate) -> _Terms:
     return _Terms(lin, cset, cfg, tau, *w)
 
 
+# A sparse LU's factorization costs about this many chord iterations (one
+# LU solve plus one residual) per unit of its L+U fill per unknown, the fill
+# being SuperLU's stored count ``lu.nnz`` (reading ``lu.L``/``lu.U`` would
+# copy both factors).  Measured factor / iteration time over fill / n gives
+# 0.16-0.185 on relaxation-v0 and shear-droplet at 32^2 and 64^2 (fill / n
+# from 125 to about 580).
+FACTOR_COST_PER_FILL = 0.17
+
+
 @dataclass
 class _HeldLU:
-    """One-slot holder for the Newton LU and the tau it was factored at."""
+    """One-slot holder for the Newton LU, the tau it was factored at and the
+    chord/refactor trade-off (Kelley, Iterative Methods for Linear and
+    Nonlinear Equations, SIAM 1995, ch. 5).
+
+    ``price`` is a refactorization in chord iterations, from the LU's fill.
+    Within a step, ``chord_too_slow`` weighs the iterations the observed
+    contraction still needs against it.  Across steps, ``base`` is the
+    Newton iteration count of the first step converged on this LU without
+    refactoring, and ``excess`` adds up what each later such step spends
+    beyond it, until that pays for a refactorization.  No clock is read, so
+    reruns repeat bitwise.
+    """
     lu: Optional[object] = None
     tau: float = 0.0
+    price: float = 0.0
+    base: Optional[int] = None
+    excess: int = 0
+
+    def hold(self, lu, tau: float) -> None:
+        self.lu, self.tau = lu, tau
+        self.price = FACTOR_COST_PER_FILL * lu.nnz / lu.shape[0]
+        self.base, self.excess = None, 0
+
+    def settle(self, iterations: int) -> None:
+        """Account a step converged on this LU without refactoring; once the
+        excess iterations reach the price, the next step factors anew."""
+        if self.base is None:
+            self.base = iterations
+        else:
+            self.excess += max(iterations - self.base, 0)
+        if self.excess >= self.price:
+            self.lu = None
+
+    def chord_too_slow(self, res: float, prev_res: float, tol: float,
+                       left: int) -> bool:
+        """Whether the chord iterations still needed from the residual
+        ``res`` at the contraction ``res / prev_res`` of the last iteration
+        exceed a refactorization plus two Newton iterations, or the
+        ``left`` iterations of the budget."""
+        if not math.isfinite(prev_res):     # no iteration yet in this attempt
+            return False
+        # accepted residuals strictly decrease, so log(res / prev_res) < 0
+        needed = math.log(tol / res) / math.log(res / prev_res)
+        return needed > min(self.price + 2.0, left)
 
 
 def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
@@ -416,7 +466,8 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
     ``w``; None when the line search stalls or the budget runs out.
 
     The LU in ``held`` may come from an earlier iterate or step (a chord
-    iteration); it is dropped when it was factored at another tau.
+    iteration); it is dropped when it was factored at another tau, and
+    rebuilt at the current iterate when ``held.chord_too_slow``.
     """
     grid = state_k.grid
     nc, nf = grid.n_cells, grid.n_faces
@@ -430,6 +481,7 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
     rvec, blocks = t.residual(lin, cfg, tau)
     newton_left = cfg.max_newton
     prev_res = np.inf
+    factorizations = report.factorizations
     while True:
         res = max(blocks.values())
         report.iterations += 1
@@ -439,15 +491,16 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
             return None
         if res <= cfg.tol_nl:
             report.converged = True
+            if report.factorizations == factorizations:   # no refactor here
+                held.settle(cfg.max_newton - newton_left)
             return _finalize(state_k, grid, w, tau)
         if newton_left == 0:
             report.failure_reason = "Newton iteration budget exhausted"
             return None
+        fresh = held.lu is None or held.chord_too_slow(
+            res, prev_res, cfg.tol_nl, newton_left)
         newton_left -= 1
         report.newton_iterations += 1
-
-        # the factorization is reused while the residual contracts well
-        fresh = held.lu is None or res > 0.25 * prev_res
         if fresh and not _factor(lin, cset, cfg, tau, t, held, report):
             return None
         prev_res = res
@@ -487,11 +540,11 @@ def _factor(lin, cset, cfg, tau, t: _Terms, held: _HeldLU,
     reason in the report) when the factorization fails."""
     held.lu = None                 # free the old LU before building the new
     try:
-        held.lu = spla.splu(_jacobian(lin, cset, cfg, tau, t))
+        lu = spla.splu(_jacobian(lin, cset, cfg, tau, t))
     except RuntimeError as exc:
         report.failure_reason = f"Newton linearization failed: {exc}"
         return False
-    held.tau = tau
+    held.hold(lu, tau)
     report.factorizations += 1
     return True
 
@@ -562,7 +615,8 @@ class RunResult:
     rows: list                    # energy-ledger rows (see energy module)
     reports: list
     final_state: State
-    defects: Optional[list] = None
+    defects: list
+    E0: float                     # total energy of the initial state
 
 
 def transport_defect(state_k: State, state_k1: State, cset: ConstitutiveSet,
@@ -601,8 +655,8 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
     """
     from . import energy
 
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T must be positive and finite, got {T}")
     rows = []
     reports = []
     defects = []
@@ -610,7 +664,8 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
     prev = None
     prev_tau = 0.0
     held = _HeldLU()
-    result = RunResult(rows, reports, state0, defects)
+    result = RunResult(rows, reports, state0, defects,
+                       energy.total_energy(state0, cset, params).E_tot)
     while s.t < T - 1e-12 * max(T, 1.0):
         step_cfg = cfg
         remaining = T - s.t

@@ -112,8 +112,8 @@ class TestLedgerSlack:
         s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
                                  g, params, cset)
         res = run(s0, g, cset, params, StepConfig(tau=1e-3), T=2e-3)
-        rel, e_prev = ledger_slack(res.rows)
         E0 = total_energy(s0, cset, params).E_tot
+        rel, e_prev = ledger_slack(res.rows, E0)
         assert max(abs(e_prev[0]), 1.0) == max(abs(E0), 1.0)
         assert rel[0] == res.rows[0].slack / max(abs(E0), 1.0)
         assert np.array_equal(e_prev[1:], [r.E_tot for r in res.rows[:-1]])

@@ -33,6 +33,7 @@ REMOVED_KEYS = (
 INVALID_STEPPER = [("max_newton", -3), ("max_backoff", -1),
                    ("tau", math.nan), ("tau", math.inf),
                    ("tol_nl", math.nan), ("tol_nl", math.inf)]
+INVALID_HORIZONS = [math.nan, math.inf, 0.0, -1e-3]
 
 
 def _with_options(src: Path, dest: Path, **stepper) -> str:
@@ -89,6 +90,35 @@ def test_invalid_stepper_value_rejected(key, value):
     values = default_config()
     values["stepper"][key] = value
     with pytest.raises(ConfigError, match=key):
+        build_objects(values)
+
+
+@pytest.mark.parametrize("t_final", INVALID_HORIZONS, ids=str)
+def test_invalid_horizon_rejected(t_final):
+    values = default_config()
+    values["output"]["t_final"] = t_final
+    with pytest.raises(ConfigError, match="t_final"):
+        build_objects(values)
+
+
+@pytest.mark.parametrize("T", INVALID_HORIZONS, ids=str)
+def test_run_rejects_invalid_horizon(T):
+    grid, params, _, _, scenario, _ = build_objects(default_config())
+    cset = build_default_set(params)
+    state0 = initialize_scenario(scenario, grid, params, cset)
+    # a budget of zero fails the first step, so a horizon that slips past
+    # validation cannot step without end
+    cfg = StepConfig(max_newton=0, max_backoff=0)
+    with pytest.raises(ValueError, match="horizon"):
+        run(state0, grid, cset, params, cfg, T)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("grid", "bc", "wrap"), ("scenario", "name", "bubble")])
+def test_unknown_choice_rejected(section, key, value):
+    values = default_config()
+    values[section][key] = value
+    with pytest.raises(ConfigError, match=f"{key}.*{value}"):
         build_objects(values)
 
 

@@ -11,9 +11,10 @@ from surfflow.energy import total_energy
 from surfflow.linalg import MeanPoissonSolver
 from surfflow.mesh import Grid, ScalarField, VectorField, convect_skew
 from surfflow.state import ScenarioConfig, State, initialize_scenario
-from surfflow.stepper import (StepConfig, StepFailure, StepReport,
-                              _factor, _HeldLU, _Iterate, _jacobian, _terms_at,
-                              assemble_linear, run, step, transport_defect)
+from surfflow.stepper import (FACTOR_COST_PER_FILL, StepConfig, StepFailure,
+                              StepReport, _factor, _HeldLU, _Iterate,
+                              _jacobian, _terms_at, assemble_linear, run, step,
+                              transport_defect)
 
 
 def two_cell_oracle(phi_k, q_k, cset, params, tau, dx, x0=None):
@@ -284,12 +285,22 @@ class TestStepBehavior:
         s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
                                  g, params, cset)
         # iteration budget too small for the large step, enough for smaller
-        cfg = StepConfig(tau=0.2, v0_mode=True, max_newton=5, max_backoff=10)
+        cfg = StepConfig(tau=0.2, v0_mode=True, max_newton=4, max_backoff=10)
         s1, rep = step(s0, g, cset, params, cfg)
         assert rep.converged
         assert rep.tau_used < 0.2
         assert rep.backoffs >= 1
         assert s1.t == pytest.approx(s0.t + rep.tau_used)
+
+    def test_short_budget_refactors_instead_of_backing_off(self, cset, params):
+        # five iterations reach tol_nl at the large step once the LU is
+        # rebuilt whenever the observed contraction cannot make it in time
+        g = Grid(12, 12)
+        s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
+                                 g, params, cset)
+        cfg = StepConfig(tau=0.2, v0_mode=True, max_newton=5, max_backoff=10)
+        _, rep = step(s0, g, cset, params, cfg)
+        assert rep.converged and rep.backoffs == 0 and rep.tau_used == 0.2
 
     def test_backoff_rescales_extrapolated_guess(self, cset, params):
         # the predictor is extrapolated for the full tau; a retry at tau/2
@@ -487,9 +498,9 @@ class TestHeldLU:
         s = s0
         for _ in range(3):
             s, _ = step(s, g, cset, params, cfg, held=held)
-        # five chord iterations from the held LU cannot reach tol_nl at the
-        # full tau: the step backs off
-        tight = dataclasses.replace(cfg, max_newton=5, max_backoff=3)
+        # three iterations cannot reach tol_nl at the full tau, refactored
+        # or not: the step backs off
+        tight = dataclasses.replace(cfg, max_newton=3, max_backoff=3)
         s, rep = step(s, g, cset, params, tight, held=held)
         assert rep.converged and rep.backoffs >= 1
         # every halved tau drops the LU and factors its own
@@ -523,11 +534,56 @@ class TestHeldLU:
         assert rep.linear_solves > rep.newton_iterations
 
     def test_reruns_bitwise_identical(self, cset, params, relax16):
+        # the refactor rule reads no clock: the same steps factor anew
         g, s0, cfg = relax16
         a, b = (run(s0, g, cset, params, cfg, T=20 * cfg.tau)
                 for _ in range(2))
         assert [dataclasses.astuple(r) for r in a.rows] == \
             [dataclasses.astuple(r) for r in b.rows]
+        assert [(r.newton_iterations, r.factorizations) for r in a.reports] \
+            == [(r.newton_iterations, r.factorizations) for r in b.reports]
+
+    def test_iterations_do_not_climb(self, cset, params, relax16):
+        # an LU is rebuilt once the iterations its later steps spend beyond
+        # its first step pay for a factorization (a fixed contraction
+        # threshold let them climb from 7.8 to 12.6 per step here)
+        g, s0, cfg = relax16
+        res = run(s0, g, cset, params, cfg, T=20 * cfg.tau)
+        its = [rep.newton_iterations for rep in res.reports]
+        assert np.mean(its[-5:]) <= np.mean(its[1:6])
+
+    def test_price_is_fill_per_unknown(self, cset, params, relax16):
+        g, s0, cfg = relax16
+        held = _held_at(s0, g, cset, params, cfg)
+        lu = held.lu
+        assert held.price == FACTOR_COST_PER_FILL * lu.nnz / lu.shape[0]
+        assert held.base is None and held.excess == 0
+
+    def test_chord_prediction(self):
+        held = _HeldLU(price=10.0)
+        # contraction 0.1 from 1e-2 needs 8 more iterations to 1e-10
+        assert not held.chord_too_slow(1e-2, 1e-1, 1e-10, left=50)
+        assert held.chord_too_slow(1e-2, 1e-1, 1e-10, left=7)
+        assert _HeldLU(price=5.0).chord_too_slow(1e-2, 1e-1, 1e-10, left=50)
+        # the first iteration of an attempt has no contraction to go by
+        assert not held.chord_too_slow(1e-2, np.inf, 1e-10, left=1)
+
+    def test_budget_short_of_chord_refactors(self, cset, params, relax16):
+        g, s0, cfg = relax16
+        held = _HeldLU()
+        s = s0
+        for _ in range(4):
+            s, _ = step(s, g, cset, params, cfg, held=held)
+        # with the full budget the held LU converges the next step as is
+        _, rep = step(s, g, cset, params, cfg, held=dataclasses.replace(held))
+        assert rep.factorizations == 0 and rep.newton_iterations > 4
+        # four iterations are fewer than the chord needs, and fewer than a
+        # refactorization is worth: the LU is rebuilt, with no backoff
+        tight = dataclasses.replace(cfg, max_newton=4, max_backoff=0)
+        assert held.price + 2.0 > tight.max_newton
+        _, rep = step(s, g, cset, params, tight, held=held)
+        assert rep.converged and rep.backoffs == 0
+        assert rep.factorizations >= 1
 
 
 class TestJacobian:
