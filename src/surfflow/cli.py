@@ -1,10 +1,13 @@
 """Command-line entry point and configuration handling.
 
 Configs are flat INI files with sections [grid], [params], [stepper],
-[scenario], [output], [study].  Unknown sections or keys are hard
-errors (no silent defaults for typos).  Every run writes the fully resolved
-configuration (config.effective.ini) next to its outputs; rerunning from
-that file is bitwise reproducible in single-threaded mode.
+[scenario], [output], [study].  Each section is one frozen dataclass
+(``_SECTIONS``): its fields are the section's keys, their defaults and
+types, and their ``doc`` metadata the comments of ``print-config``; each
+dataclass checks its own values on construction.  Unknown sections or keys
+are hard errors (no silent defaults for typos).  Every run writes the fully
+resolved configuration (config.effective.ini) next to its outputs;
+rerunning from that file is bitwise reproducible in single-threaded mode.
 
 Exit codes: 0 success, 1 validation error, 2 solver failure,
 3 audit/selftest failure.
@@ -18,20 +21,21 @@ import dataclasses
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .constitutive import (ConstitutiveError, ModelParams, SamplingSpec,
-                           audit_assumptions, build_default_set,
+                           audit_assumptions, build_default_set, config_key,
                            pointwise_step_inequalities)
 from .energy import SLACK_TOL, ledger_slack, write_ledger_csv
 from .harness import SimulationSetup, study_delta, study_defect, study_tau
 from .linalg import MeanPoissonSolver, SolverFailure
 from .mesh import (FIELD_KIND_CELL, FIELD_KIND_XFACE, FIELD_KIND_YFACE, Grid,
                    sbp_selftest, write_field_snapshot)
-from .state import SCENARIO_NAMES, ScenarioConfig, initialize_scenario
+from .state import ScenarioConfig, initialize_scenario
 from .stepper import StepConfig, StepFailure, run
 
 EXIT_OK = 0
@@ -39,88 +43,72 @@ EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 EXIT_AUDIT = 3
 
-# key registry: section -> key -> (type tag, default, symbol/meaning comment)
-_SCHEMA = {
-    "grid": {
-        "nx": ("int", 32, "cells in x"),
-        "ny": ("int", 32, "cells in y"),
-        "lx": ("float", 1.0, "domain extent in x"),
-        "ly": ("float", 1.0, "domain extent in y"),
-        "bc": ("str", "box", "boundary mode: box | periodic"),
-    },
-    "params": {
-        "epsilon": ("float", 0.1, "epsilon: interface thickness parameter"),
-        "delta": ("float", 1e-3, "delta: regularization strength (>= 0)"),
-        "rho1": ("float", 1.0, "rho_1: bulk density of fluid 1"),
-        "rho2": ("float", 2.0, "rho_2: bulk density of fluid 2"),
-        "eta1": ("float", 1.0, "eta_1: bulk viscosity of fluid 1"),
-        "eta2": ("float", 2.0, "eta_2: bulk viscosity of fluid 2"),
-        "beta": ("float", 1.0, "beta: surfactant coupling amplitude in f"),
-        "h0": ("float", 1.0, "h_0: surface-energy offset, h(q) = h_0 below q_min"),
-        "q_min": ("float", 0.0, "q_min: lower edge of the active q interval"),
-        "q_max": ("float", 1.0, "q_max: upper edge of the active q interval"),
-        "c0": ("float", 0.5, "c_0: strong-monotonicity constant of g"),
-        "c1": ("float", 0.1, "c_1: lower bound for d, m, m_tilde, eta"),
-        "c2": ("float", 10.0, "c_2: upper bound for m, m_tilde, eta"),
-    },
-    "stepper": {
-        "tau": ("float", 1e-3, "tau: time step"),
-        "tol_nl": ("float", 1e-10, "relative nonlinear residual tolerance"),
-        "max_newton": ("int", 50, "Newton iteration budget per tau attempt"),
-        "max_backoff": ("int", 8, "maximum tau halvings per step"),
-        "v0_mode": ("bool", False, "freeze v = 0 (exact energy-estimate mode)"),
-        "extrapolate": ("bool", False, "extrapolated initial iterate"),
-    },
-    "scenario": {
-        "name": ("str", "uniform", " | ".join(SCENARIO_NAMES)),
-        "phi0": ("float", 0.0, "background order parameter"),
-        "q0": ("float", 0.0, "background surfactant potential"),
-        "radius": ("float", 0.25, "droplet radius"),
-        "center_x": ("float", 0.5, "droplet center x"),
-        "center_y": ("float", 0.5, "droplet center y"),
-        "q_amp": ("float", 0.5, "surfactant blob amplitude"),
-        "q_sigma": ("float", 0.15, "surfactant blob width"),
-        "shear": ("float", 0.0, "shear velocity amplitude"),
-        "sigma": ("float", 0.01, "random perturbation amplitude"),
-        "seed": ("int", 1234, "random scenario seed"),
-    },
-    "output": {
-        "t_final": ("float", 0.01, "simulation horizon T"),
-        "snapshot_every": ("int", 0, "snapshot cadence in steps (0 = final only)"),
-        "write_fields": ("bool", False, "write binary field snapshots"),
-    },
-    "study": {
-        "deltas": ("floatlist", [1e-2, 1e-3, 1e-4], "descending delta list"),
-        "taus": ("floatlist", [1e-2, 5e-3, 2.5e-3], "descending tau list"),
-        "grids": ("intlist", [16, 32, 64], "refining grid sizes"),
-    },
-}
+
+@dataclass(frozen=True)
+class _GridKeys:
+    """The ``[grid]`` keys; ``Grid`` checks them."""
+
+    nx: int = config_key(32, "cells in x")
+    ny: int = config_key(32, "cells in y")
+    lx: float = config_key(1.0, "domain extent in x")
+    ly: float = config_key(1.0, "domain extent in y")
+    bc: str = config_key("box", "boundary mode: box | periodic")
+
+
+@dataclass(frozen=True)
+class _OutputKeys:
+    """The ``[output]`` keys."""
+
+    t_final: float = config_key(0.01, "simulation horizon T")
+    snapshot_every: int = config_key(0, "snapshot cadence in steps (0 = final only)")
+    write_fields: bool = config_key(False, "write binary field snapshots")
+
+    def __post_init__(self):
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError(f"[output] t_final must be positive and finite, "
+                             f"got {self.t_final}")
+
+
+@dataclass(frozen=True)
+class _StudyKeys:
+    """The ``[study]`` keys; the studies check their lists."""
+
+    deltas: tuple = config_key((1e-2, 1e-3, 1e-4), "descending delta list")
+    taus: tuple = config_key((1e-2, 5e-3, 2.5e-3), "descending tau list")
+    grids: tuple = config_key((16, 32, 64), "refining grid sizes")
+
+
+_SECTIONS = {"grid": _GridKeys, "params": ModelParams, "stepper": StepConfig,
+             "scenario": ScenarioConfig, "output": _OutputKeys,
+             "study": _StudyKeys}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _coerce(tag: str, raw: str, where: str):
+def _coerce(default, raw: str, where: str):
+    """``raw`` converted to the type of ``default``; a tuple default takes
+    a comma- or space-separated list of its first element's type."""
     try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "bool":
+        if isinstance(default, bool):
             low = raw.strip().lower()
             if low in ("true", "1", "yes", "on"):
                 return True
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if tag == "floatlist":
-            return [float(x) for x in raw.replace(",", " ").split()]
-        if tag == "intlist":
-            return [int(x) for x in raw.replace(",", " ").split()]
-        return raw.strip()
+        if isinstance(default, tuple):
+            kind = type(default[0])
+            return tuple(kind(x) for x in raw.replace(",", " ").split())
+        return type(default)(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def default_config() -> dict:
+    return {section: {f.name: f.default for f in dataclasses.fields(cls)}
+            for section, cls in _SECTIONS.items()}
 
 
 def parse_config(path) -> dict:
@@ -129,82 +117,69 @@ def parse_config(path) -> dict:
     read = cp.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    values = {s: {k: d for k, (_, d, _) in keys.items()}
-              for s, keys in _SCHEMA.items()}
+    values = default_config()
     unknown = []
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in values:
             unknown.append(f"[{section}]")
             continue
         for key, raw in cp.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in values[section]:
                 unknown.append(f"[{section}] {key}")
                 continue
-            tag = _SCHEMA[section][key][0]
-            values[section][key] = _coerce(tag, raw, f"[{section}] {key}")
+            values[section][key] = _coerce(values[section][key], raw,
+                                           f"[{section}] {key}")
     if unknown:
         raise ConfigError("unknown configuration keys: " + ", ".join(unknown))
     return values
 
 
-def default_config() -> dict:
-    return {s: {k: d for k, (_, d, _) in keys.items()} for s, keys in _SCHEMA.items()}
+def _ini_value(v) -> str:
+    if isinstance(v, tuple):
+        return ", ".join(_ini_value(x) for x in v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return "%.17g" % v
+    return str(v)
 
 
 def effective_config_text(values: dict) -> str:
     lines = [f"# surfflow {__version__} effective configuration"]
-    for section, keys in _SCHEMA.items():
+    for section, cls in _SECTIONS.items():
         lines.append(f"\n[{section}]")
-        for key, (tag, _, comment) in keys.items():
-            v = values[section][key]
-            if tag in ("floatlist", "intlist"):
-                out = ", ".join(("%.17g" % x if isinstance(x, float) else str(x))
-                                for x in v)
-            elif isinstance(v, bool):
-                out = "true" if v else "false"
-            elif isinstance(v, float):
-                out = "%.17g" % v
-            else:
-                out = str(v)
-            lines.append(f"# {comment}")
-            lines.append(f"{key} = {out}")
+        for f in dataclasses.fields(cls):
+            lines.append(f"# {f.metadata['doc']}")
+            lines.append(f"{f.name} = {_ini_value(values[section][f.name])}")
     return "\n".join(lines) + "\n"
 
 
 def build_objects(values: dict):
-    """Validated simulation objects from a config dictionary; the audit
-    always samples with the fixed ``SamplingSpec()``."""
-    gsec = values["grid"]
+    """Simulation objects from a config dictionary, each validated by its own
+    constructor; the audit always samples with the fixed ``SamplingSpec()``."""
     try:
-        grid = Grid(gsec["nx"], gsec["ny"], gsec["lx"], gsec["ly"], gsec["bc"])
+        grid = Grid(**values["grid"])
         params = ModelParams(**values["params"])
-        params.validate()
         stepcfg = StepConfig(**values["stepper"])
         scenario = ScenarioConfig(**values["scenario"])
-        if scenario.name not in SCENARIO_NAMES:
-            raise ConfigError(f"[scenario] unknown name {scenario.name!r}")
-        T = values["output"]["t_final"]
-        if not (math.isfinite(T) and T > 0):
-            raise ConfigError(f"[output] t_final must be positive and finite, "
-                              f"got {T}")
-    except (ConstitutiveError, ValueError) as exc:
+        T = _OutputKeys(**values["output"]).t_final
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return grid, params, SamplingSpec(), stepcfg, scenario, T
 
 
-def _write_snapshots(outdir: Path, state, prefix: str = "") -> None:
+def _write_snapshots(outdir: Path, state) -> None:
     fields = outdir / "fields"
     fields.mkdir(parents=True, exist_ok=True)
     g = state.grid
-    tag = f"{prefix}{state.k:06d}"
     for name, data, kind in (("phi", state.phi.data, FIELD_KIND_CELL),
                              ("mu", state.mu.data, FIELD_KIND_CELL),
                              ("q", state.q.data, FIELD_KIND_CELL),
                              ("p", state.p.data, FIELD_KIND_CELL),
                              ("vx", state.v.ux, FIELD_KIND_XFACE),
                              ("vy", state.v.uy, FIELD_KIND_YFACE)):
-        write_field_snapshot(fields / f"{name}_{tag}.bin", data, g.nx, g.ny,
-                             kind, state.t, state.k)
+        write_field_snapshot(fields / f"{name}_{state.k:06d}.bin", data,
+                             g.nx, g.ny, kind, state.t, state.k)
 
 
 def _json_safe(x):
@@ -391,20 +366,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
                         help="concurrent runs inside studies")
-    parser.add_argument("--snapshot-every", type=int, default=None,
-                        help="override [output] snapshot_every")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override [scenario] seed")
     parser.add_argument("--dump-operators", action="store_true",
                         help="export assembled operator blocks (matrix market)")
     args = parser.parse_args(argv)
 
     try:
         values = parse_config(args.config) if args.config else default_config()
-        if args.snapshot_every is not None:
-            values["output"]["snapshot_every"] = args.snapshot_every
-        if args.seed is not None:
-            values["scenario"]["seed"] = args.seed
         return _COMMANDS[args.command](values, Path(args.out), args)
     except (ConfigError, ConstitutiveError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

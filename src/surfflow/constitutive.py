@@ -20,7 +20,7 @@ identity survives floating point even for nearly equal arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -43,37 +43,36 @@ class ConstitutiveError(ValueError):
     """Raised when parameters or model functions violate a structural clause."""
 
 
+def config_key(default, doc: str):
+    """A config key: the field's default and its ``print-config`` comment."""
+    return field(default=default, metadata={"doc": doc})
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical and structural parameters.
+    """Physical and structural parameters; the ``[params]`` config section.
 
-    epsilon   -- interface thickness parameter (> 0)
-    delta     -- regularization strength (>= 0); adds delta*Lap^2 v to momentum
-                 and delta*d_t phi to the chemical-potential relation
-    rho1/rho2 -- bulk densities of the two fluids (> 0)
-    eta1/eta2 -- bulk viscosities (> 0)
-    beta      -- amplitude of the surfactant coupling f (> 0)
-    h0        -- surface-energy offset, h(q) = h0 for q below q_min (> c1)
-    q_min/max -- interval outside which f' vanishes and d is constant
-    c0        -- strong-monotonicity constant of g
-    c1, c2    -- global lower/upper bounds for d, m, m_tilde, eta
+    delta adds delta*Lap^2 v to the momentum equation and delta*d_t phi to
+    the chemical-potential relation (delta = 0 switches both off).  Outside
+    [q_min, q_max] f' vanishes and d is constant.  Construction checks the
+    structural invariants and raises ``ConstitutiveError``.
     """
 
-    epsilon: float = 0.1
-    delta: float = 1e-3
-    rho1: float = 1.0
-    rho2: float = 2.0
-    eta1: float = 1.0
-    eta2: float = 2.0
-    beta: float = 1.0
-    h0: float = 1.0
-    q_min: float = 0.0
-    q_max: float = 1.0
-    c0: float = 0.5
-    c1: float = 0.1
-    c2: float = 10.0
+    epsilon: float = config_key(0.1, "epsilon: interface thickness parameter")
+    delta: float = config_key(1e-3, "delta: regularization strength (>= 0)")
+    rho1: float = config_key(1.0, "rho_1: bulk density of fluid 1")
+    rho2: float = config_key(2.0, "rho_2: bulk density of fluid 2")
+    eta1: float = config_key(1.0, "eta_1: bulk viscosity of fluid 1")
+    eta2: float = config_key(2.0, "eta_2: bulk viscosity of fluid 2")
+    beta: float = config_key(1.0, "beta: surfactant coupling amplitude in f")
+    h0: float = config_key(1.0, "h_0: surface-energy offset, h(q) = h_0 below q_min")
+    q_min: float = config_key(0.0, "q_min: lower edge of the active q interval")
+    q_max: float = config_key(1.0, "q_max: upper edge of the active q interval")
+    c0: float = config_key(0.5, "c_0: strong-monotonicity constant of g")
+    c1: float = config_key(0.1, "c_1: lower bound for d, m, m_tilde, eta")
+    c2: float = config_key(10.0, "c_2: upper bound for m, m_tilde, eta")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         checks = [
             (self.epsilon > 0, "epsilon > 0"),
             (self.delta >= 0, "delta >= 0"),
@@ -219,7 +218,6 @@ def build_default_set(params: ModelParams) -> ConstitutiveSet:
         eta, rho: linear in phi on [-1, 1], saturating outside (rho) or
         clamped (eta)
     """
-    params.validate()
     if params.h0 <= params.c1:
         raise ConstitutiveError(
             f"d_lower: h0 = {params.h0} must exceed c1 = {params.c1} "

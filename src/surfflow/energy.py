@@ -14,7 +14,7 @@ enters and is measured separately (see ``stepper.transport_defect``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,12 +25,6 @@ from .state import State, observables
 __all__ = ["EnergyComponents", "EnergyLedgerRow", "LEDGER_COLUMNS",
            "total_energy", "audit_step", "ledger_slack", "write_ledger_csv",
            "rows_to_csv"]
-
-LEDGER_COLUMNS = (
-    "step", "t", "tau", "E_kin", "E_grad", "E_surf", "E_bulk", "E_tot",
-    "visc", "q_diss", "mu_diss", "kin_jump", "grad_jump", "phi_jump",
-    "biharm", "slack", "phi_mass", "surf_total", "div_inf", "nl_iters",
-)
 
 # a relative slack (see ``ledger_slack``) below -SLACK_TOL flags a step that
 # did not dissipate
@@ -91,6 +85,9 @@ class EnergyLedgerRow:
             v = getattr(self, c)
             vals.append(str(v) if isinstance(v, int) else "%.17g" % v)
         return ",".join(vals)
+
+
+LEDGER_COLUMNS = tuple(f.name for f in fields(EnergyLedgerRow))
 
 
 def audit_step(state_k: State, state_k1: State, cset: ConstitutiveSet,

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constitutive import ConstitutiveSet, ModelParams, build_default_set
+from .constitutive import ModelParams, build_default_set
 from .energy import SLACK_TOL, ledger_slack
 from .mesh import Grid
 from .state import ScenarioConfig, initialize_scenario
@@ -48,11 +48,8 @@ class SimulationSetup:
     stepcfg: StepConfig
     T: float
 
-    def constitutive(self) -> ConstitutiveSet:
-        return build_default_set(self.params)
-
     def execute(self) -> RunResult:
-        cset = self.constitutive()
+        cset = build_default_set(self.params)
         state0 = initialize_scenario(self.scenario, self.grid, self.params, cset)
         return run(state0, self.grid, cset, self.params, self.stepcfg, self.T)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import ConstitutiveSet, ModelParams
+from .constitutive import ConstitutiveSet, ModelParams, config_key
 from .linalg import MeanPoissonSolver
 from .mesh import Grid, ScalarField, VectorField, div
 
@@ -53,44 +53,44 @@ class State:
 class Observables:
     phi_mass: float
     surf_total: float
-    kinetic: float
     div_inf: float
 
 
 def observables(s: State, cset: ConstitutiveSet, params: ModelParams) -> Observables:
     """Midpoint-rule observables sharing the stepper's operators.
 
-    surf_total integrates the surfactant density f(q) W(phi)/epsilon + g(q);
-    the kinetic term averages squared face velocities to cells, which equals
-    the face-weighted sum by interpolation duality.
+    surf_total integrates the surfactant density f(q) W(phi)/epsilon + g(q).
     """
-    g = s.grid
-    dV = g.dV
     phi, q = s.phi.data, s.q.data
     surf = cset.f(q) * cset.W(phi) / params.epsilon + cset.g(q)
-    u2 = g.ops.Afc @ (s.v.data * s.v.data)
-    kinetic = 0.5 * dV * float((cset.rho(phi) * u2).sum())
     return Observables(
         phi_mass=s.phi.integral(),
-        surf_total=float(surf.sum()) * dV,
-        kinetic=kinetic,
+        surf_total=float(surf.sum()) * s.grid.dV,
         div_inf=float(np.abs(div(s.v).data).max()),
     )
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str = "uniform"
-    phi0: float = 0.0
-    q0: float = 0.0
-    radius: float = 0.25
-    center_x: float = 0.5
-    center_y: float = 0.5
-    q_amp: float = 0.5
-    q_sigma: float = 0.15
-    shear: float = 0.0
-    sigma: float = 0.01
-    seed: int = 1234
+    """Initial-state settings; the ``[scenario]`` config section.  See
+    ``initialize_scenario`` for what each name builds."""
+
+    name: str = config_key("uniform", " | ".join(SCENARIO_NAMES))
+    phi0: float = config_key(0.0, "background order parameter")
+    q0: float = config_key(0.0, "background surfactant potential")
+    radius: float = config_key(0.25, "droplet radius")
+    center_x: float = config_key(0.5, "droplet center x")
+    center_y: float = config_key(0.5, "droplet center y")
+    q_amp: float = config_key(0.5, "surfactant blob amplitude")
+    q_sigma: float = config_key(0.15, "surfactant blob width")
+    shear: float = config_key(0.0, "shear velocity amplitude")
+    sigma: float = config_key(0.01, "random perturbation amplitude")
+    seed: int = config_key(1234, "random scenario seed")
+
+    def __post_init__(self):
+        if self.name not in SCENARIO_NAMES:
+            raise ValueError(f"unknown scenario name {self.name!r}; "
+                             f"know {SCENARIO_NAMES}")
 
 
 def project_divergence_free(v: VectorField) -> VectorField:
@@ -134,8 +134,6 @@ def initialize_scenario(scn: ScenarioConfig, grid: Grid, params: ModelParams,
     starts consistent; the initial velocity is always projected to
     max |div v| <= 1e-12.
     """
-    if scn.name not in SCENARIO_NAMES:
-        raise ValueError(f"unknown scenario {scn.name!r}; know {SCENARIO_NAMES}")
     X, Y = grid.cell_centers()
 
     if scn.name == "uniform":

@@ -45,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .constitutive import ConstitutiveSet, ModelParams
+from .constitutive import ConstitutiveSet, ModelParams, config_key
 from .linalg import assemble_velocity_form
 from .mesh import (Grid, ScalarField, VectorField, convect_flux_jacobian,
                    convect_matrix, convect_skew)
@@ -59,12 +59,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StepConfig:
-    tau: float = 1e-3
-    tol_nl: float = 1e-10              # relative coupled-residual tolerance
-    max_newton: int = 50               # Newton iterations per tau attempt
-    max_backoff: int = 8               # tau halvings per step
-    v0_mode: bool = False              # freeze v = 0, drop transport entirely
-    extrapolate: bool = False          # initial guess from previous increment
+    """Stepper settings; the ``[stepper]`` config section.  ``v0_mode``
+    drops transport entirely; ``extrapolate`` starts Newton from the
+    previous increment."""
+
+    tau: float = config_key(1e-3, "tau: time step")
+    tol_nl: float = config_key(1e-10, "relative nonlinear residual tolerance")
+    max_newton: int = config_key(50, "Newton iteration budget per tau attempt")
+    max_backoff: int = config_key(8, "maximum tau halvings per step")
+    v0_mode: bool = config_key(False, "freeze v = 0 (exact energy-estimate mode)")
+    extrapolate: bool = config_key(False, "extrapolated initial iterate")
 
     def __post_init__(self):
         for key in ("tau", "tol_nl"):

@@ -1,6 +1,7 @@
 """Command-line interface: config validation, exit codes, reproducibility."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from surfflow.cli import (EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, ConfigError,
                           default_config, effective_config_text, main,
                           parse_config)
 from surfflow.mesh import read_field_snapshot
+
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
 
 
 def write(tmp_path, text, name="config.ini"):
@@ -25,14 +28,20 @@ class TestConfigParsing:
         msg = str(exc.value)
         assert "nz" in msg and "[outputs]" in msg
 
-    def test_defaults_round_trip(self, tmp_path):
-        text = effective_config_text(default_config())
-        path = write(tmp_path, text)
-        assert parse_config(path) == default_config()
+    @pytest.mark.parametrize("config", [None] + CONFIGS,
+                             ids=lambda p: p.stem if p else "defaults")
+    def test_defaults_round_trip(self, tmp_path, config):
+        values = parse_config(str(config)) if config else default_config()
+        path = write(tmp_path, effective_config_text(values))
+        assert parse_config(path) == values
 
-    def test_type_errors_reported(self, tmp_path):
-        path = write(tmp_path, "[grid]\nnx = many\n")
-        with pytest.raises(ConfigError, match=r"\[grid\] nx"):
+    @pytest.mark.parametrize("section,key,raw", [
+        ("grid", "nx", "many"), ("stepper", "v0_mode", "maybe"),
+        ("study", "taus", "1e-2, x"), ("study", "grids", "16, 3.5")],
+        ids=["int", "bool", "float-list", "int-list"])
+    def test_type_errors_reported(self, tmp_path, section, key, raw):
+        path = write(tmp_path, f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
             parse_config(path)
 
     def test_missing_file(self):

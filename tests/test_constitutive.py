@@ -39,11 +39,11 @@ class TestDefaults:
 
     def test_param_invariants(self):
         with pytest.raises(ConstitutiveError, match="q_min < q_max"):
-            ModelParams(q_min=1.0, q_max=0.0).validate()
+            ModelParams(q_min=1.0, q_max=0.0)
         with pytest.raises(ConstitutiveError, match="c1 < c2"):
-            ModelParams(c1=5.0, c2=1.0).validate()
+            ModelParams(c1=5.0, c2=1.0)
         with pytest.raises(ConstitutiveError, match="positive density floor"):
-            ModelParams(rho1=1.0, rho2=3.5).validate()
+            ModelParams(rho1=1.0, rho2=3.5)
 
     def test_density_linear_inside_and_saturating(self, cset, params):
         phi = np.linspace(-1.0, 1.0, 101)
