@@ -307,18 +307,24 @@ def _cmd_run(values, outdir, args) -> int:
     last = result.rows[-1]
     rel_slack, _ = ledger_slack(result.rows, result.E0)
     bad_slack = int(np.sum(rel_slack < -SLACK_TOL))
-    print(f"run complete: {len(result.rows)} steps to t={last.t:g}, "
+    n_steps = len(result.rows)
+    lus = sum(rep.factorizations for rep in result.reports)
+    newton = sum(rep.newton_iterations for rep in result.reports)
+    fill = sum(rep.factor_fill for rep in result.reports)
+    print(f"run complete: {n_steps} steps to t={last.t:g}, "
           f"E_tot={last.E_tot:.9g}, phi_mass={last.phi_mass:.12g}, "
           f"max|div v|={max(r.div_inf for r in result.rows):.3e}, "
-          f"energy-slack violations: {bad_slack}")
+          f"energy-slack violations: {bad_slack}, "
+          f"LUs/step {lus / n_steps:.3g}, Newton it./step "
+          f"{newton / n_steps:.3g}, fill/LU {fill / max(lus, 1):.0f}")
     print(f"ledger: {outdir / 'ledger.csv'}")
     return EXIT_OK
 
 
-def _study_setup(values, stepcfg=None):
-    grid, params, _, cfg, scenario, T = build_objects(values)
+def _study_setup(values):
+    grid, params, _, stepcfg, scenario, T = build_objects(values)
     return SimulationSetup(grid=grid, params=params, scenario=scenario,
-                           stepcfg=stepcfg or cfg, T=T)
+                           stepcfg=stepcfg, T=T)
 
 
 def _cmd_study(kind):

@@ -166,6 +166,10 @@ def _default_secant_W(a, b):
     hi = np.maximum(a, b)
     e = _WELL_EDGE
     s = _WELL_SLOPE
+    if lo.size and lo.min() >= -e and hi.max() <= e:
+        # every pair on the quartic piece: the two branches np.select picks
+        # there, without evaluating the other four
+        return np.where(a == b, _default_Wp(b), _secant_quartic(lo, hi))
 
     # branches np.select discards may divide by a subnormal gap
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -8,7 +8,11 @@ and the secant slope H of W are evaluated implicitly.
 
 The solver is Newton's method on the full coupled residual, started from
 the first iterate (the old state, or the extrapolated predictor).  Each
-iteration solves with a sparse LU of the coupled Jacobian.  ``run`` holds
+iteration solves with a sparse LU of the coupled Jacobian.  The
+transport-free Jacobian [q, mu, phi] is structurally symmetric with a
+zero-free diagonal, so its LU takes a symmetric minimum-degree ordering
+(half the fill of COLAMD's); the coupled saddle, whose pressure block is
+zero but for the pin, keeps COLAMD with partial pivoting.  ``run`` holds
 that LU from step to step (chord iterations) and rebuilds it at the current
 iterate when the chord iterations still expected cost more than a new
 factorization (see ``_HeldLU``), and drops it whenever tau differs from the
@@ -88,6 +92,7 @@ class StepReport:
     rejected: int = 0                   # line-search trials not accepted
     linear_solves: int = 0
     factorizations: int = 0             # Jacobian LUs built, all tau attempts
+    factor_fill: int = 0                # sum of their L+U fill (lu.nnz)
     tau_used: float = 0.0
     backoffs: int = 0
     converged: bool = False
@@ -410,8 +415,12 @@ def _terms_at(lin, cset, cfg, tau, w: _Iterate) -> _Terms:
 # LU solve plus one residual) per unit of its L+U fill per unknown, the fill
 # being SuperLU's stored count ``lu.nnz`` (reading ``lu.L``/``lu.U`` would
 # copy both factors).  Measured factor / iteration time over fill / n gives
-# 0.16-0.185 on relaxation-v0 and shear-droplet at 32^2 and 64^2 (fill / n
-# from 125 to about 580).
+# 0.16-0.185 on COLAMD-ordered LUs of relaxation-v0 and shear-droplet at
+# 32^2 and 64^2 (fill / n from 125 to about 580).  The symmetric-ordered v0
+# LU (fill / n about 60 at 32^2, 90 at 64^2) measures 0.39-0.61 (factor
+# plus Jacobian over a chord iteration), but a sweep of the constant over
+# 0.17-0.45 on relaxation-v0 32^2 found no run-time gain above the noise,
+# so one constant prices both.
 FACTOR_COST_PER_FILL = 0.17
 
 
@@ -543,13 +552,27 @@ def _factor(lin, cset, cfg, tau, t: _Terms, held: _HeldLU,
     """Replace the held LU by one of the Jacobian at ``t``; False (with the
     reason in the report) when the factorization fails."""
     held.lu = None                 # free the old LU before building the new
+    J = _jacobian(lin, cset, cfg, tau, t)
     try:
-        lu = spla.splu(_jacobian(lin, cset, cfg, tau, t))
+        if cfg.v0_mode:
+            # [q, mu, phi] is structurally symmetric with a zero-free
+            # diagonal: a minimum-degree ordering of J^T + J, applied to
+            # rows and columns alike, has half COLAMD's fill; the diagonal
+            # pivots have passed the 0.01 threshold on every Jacobian seen
+            # (no row exchanges)
+            lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.01,
+                           options=dict(SymmetricMode=True))
+        else:
+            # the saddle's pressure block is zero but for the pin: COLAMD
+            # with partial pivoting (a symmetric ordering fills 4x more)
+            lu = spla.splu(J)
     except RuntimeError as exc:
         report.failure_reason = f"Newton linearization failed: {exc}"
         return False
     held.hold(lu, tau)
     report.factorizations += 1
+    report.factor_fill += lu.nnz
     return True
 
 

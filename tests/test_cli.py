@@ -114,6 +114,34 @@ t_final = 6e-3
         assert body[0] == body[1] == body[2]
         assert (out / "config.effective.ini").exists()
 
+    def test_summary_reports_solver_counts(self, tmp_path, capsys):
+        path = write(tmp_path, """
+[grid]
+nx = 8
+ny = 8
+
+[scenario]
+name = droplet
+q0 = 0.1
+
+[stepper]
+tau = 2e-3
+v0_mode = true
+
+[output]
+t_final = 6e-3
+""")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("run complete: 3 steps")
+        counts = dict(part.rsplit(" ", 1) for part in line.split(", ")[-3:])
+        assert float(counts["LUs/step"]) > 0
+        assert float(counts["Newton it./step"]) > 0
+        assert int(counts["fill/LU"]) > 0
+        # solver counts stay out of the ledger
+        header = (tmp_path / "out" / "ledger.csv").read_text().splitlines()[0]
+        assert "fill" not in header and "factor" not in header
+
     def test_rerun_is_bitwise_identical(self, tmp_path):
         path = self._uniform_cfg(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
