@@ -303,6 +303,8 @@ def _cmd_run(values, outdir, args) -> int:
                           ("mu_diffusion", lin.lap_mu),
                           ("phi_laplacian", params.epsilon * lin.lap_unit)):
             if mat is not None:
+                mat = mat.copy()          # the form keeps explicit zeros
+                mat.eliminate_zeros()
                 scipy.io.mmwrite(str(opdir / f"{name}.mtx"), mat)
     last = result.rows[-1]
     rel_slack, _ = ledger_slack(result.rows, result.E0)
@@ -311,12 +313,14 @@ def _cmd_run(values, outdir, args) -> int:
     lus = sum(rep.factorizations for rep in result.reports)
     newton = sum(rep.newton_iterations for rep in result.reports)
     fill = sum(rep.factor_fill for rep in result.reports)
+    orderings = sum(rep.orderings for rep in result.reports)
     print(f"run complete: {n_steps} steps to t={last.t:g}, "
           f"E_tot={last.E_tot:.9g}, phi_mass={last.phi_mass:.12g}, "
           f"max|div v|={max(r.div_inf for r in result.rows):.3e}, "
           f"energy-slack violations: {bad_slack}, "
           f"LUs/step {lus / n_steps:.3g}, Newton it./step "
-          f"{newton / n_steps:.3g}, fill/LU {fill / max(lus, 1):.0f}")
+          f"{newton / n_steps:.3g}, fill/LU {fill / max(lus, 1):.0f}, "
+          f"orderings {orderings}")
     print(f"ledger: {outdir / 'ledger.csv'}")
     return EXIT_OK
 

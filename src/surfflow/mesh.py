@@ -306,6 +306,15 @@ class GridOperators:
                        sp.kron(-d1x.T, Ify).tocsr(), sp.kron(a1x, Ify).tocsr())
         self.flux_y_e1 = self.Acf_y.T.tocsr()                # My -> cells
         self.flux_y_e2 = sp.kron(Ifx, a1y, format="csr")     # Mx -> corners
+        self._patterns = {}
+
+    def pattern(self, key, build):
+        """The fixed sparse pattern cached under ``key`` (see
+        ``linalg.FixedPattern``), built by ``build()`` on first use."""
+        found = self._patterns.get(key)
+        if found is None:
+            found = self._patterns.setdefault(key, build())
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +410,16 @@ def div(u: VectorField) -> ScalarField:
     return ScalarField(u.grid, u.grid.ops.D @ u.data)
 
 
-def _conv_parts(g: Grid, M: VectorField):
+def convect_edge_sets(g: Grid):
+    """(P, Q, flux, convected component, flux component) per component and
+    edge set of ``convect_skew``: the edge fluxes are ``flux @ M[flux
+    component]``, and the set adds P diag(flux) Q minus its transpose, halved,
+    to the rows and columns of the convected component."""
     ops = g.ops
-    return (
-        (ops.conv_x, ops.flux_x_e1 @ M.ux, ops.flux_x_e2 @ M.uy, slice(0, g.n_xfaces)),
-        (ops.conv_y, ops.flux_y_e1 @ M.uy, ops.flux_y_e2 @ M.ux, slice(g.n_xfaces, g.n_faces)),
-    )
+    x, y = slice(0, g.n_xfaces), slice(g.n_xfaces, g.n_faces)
+    (P1x, Q1x, P2x, Q2x), (P1y, Q1y, P2y, Q2y) = ops.conv_x, ops.conv_y
+    return ((P1x, Q1x, ops.flux_x_e1, x, x), (P2x, Q2x, ops.flux_x_e2, x, y),
+            (P1y, Q1y, ops.flux_y_e1, y, y), (P2y, Q2y, ops.flux_y_e2, y, x))
 
 
 def convect_skew(M: VectorField, v: VectorField) -> VectorField:
@@ -421,37 +434,14 @@ def convect_skew(M: VectorField, v: VectorField) -> VectorField:
     """
     g = M.grid
     out = np.empty(g.n_faces)
-    for (P1, Q1, P2, Q2), phi1, phi2, sl in _conv_parts(g, M):
+    sets = convect_edge_sets(g)
+    for (P1, Q1, f1, sl, a1), (P2, Q2, f2, _, a2) in (sets[:2], sets[2:]):
         u = v.data[sl]
+        phi1, phi2 = f1 @ M.data[a1], f2 @ M.data[a2]
         dd = P1 @ (phi1 * (Q1 @ u)) + P2 @ (phi2 * (Q2 @ u))
         ddT = Q1.T @ (phi1 * (P1.T @ u)) + Q2.T @ (phi2 * (P2.T @ u))
         out[sl] = 0.5 * (dd - ddT)
     return VectorField(g, out)
-
-
-def convect_matrix(M: VectorField) -> sp.csr_matrix:
-    """Matrix of v -> convect_skew(M, v) (block diagonal over components)."""
-    g = M.grid
-    blocks = []
-    for (P1, Q1, P2, Q2), phi1, phi2, _ in _conv_parts(g, M):
-        dd = P1 @ sp.diags(phi1) @ Q1 + P2 @ sp.diags(phi2) @ Q2
-        blocks.append(0.5 * (dd - dd.T))
-    return sp.block_diag(blocks, format="csr")
-
-
-def convect_flux_jacobian(v: VectorField) -> sp.csr_matrix:
-    """Matrix of M -> convect_skew(M, v) for fixed v (linear in the flux)."""
-    g = v.grid
-    ops = g.ops
-
-    def blk(P1, Q1, P2, Q2, u, f1, f2):
-        d1 = 0.5 * (P1 @ sp.diags(Q1 @ u) - Q1.T @ sp.diags(P1.T @ u))
-        d2 = 0.5 * (P2 @ sp.diags(Q2 @ u) - Q2.T @ sp.diags(P2.T @ u))
-        return d1 @ f1, d2 @ f2
-
-    dxx, dxy = blk(*ops.conv_x, v.ux, ops.flux_x_e1, ops.flux_x_e2)
-    dyy, dyx = blk(*ops.conv_y, v.uy, ops.flux_y_e1, ops.flux_y_e2)
-    return sp.bmat([[dxx, dxy], [dyx, dyy]], format="csr")
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,17 @@ and the secant slope H of W are evaluated implicitly.
 
 The solver is Newton's method on the full coupled residual, started from
 the first iterate (the old state, or the extrapolated predictor).  Each
-iteration solves with a sparse LU of the coupled Jacobian.  The
+iteration solves with a sparse LU of the coupled Jacobian.  The Jacobian
+has one fixed pattern per grid and mode (``_jacobian_pattern``, explicit
+zeros kept): each of its terms is a constant operator chain with at most
+two diagonal weights, so a Jacobian is one sparse product of a per-grid
+map with the weights, for every iterate, step and tau alike.  The
 transport-free Jacobian [q, mu, phi] is structurally symmetric with a
 zero-free diagonal, so its LU takes a symmetric minimum-degree ordering
 (half the fill of COLAMD's); the coupled saddle, whose pressure block is
-zero but for the pin, keeps COLAMD with partial pivoting.  ``run`` holds
+zero but for the pin, keeps COLAMD with partial pivoting.  The ordering
+is computed by the first LU only; later LUs factor the Jacobian permuted
+by it in natural order (see ``_Ordering``).  ``run`` holds
 that LU from step to step (chord iterations) and rebuilds it at the current
 iterate when the chord iterations still expected cost more than a new
 factorization (see ``_HeldLU``), and drops it whenever tau differs from the
@@ -50,9 +56,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .constitutive import ConstitutiveSet, ModelParams, config_key
-from .linalg import assemble_velocity_form
-from .mesh import (Grid, ScalarField, VectorField, convect_flux_jacobian,
-                   convect_matrix, convect_skew)
+from .linalg import (FixedPattern, assemble_velocity_form, chain, scaled,
+                     velocity_form_pattern)
+from .mesh import (Grid, ScalarField, VectorField, convect_edge_sets,
+                   convect_skew)
 from .state import State
 
 __all__ = [
@@ -93,6 +100,7 @@ class StepReport:
     linear_solves: int = 0
     factorizations: int = 0             # Jacobian LUs built, all tau attempts
     factor_fill: int = 0                # sum of their L+U fill (lu.nnz)
+    orderings: int = 0                  # fill-reducing orderings computed
     tau_used: float = 0.0
     backoffs: int = 0
     converged: bool = False
@@ -131,11 +139,10 @@ class LinearizedSystem:
     m_faces: np.ndarray
     mt_faces: np.ndarray
     # frozen operators
-    A_form: Optional[sp.csr_matrix]     # velocity form (None in v0 mode)
+    A_form: Optional[sp.csc_matrix]     # velocity form (None in v0 mode)
 
-    # the diffusion blocks are built on first use: only the Jacobian (and
-    # the operator dump) reads them, and a step solved with a held LU
-    # builds no Jacobian
+    # the diffusion blocks as matrices, for the operator dump (the
+    # residual applies them factored, the Jacobian has its own pattern)
     @cached_property
     def lap_q(self) -> sp.csr_matrix:
         """div(m grad .)"""
@@ -305,88 +312,136 @@ def _rel(r: np.ndarray, terms) -> float:
 # Newton linearization
 # ---------------------------------------------------------------------------
 
-def _jacobian(lin: LinearizedSystem, cset: ConstitutiveSet, cfg: StepConfig,
-              tau: float, t: _Terms):
-    """Sparse Jacobian of the coupled residual at the iterate in ``t``.
+def _jacobian_pattern(g: Grid, v0: bool) -> FixedPattern:
+    """The fixed pattern of ``_jacobian``, built on first use per grid and
+    mode: one named term per coefficient, in the unknown order [v, p]
+    (coupled mode only), q, mu, phi, then the border columns (periodic)."""
+    return g.ops.pattern(("jacobian", v0),
+                         lambda: _build_jacobian_pattern(g, v0))
 
-    Unknown order: [v, p] (coupled mode only), q, mu, phi, then border
-    columns pinning the pressure mean (and velocity means in periodic mode).
-    """
+
+def _build_jacobian_pattern(g: Grid, v0: bool) -> FixedPattern:
+    ops = g.ops
+    nc, nf = g.n_cells, g.n_faces
+    Ic = sp.identity(nc, format="csr")
+    sizes = {"q": nc, "mu": nc, "phi": nc}
+    if not v0:
+        sizes = {"v": nf, "p": nc, **sizes}
+        if g.periodic:
+            sizes["b"] = 2
+    start = dict(zip(sizes, np.cumsum([0] + list(sizes.values())).tolist()))
+    n = sum(sizes.values())
+
+    def at(row, col):
+        return start[row], start[col]
+
+    terms = [
+        ("q_q", chain(Ic, Ic, at=at("q", "q"))),
+        ("q_q_diff", chain(ops.D, ops.G, at=at("q", "q"))),
+        ("q_phi", chain(Ic, Ic, at=at("q", "phi"))),
+        ("mu_mu", chain(ops.D, ops.G, at=at("mu", "mu"))),
+        ("mu_phi", scaled(Ic, at=at("mu", "phi"))),
+        ("phi_q", chain(Ic, Ic, at=at("phi", "q"))),
+        ("const", scaled(Ic, at=at("phi", "mu"))),
+        ("phi_phi", chain(Ic, Ic, at=at("phi", "phi"))),
+        ("phi_phi_lap", scaled(ops.D @ ops.G, at=at("phi", "phi"))),
+    ]
+    if v0:
+        return FixedPattern((n, n), terms)
+
+    If = sp.identity(nf, format="csr")
+    # the continuity rows sum to zero identically, so the redundant first
+    # one is replaced with a single-entry pressure pin (keeps the
+    # factorization sparse); the pressure is shifted to mean zero once the
+    # step converges
+    p0 = start["p"]
+    terms += [
+        ("v_v_form", velocity_form_pattern(g).entries()),
+        ("v_v", chain(If, If)),
+        ("const", scaled(ops.G, at=at("v", "p"))),
+        ("v_q", chain(If, Ic, Y=ops.Acf, at=at("v", "q"))),
+        ("v_mu", chain(If, ops.Acf, at=at("v", "mu"))),
+        ("v_phi", chain(If, Ic, Y=ops.Acf, at=at("v", "phi"))),
+        ("const", scaled(ops.D[1:], at=(p0 + 1, 0))),
+        ("const", scaled(sp.identity(1), at=(p0, p0))),
+        ("q_v", chain(ops.Afc, If, at=at("q", "v"))),
+        ("q_q_transport", chain(ops.Afc, Ic, Y=ops.G, at=at("q", "q"))),
+        ("mu_v", chain(ops.Afc, If, at=at("mu", "v"))),
+    ]
+    # skew convection (see mesh.convect_skew), per edge set: in v, the edge
+    # flux of M, and in the flux M = rho_k v - jcoef G mu, the edge averages
+    # Q u and P^T u of the convected component u
+    for i, (P, Q, f, sl, a) in enumerate(convect_edge_sets(g)):
+        Ia = sp.identity(a.stop - a.start, format="csr")
+        terms += [
+            (f"conv{i}", chain(0.5 * P, Q, at=(sl.start, sl.start))),
+            (f"conv{i}", chain(-0.5 * Q.T, P.T, at=(sl.start, sl.start))),
+            (f"flux{i}+", chain(0.5 * P, Ia, Y=f, at=(sl.start, a.start))),
+            (f"flux{i}-", chain(-0.5 * Q.T, Ia, Y=f, at=(sl.start, a.start))),
+            (f"jflux{i}+", chain(-0.5 * P, ops.G[a], Y=f,
+                                 at=(sl.start, start["mu"]))),
+            (f"jflux{i}-", chain(0.5 * Q.T, ops.G[a], Y=f,
+                                 at=(sl.start, start["mu"]))),
+        ]
+    if g.periodic:
+        # border multipliers absorb the constant momentum modes and pin the
+        # velocity component means
+        E = np.zeros((nf, 2))
+        E[:g.n_xfaces, 0] = 1.0
+        E[g.n_xfaces:, 1] = 1.0
+        E = sp.csr_matrix(E)
+        terms += [("const", scaled(E, at=at("v", "b"))),
+                  ("const", scaled(E.T, at=at("b", "v")))]
+    return FixedPattern((n, n), terms)
+
+
+def _jacobian(lin: LinearizedSystem, cset: ConstitutiveSet, cfg: StepConfig,
+              tau: float, t: _Terms) -> sp.csc_matrix:
+    """Sparse Jacobian of the coupled residual at the iterate in ``t``, on
+    the grid's fixed pattern (see ``_jacobian_pattern``)."""
     g = lin.grid
     ops = g.ops
     eps = lin.params.epsilon
     delta = lin.params.delta
-    nc = g.n_cells
-    Ic = sp.identity(nc, format="csr")
 
     fq_p = cset.fp(t.q)
     gq_p = cset.gp(t.q)
     hq_p = cset.hp(t.q)
     Wp_it = cset.Wp(t.phi)
     dH = cset.dsecant_W_da(t.phi, lin.phi_k)
-
-    Jqq = sp.diags(fq_p * t.W_phi / (eps * tau) + gq_p / tau) - lin.lap_q
-    Jq_phi = sp.diags(t.f_q * Wp_it / (eps * tau))
-    Jmu_mu = -lin.lap_mu
-    Jmu_phi = Ic / tau
-    Jp_q = sp.diags(-hq_p * t.H / eps)
-    Jp_mu = Ic
-    Jp_phi = (eps * lin.lap_unit - sp.diags(t.h_q * dH / eps)
-              - (delta / tau) * Ic)
-
-    if cfg.v0_mode:
-        return sp.bmat([
-            [Jqq, None, Jq_phi],
-            [None, Jmu_mu, Jmu_phi],
-            [Jp_q, Jp_mu, Jp_phi],
-        ], format="csc")
-
-    nf = g.n_faces
-    vf = VectorField(g, t.v)
-    rho_p_it = cset.rhop(t.phi)
-    # transport contributions at the iterate
-    Dq_surf = sp.diags(fq_p * lin.W_k / eps + gq_p)
-    Jqq = Jqq + ops.Afc @ sp.diags(t.v) @ ops.G @ Dq_surf
-
-    Jvv = (lin.A_form / g.dV
-           + sp.diags((ops.Acf @ t.rho_it) / tau)
-           + convect_matrix(t.M)
-           + convect_flux_jacobian(vf) @ sp.diags(lin.rho_k_faces)
-           - 0.5 * sp.diags(ops.Acf @ ((t.rho_it - lin.rho_k) / tau)))
-    Gpk = sp.diags(lin.grad_phi_k)
-    Jvq = Gpk @ ops.Acf @ sp.diags(hq_p * lin.Wp_k / eps)
-    Jvmu = -(Gpk @ ops.Acf) \
-        - convect_flux_jacobian(vf) @ (sp.diags(lin.jcoef_faces) @ ops.G)
-    Jvphi = 0.5 * sp.diags(t.v) @ ops.Acf @ sp.diags(rho_p_it / tau)
-
-    Jqv = ops.Afc @ sp.diags(t.grad_surf)
-    Jmv = ops.Afc @ Gpk
-
-    # the continuity rows sum to zero identically, so replace the redundant
-    # first one with a single-entry pressure pin (keeps the factorization
-    # sparse); the pressure is shifted to mean zero once the step converges
-    D_mod = ops.D.tolil()
-    D_mod[0, :] = 0.0
-    p_pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(nc, nc))
-    blocks = [
-        [Jvv, ops.G, Jvq, Jvmu, Jvphi],
-        [D_mod.tocsr(), p_pin, None, None, None],
-        [Jqv, None, Jqq, None, Jq_phi],
-        [Jmv, None, None, Jmu_mu, Jmu_phi],
-        [None, None, Jp_q, Jp_mu, Jp_phi],
-    ]
-    if not g.periodic:
-        return sp.bmat(blocks, format="csc")
-    # periodic: border multipliers absorb the constant momentum modes and
-    # pin the velocity component means
-    E = np.zeros((nf, 2))
-    E[:g.n_xfaces, 0] = 1.0
-    E[g.n_xfaces:, 1] = 1.0
-    E = sp.csr_matrix(E)
-    J = sp.bmat(blocks, format="csr")
-    col = sp.vstack([E, sp.csr_matrix((4 * nc, 2))], format="csr")
-    row = sp.hstack([E.T, sp.csr_matrix((2, 4 * nc))], format="csr")
-    return sp.bmat([[J, col], [row, sp.csr_matrix((2, 2))]], format="csc")
+    w = {
+        "q_q": fq_p * t.W_phi / (eps * tau) + gq_p / tau,
+        "q_q_diff": -lin.m_faces,
+        "q_phi": t.f_q * Wp_it / (eps * tau),
+        "mu_mu": -lin.mt_faces,
+        "mu_phi": 1.0 / tau,
+        "phi_q": -hq_p * t.H / eps,
+        "const": 1.0,
+        "phi_phi": -t.h_q * dH / eps - delta / tau,
+        "phi_phi_lap": eps,
+    }
+    if not cfg.v0_mode:
+        gpk = lin.grad_phi_k
+        w.update({
+            "v_v_form": lin.A_form.data / g.dV,
+            "v_v": (ops.Acf @ t.rho_it) / tau
+            - 0.5 * (ops.Acf @ ((t.rho_it - lin.rho_k) / tau)),
+            "v_q": (gpk, hq_p * lin.Wp_k / eps),
+            "v_mu": -gpk,
+            "v_phi": (0.5 * t.v, cset.rhop(t.phi) / tau),
+            "q_v": t.grad_surf,
+            "q_q_transport": (t.v, fq_p * lin.W_k / eps + gq_p),
+            "mu_v": gpk,
+        })
+        for i, (P, Q, f, sl, a) in enumerate(convect_edge_sets(g)):
+            u = t.v[sl]
+            Qu, Pu = Q @ u, P.T @ u
+            w[f"conv{i}"] = f @ t.M.data[a]
+            w[f"flux{i}+"] = (Qu, lin.rho_k_faces[a])
+            w[f"flux{i}-"] = (Pu, lin.rho_k_faces[a])
+            w[f"jflux{i}+"] = (Qu, lin.jcoef_faces[a])
+            w[f"jflux{i}-"] = (Pu, lin.jcoef_faces[a])
+    return _jacobian_pattern(g, cfg.v0_mode).matrix(w)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +479,27 @@ def _terms_at(lin, cset, cfg, tau, w: _Iterate) -> _Terms:
 FACTOR_COST_PER_FILL = 0.17
 
 
+@dataclass(frozen=True)
+class _Ordering:
+    """The fill-reducing ordering of a Jacobian pattern, taken from the
+    first LU of that pattern (SuperLU's own ordering, elimination-tree
+    postorder included): later Jacobians are factored permuted by it, in
+    natural order, which repeats that LU's fill without a new ordering.
+    ``symmetric`` permutes rows alike (the v0 LU's diagonal pivoting)."""
+    pattern: FixedPattern
+    order: np.ndarray           # A Pc = A[:, order] for SuperLU's Pc
+    symmetric: bool
+
+    def permute(self, J: sp.csc_matrix) -> sp.csc_matrix:
+        o = self.order
+        return J[o][:, o] if self.symmetric else J[:, o]
+
+    def solve(self, lu, rhs: np.ndarray) -> np.ndarray:
+        x = np.empty_like(rhs)
+        x[self.order] = lu.solve(rhs[self.order] if self.symmetric else rhs)
+        return x
+
+
 @dataclass
 class _HeldLU:
     """One-slot holder for the Newton LU, the tau it was factored at and the
@@ -436,18 +512,28 @@ class _HeldLU:
     Newton iteration count of the first step converged on this LU without
     refactoring, and ``excess`` adds up what each later such step spends
     beyond it, until that pays for a refactorization.  No clock is read, so
-    reruns repeat bitwise.
+    reruns repeat bitwise.  ``ordering`` outlives the LUs.  It is kept per
+    holder, not per grid, so a rerun with a fresh holder factors its first
+    LU as the first run did (a symmetrically pre-permuted v0 LU differs from
+    SuperLU's own at round-off).
     """
     lu: Optional[object] = None
     tau: float = 0.0
     price: float = 0.0
     base: Optional[int] = None
     excess: int = 0
+    ordering: Optional[_Ordering] = None
+    permuted: bool = False              # lu factors J permuted by ordering
 
-    def hold(self, lu, tau: float) -> None:
-        self.lu, self.tau = lu, tau
+    def hold(self, lu, tau: float, permuted: bool) -> None:
+        self.lu, self.tau, self.permuted = lu, tau, permuted
         self.price = FACTOR_COST_PER_FILL * lu.nnz / lu.shape[0]
         self.base, self.excess = None, 0
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.permuted:
+            return self.ordering.solve(self.lu, rhs)
+        return self.lu.solve(rhs)
 
     def settle(self, iterations: int) -> None:
         """Account a step converged on this LU without refactoring; once the
@@ -520,7 +606,7 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
         alpha = 1.0
         while True:
             if alpha == 1.0:      # first trial, or after a stale-LU refactor
-                dx = np.split(held.lu.solve(-rvec), cuts)
+                dx = np.split(held.solve(-rvec), cuts)
                 report.linear_solves += 1
                 # v and p are frozen in v0 mode; periodic border multipliers
                 # dropped
@@ -550,27 +636,42 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
 def _factor(lin, cset, cfg, tau, t: _Terms, held: _HeldLU,
             report: StepReport) -> bool:
     """Replace the held LU by one of the Jacobian at ``t``; False (with the
-    reason in the report) when the factorization fails."""
+    reason in the report) when the factorization fails.
+
+    The first LU of a pattern computes its fill-reducing ordering, and
+    every later one factors the Jacobian permuted by it (see
+    ``_Ordering``)."""
     held.lu = None                 # free the old LU before building the new
+    pattern = _jacobian_pattern(lin.grid, cfg.v0_mode)   # built once per grid
     J = _jacobian(lin, cset, cfg, tau, t)
+    if cfg.v0_mode:
+        # [q, mu, phi] is structurally symmetric with a zero-free diagonal:
+        # a minimum-degree ordering of J^T + J, applied to rows and columns
+        # alike, has half COLAMD's fill; the diagonal pivots have passed the
+        # 0.01 threshold on every Jacobian seen (no row exchanges)
+        opts = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                    options=dict(SymmetricMode=True))
+    else:
+        # the saddle's pressure block is zero but for the pin: COLAMD with
+        # partial pivoting (a symmetric ordering fills 4x more)
+        opts = dict(permc_spec="COLAMD")
+    ordering = held.ordering
+    if ordering is not None and ordering.pattern is not pattern:
+        ordering = None
     try:
-        if cfg.v0_mode:
-            # [q, mu, phi] is structurally symmetric with a zero-free
-            # diagonal: a minimum-degree ordering of J^T + J, applied to
-            # rows and columns alike, has half COLAMD's fill; the diagonal
-            # pivots have passed the 0.01 threshold on every Jacobian seen
-            # (no row exchanges)
-            lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.01,
-                           options=dict(SymmetricMode=True))
+        if ordering is None:
+            lu = spla.splu(J, **opts)
         else:
-            # the saddle's pressure block is zero but for the pin: COLAMD
-            # with partial pivoting (a symmetric ordering fills 4x more)
-            lu = spla.splu(J)
+            lu = spla.splu(ordering.permute(J),
+                           **dict(opts, permc_spec="NATURAL"))
     except RuntimeError as exc:
         report.failure_reason = f"Newton linearization failed: {exc}"
         return False
-    held.hold(lu, tau)
+    if ordering is None:
+        held.ordering = _Ordering(pattern, np.argsort(lu.perm_c),
+                                  cfg.v0_mode)
+        report.orderings += 1
+    held.hold(lu, tau, permuted=ordering is not None)
     report.factorizations += 1
     report.factor_fill += lu.nnz
     return True

@@ -1,0 +1,120 @@
+"""Reference assemblies by sparse products, the way the solver's fixed
+patterns must reproduce them: the convection matrices of
+``mesh.convect_skew``, the velocity form ``B^T diag(w) B`` and the
+stepper's Jacobian as one ``sp.bmat`` of its blocks."""
+
+import numpy as np
+import scipy.sparse as sp
+
+from surfflow.mesh import VectorField
+
+
+def _conv_parts(g, M):
+    ops = g.ops
+    return (
+        (ops.conv_x, ops.flux_x_e1 @ M.ux, ops.flux_x_e2 @ M.uy),
+        (ops.conv_y, ops.flux_y_e1 @ M.uy, ops.flux_y_e2 @ M.ux),
+    )
+
+
+def convect_matrix(M):
+    """Matrix of v -> convect_skew(M, v) (block diagonal over components)."""
+    blocks = []
+    for (P1, Q1, P2, Q2), phi1, phi2 in _conv_parts(M.grid, M):
+        dd = P1 @ sp.diags(phi1) @ Q1 + P2 @ sp.diags(phi2) @ Q2
+        blocks.append(0.5 * (dd - dd.T))
+    return sp.block_diag(blocks, format="csr")
+
+
+def convect_flux_jacobian(v):
+    """Matrix of M -> convect_skew(M, v) for fixed v (linear in the flux)."""
+    ops = v.grid.ops
+
+    def blk(P1, Q1, P2, Q2, u, f1, f2):
+        d1 = 0.5 * (P1 @ sp.diags(Q1 @ u) - Q1.T @ sp.diags(P1.T @ u))
+        d2 = 0.5 * (P2 @ sp.diags(Q2 @ u) - Q2.T @ sp.diags(P2.T @ u))
+        return d1 @ f1, d2 @ f2
+
+    dxx, dxy = blk(*ops.conv_x, v.ux, ops.flux_x_e1, ops.flux_x_e2)
+    dyy, dyx = blk(*ops.conv_y, v.uy, ops.flux_y_e1, ops.flux_y_e2)
+    return sp.bmat([[dxx, dxy], [dyx, dyy]], format="csr")
+
+
+def velocity_form(g, eta, delta):
+    """2 B^T diag(eta) B over the strains plus delta Lvec^T Lvec."""
+    ops = g.ops
+    Wc = sp.diags(2.0 * eta * g.dV)
+    Wk = sp.diags((ops.Acorner @ eta) * g.dV)
+    Axx = ops.B11.T @ Wc @ ops.B11 + ops.B12x.T @ Wk @ ops.B12x
+    Axy = ops.B12x.T @ Wk @ ops.B12y
+    Ayy = ops.B22.T @ Wc @ ops.B22 + ops.B12y.T @ Wk @ ops.B12y
+    A = sp.bmat([[Axx, Axy], [Axy.T, Ayy]], format="csr")
+    return (A + delta * g.dV * (ops.Lvec.T @ ops.Lvec)).tocsr()
+
+
+def jacobian(lin, cset, cfg, tau, t):
+    """The stepper's Jacobian at the iterate ``t`` assembled block by block."""
+    g = lin.grid
+    ops = g.ops
+    eps = lin.params.epsilon
+    delta = lin.params.delta
+    nc = g.n_cells
+    Ic = sp.identity(nc, format="csr")
+    lap_q = ops.D @ sp.diags(lin.m_faces) @ ops.G
+    lap_mu = ops.D @ sp.diags(lin.mt_faces) @ ops.G
+
+    fq_p = cset.fp(t.q)
+    gq_p = cset.gp(t.q)
+    hq_p = cset.hp(t.q)
+    Wp_it = cset.Wp(t.phi)
+    dH = cset.dsecant_W_da(t.phi, lin.phi_k)
+
+    Jqq = sp.diags(fq_p * t.W_phi / (eps * tau) + gq_p / tau) - lap_q
+    Jq_phi = sp.diags(t.f_q * Wp_it / (eps * tau))
+    Jmu_mu = -lap_mu
+    Jmu_phi = Ic / tau
+    Jp_q = sp.diags(-hq_p * t.H / eps)
+    Jp_mu = Ic
+    Jp_phi = (eps * (ops.D @ ops.G) - sp.diags(t.h_q * dH / eps)
+              - (delta / tau) * Ic)
+    if cfg.v0_mode:
+        return sp.bmat([[Jqq, None, Jq_phi],
+                        [None, Jmu_mu, Jmu_phi],
+                        [Jp_q, Jp_mu, Jp_phi]], format="csc")
+
+    nf = g.n_faces
+    vf = VectorField(g, t.v)
+    Dq_surf = sp.diags(fq_p * lin.W_k / eps + gq_p)
+    Jqq = Jqq + ops.Afc @ sp.diags(t.v) @ ops.G @ Dq_surf
+    Jvv = (lin.A_form / g.dV
+           + sp.diags((ops.Acf @ t.rho_it) / tau)
+           + convect_matrix(t.M)
+           + convect_flux_jacobian(vf) @ sp.diags(lin.rho_k_faces)
+           - 0.5 * sp.diags(ops.Acf @ ((t.rho_it - lin.rho_k) / tau)))
+    Gpk = sp.diags(lin.grad_phi_k)
+    Jvq = Gpk @ ops.Acf @ sp.diags(hq_p * lin.Wp_k / eps)
+    Jvmu = -(Gpk @ ops.Acf) \
+        - convect_flux_jacobian(vf) @ (sp.diags(lin.jcoef_faces) @ ops.G)
+    Jvphi = 0.5 * sp.diags(t.v) @ ops.Acf @ sp.diags(cset.rhop(t.phi) / tau)
+    Jqv = ops.Afc @ sp.diags(t.grad_surf)
+    Jmv = ops.Afc @ Gpk
+    D_mod = ops.D.tolil()
+    D_mod[0, :] = 0.0
+    p_pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(nc, nc))
+    blocks = [
+        [Jvv, ops.G, Jvq, Jvmu, Jvphi],
+        [D_mod.tocsr(), p_pin, None, None, None],
+        [Jqv, None, Jqq, None, Jq_phi],
+        [Jmv, None, None, Jmu_mu, Jmu_phi],
+        [None, None, Jp_q, Jp_mu, Jp_phi],
+    ]
+    if not g.periodic:
+        return sp.bmat(blocks, format="csc")
+    E = np.zeros((nf, 2))
+    E[:g.n_xfaces, 0] = 1.0
+    E[g.n_xfaces:, 1] = 1.0
+    E = sp.csr_matrix(E)
+    J = sp.bmat(blocks, format="csr")
+    col = sp.vstack([E, sp.csr_matrix((4 * nc, 2))], format="csr")
+    row = sp.hstack([E.T, sp.csr_matrix((2, 4 * nc))], format="csr")
+    return sp.bmat([[J, col], [row, sp.csr_matrix((2, 2))]], format="csc")

@@ -134,10 +134,11 @@ t_final = 6e-3
         assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
         line = capsys.readouterr().out.splitlines()[0]
         assert line.startswith("run complete: 3 steps")
-        counts = dict(part.rsplit(" ", 1) for part in line.split(", ")[-3:])
+        counts = dict(part.rsplit(" ", 1) for part in line.split(", ")[-4:])
         assert float(counts["LUs/step"]) > 0
         assert float(counts["Newton it./step"]) > 0
         assert int(counts["fill/LU"]) > 0
+        assert int(counts["orderings"]) == 1
         # solver counts stay out of the ledger
         header = (tmp_path / "out" / "ledger.csv").read_text().splitlines()[0]
         assert "fill" not in header and "factor" not in header
@@ -191,6 +192,7 @@ t_final = 6e-3
         assert report["tau_used"] == 2e-3
         assert report["newton_iterations"] == 1
         assert report["factorizations"] == 1      # the first step's only LU
+        assert report["orderings"] == 1
         assert "budget" in report["failure_reason"]
         hist = report["residual_history"]
         assert len(hist) == 2
@@ -239,6 +241,19 @@ t_final = 6e-3
         assert main(["run", path, "--out", str(out), "--dump-operators"]) == EXIT_OK
         assert (out / "operators" / "velocity_form.mtx").exists()
         assert (out / "operators" / "q_diffusion.mtx").exists()
+
+    def test_operator_dump_has_no_explicit_zeros(self, tmp_path):
+        # at delta = 0 the form's pattern keeps the biharmonic entries as
+        # explicit zeros; the dump leaves them out
+        import scipy.io
+
+        path = self._uniform_cfg(tmp_path, "[params]\ndelta = 0")
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--dump-operators"]) == EXIT_OK
+        for name in ("velocity_form", "q_diffusion", "mu_diffusion",
+                     "phi_laplacian"):
+            mat = scipy.io.mmread(str(out / "operators" / f"{name}.mtx"))
+            assert mat.nnz > 0 and np.all(mat.data != 0.0), name
 
 
 class TestStudies:

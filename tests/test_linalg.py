@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_assembly
 from surfflow.linalg import MeanPoissonSolver, assemble_velocity_form
 from surfflow.mesh import Grid, ScalarField, VectorField, div
 from surfflow.state import project_divergence_free
@@ -166,6 +167,20 @@ class TestVelocityForm:
             form = (2.0 * eta2 * (a11 * b11 + a22 * b22)).sum() * g.dV \
                 + (2.0 * eta_k * 2.0 * a12 * b12).sum() * g.dV
             assert v1 @ (A @ v2) == pytest.approx(form, rel=1e-12, abs=1e-12)
+
+    def test_matches_product_reference(self, rng):
+        # the fixed-pattern map against B^T diag(w) B by sparse products
+        for bc in ("box", "periodic"):
+            g = Grid(9, 7, 1.0, 1.3, bc)
+            eta = 1.0 + rng.random(g.n_cells)
+            for delta in (0.0, 2e-3):
+                A = assemble_velocity_form(g, eta, delta)
+                R = reference_assembly.velocity_form(g, eta, delta)
+                assert abs(A - R).max() <= 1e-14 * abs(R).max()
+            # one pattern for every eta and delta
+            B = assemble_velocity_form(g, 2.0 + rng.random(g.n_cells), 0.0)
+            assert np.array_equal(A.indptr, B.indptr)
+            assert np.array_equal(A.indices, B.indices)
 
     def test_biharmonic_term_added(self, rng):
         g = Grid(8, 8)

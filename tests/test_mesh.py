@@ -7,10 +7,10 @@ import pytest
 import scipy.sparse as sp
 
 from surfflow.constitutive import ModelParams, build_default_set
+from reference_assembly import convect_flux_jacobian, convect_matrix
 from surfflow.mesh import (FIELD_KIND_CELL, Grid, ScalarField, VectorField,
-                           convect_flux_jacobian, convect_matrix, convect_skew,
-                           div, grad, read_field_snapshot, sbp_selftest,
-                           write_field_snapshot)
+                           convect_skew, div, grad, read_field_snapshot,
+                           sbp_selftest, write_field_snapshot)
 from surfflow.state import State
 from surfflow.stepper import StepConfig, assemble_linear
 

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.optimize import root
 
+import reference_assembly
 from surfflow.constitutive import ModelParams, build_default_set
 from surfflow.energy import total_energy
 from surfflow.linalg import MeanPoissonSolver
@@ -477,6 +478,13 @@ def _held_at(s, g, cset, params, cfg) -> _HeldLU:
     return held
 
 
+def _forced(held: _HeldLU, price: float, base=None, excess=0) -> _HeldLU:
+    """``held`` with its refactor state set directly instead of from the
+    LU's fill, so a test's setup does not move with the ordering."""
+    held.price, held.base, held.excess = price, base, excess
+    return held
+
+
 class TestHeldLU:
     """The Newton LU outlives the step: reused while the residual contracts,
     dropped on a tau change, refactored when a stale full step fails."""
@@ -499,10 +507,8 @@ class TestHeldLU:
 
     def test_backoff_refactors_at_each_tau(self, cset, params, relax16):
         g, s0, cfg = relax16
-        held = _HeldLU()
-        s = s0
-        for _ in range(2):
-            s, _ = step(s, g, cset, params, cfg, held=held)
+        s = run(s0, g, cset, params, cfg, T=2 * cfg.tau).final_state
+        held = _forced(_held_at(s, g, cset, params, cfg), price=10.0)
         # three iterations cannot reach tol_nl at the full tau, refactored
         # or not (Newton from this state takes four): the step backs off
         tight = dataclasses.replace(cfg, max_newton=3, max_backoff=3)
@@ -575,10 +581,9 @@ class TestHeldLU:
 
     def test_budget_short_of_chord_refactors(self, cset, params, relax16):
         g, s0, cfg = relax16
-        held = _HeldLU()
-        s = s0
-        for _ in range(5):
-            s, _ = step(s, g, cset, params, cfg, held=held)
+        s = run(s0, g, cset, params, cfg, T=5 * cfg.tau).final_state
+        # the LU at the step's first iterate, priced at ten chord iterations
+        held = _forced(_held_at(s, g, cset, params, cfg), price=10.0)
         # with the full budget the held LU converges the next step as is
         _, rep = step(s, g, cset, params, cfg, held=dataclasses.replace(held))
         assert rep.factorizations == 0 and rep.newton_iterations > 4
@@ -587,6 +592,17 @@ class TestHeldLU:
         tight = dataclasses.replace(cfg, max_newton=4, max_backoff=0)
         assert held.price + 2.0 > tight.max_newton
         _, rep = step(s, g, cset, params, tight, held=held)
+        assert rep.converged and rep.backoffs == 0
+        assert rep.factorizations >= 1
+
+    def test_cheap_refactorization_taken_within_the_step(
+            self, cset, params, relax16):
+        g, s0, cfg = relax16
+        s = run(s0, g, cset, params, cfg, T=5 * cfg.tau).final_state
+        # the chord of the test above, but a refactorization priced at one
+        # chord iteration is cheaper than the iterations it still needs
+        held = _forced(_held_at(s, g, cset, params, cfg), price=1.0)
+        _, rep = step(s, g, cset, params, cfg, held=held)
         assert rep.converged and rep.backoffs == 0
         assert rep.factorizations >= 1
 
@@ -678,6 +694,103 @@ class TestJacobian:
             full = np.concatenate([dx, np.zeros(J.shape[0] - ntot)])
             jd = (J @ full)[:fd.size]
             assert np.max(np.abs(fd - jd)) / (1.0 + np.max(np.abs(jd))) < 1e-6
+
+
+def _iterate_near(s, rng, scale, v0):
+    """The state ``s`` perturbed by ``scale`` (v kept in v0 mode)."""
+    w = _Iterate(*(a + scale * rng.standard_normal(a.size)
+                   for a in _Iterate.of(s)))
+    if v0:
+        w.v = s.v.data
+    return w
+
+
+class TestFixedPattern:
+    """Every Jacobian of a grid and mode shares one pattern, which holds
+    the sparse-product assembly's nonzeros and values."""
+
+    CASES = [("box", True), ("box", False), ("periodic", False)]
+
+    @pytest.mark.parametrize("bc,v0", CASES)
+    def test_pattern_is_the_same_for_every_jacobian(self, cset, params, rng,
+                                                    bc, v0):
+        g = Grid(10, 8, 1.0, 1.0, bc)
+        # droplet: the coupled first step starts at v = 0
+        s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
+                                 g, params, cset)
+        cfg = StepConfig(tau=1e-3, v0_mode=v0)
+        s2 = run(s0, g, cset, params, cfg, T=2 * cfg.tau).final_state
+        assert v0 or np.abs(s2.v.data).max() > 0.0
+        jacs = []
+        for s in (s0, s2):                      # steps
+            lin = assemble_linear(s, g, cset, params, cfg)
+            for tau in (cfg.tau, 0.5 * cfg.tau):    # a tau halving
+                for scale in (0.0, 0.01):           # iterates
+                    w = _iterate_near(s, rng, scale, v0)
+                    jacs.append(_jacobian(lin, cset, cfg, tau,
+                                          _terms_at(lin, cset, cfg, tau, w)))
+        for J in jacs[1:]:
+            assert np.array_equal(J.indptr, jacs[0].indptr)
+            assert np.array_equal(J.indices, jacs[0].indices)
+
+    @pytest.mark.parametrize("bc,v0", CASES)
+    def test_matches_reference_assembly(self, cset, params, rng, bc, v0):
+        g = Grid(7, 6, 1.0, 1.0, bc)
+        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.2,
+                                                shear=0.3, radius=0.3),
+                                 g, params, cset)
+        if v0:
+            s0.v.data[:] = 0.0
+        cfg = StepConfig(tau=1e-2, v0_mode=v0)
+        lin = assemble_linear(s0, g, cset, params, cfg)
+        t = _terms_at(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, v0))
+        J = _jacobian(lin, cset, cfg, cfg.tau, t)
+        R = reference_assembly.jacobian(lin, cset, cfg, cfg.tau, t)
+        assert J.shape == R.shape
+        assert abs(J - R).max() <= 1e-12 * abs(R).max()
+        # every nonzero of the reference is structural in the pattern
+        S = J.copy()
+        S.data[:] = 1.0
+        R.eliminate_zeros()
+        R.data[:] = 1.0
+        assert (R - R.multiply(S)).count_nonzero() == 0
+
+    @pytest.mark.parametrize("v0", [True, False])
+    def test_later_lus_reuse_the_first_ordering(self, cset, params, rng, v0):
+        g = Grid(12, 12)
+        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1),
+                                 g, params, cset)
+        if v0:
+            s0.v.data[:] = 0.0
+        cfg = StepConfig(tau=1e-3, v0_mode=v0)
+        lin = assemble_linear(s0, g, cset, params, cfg)
+        t = _terms_at(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
+        J = _jacobian(lin, cset, cfg, cfg.tau, t)
+        b = rng.standard_normal(J.shape[0])
+        held, report = _HeldLU(), StepReport()
+        lus = []
+        for _ in range(2):
+            assert _factor(lin, cset, cfg, cfg.tau, t, held, report)
+            lus.append((held.permuted, held.lu.nnz, held.solve(b)))
+        assert report.factorizations == 2 and report.orderings == 1
+        (first, fill1, x1), (later, fill2, x2) = lus
+        assert not first and later and fill1 == fill2
+        assert np.abs(J @ x2 - b).max() <= 1e-10 * np.abs(b).max()
+        if v0:
+            # rows permuted alike: the same LU up to round-off
+            assert np.abs(x1 - x2).max() <= 1e-12 * np.abs(x1).max()
+        else:
+            # columns only: bitwise the same L, U and solve
+            assert np.array_equal(x1, x2)
+
+    def test_coupled_run_computes_one_ordering(self, cset, params):
+        g = Grid(12, 12)
+        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1,
+                                                shear=0.5), g, params, cset)
+        # the shorter last step refactors at least once more
+        res = run(s0, g, cset, params, StepConfig(tau=1e-3), T=4.5e-3)
+        assert sum(rep.factorizations for rep in res.reports) >= 2
+        assert sum(rep.orderings for rep in res.reports) == 1
 
 
 class TestTransportDefect:
