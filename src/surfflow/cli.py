@@ -293,15 +293,18 @@ def _cmd_run(values, outdir, args) -> int:
         _write_snapshots(outdir, result.final_state)
     if args.dump_operators:
         import scipy.io
+        import scipy.sparse as sp
 
         from .stepper import assemble_linear
         lin = assemble_linear(state0, grid, cset, params, stepcfg)
+        D, G = grid.ops.D, grid.ops.G
         opdir = outdir / "operators"
         opdir.mkdir(parents=True, exist_ok=True)
-        for name, mat in (("velocity_form", lin.A_form),
-                          ("q_diffusion", lin.lap_q),
-                          ("mu_diffusion", lin.lap_mu),
-                          ("phi_laplacian", params.epsilon * lin.lap_unit)):
+        for name, mat in (
+                ("velocity_form", lin.A_form),
+                ("q_diffusion", (D @ sp.diags(lin.m_faces) @ G).tocsr()),
+                ("mu_diffusion", (D @ sp.diags(lin.mt_faces) @ G).tocsr()),
+                ("phi_laplacian", params.epsilon * (D @ G).tocsr())):
             if mat is not None:
                 mat = mat.copy()          # the form keeps explicit zeros
                 mat.eliminate_zeros()

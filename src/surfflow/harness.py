@@ -208,7 +208,8 @@ def study_defect(base: SimulationSetup, grid_sizes,
             rep.failures.append(f"grid={n}: {res}")
             rep.rows.append({"failed": 1})
             continue
-        defect = max((abs(d) for d in res.defects), default=0.0)
+        defect = max((abs(rep.transport_defect) for rep in res.reports),
+                     default=0.0)
         rel_slack, e_prev = ledger_slack(res.rows, res.E0)
         E = np.array([r.E_tot for r in res.rows])
         neg_slack = max(0.0, -min(r.slack for r in res.rows))

@@ -213,8 +213,8 @@ class MeanPoissonSolver:
         sol = self._lu.solve(np.concatenate([rhs + int_x, [0.0]]))
         x = sol[:n] + int_x / self.volume
         res = float(np.linalg.norm(self.apply(x) - rhs))
-        target = REL_TOL * nb + ABS_TOL
-        if res > max(target, 1e-9 * nb):
+        bound = max(REL_TOL * nb + ABS_TOL, 1e-9 * nb)
+        if res > bound:
             raise SolverFailure(f"mean-augmented solve residual {res:.3e} "
-                                f"> {target:.3e}")
+                                f"> {bound:.3e}")
         return x

@@ -39,8 +39,8 @@ the capillary/Marangoni pair) is evaluated once per iterate from one
 discrete form; the cell<->face averaging pair is an exact transpose pair,
 which makes the mu-part of that coupling cancel exactly in the energy
 telescope.  The part that cannot cancel on a fixed stencil (the nonlinear
-chain rule of the surfactant transport) is measurable per step through
-``transport_defect``.
+chain rule of the surfactant transport) is measured from those forms at
+each step's converged iterate (``transport_defect``).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -102,6 +101,7 @@ class StepReport:
     factor_fill: int = 0                # sum of their L+U fill (lu.nnz)
     orderings: int = 0                  # fill-reducing orderings computed
     tau_used: float = 0.0
+    transport_defect: float = 0.0       # at the converged iterate (0 in v0)
     backoffs: int = 0
     converged: bool = False
     failure_reason: str = ""
@@ -141,37 +141,16 @@ class LinearizedSystem:
     # frozen operators
     A_form: Optional[sp.csc_matrix]     # velocity form (None in v0 mode)
 
-    # the diffusion blocks as matrices, for the operator dump (the
-    # residual applies them factored, the Jacobian has its own pattern)
-    @cached_property
-    def lap_q(self) -> sp.csr_matrix:
-        """div(m grad .)"""
-        ops = self.grid.ops
-        return (ops.D @ sp.diags(self.m_faces) @ ops.G).tocsr()
-
-    @cached_property
-    def lap_mu(self) -> sp.csr_matrix:
-        """div(mtilde grad .)"""
-        ops = self.grid.ops
-        return (ops.D @ sp.diags(self.mt_faces) @ ops.G).tocsr()
-
-    @cached_property
-    def lap_unit(self) -> sp.csr_matrix:
-        """div(grad .)"""
-        ops = self.grid.ops
-        return (ops.D @ ops.G).tocsr()
-
 
 def assemble_linear(state_k: State, grid: Grid, cset: ConstitutiveSet,
                     params: ModelParams, cfg: StepConfig) -> LinearizedSystem:
     """Freeze the coefficient fields and linear operators of one step.
 
     Velocity form: 2 eta(phi_k) symmetric-gradient form plus the
-    delta-weighted biharmonic pairing (coupled mode only).  Scalar blocks,
-    built on first use: div(m grad .) and div(mtilde grad .) with
-    face-averaged old-level mobilities, and the unit Laplacian.
-    Mobility/viscosity values outside [c1, c2] at the state samples are
-    rejected.
+    delta-weighted biharmonic pairing (coupled mode only).  The diffusion
+    blocks div(m grad .) and div(mtilde grad .) take the face-averaged
+    old-level mobilities.  Mobility/viscosity values outside [c1, c2] at
+    the state samples are rejected.
     """
     phi_k, q_k = state_k.phi.data, state_k.q.data
     mvals = np.broadcast_to(cset.m(phi_k, q_k), phi_k.shape)
@@ -206,18 +185,56 @@ def assemble_linear(state_k: State, grid: Grid, cset: ConstitutiveSet,
 # nonlinear terms and the residual at an iterate
 # ---------------------------------------------------------------------------
 
+def _block_layout(g: Grid, v0: bool) -> dict:
+    """Block name -> slice of the unknown vector, in the Jacobian's order:
+    [q, mu, phi] in v0 mode, else [v, p, q, mu, phi] plus the two border
+    multipliers ``b`` (periodic)."""
+    nc = g.n_cells
+    sizes = {"q": nc, "mu": nc, "phi": nc}
+    if not v0:
+        sizes = {"v": g.n_faces, "p": nc, **sizes}
+        if g.periodic:
+            sizes["b"] = 2
+    ends = np.cumsum(list(sizes.values())).tolist()
+    return {name: slice(end - n, end)
+            for (name, n), end in zip(sizes.items(), ends)}
+
+
+class _Iterate:
+    __slots__ = ("v", "p", "q", "mu", "phi")
+
+    def __init__(self, v, p, q, mu, phi):
+        self.v, self.p, self.q, self.mu, self.phi = v, p, q, mu, phi
+
+    @classmethod
+    def of(cls, s: State) -> "_Iterate":
+        return cls(s.v.data, s.p.data, s.q.data, s.mu.data, s.phi.data)
+
+    def __iter__(self):
+        return iter((self.v, self.p, self.q, self.mu, self.phi))
+
+    def moved(self, dx: np.ndarray, alpha: float, layout: dict) -> "_Iterate":
+        """This iterate plus ``alpha`` times the blocks of ``dx`` that
+        ``layout`` names (v and p stay in v0 mode)."""
+        return _Iterate(*(a + alpha * dx[layout[name]] if name in layout
+                          else a for name, a in zip(self.__slots__, self)))
+
+
 class _Terms:
-    """All nonlinear couplings evaluated at one iterate (shared forms are
-    computed once and reused by the residual, the Jacobian and the defect)."""
+    """The Newton context at one iterate: the step's frozen part, model
+    functions, settings and tau, and every nonlinear coupling evaluated
+    there (shared forms are computed once and reused by the residual, the
+    Jacobian and the defect)."""
 
     def __init__(self, lin: LinearizedSystem, cset: ConstitutiveSet,
-                 cfg: StepConfig, tau: float,
-                 v: np.ndarray, p: np.ndarray, q: np.ndarray,
-                 mu: np.ndarray, phi: np.ndarray):
+                 cfg: StepConfig, tau: float, w: _Iterate):
         g = lin.grid
         ops = g.ops
         eps = lin.params.epsilon
         delta = lin.params.delta
+        self.lin, self.cset, self.cfg, self.tau = lin, cset, cfg, tau
+        self.w = w
+        v, p, q, mu, phi = w
         self.v, self.p, self.q, self.mu, self.phi = v, p, q, mu, phi
 
         self.f_q = cset.f(q)
@@ -253,7 +270,7 @@ class _Terms:
             # momentum load: everything but the viscous form and grad p
             self.rhs_v = self.cap - self.time_term - self.conv + self.corr
 
-    def residual(self, lin: LinearizedSystem, cfg: StepConfig, tau: float):
+    def residual(self):
         """(stacked residual, per-block scaled norms) at this iterate.
 
         The vector follows the Jacobian's row order; each norm is
@@ -262,6 +279,7 @@ class _Terms:
         in the vector the border multiplier columns absorb them, pinning the
         velocity component means instead.
         """
+        lin, tau = self.lin, self.tau
         g = lin.grid
         ops = g.ops
         eps = lin.params.epsilon
@@ -281,7 +299,7 @@ class _Terms:
             "mu_relation": _rel(r_phi, [self.mu, lap_phi,
                                         self.mu_relation_explicit]),
         }
-        if cfg.v0_mode:
+        if self.cfg.v0_mode:
             return np.concatenate([r_q, r_mu, r_phi]), norms
 
         visc = (lin.A_form @ self.v) / g.dV
@@ -324,16 +342,11 @@ def _build_jacobian_pattern(g: Grid, v0: bool) -> FixedPattern:
     ops = g.ops
     nc, nf = g.n_cells, g.n_faces
     Ic = sp.identity(nc, format="csr")
-    sizes = {"q": nc, "mu": nc, "phi": nc}
-    if not v0:
-        sizes = {"v": nf, "p": nc, **sizes}
-        if g.periodic:
-            sizes["b"] = 2
-    start = dict(zip(sizes, np.cumsum([0] + list(sizes.values())).tolist()))
-    n = sum(sizes.values())
+    layout = _block_layout(g, v0)
+    n = max(sl.stop for sl in layout.values())
 
     def at(row, col):
-        return start[row], start[col]
+        return layout[row].start, layout[col].start
 
     terms = [
         ("q_q", chain(Ic, Ic, at=at("q", "q"))),
@@ -354,7 +367,7 @@ def _build_jacobian_pattern(g: Grid, v0: bool) -> FixedPattern:
     # one is replaced with a single-entry pressure pin (keeps the
     # factorization sparse); the pressure is shifted to mean zero once the
     # step converges
-    p0 = start["p"]
+    p0 = layout["p"].start
     terms += [
         ("v_v_form", velocity_form_pattern(g).entries()),
         ("v_v", chain(If, If)),
@@ -379,9 +392,9 @@ def _build_jacobian_pattern(g: Grid, v0: bool) -> FixedPattern:
             (f"flux{i}+", chain(0.5 * P, Ia, Y=f, at=(sl.start, a.start))),
             (f"flux{i}-", chain(-0.5 * Q.T, Ia, Y=f, at=(sl.start, a.start))),
             (f"jflux{i}+", chain(-0.5 * P, ops.G[a], Y=f,
-                                 at=(sl.start, start["mu"]))),
+                                 at=(sl.start, layout["mu"].start))),
             (f"jflux{i}-", chain(0.5 * Q.T, ops.G[a], Y=f,
-                                 at=(sl.start, start["mu"]))),
+                                 at=(sl.start, layout["mu"].start))),
         ]
     if g.periodic:
         # border multipliers absorb the constant momentum modes and pin the
@@ -395,10 +408,10 @@ def _build_jacobian_pattern(g: Grid, v0: bool) -> FixedPattern:
     return FixedPattern((n, n), terms)
 
 
-def _jacobian(lin: LinearizedSystem, cset: ConstitutiveSet, cfg: StepConfig,
-              tau: float, t: _Terms) -> sp.csc_matrix:
+def _jacobian(t: _Terms) -> sp.csc_matrix:
     """Sparse Jacobian of the coupled residual at the iterate in ``t``, on
     the grid's fixed pattern (see ``_jacobian_pattern``)."""
+    lin, cset, cfg, tau = t.lin, t.cset, t.cfg, t.tau
     g = lin.grid
     ops = g.ops
     eps = lin.params.epsilon
@@ -447,24 +460,6 @@ def _jacobian(lin: LinearizedSystem, cset: ConstitutiveSet, cfg: StepConfig,
 # ---------------------------------------------------------------------------
 # the step
 # ---------------------------------------------------------------------------
-
-class _Iterate:
-    __slots__ = ("v", "p", "q", "mu", "phi")
-
-    def __init__(self, v, p, q, mu, phi):
-        self.v, self.p, self.q, self.mu, self.phi = v, p, q, mu, phi
-
-    @classmethod
-    def of(cls, s: State) -> "_Iterate":
-        return cls(s.v.data, s.p.data, s.q.data, s.mu.data, s.phi.data)
-
-    def __iter__(self):
-        return iter((self.v, self.p, self.q, self.mu, self.phi))
-
-
-def _terms_at(lin, cset, cfg, tau, w: _Iterate) -> _Terms:
-    return _Terms(lin, cset, cfg, tau, *w)
-
 
 # A sparse LU's factorization costs about this many chord iterations (one
 # LU solve plus one residual) per unit of its L+U fill per unknown, the fill
@@ -568,16 +563,11 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
     iteration); it is dropped when it was factored at another tau, and
     rebuilt at the current iterate when ``held.chord_too_slow``.
     """
-    grid = state_k.grid
-    nc, nf = grid.n_cells, grid.n_faces
-    if cfg.v0_mode:
-        cuts = [nc, 2 * nc]
-    else:
-        cuts = [nf, nf + nc, nf + 2 * nc, nf + 3 * nc, nf + 4 * nc]
+    layout = _block_layout(state_k.grid, cfg.v0_mode)
     if held.tau != tau:
         held.lu = None
-    t = _terms_at(lin, cset, cfg, tau, w)
-    rvec, blocks = t.residual(lin, cfg, tau)
+    t = _Terms(lin, cset, cfg, tau, w)
+    rvec, blocks = t.residual()
     newton_left = cfg.max_newton
     prev_res = np.inf
     factorizations = report.factorizations
@@ -592,7 +582,9 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
             report.converged = True
             if report.factorizations == factorizations:   # no refactor here
                 held.settle(cfg.max_newton - newton_left)
-            return _finalize(state_k, grid, w, tau)
+            if not cfg.v0_mode:
+                report.transport_defect = transport_defect(t)
+            return _finalize(state_k, t.w, tau)
         if newton_left == 0:
             report.failure_reason = "Newton iteration budget exhausted"
             return None
@@ -600,31 +592,26 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
             res, prev_res, cfg.tol_nl, newton_left)
         newton_left -= 1
         report.newton_iterations += 1
-        if fresh and not _factor(lin, cset, cfg, tau, t, held, report):
+        if fresh and not _factor(t, held, report):
             return None
         prev_res = res
         alpha = 1.0
         while True:
             if alpha == 1.0:      # first trial, or after a stale-LU refactor
-                dx = np.split(held.solve(-rvec), cuts)
+                dx = held.solve(-rvec)
                 report.linear_solves += 1
-                # v and p are frozen in v0 mode; periodic border multipliers
-                # dropped
-                dw = [None, None] + dx[:3] if cfg.v0_mode else dx[:5]
-            w_try = _Iterate(*(a if d is None else a + alpha * d
-                               for a, d in zip(w, dw)))
-            t_try = _terms_at(lin, cset, cfg, tau, w_try)
-            rvec_try, blocks_try = t_try.residual(lin, cfg, tau)
+            t_try = _Terms(lin, cset, cfg, tau, t.w.moved(dx, alpha, layout))
+            rvec_try, blocks_try = t_try.residual()
             res_try = max(blocks_try.values())
             if np.isfinite(res_try) and res_try < res:
-                w, t, rvec, blocks = w_try, t_try, rvec_try, blocks_try
+                t, rvec, blocks = t_try, rvec_try, blocks_try
                 break
             report.rejected += 1
             if not fresh:
                 # a held LU gave a full step that does not descend:
                 # refactor at this iterate, line search only on that direction
                 fresh = True
-                if not _factor(lin, cset, cfg, tau, t, held, report):
+                if not _factor(t, held, report):
                     return None
                 continue
             alpha *= 0.5
@@ -633,8 +620,7 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 return None
 
 
-def _factor(lin, cset, cfg, tau, t: _Terms, held: _HeldLU,
-            report: StepReport) -> bool:
+def _factor(t: _Terms, held: _HeldLU, report: StepReport) -> bool:
     """Replace the held LU by one of the Jacobian at ``t``; False (with the
     reason in the report) when the factorization fails.
 
@@ -642,9 +628,10 @@ def _factor(lin, cset, cfg, tau, t: _Terms, held: _HeldLU,
     every later one factors the Jacobian permuted by it (see
     ``_Ordering``)."""
     held.lu = None                 # free the old LU before building the new
-    pattern = _jacobian_pattern(lin.grid, cfg.v0_mode)   # built once per grid
-    J = _jacobian(lin, cset, cfg, tau, t)
-    if cfg.v0_mode:
+    v0 = t.cfg.v0_mode
+    pattern = _jacobian_pattern(t.lin.grid, v0)   # built once per grid
+    J = _jacobian(t)
+    if v0:
         # [q, mu, phi] is structurally symmetric with a zero-free diagonal:
         # a minimum-degree ordering of J^T + J, applied to rows and columns
         # alike, has half COLAMD's fill; the diagonal pivots have passed the
@@ -668,16 +655,29 @@ def _factor(lin, cset, cfg, tau, t: _Terms, held: _HeldLU,
         report.failure_reason = f"Newton linearization failed: {exc}"
         return False
     if ordering is None:
-        held.ordering = _Ordering(pattern, np.argsort(lu.perm_c),
-                                  cfg.v0_mode)
+        held.ordering = _Ordering(pattern, np.argsort(lu.perm_c), v0)
         report.orderings += 1
-    held.hold(lu, tau, permuted=ordering is not None)
+    held.hold(lu, t.tau, permuted=ordering is not None)
     report.factorizations += 1
     report.factor_fill += lu.nnz
     return True
 
 
-def _finalize(state_k: State, grid: Grid, w: _Iterate, tau: float) -> State:
+def transport_defect(t: _Terms) -> float:
+    """Energy defect of the transport/Marangoni cancellation at the
+    converged iterate ``t`` of a coupled step.
+
+    Continuously the three coupling terms sum to an exact divergence; on a
+    fixed stencil the nonlinear chain rule leaves a residual.  This pairs
+    the three discrete forms the residual used with their unknowns:
+    tau * (q-transport + phi-transport - capillary power).
+    """
+    return t.tau * t.lin.grid.dV * float(
+        t.transport_q @ t.q + t.transport_phi @ t.mu - t.cap @ t.v)
+
+
+def _finalize(state_k: State, w: _Iterate, tau: float) -> State:
+    grid = state_k.grid
     p = w.p - w.p.mean()
     return State(
         v=VectorField(grid, w.v.copy()),
@@ -743,34 +743,7 @@ class RunResult:
     rows: list                    # energy-ledger rows (see energy module)
     reports: list
     final_state: State
-    defects: list
     E0: float                     # total energy of the initial state
-
-
-def transport_defect(state_k: State, state_k1: State, cset: ConstitutiveSet,
-                     params: ModelParams) -> float:
-    """Energy defect of the transport/Marangoni cancellation for one step.
-
-    Continuously the three coupling terms sum to an exact divergence; on a
-    fixed stencil the nonlinear chain rule leaves a residual.  This evaluates
-    the three discrete forms exactly as the stepper assembled them and
-    returns tau * (q-transport + phi-transport - capillary power).
-    """
-    g = state_k.grid
-    ops = g.ops
-    eps = params.epsilon
-    tau = state_k1.t - state_k.t
-    v1 = state_k1.v.data
-    phi_k = state_k.phi.data
-    grad_phi_k = ops.G @ phi_k
-    W_k = cset.W(phi_k)
-    q1, mu1 = state_k1.q.data, state_k1.mu.data
-    surf = cset.f(q1) * W_k / eps + cset.g(q1)
-    Y = float((ops.Afc @ ((ops.G @ surf) * v1)) @ q1) * g.dV
-    Z = float((ops.Afc @ (grad_phi_k * v1)) @ mu1) * g.dV
-    cap = (ops.Acf @ (mu1 - cset.h(q1) * cset.Wp(phi_k) / eps)) * grad_phi_k
-    X = float(cap @ v1) * g.dV
-    return tau * (Y + Z - X)
 
 
 def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
@@ -787,12 +760,11 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
         raise ValueError(f"horizon T must be positive and finite, got {T}")
     rows = []
     reports = []
-    defects = []
     s = state0
     prev = None
     prev_tau = 0.0
     held = _HeldLU()
-    result = RunResult(rows, reports, state0, defects,
+    result = RunResult(rows, reports, state0,
                        energy.total_energy(state0, cset, params).E_tot)
     while s.t < T - 1e-12 * max(T, 1.0):
         step_cfg = cfg
@@ -816,8 +788,6 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
                                 nl_iters=rep.iterations)
         rows.append(row)
         reports.append(rep)
-        defects.append(0.0 if cfg.v0_mode else
-                       transport_defect(s, s_new, cset, params))
         if callbacks:
             for cb in callbacks:
                 cb(s_new, rep, row)

@@ -1,7 +1,9 @@
 """Reference assemblies by sparse products, the way the solver's fixed
 patterns must reproduce them: the convection matrices of
 ``mesh.convect_skew``, the velocity form ``B^T diag(w) B`` and the
-stepper's Jacobian as one ``sp.bmat`` of its blocks."""
+stepper's Jacobian as one ``sp.bmat`` of its blocks; and the transport
+defect of a step rebuilt from its two states, which the stepper reads from
+its converged terms."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,8 +54,9 @@ def velocity_form(g, eta, delta):
     return (A + delta * g.dV * (ops.Lvec.T @ ops.Lvec)).tocsr()
 
 
-def jacobian(lin, cset, cfg, tau, t):
+def jacobian(t):
     """The stepper's Jacobian at the iterate ``t`` assembled block by block."""
+    lin, cset, cfg, tau = t.lin, t.cset, t.cfg, t.tau
     g = lin.grid
     ops = g.ops
     eps = lin.params.epsilon
@@ -118,3 +121,24 @@ def jacobian(lin, cset, cfg, tau, t):
     col = sp.vstack([E, sp.csr_matrix((4 * nc, 2))], format="csr")
     row = sp.hstack([E.T, sp.csr_matrix((2, 4 * nc))], format="csr")
     return sp.bmat([[J, col], [row, sp.csr_matrix((2, 2))]], format="csc")
+
+
+def transport_defect(state_k, state_k1, cset, params):
+    """tau * (q-transport + phi-transport - capillary power) of the step
+    from ``state_k`` to ``state_k1``, each form evaluated from the two
+    states with the old-level coefficients the stepper freezes."""
+    g = state_k.grid
+    ops = g.ops
+    eps = params.epsilon
+    tau = state_k1.t - state_k.t
+    v1 = state_k1.v.data
+    phi_k = state_k.phi.data
+    grad_phi_k = ops.G @ phi_k
+    W_k = cset.W(phi_k)
+    q1, mu1 = state_k1.q.data, state_k1.mu.data
+    surf = cset.f(q1) * W_k / eps + cset.g(q1)
+    Y = float((ops.Afc @ ((ops.G @ surf) * v1)) @ q1) * g.dV
+    Z = float((ops.Afc @ (grad_phi_k * v1)) @ mu1) * g.dV
+    cap = (ops.Acf @ (mu1 - cset.h(q1) * cset.Wp(phi_k) / eps)) * grad_phi_k
+    X = float(cap @ v1) * g.dV
+    return tau * (Y + Z - X)

@@ -82,15 +82,18 @@ class TestAuditStep:
 
     def test_quadrature_matches_stepper_operators(self, cset, params, rng):
         # the audited dissipation integral equals the quadratic form of the
-        # frozen diffusion block
-        from surfflow.stepper import assemble_linear
+        # frozen diffusion block, minus the Jacobian's (mu, mu) block
+        from surfflow.stepper import (_block_layout, _Iterate, _jacobian,
+                                      _Terms, assemble_linear)
         g = Grid(12, 12)
         s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.3),
                                  g, params, cset)
         cfg = StepConfig(tau=1e-3, v0_mode=True)
         lin = assemble_linear(s0, g, cset, params, cfg)
+        J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0)))
+        mu_block = _block_layout(g, v0=True)["mu"]
         mu = rng.standard_normal(g.n_cells)
-        form = -float((lin.lap_mu @ mu) @ mu) * g.dV
+        form = float((J[mu_block, mu_block] @ mu) @ mu) * g.dV
         gmu = g.ops.G @ mu
         direct = float((lin.mt_faces * gmu) @ gmu) * g.dV
         assert form == pytest.approx(direct, rel=1e-12)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import reference_assembly
-from surfflow.linalg import MeanPoissonSolver, assemble_velocity_form
+from surfflow.linalg import (ABS_TOL, REL_TOL, MeanPoissonSolver,
+                             SolverFailure, assemble_velocity_form)
 from surfflow.mesh import Grid, ScalarField, VectorField, div
 from surfflow.state import project_divergence_free
 
@@ -56,6 +57,35 @@ class TestMeanPoisson:
         w[0] = -1.0
         with pytest.raises(ValueError, match="positive"):
             MeanPoissonSolver(g, w)
+
+    def test_failure_states_the_applied_bound(self, rng):
+        # with |b| = 1 the certification accepts a residual up to 1e-9, ten
+        # times REL_TOL * |b| + ABS_TOL; a solve perturbed to either side of
+        # 1e-9 is accepted or rejected, and the rejection quotes 1e-9
+        g = Grid(10, 10)
+        solver = MeanPoissonSolver(g, np.ones(g.n_faces))
+        rhs = rng.standard_normal(g.n_cells)
+        rhs /= np.linalg.norm(rhs)
+        bound = max(REL_TOL + ABS_TOL, 1e-9)
+        assert bound == 1e-9
+        lu = solver._lu
+        d = rng.standard_normal(g.n_cells)
+        d /= np.linalg.norm(solver.apply(d))     # apply(d) has norm 1
+
+        class Perturbed:
+            def __init__(self, size):
+                self.size = size
+
+            def solve(self, b):
+                x = lu.solve(b)
+                x[:-1] += self.size * d
+                return x
+
+        solver._lu = Perturbed(0.5 * bound)
+        solver.solve(rhs)                      # above the old message's bound
+        solver._lu = Perturbed(2.0 * bound)
+        with pytest.raises(SolverFailure, match=f"> {bound:.3e}$"):
+            solver.solve(rhs)
 
 
 class TestSaddle:

@@ -12,25 +12,33 @@ from surfflow.mesh import (FIELD_KIND_CELL, Grid, ScalarField, VectorField,
                            convect_skew, div, grad, read_field_snapshot,
                            sbp_selftest, write_field_snapshot)
 from surfflow.state import State
-from surfflow.stepper import StepConfig, assemble_linear
+from surfflow.stepper import (StepConfig, _block_layout, _Iterate, _jacobian,
+                              _Terms, assemble_linear)
 
 BCS = ("box", "periodic")
 
 
-def _stepper_laplacians(g, rng, m=None):
-    """The stepper's frozen diffusion blocks over a random state: lap_q =
-    div(m grad .), lap_mu = div(mtilde grad .) and lap_unit = div(grad .),
-    with mobilities that vary from face to face."""
+def _stepper_diffusion(g, rng, m=None):
+    """The stepper's frozen step over a random state, with mobilities that
+    vary from face to face, and the diffusion blocks div(m grad .) and
+    div(mtilde grad .) its Newton Jacobian applies: minus the (q, q) and
+    (mu, mu) blocks in v0 mode.  With f' = g' = 0 the (q, q) block holds
+    no other term."""
     params = ModelParams()
     cset = dataclasses.replace(
         build_default_set(params),
         m=m or (lambda phi, q: np.exp(0.3 * np.tanh(phi + q))),
-        mtilde=lambda phi: np.exp(-0.3 * np.tanh(phi)))
+        mtilde=lambda phi: np.exp(-0.3 * np.tanh(phi)),
+        fp=np.zeros_like, gp=np.zeros_like)
     s = State(v=VectorField.zeros(g), p=ScalarField.zeros(g),
               phi=ScalarField(g, rng.standard_normal(g.n_cells)),
               mu=ScalarField.zeros(g),
               q=ScalarField(g, rng.standard_normal(g.n_cells)))
-    return assemble_linear(s, g, cset, params, StepConfig(v0_mode=True))
+    cfg = StepConfig(v0_mode=True)
+    lin = assemble_linear(s, g, cset, params, cfg)
+    J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s)))
+    layout = _block_layout(g, v0=True)
+    return lin, [-J[layout[b], layout[b]] for b in ("q", "mu")]
 
 
 class TestGradDiv:
@@ -84,7 +92,7 @@ class TestLaplaceNeumann:
     def test_constants_in_kernel(self, rng):
         for bc in BCS:
             g = Grid(12, 12, 1.0, 1.0, bc)
-            lin = _stepper_laplacians(g, rng)
+            lin, _ = _stepper_diffusion(g, rng)
             # the residual applies the blocks factored, D (w G c), which is
             # exact on constants (the assembled product is only to round-off)
             c = np.full(g.n_cells, 2.0)
@@ -95,7 +103,8 @@ class TestLaplaceNeumann:
         g = Grid(64, 8, 1.0, 1.0, "periodic")
         k = 2 * np.pi / g.lx
         c = ScalarField.from_function(g, lambda X, Y: np.cos(k * X))
-        out = _stepper_laplacians(g, rng).lap_unit @ c.data
+        # the unit Laplacian as the residual applies it, factored
+        out = g.ops.D @ (g.ops.G @ c.data)
         sym = -(2.0 * np.sin(0.5 * k * g.dx) / g.dx) ** 2
         # exact discrete eigenvalue, and second-order close to the analytic one
         assert np.abs(out - sym * c.data).max() < 1e-11
@@ -104,19 +113,19 @@ class TestLaplaceNeumann:
     def test_symmetry(self, rng):
         for bc in BCS:
             g = Grid(10, 14, 1.0, 1.0, bc)
-            lin = _stepper_laplacians(g, rng)
+            _, laps = _stepper_diffusion(g, rng)
             a = rng.standard_normal(g.n_cells)
             b = rng.standard_normal(g.n_cells)
-            for lap in (lin.lap_q, lin.lap_mu):
+            for lap in laps:
                 s1 = float((lap @ a) @ b)
                 s2 = float(a @ (lap @ b))
                 assert abs(s1 - s2) <= 1e-13 * (1 + abs(s1) + abs(s2))
 
     def test_mean_preservation(self, rng):
         g = Grid(16, 16, 1.0, 1.0, "box")
-        lin = _stepper_laplacians(g, rng)
+        _, laps = _stepper_diffusion(g, rng)
         c = rng.standard_normal(g.n_cells)
-        for lap in (lin.lap_q, lin.lap_mu):
+        for lap in laps:
             assert abs((lap @ c).sum() * g.dV) < 1e-13
 
     def test_rejects_nonpositive_coefficient(self, rng):
@@ -124,7 +133,7 @@ class TestLaplaceNeumann:
         # the diffusion blocks
         g = Grid(8, 8)
         with pytest.raises(ValueError, match="coefficient m leaves"):
-            _stepper_laplacians(g, rng, m=lambda phi, q: 0.0 * phi)
+            _stepper_diffusion(g, rng, m=lambda phi, q: 0.0 * phi)
 
 
 class TestVectorLaplacian:

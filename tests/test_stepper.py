@@ -14,9 +14,9 @@ from surfflow.linalg import MeanPoissonSolver
 from surfflow.mesh import Grid, ScalarField, VectorField, convect_skew
 from surfflow.state import ScenarioConfig, State, initialize_scenario
 from surfflow.stepper import (FACTOR_COST_PER_FILL, StepConfig, StepFailure,
-                              StepReport, _factor, _HeldLU, _Iterate,
-                              _jacobian, _terms_at, assemble_linear, run, step,
-                              transport_defect)
+                              StepReport, _block_layout, _factor, _HeldLU,
+                              _Iterate, _jacobian, _Terms, assemble_linear,
+                              run, step)
 
 
 def two_cell_oracle(phi_k, q_k, cset, params, tau, dx, x0=None):
@@ -102,7 +102,7 @@ def _mass_flux(phi_k, mu, cset, params):
               mu=mu, q=ScalarField.zeros(g))
     cfg = StepConfig(tau=1e-3)
     lin = assemble_linear(s, g, cset, params, cfg)
-    return _terms_at(lin, cset, cfg, cfg.tau, _Iterate.of(s)).Jt
+    return _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s)).Jt
 
 
 class TestMassFlux:
@@ -136,14 +136,19 @@ class TestMassFlux:
 
 class TestAssembly:
     def test_blocks_symmetric(self, cset, params, rng):
+        # the velocity form and the diagonal blocks of the Jacobian: at
+        # v = 0 each scalar block is its diffusion operator plus a diagonal
         g = Grid(12, 12)
         s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.2),
                                  g, params, cset)
-        lin = assemble_linear(s0, g, cset, params, StepConfig(tau=1e-3))
+        cfg = StepConfig(tau=1e-3)
+        lin = assemble_linear(s0, g, cset, params, cfg)
+        J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0)))
+        layout = _block_layout(g, v0=False)
         probes = {}
-        for name, mat in (("velocity", lin.A_form), ("q", lin.lap_q),
-                          ("mu", lin.lap_mu),
-                          ("phi", params.epsilon * lin.lap_unit)):
+        for name, mat in (("velocity", lin.A_form),
+                          *((b, J[layout[b], layout[b]])
+                            for b in ("q", "mu", "phi"))):
             worst = 0.0
             for _ in range(6):
                 x = rng.standard_normal(mat.shape[0])
@@ -174,10 +179,8 @@ class TestAssembly:
                                                 q0=0.3), g, params, cset)
         cfg = StepConfig(tau=1e-3)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _terms_at(lin, cset, cfg, cfg.tau,
-                      _Iterate(s0.v.data, s0.p.data, s0.q.data, s0.mu.data,
-                               s0.phi.data))
-        r, res = t.residual(lin, cfg, cfg.tau)
+        t = _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
+        r, res = t.residual()
         assert max(res.values()) == 0.0
         assert np.all(r == 0.0)
 
@@ -192,7 +195,7 @@ class TestAssembly:
         s0 = State(VectorField.zeros(g), ScalarField.zeros(g), phi, mu, q)
         cfg = StepConfig(tau=1e-3)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _terms_at(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
+        t = _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
         cap_cells = mu.data - cset.h(q.data) * cset.Wp(phi.data) / params.epsilon
         expect = (g.ops.Acf @ cap_cells) * (g.ops.G @ phi.data)
         assert np.abs(t.rhs_v - expect).max() < 1e-13
@@ -207,9 +210,7 @@ class TestAssembly:
                                                 shear=0.5), g, p2, cs2)
         cfg = StepConfig(tau=1e-3)
         lin = assemble_linear(s0, g, cs2, p2, cfg)
-        t = _terms_at(lin, cs2, cfg, cfg.tau,
-                      _Iterate(s0.v.data, s0.p.data, s0.q.data, s0.mu.data,
-                               s0.phi.data))
+        t = _Terms(lin, cs2, cfg, cfg.tau, _Iterate.of(s0))
         assert np.all(t.Jt.data == 0.0)
         assert np.all(t.corr == 0.0)
         M = VectorField(g, (g.ops.Acf @ cs2.rho(s0.phi.data)) * s0.v.data)
@@ -382,7 +383,7 @@ class TestRun:
         s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
                                  g, params, cset)
         res = run(s0, g, cset, params, StepConfig(tau=1e-3, v0_mode=True), T=2e-3)
-        assert all(d == 0.0 for d in res.defects)
+        assert all(rep.transport_defect == 0.0 for rep in res.reports)
 
     def test_partial_ledger_on_failure(self, cset, params):
         g = Grid(12, 12)
@@ -472,8 +473,7 @@ def _held_at(s, g, cset, params, cfg) -> _HeldLU:
     """A holder with the LU of the Jacobian at the state ``s``."""
     lin = assemble_linear(s, g, cset, params, cfg)
     held = _HeldLU()
-    assert _factor(lin, cset, cfg, cfg.tau,
-                   _terms_at(lin, cset, cfg, cfg.tau, _Iterate.of(s)),
+    assert _factor(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s)),
                    held, StepReport())
     return held
 
@@ -615,9 +615,8 @@ class TestFactorOrdering:
     def _lu_and_jacobian(s, g, cset, params, cfg):
         held = _held_at(s, g, cset, params, cfg)
         lin = assemble_linear(s, g, cset, params, cfg)
-        return held.lu, _jacobian(lin, cset, cfg, cfg.tau,
-                                  _terms_at(lin, cset, cfg, cfg.tau,
-                                            _Iterate.of(s)))
+        return held.lu, _jacobian(_Terms(lin, cset, cfg, cfg.tau,
+                                         _Iterate.of(s)))
 
     def test_v0_lu_ordered_symmetrically(self, cset, params, relax16):
         g, s0, cfg = relax16
@@ -629,11 +628,11 @@ class TestFactorOrdering:
     def test_report_sums_fill_of_lus_built(self, cset, params, relax16):
         g, s0, cfg = relax16
         lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _terms_at(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
+        t = _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
         held, report = _HeldLU(), StepReport()
         fills = []
         for _ in range(2):
-            assert _factor(lin, cset, cfg, cfg.tau, t, held, report)
+            assert _factor(t, held, report)
             fills.append(held.lu.nnz)
         assert report.factorizations == 2
         assert report.factor_fill == sum(fills) > 0
@@ -666,33 +665,19 @@ class TestJacobian:
             s0.mu.data + 0.01 * rng.standard_normal(g.n_cells),
             s0.phi.data + 0.01 * rng.standard_normal(g.n_cells))
         tau = cfg.tau
-        t = _terms_at(lin, cset, cfg, tau, w)
-        J = _jacobian(lin, cset, cfg, tau, t)
-        nf, nc = g.n_faces, g.n_cells
-        ntot = 3 * nc if v0 else nf + 4 * nc
-
-        def unpack(d):
-            w2 = _Iterate(*w)
-            off = 0
-            if not v0:
-                w2.v = w.v + d[:nf]
-                w2.p = w.p + d[nf:nf + nc]
-                off = nf + nc
-            w2.q = w.q + d[off:off + nc]
-            w2.mu = w.mu + d[off + nc:off + 2 * nc]
-            w2.phi = w.phi + d[off + 2 * nc:off + 3 * nc]
-            return w2
+        J = _jacobian(_Terms(lin, cset, cfg, tau, w))
+        layout = _block_layout(g, v0)
 
         h = 1e-7
         for _ in range(4):
-            dx = rng.standard_normal(ntot)
-            rp, _ = _terms_at(lin, cset, cfg, tau,
-                              unpack(h * dx)).residual(lin, cfg, tau)
-            rm, _ = _terms_at(lin, cset, cfg, tau,
-                              unpack(-h * dx)).residual(lin, cfg, tau)
+            dx = rng.standard_normal(J.shape[0])
+            if "b" in layout:           # multipliers are not in the iterate
+                dx[layout["b"]] = 0.0
+            rp, rm = (_Terms(lin, cset, cfg, tau,
+                             w.moved(dx, d, layout)).residual()[0]
+                      for d in (h, -h))
             fd = (rp - rm) / (2 * h)
-            full = np.concatenate([dx, np.zeros(J.shape[0] - ntot)])
-            jd = (J @ full)[:fd.size]
+            jd = (J @ dx)[:fd.size]
             assert np.max(np.abs(fd - jd)) / (1.0 + np.max(np.abs(jd))) < 1e-6
 
 
@@ -727,8 +712,7 @@ class TestFixedPattern:
             for tau in (cfg.tau, 0.5 * cfg.tau):    # a tau halving
                 for scale in (0.0, 0.01):           # iterates
                     w = _iterate_near(s, rng, scale, v0)
-                    jacs.append(_jacobian(lin, cset, cfg, tau,
-                                          _terms_at(lin, cset, cfg, tau, w)))
+                    jacs.append(_jacobian(_Terms(lin, cset, cfg, tau, w)))
         for J in jacs[1:]:
             assert np.array_equal(J.indptr, jacs[0].indptr)
             assert np.array_equal(J.indices, jacs[0].indices)
@@ -743,9 +727,9 @@ class TestFixedPattern:
             s0.v.data[:] = 0.0
         cfg = StepConfig(tau=1e-2, v0_mode=v0)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _terms_at(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, v0))
-        J = _jacobian(lin, cset, cfg, cfg.tau, t)
-        R = reference_assembly.jacobian(lin, cset, cfg, cfg.tau, t)
+        t = _Terms(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, v0))
+        J = _jacobian(t)
+        R = reference_assembly.jacobian(t)
         assert J.shape == R.shape
         assert abs(J - R).max() <= 1e-12 * abs(R).max()
         # every nonzero of the reference is structural in the pattern
@@ -764,13 +748,13 @@ class TestFixedPattern:
             s0.v.data[:] = 0.0
         cfg = StepConfig(tau=1e-3, v0_mode=v0)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _terms_at(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
-        J = _jacobian(lin, cset, cfg, cfg.tau, t)
+        t = _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
+        J = _jacobian(t)
         b = rng.standard_normal(J.shape[0])
         held, report = _HeldLU(), StepReport()
         lus = []
         for _ in range(2):
-            assert _factor(lin, cset, cfg, cfg.tau, t, held, report)
+            assert _factor(t, held, report)
             lus.append((held.permuted, held.lu.nnz, held.solve(b)))
         assert report.factorizations == 2 and report.orderings == 1
         (first, fill1, x1), (later, fill2, x2) = lus
@@ -794,12 +778,33 @@ class TestFixedPattern:
 
 
 class TestTransportDefect:
-    def test_zero_without_velocity(self, cset, params):
-        g = Grid(12, 12)
-        s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
-                                 g, params, cset)
-        s1, rep = step(s0, g, cset, params, StepConfig(tau=1e-3, v0_mode=True))
-        assert transport_defect(s0, s1, cset, params) == 0.0
+    @pytest.mark.parametrize("bc,v0", [("box", False), ("periodic", False),
+                                       ("box", True)])
+    def test_matches_state_pair_reference(self, cset, params, bc, v0):
+        # each step's defect, read from its converged terms, against the
+        # three forms rebuilt from the two states; exactly 0 without flow
+        g = Grid(12, 12, 1.0, 1.0, bc)
+        scenario = (ScenarioConfig(name="droplet", q0=0.1) if v0 else
+                    ScenarioConfig(name="shear-droplet", q0=0.1, shear=0.5))
+        s0 = initialize_scenario(scenario, g, params, cset)
+        pairs = []
+        states = [s0]
+
+        def record(s, rep, row):
+            pairs.append((rep.transport_defect,
+                          reference_assembly.transport_defect(
+                              states[-1], s, cset, params)))
+            states.append(s)
+
+        run(s0, g, cset, params, StepConfig(tau=1e-3, v0_mode=v0), T=4e-3,
+            callbacks=[record])
+        assert len(pairs) == 4
+        if v0:
+            assert all(d == 0.0 and ref == 0.0 for d, ref in pairs)
+        else:
+            assert all(ref != 0.0 for _, ref in pairs)
+            for d, ref in pairs:
+                assert abs(d - ref) <= 1e-13 * abs(ref)
 
     def test_mu_coupling_cancels_exactly(self, cset, params, rng):
         # the mu-part of the capillary force pairs with the phi transport
