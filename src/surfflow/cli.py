@@ -313,7 +313,7 @@ def _cmd_run(values, outdir, args) -> int:
     rel_slack, _ = ledger_slack(result.rows, result.E0)
     bad_slack = int(np.sum(rel_slack < -SLACK_TOL))
     n_steps = len(result.rows)
-    lus = sum(rep.factorizations for rep in result.reports)
+    builds = sum(rep.factorizations for rep in result.reports)
     newton = sum(rep.newton_iterations for rep in result.reports)
     fill = sum(rep.factor_fill for rep in result.reports)
     orderings = sum(rep.orderings for rep in result.reports)
@@ -321,8 +321,8 @@ def _cmd_run(values, outdir, args) -> int:
           f"E_tot={last.E_tot:.9g}, phi_mass={last.phi_mass:.12g}, "
           f"max|div v|={max(r.div_inf for r in result.rows):.3e}, "
           f"energy-slack violations: {bad_slack}, "
-          f"LUs/step {lus / n_steps:.3g}, Newton it./step "
-          f"{newton / n_steps:.3g}, fill/LU {fill / max(lus, 1):.0f}, "
+          f"operator builds/step {builds / n_steps:.3g}, Newton it./step "
+          f"{newton / n_steps:.3g}, fill/build {fill / max(builds, 1):.0f}, "
           f"orderings {orderings}")
     print(f"ledger: {outdir / 'ledger.csv'}")
     return EXIT_OK

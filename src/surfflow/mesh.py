@@ -237,14 +237,6 @@ class Grid:
         y = (np.arange(self.ny) + 0.5) * self.dy
         return np.meshgrid(x, y, indexing="ij")
 
-    def yface_coords(self):
-        x = (np.arange(self.nx) + 0.5) * self.dx
-        if self.periodic:
-            y = np.arange(self.ny) * self.dy
-        else:
-            y = np.arange(1, self.ny) * self.dy
-        return np.meshgrid(x, y, indexing="ij")
-
     @property
     def ops(self) -> "GridOperators":
         if self._ops is None:
@@ -334,18 +326,10 @@ class ScalarField:
     def full(cls, grid: Grid, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.n_cells, float(value)))
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        X, Y = grid.cell_centers()
-        return cls(grid, np.asarray(fn(X, Y), dtype=float).ravel())
-
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float).ravel()
         if self.data.size != self.grid.n_cells:
             raise ValueError("scalar field size does not match grid")
-
-    def view2d(self) -> np.ndarray:
-        return self.data.reshape(self.grid.cell_shape)
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.data.copy())
@@ -381,12 +365,6 @@ class VectorField:
     @property
     def uy(self) -> np.ndarray:
         return self.data[self.grid.n_xfaces:]
-
-    def ux2d(self) -> np.ndarray:
-        return self.ux.reshape(self.grid.xface_shape)
-
-    def uy2d(self) -> np.ndarray:
-        return self.uy.reshape(self.grid.yface_shape)
 
     def copy(self) -> "VectorField":
         return VectorField(self.grid, self.data.copy())

@@ -6,29 +6,34 @@ energy-stable discretization prescribes: viscosity, mobilities, density and
 the transported gradients use the old phi/q, while the potentials f, g, h
 and the secant slope H of W are evaluated implicitly.
 
-The solver is Newton's method on the full coupled residual, started from
-the first iterate (the old state, or the extrapolated predictor).  Each
-iteration solves with a sparse LU of the coupled Jacobian.  The Jacobian
-has one fixed pattern per grid and mode (``_jacobian_pattern``, explicit
-zeros kept): each of its terms is a constant operator chain with at most
-two diagonal weights, so a Jacobian is one sparse product of a per-grid
-map with the weights, for every iterate, step and tau alike.  The
-transport-free Jacobian [q, mu, phi] is structurally symmetric with a
-zero-free diagonal, so its LU takes a symmetric minimum-degree ordering
-(half the fill of COLAMD's); the coupled saddle, whose pressure block is
-zero but for the pin, keeps COLAMD with partial pivoting.  The ordering
-is computed by the first LU only; later LUs factor the Jacobian permuted
-by it in natural order (see ``_Ordering``).  ``run`` holds
-that LU from step to step (chord iterations) and rebuilds it at the current
-iterate when the chord iterations still expected cost more than a new
-factorization (see ``_HeldLU``), and drops it whenever tau differs from the
-tau it was factored at (the shorter last step, every tau halving).  A full
-step from an LU not factored at the current iterate that does not lower the
-residual is solved again with a fresh LU.  A backtracking line search on a
-fresh LU's direction accepts an iterate only if it lowers the scaled
-residual, so the accepted residual history is strictly decreasing.  When
-the line search stalls or the iteration budget runs out, the step is
-retried with tau halved.
+The solver is a Newton iteration on the full coupled residual, started
+from the first iterate (the old state, or the extrapolated predictor).  The
+unknowns split into the Stokes blocks S = [v, p, b] (momentum, continuity,
+periodic border) and the Cahn-Hilliard blocks C = [q, mu, phi].  The Newton
+operator is one block Gauss-Seidel sweep over that split (``_BlockLU``):
+y_S = J_SS^-1 r_S, then y_C = J_CC^-1 (r_C - J_CS y_S), with a sparse LU of
+J_SS and one of J_CC; J_SC, the response of the momentum to q, mu and phi,
+is never built.  In v0 mode there is no S block and the operator is the LU
+of J_CC, the exact transport-free Jacobian.  Each of J_SS, J_CS and J_CC
+has one fixed pattern per grid and mode (``_jacobian_patterns``, explicit
+zeros kept): each term is a constant operator chain with at most two
+diagonal weights, so a block is one sparse product of a per-grid map with
+the weights, for every iterate, step and tau alike.  J_CC is structurally
+symmetric with a zero-free diagonal, so its LU takes a symmetric
+minimum-degree ordering (half the fill of COLAMD's); J_SS, whose pressure
+block is zero but for the pin, keeps COLAMD with partial pivoting.  Each
+block's ordering is computed by its first LU only; later LUs factor the
+block permuted by it in natural order (see ``_Ordering``).  ``run`` holds
+the operator from step to step (chord iterations) and rebuilds it at the
+current iterate when the chord iterations still expected cost more than a
+new factorization (see ``_HeldLU``), and drops it whenever tau differs from
+the tau it was factored at (the shorter last step, every tau halving).  A
+full step from an operator not built at the current iterate that does not
+lower the residual is solved again with a fresh one.  A backtracking line
+search on a fresh operator's direction accepts an iterate only if it lowers
+the scaled residual, so the accepted residual history is strictly
+decreasing.  When the line search stalls or the iteration budget runs out,
+the step is retried with tau halved.
 
 Momentum convection uses the skew form (M . grad) v + (div M) v / 2 with
 mass flux M = rho_k v + J, discretized by ``mesh.convect_skew`` so that its
@@ -48,7 +53,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,9 +102,9 @@ class StepReport:
     residual_history: list = field(default_factory=list)   # accepted, per block
     rejected: int = 0                   # line-search trials not accepted
     linear_solves: int = 0
-    factorizations: int = 0             # Jacobian LUs built, all tau attempts
-    factor_fill: int = 0                # sum of their L+U fill (lu.nnz)
-    orderings: int = 0                  # fill-reducing orderings computed
+    factorizations: int = 0             # Newton operator builds, all attempts
+    factor_fill: int = 0                # summed L+U fill (lu.nnz) of their LUs
+    orderings: int = 0                  # fill-reducing orderings, one per LU
     tau_used: float = 0.0
     transport_defect: float = 0.0       # at the converged iterate (0 in v0)
     backoffs: int = 0
@@ -185,16 +190,21 @@ def assemble_linear(state_k: State, grid: Grid, cset: ConstitutiveSet,
 # nonlinear terms and the residual at an iterate
 # ---------------------------------------------------------------------------
 
+_CH_BLOCKS = ("q", "mu", "phi")
+
+
 def _block_layout(g: Grid, v0: bool) -> dict:
     """Block name -> slice of the unknown vector, in the Jacobian's order:
-    [q, mu, phi] in v0 mode, else [v, p, q, mu, phi] plus the two border
-    multipliers ``b`` (periodic)."""
+    the Stokes blocks [v, p] plus the two border multipliers ``b``
+    (periodic), coupled mode only, then the Cahn-Hilliard blocks
+    [q, mu, phi] from ``layout["q"].start`` on."""
     nc = g.n_cells
-    sizes = {"q": nc, "mu": nc, "phi": nc}
+    sizes = {}
     if not v0:
-        sizes = {"v": g.n_faces, "p": nc, **sizes}
+        sizes = {"v": g.n_faces, "p": nc}
         if g.periodic:
             sizes["b"] = 2
+    sizes.update((name, nc) for name in _CH_BLOCKS)
     ends = np.cumsum(list(sizes.values())).tolist()
     return {name: slice(end - n, end)
             for (name, n), end in zip(sizes.items(), ends)}
@@ -315,10 +325,10 @@ class _Terms:
                                             self.time_term, self.conv])
         r_div = ops.D @ self.v
         r_div[0] = self.p[0]               # redundant row replaced by the p pin
-        parts = [r_v, r_div, r_q, r_mu, r_phi]
+        parts = [r_v, r_div]
         if g.periodic:
             parts.append(np.array([self.v[:nxf].sum(), self.v[nxf:].sum()]))
-        return np.concatenate(parts), norms
+        return np.concatenate(parts + [r_q, r_mu, r_phi]), norms
 
 
 def _rel(r: np.ndarray, terms) -> float:
@@ -330,25 +340,37 @@ def _rel(r: np.ndarray, terms) -> float:
 # Newton linearization
 # ---------------------------------------------------------------------------
 
-def _jacobian_pattern(g: Grid, v0: bool) -> FixedPattern:
-    """The fixed pattern of ``_jacobian``, built on first use per grid and
-    mode: one named term per coefficient, in the unknown order [v, p]
-    (coupled mode only), q, mu, phi, then the border columns (periodic)."""
+class _Jacobian(NamedTuple):
+    """The blocks of the Newton Jacobian the operator uses: J_SS and J_CS
+    (None in v0 mode) and J_CC, over S = [v, p, b] and C = [q, mu, phi];
+    also their fixed patterns (``_jacobian_patterns``).  J_SC is never
+    built."""
+    SS: Optional[sp.csc_matrix]
+    CS: Optional[sp.csc_matrix]
+    CC: sp.csc_matrix
+
+
+def _jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
+    """The fixed patterns of ``_jacobian``'s blocks, built on first use per
+    grid and mode: one named term per coefficient, each at its position in
+    the S or C run of ``_block_layout``."""
     return g.ops.pattern(("jacobian", v0),
-                         lambda: _build_jacobian_pattern(g, v0))
+                         lambda: _build_jacobian_patterns(g, v0))
 
 
-def _build_jacobian_pattern(g: Grid, v0: bool) -> FixedPattern:
+def _build_jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
     ops = g.ops
     nc, nf = g.n_cells, g.n_faces
     Ic = sp.identity(nc, format="csr")
     layout = _block_layout(g, v0)
-    n = max(sl.stop for sl in layout.values())
+    ns = layout["q"].start
+    nC = 3 * nc
 
     def at(row, col):
-        return layout[row].start, layout[col].start
+        return tuple(layout[b].start - (ns if b in _CH_BLOCKS else 0)
+                     for b in (row, col))
 
-    terms = [
+    cc = [
         ("q_q", chain(Ic, Ic, at=at("q", "q"))),
         ("q_q_diff", chain(ops.D, ops.G, at=at("q", "q"))),
         ("q_phi", chain(Ic, Ic, at=at("q", "phi"))),
@@ -360,41 +382,36 @@ def _build_jacobian_pattern(g: Grid, v0: bool) -> FixedPattern:
         ("phi_phi_lap", scaled(ops.D @ ops.G, at=at("phi", "phi"))),
     ]
     if v0:
-        return FixedPattern((n, n), terms)
+        return _Jacobian(None, None, FixedPattern((nC, nC), cc))
+    cc.append(("q_q_transport",
+               chain(ops.Afc, Ic, Y=ops.G, at=at("q", "q"))))
 
     If = sp.identity(nf, format="csr")
+    cs = [("q_v", chain(ops.Afc, If, at=at("q", "v"))),
+          ("mu_v", chain(ops.Afc, If, at=at("mu", "v")))]
     # the continuity rows sum to zero identically, so the redundant first
     # one is replaced with a single-entry pressure pin (keeps the
     # factorization sparse); the pressure is shifted to mean zero once the
     # step converges
     p0 = layout["p"].start
-    terms += [
+    ss = [
         ("v_v_form", velocity_form_pattern(g).entries()),
         ("v_v", chain(If, If)),
         ("const", scaled(ops.G, at=at("v", "p"))),
-        ("v_q", chain(If, Ic, Y=ops.Acf, at=at("v", "q"))),
-        ("v_mu", chain(If, ops.Acf, at=at("v", "mu"))),
-        ("v_phi", chain(If, Ic, Y=ops.Acf, at=at("v", "phi"))),
         ("const", scaled(ops.D[1:], at=(p0 + 1, 0))),
         ("const", scaled(sp.identity(1), at=(p0, p0))),
-        ("q_v", chain(ops.Afc, If, at=at("q", "v"))),
-        ("q_q_transport", chain(ops.Afc, Ic, Y=ops.G, at=at("q", "q"))),
-        ("mu_v", chain(ops.Afc, If, at=at("mu", "v"))),
     ]
-    # skew convection (see mesh.convect_skew), per edge set: in v, the edge
-    # flux of M, and in the flux M = rho_k v - jcoef G mu, the edge averages
-    # Q u and P^T u of the convected component u
+    # skew convection (see mesh.convect_skew), per edge set: in v, and in
+    # the flux M = rho_k v - jcoef G mu through its rho_k v part (the
+    # jcoef G mu part is J_SC), the edge averages Q u and P^T u of the
+    # convected component u
     for i, (P, Q, f, sl, a) in enumerate(convect_edge_sets(g)):
         Ia = sp.identity(a.stop - a.start, format="csr")
-        terms += [
+        ss += [
             (f"conv{i}", chain(0.5 * P, Q, at=(sl.start, sl.start))),
             (f"conv{i}", chain(-0.5 * Q.T, P.T, at=(sl.start, sl.start))),
             (f"flux{i}+", chain(0.5 * P, Ia, Y=f, at=(sl.start, a.start))),
             (f"flux{i}-", chain(-0.5 * Q.T, Ia, Y=f, at=(sl.start, a.start))),
-            (f"jflux{i}+", chain(-0.5 * P, ops.G[a], Y=f,
-                                 at=(sl.start, layout["mu"].start))),
-            (f"jflux{i}-", chain(0.5 * Q.T, ops.G[a], Y=f,
-                                 at=(sl.start, layout["mu"].start))),
         ]
     if g.periodic:
         # border multipliers absorb the constant momentum modes and pin the
@@ -403,14 +420,16 @@ def _build_jacobian_pattern(g: Grid, v0: bool) -> FixedPattern:
         E[:g.n_xfaces, 0] = 1.0
         E[g.n_xfaces:, 1] = 1.0
         E = sp.csr_matrix(E)
-        terms += [("const", scaled(E, at=at("v", "b"))),
-                  ("const", scaled(E.T, at=at("b", "v")))]
-    return FixedPattern((n, n), terms)
+        ss += [("const", scaled(E, at=at("v", "b"))),
+               ("const", scaled(E.T, at=at("b", "v")))]
+    return _Jacobian(FixedPattern((ns, ns), ss), FixedPattern((nC, ns), cs),
+                     FixedPattern((nC, nC), cc))
 
 
-def _jacobian(t: _Terms) -> sp.csc_matrix:
-    """Sparse Jacobian of the coupled residual at the iterate in ``t``, on
-    the grid's fixed pattern (see ``_jacobian_pattern``)."""
+def _jacobian(t: _Terms) -> _Jacobian:
+    """The blocks J_SS, J_CS and J_CC of the Jacobian of the coupled
+    residual at the iterate in ``t``, each on the grid's fixed pattern (see
+    ``_jacobian_patterns``)."""
     lin, cset, cfg, tau = t.lin, t.cset, t.cfg, t.tau
     g = lin.grid
     ops = g.ops
@@ -422,7 +441,7 @@ def _jacobian(t: _Terms) -> sp.csc_matrix:
     hq_p = cset.hp(t.q)
     Wp_it = cset.Wp(t.phi)
     dH = cset.dsecant_W_da(t.phi, lin.phi_k)
-    w = {
+    w_cc = {
         "q_q": fq_p * t.W_phi / (eps * tau) + gq_p / tau,
         "q_q_diff": -lin.m_faces,
         "q_phi": t.f_q * Wp_it / (eps * tau),
@@ -433,28 +452,25 @@ def _jacobian(t: _Terms) -> sp.csc_matrix:
         "phi_phi": -t.h_q * dH / eps - delta / tau,
         "phi_phi_lap": eps,
     }
-    if not cfg.v0_mode:
-        gpk = lin.grad_phi_k
-        w.update({
-            "v_v_form": lin.A_form.data / g.dV,
-            "v_v": (ops.Acf @ t.rho_it) / tau
-            - 0.5 * (ops.Acf @ ((t.rho_it - lin.rho_k) / tau)),
-            "v_q": (gpk, hq_p * lin.Wp_k / eps),
-            "v_mu": -gpk,
-            "v_phi": (0.5 * t.v, cset.rhop(t.phi) / tau),
-            "q_v": t.grad_surf,
-            "q_q_transport": (t.v, fq_p * lin.W_k / eps + gq_p),
-            "mu_v": gpk,
-        })
-        for i, (P, Q, f, sl, a) in enumerate(convect_edge_sets(g)):
-            u = t.v[sl]
-            Qu, Pu = Q @ u, P.T @ u
-            w[f"conv{i}"] = f @ t.M.data[a]
-            w[f"flux{i}+"] = (Qu, lin.rho_k_faces[a])
-            w[f"flux{i}-"] = (Pu, lin.rho_k_faces[a])
-            w[f"jflux{i}+"] = (Qu, lin.jcoef_faces[a])
-            w[f"jflux{i}-"] = (Pu, lin.jcoef_faces[a])
-    return _jacobian_pattern(g, cfg.v0_mode).matrix(w)
+    patterns = _jacobian_patterns(g, cfg.v0_mode)
+    if cfg.v0_mode:
+        return _Jacobian(None, None, patterns.CC.matrix(w_cc))
+    w_cc["q_q_transport"] = (t.v, fq_p * lin.W_k / eps + gq_p)
+    w_ss = {
+        "v_v_form": lin.A_form.data / g.dV,
+        "v_v": (ops.Acf @ t.rho_it) / tau
+        - 0.5 * (ops.Acf @ ((t.rho_it - lin.rho_k) / tau)),
+        "const": 1.0,
+    }
+    for i, (P, Q, f, sl, a) in enumerate(convect_edge_sets(g)):
+        u = t.v[sl]
+        w_ss[f"conv{i}"] = f @ t.M.data[a]
+        w_ss[f"flux{i}+"] = (Q @ u, lin.rho_k_faces[a])
+        w_ss[f"flux{i}-"] = (P.T @ u, lin.rho_k_faces[a])
+    return _Jacobian(patterns.SS.matrix(w_ss),
+                     patterns.CS.matrix({"q_v": t.grad_surf,
+                                         "mu_v": lin.grad_phi_k}),
+                     patterns.CC.matrix(w_cc))
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +492,11 @@ FACTOR_COST_PER_FILL = 0.17
 
 @dataclass(frozen=True)
 class _Ordering:
-    """The fill-reducing ordering of a Jacobian pattern, taken from the
-    first LU of that pattern (SuperLU's own ordering, elimination-tree
-    postorder included): later Jacobians are factored permuted by it, in
+    """The fill-reducing ordering of a Jacobian block's pattern, taken from
+    the first LU of that pattern (SuperLU's own ordering, elimination-tree
+    postorder included): later blocks are factored permuted by it, in
     natural order, which repeats that LU's fill without a new ordering.
-    ``symmetric`` permutes rows alike (the v0 LU's diagonal pivoting)."""
+    ``symmetric`` permutes rows alike (J_CC's diagonal pivoting)."""
     pattern: FixedPattern
     order: np.ndarray           # A Pc = A[:, order] for SuperLU's Pc
     symmetric: bool
@@ -495,44 +511,99 @@ class _Ordering:
         return x
 
 
+class _SubLU(NamedTuple):
+    """The LU of one Jacobian block, and the ordering it was permuted by
+    before factoring (None: SuperLU ordered it itself)."""
+    lu: object
+    ordering: Optional[_Ordering]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.ordering is None:
+            return self.lu.solve(rhs)
+        return self.ordering.solve(self.lu, rhs)
+
+
+class _BlockLU(NamedTuple):
+    """The Newton operator: one block Gauss-Seidel sweep over S and C,
+    y_S = J_SS^-1 r_S, then y_C = J_CC^-1 (r_C - J_CS y_S).  ``S`` and ``CS``
+    are None in v0 mode, where the operator is the LU of J_CC alone (block
+    triangular preconditioning as in Elman, Silvester & Wathen, Finite
+    Elements and Fast Iterative Solvers, 2nd ed., OUP 2014)."""
+    S: Optional[_SubLU]
+    CS: Optional[sp.csc_matrix]
+    C: _SubLU
+
+    def _lus(self) -> list:
+        return [sub.lu for sub in (self.S, self.C) if sub is not None]
+
+    @property
+    def nnz(self) -> int:
+        """Summed L+U fill of both LUs (SuperLU's ``lu.nnz``; reading
+        ``lu.L``/``lu.U`` would copy the factors)."""
+        return sum(lu.nnz for lu in self._lus())
+
+    @property
+    def n(self) -> int:
+        return sum(lu.shape[0] for lu in self._lus())
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.S is None:
+            return self.C.solve(rhs)
+        ns = self.S.lu.shape[0]
+        y_s = self.S.solve(rhs[:ns])
+        return np.concatenate([y_s, self.C.solve(rhs[ns:] - self.CS @ y_s)])
+
+
+# Building the Newton operator (the block Jacobian and both LUs, orderings
+# reused) costs about this many chord iterations (one operator apply plus
+# one residual) per unit of its summed L+U fill per unknown.  Measured build
+# / iteration time over fill / n, medians of repeats on one 2-core x86 host:
+# 0.14-0.21 on shear-droplet and droplet at 32^2 (fill / n 129, 66-85 ms
+# against 2.6-3.7 ms, so 19-27 iterations) and 0.17-0.18 at 64^2 (fill / n
+# 209, 620-694 ms against 17-19 ms).  The v0 operator, J_CC's LU alone
+# (fill / n 59 at 32^2), measures 0.28, but a sweep of the constant over
+# 0.17-0.45 on relaxation-v0 32^2 found no run-time gain above the noise,
+# so one constant prices both.
+FACTOR_COST_PER_FILL = 0.17
+
+
 @dataclass
 class _HeldLU:
-    """One-slot holder for the Newton LU, the tau it was factored at and the
-    chord/refactor trade-off (Kelley, Iterative Methods for Linear and
+    """One-slot holder for the Newton operator, the tau it was built at and
+    the chord/refactor trade-off (Kelley, Iterative Methods for Linear and
     Nonlinear Equations, SIAM 1995, ch. 5).
 
-    ``price`` is a refactorization in chord iterations, from the LU's fill.
-    Within a step, ``chord_too_slow`` weighs the iterations the observed
-    contraction still needs against it.  Across steps, ``base`` is the
-    Newton iteration count of the first step converged on this LU without
-    refactoring, and ``excess`` adds up what each later such step spends
-    beyond it, until that pays for a refactorization.  No clock is read, so
-    reruns repeat bitwise.  ``ordering`` outlives the LUs.  It is kept per
-    holder, not per grid, so a rerun with a fresh holder factors its first
-    LU as the first run did (a symmetrically pre-permuted v0 LU differs from
-    SuperLU's own at round-off).
+    ``price`` is a refactorization in chord iterations, from the summed
+    fill of the operator's LUs.  Within a step, ``chord_too_slow`` weighs
+    the iterations the observed contraction still needs against it.  Across
+    steps, ``base`` is the Newton iteration count of the first step
+    converged on this operator without refactoring, and ``excess`` adds up
+    what each later such step spends beyond it, until that pays for a
+    refactorization.  No clock is read, so reruns repeat bitwise.
+    ``orderings`` (block name -> ``_Ordering``) outlive the LUs.  They are
+    kept per holder, not per grid, so a rerun with a fresh holder factors
+    its first LUs as the first run did (a symmetrically pre-permuted J_CC
+    LU differs from SuperLU's own at round-off).
     """
-    lu: Optional[object] = None
+    lu: Optional[_BlockLU] = None
     tau: float = 0.0
     price: float = 0.0
     base: Optional[int] = None
     excess: int = 0
-    ordering: Optional[_Ordering] = None
-    permuted: bool = False              # lu factors J permuted by ordering
+    orderings: dict = field(default_factory=dict)
 
-    def hold(self, lu, tau: float, permuted: bool) -> None:
-        self.lu, self.tau, self.permuted = lu, tau, permuted
-        self.price = FACTOR_COST_PER_FILL * lu.nnz / lu.shape[0]
+    def hold(self, lu: _BlockLU, tau: float) -> None:
+        self.lu, self.tau = lu, tau
+        self.price = FACTOR_COST_PER_FILL * lu.nnz / lu.n
         self.base, self.excess = None, 0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.permuted:
-            return self.ordering.solve(self.lu, rhs)
         return self.lu.solve(rhs)
 
     def settle(self, iterations: int) -> None:
-        """Account a step converged on this LU without refactoring; once the
-        excess iterations reach the price, the next step factors anew."""
+        """Account a step converged on this operator without refactoring;
+        once the excess iterations reach the price, the next step factors
+        anew."""
         if self.base is None:
             self.base = iterations
         else:
@@ -556,11 +627,11 @@ class _HeldLU:
 def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
               cfg: StepConfig, tau: float, report: StepReport,
               w: _Iterate, held: _HeldLU) -> Optional[State]:
-    """Newton's method on the coupled system for one tau from the iterate
-    ``w``; None when the line search stalls or the budget runs out.
+    """The Newton iteration on the coupled system for one tau from the
+    iterate ``w``; None when the line search stalls or the budget runs out.
 
-    The LU in ``held`` may come from an earlier iterate or step (a chord
-    iteration); it is dropped when it was factored at another tau, and
+    The operator in ``held`` may come from an earlier iterate or step (a
+    chord iteration); it is dropped when it was built at another tau, and
     rebuilt at the current iterate when ``held.chord_too_slow``.
     """
     layout = _block_layout(state_k.grid, cfg.v0_mode)
@@ -597,7 +668,7 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
         prev_res = res
         alpha = 1.0
         while True:
-            if alpha == 1.0:      # first trial, or after a stale-LU refactor
+            if alpha == 1.0:      # first trial, or after a stale-operator build
                 dx = held.solve(-rvec)
                 report.linear_solves += 1
             t_try = _Terms(lin, cset, cfg, tau, t.w.moved(dx, alpha, layout))
@@ -608,7 +679,7 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 break
             report.rejected += 1
             if not fresh:
-                # a held LU gave a full step that does not descend:
+                # a held operator gave a full step that does not descend:
                 # refactor at this iterate, line search only on that direction
                 fresh = True
                 if not _factor(t, held, report):
@@ -620,47 +691,54 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 return None
 
 
-def _factor(t: _Terms, held: _HeldLU, report: StepReport) -> bool:
-    """Replace the held LU by one of the Jacobian at ``t``; False (with the
-    reason in the report) when the factorization fails.
+# SuperLU options per block.  J_CC ([q, mu, phi]) is structurally
+# symmetric with a zero-free diagonal: a minimum-degree ordering of
+# J^T + J, applied to rows and columns alike, has half COLAMD's fill; the
+# diagonal pivots have passed the 0.01 threshold on every Jacobian seen (no
+# row exchanges).  J_SS's pressure block is zero but for the pin: COLAMD
+# with partial pivoting.
+_LU_OPTIONS = {
+    "S": dict(permc_spec="COLAMD"),
+    "C": dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+              options=dict(SymmetricMode=True)),
+}
 
-    The first LU of a pattern computes its fill-reducing ordering, and
-    every later one factors the Jacobian permuted by it (see
-    ``_Ordering``)."""
-    held.lu = None                 # free the old LU before building the new
-    v0 = t.cfg.v0_mode
-    pattern = _jacobian_pattern(t.lin.grid, v0)   # built once per grid
+
+def _factor(t: _Terms, held: _HeldLU, report: StepReport) -> bool:
+    """Replace the held operator by the block LU of the Jacobian at ``t``;
+    False (with the reason in the report) when a factorization fails.
+
+    J_CC is always factored, J_SS in coupled mode only.  The first LU of a
+    block's pattern computes its fill-reducing ordering, and every later one
+    factors the block permuted by it (see ``_Ordering``)."""
+    held.lu = None                 # free the old LUs before building the new
     J = _jacobian(t)
-    if v0:
-        # [q, mu, phi] is structurally symmetric with a zero-free diagonal:
-        # a minimum-degree ordering of J^T + J, applied to rows and columns
-        # alike, has half COLAMD's fill; the diagonal pivots have passed the
-        # 0.01 threshold on every Jacobian seen (no row exchanges)
-        opts = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                    options=dict(SymmetricMode=True))
-    else:
-        # the saddle's pressure block is zero but for the pin: COLAMD with
-        # partial pivoting (a symmetric ordering fills 4x more)
-        opts = dict(permc_spec="COLAMD")
-    ordering = held.ordering
-    if ordering is not None and ordering.pattern is not pattern:
-        ordering = None
+    patterns = _jacobian_patterns(t.lin.grid, t.cfg.v0_mode)
     try:
-        if ordering is None:
-            lu = spla.splu(J, **opts)
-        else:
-            lu = spla.splu(ordering.permute(J),
-                           **dict(opts, permc_spec="NATURAL"))
+        S = None if J.SS is None else \
+            _factor_block("S", J.SS, patterns.SS, held, report)
+        C = _factor_block("C", J.CC, patterns.CC, held, report)
     except RuntimeError as exc:
         report.failure_reason = f"Newton linearization failed: {exc}"
         return False
-    if ordering is None:
-        held.ordering = _Ordering(pattern, np.argsort(lu.perm_c), v0)
-        report.orderings += 1
-    held.hold(lu, t.tau, permuted=ordering is not None)
+    held.hold(_BlockLU(S, J.CS, C), t.tau)
     report.factorizations += 1
-    report.factor_fill += lu.nnz
+    report.factor_fill += held.lu.nnz
     return True
+
+
+def _factor_block(name: str, J: sp.csc_matrix, pattern: FixedPattern,
+                  held: _HeldLU, report: StepReport) -> _SubLU:
+    opts = _LU_OPTIONS[name]
+    ordering = held.orderings.get(name)
+    if ordering is not None and ordering.pattern is pattern:
+        return _SubLU(spla.splu(ordering.permute(J),
+                                **dict(opts, permc_spec="NATURAL")), ordering)
+    lu = spla.splu(J, **opts)
+    held.orderings[name] = _Ordering(pattern, np.argsort(lu.perm_c),
+                                     symmetric=name == "C")
+    report.orderings += 1
+    return _SubLU(lu, None)
 
 
 def transport_defect(t: _Terms) -> float:

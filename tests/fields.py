@@ -1,0 +1,37 @@
+"""Field helpers for the tests: grid functions sampled at cell centres,
+2-D views of cell and face arrays, and the y-face coordinates."""
+
+import numpy as np
+
+from surfflow.mesh import ScalarField
+
+
+def from_function(grid, fn) -> ScalarField:
+    """``fn(X, Y)`` sampled at the cell centres."""
+    X, Y = grid.cell_centers()
+    return ScalarField(grid, np.asarray(fn(X, Y), dtype=float).ravel())
+
+
+def view2d(f) -> np.ndarray:
+    """A scalar field's values as an (nx, ny) array."""
+    return f.data.reshape(f.grid.cell_shape)
+
+
+def ux2d(v) -> np.ndarray:
+    """The x-face component of a vector field as a 2-D array."""
+    return v.ux.reshape(v.grid.xface_shape)
+
+
+def uy2d(v) -> np.ndarray:
+    """The y-face component of a vector field as a 2-D array."""
+    return v.uy.reshape(v.grid.yface_shape)
+
+
+def yface_coords(grid):
+    """Meshgrid of the y-face centres (the periodic grid has ny rows)."""
+    x = (np.arange(grid.nx) + 0.5) * grid.dx
+    if grid.periodic:
+        y = np.arange(grid.ny) * grid.dy
+    else:
+        y = np.arange(1, grid.ny) * grid.dy
+    return np.meshgrid(x, y, indexing="ij")

@@ -1,9 +1,10 @@
 """Reference assemblies by sparse products, the way the solver's fixed
 patterns must reproduce them: the convection matrices of
 ``mesh.convect_skew``, the velocity form ``B^T diag(w) B`` and the
-stepper's Jacobian as one ``sp.bmat`` of its blocks; and the transport
-defect of a step rebuilt from its two states, which the stepper reads from
-its converged terms."""
+stepper's whole Jacobian (J_SC included, which the stepper never builds)
+as one ``sp.bmat`` of its blocks; and the transport defect of a step
+rebuilt from its two states, which the stepper reads from its converged
+terms."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,7 +56,8 @@ def velocity_form(g, eta, delta):
 
 
 def jacobian(t):
-    """The stepper's Jacobian at the iterate ``t`` assembled block by block."""
+    """The stepper's Jacobian at the iterate ``t`` assembled block by block,
+    in the unknown order [v, p, b, q, mu, phi] (``b`` periodic only)."""
     lin, cset, cfg, tau = t.lin, t.cset, t.cfg, t.tau
     g = lin.grid
     ops = g.ops
@@ -104,23 +106,27 @@ def jacobian(t):
     D_mod = ops.D.tolil()
     D_mod[0, :] = 0.0
     p_pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(nc, nc))
-    blocks = [
-        [Jvv, ops.G, Jvq, Jvmu, Jvphi],
-        [D_mod.tocsr(), p_pin, None, None, None],
-        [Jqv, None, Jqq, None, Jq_phi],
-        [Jmv, None, None, Jmu_mu, Jmu_phi],
-        [None, None, Jp_q, Jp_mu, Jp_phi],
-    ]
     if not g.periodic:
-        return sp.bmat(blocks, format="csc")
+        return sp.bmat([
+            [Jvv, ops.G, Jvq, Jvmu, Jvphi],
+            [D_mod.tocsr(), p_pin, None, None, None],
+            [Jqv, None, Jqq, None, Jq_phi],
+            [Jmv, None, None, Jmu_mu, Jmu_phi],
+            [None, None, Jp_q, Jp_mu, Jp_phi],
+        ], format="csc")
     E = np.zeros((nf, 2))
     E[:g.n_xfaces, 0] = 1.0
     E[g.n_xfaces:, 1] = 1.0
     E = sp.csr_matrix(E)
-    J = sp.bmat(blocks, format="csr")
-    col = sp.vstack([E, sp.csr_matrix((4 * nc, 2))], format="csr")
-    row = sp.hstack([E.T, sp.csr_matrix((2, 4 * nc))], format="csr")
-    return sp.bmat([[J, col], [row, sp.csr_matrix((2, 2))]], format="csc")
+    Z = sp.csr_matrix((2, 2))
+    return sp.bmat([
+        [Jvv, ops.G, E, Jvq, Jvmu, Jvphi],
+        [D_mod.tocsr(), p_pin, None, None, None, None],
+        [E.T, None, Z, None, None, None],
+        [Jqv, None, None, Jqq, None, Jq_phi],
+        [Jmv, None, None, None, Jmu_mu, Jmu_phi],
+        [None, None, None, Jp_q, Jp_mu, Jp_phi],
+    ], format="csc")
 
 
 def transport_defect(state_k, state_k1, cset, params):

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from fields import view2d
 from surfflow.constitutive import (ModelParams, SamplingSpec,
                                    audit_assumptions, build_default_set,
                                    pointwise_step_inequalities)
@@ -118,9 +119,9 @@ def test_criterion_4_oracle_equivalence(acc_params, acc_cset):
         ok &= rep.tau_used == tau
         q_o, mu_o, phi_o = two_cell_oracle(phi_pair, q_pair, acc_cset,
                                            acc_params, tau, grid.dx)
-        err = max(np.abs(s1.q.view2d()[:, 0] - q_o).max(),
-                  np.abs(s1.mu.view2d()[:, 0] - mu_o).max(),
-                  np.abs(s1.phi.view2d()[:, 0] - phi_o).max())
+        err = max(np.abs(view2d(s1.q)[:, 0] - q_o).max(),
+                  np.abs(view2d(s1.mu)[:, 0] - mu_o).max(),
+                  np.abs(view2d(s1.phi)[:, 0] - phi_o).max())
         worst = max(worst, err)
         ok &= err <= 1e-10
     elapsed = time.perf_counter() - t0

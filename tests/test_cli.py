@@ -115,7 +115,10 @@ t_final = 6e-3
         assert (out / "config.effective.ini").exists()
 
     def test_summary_reports_solver_counts(self, tmp_path, capsys):
-        path = write(tmp_path, """
+        # one ordering per LU of the Newton operator: J_CC's alone in v0
+        # mode, J_SS's and J_CC's with flow
+        for v0, orderings in (("true", 1), ("false", 2)):
+            path = write(tmp_path, f"""
 [grid]
 nx = 8
 ny = 8
@@ -126,22 +129,24 @@ q0 = 0.1
 
 [stepper]
 tau = 2e-3
-v0_mode = true
+v0_mode = {v0}
 
 [output]
 t_final = 6e-3
 """)
-        assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
-        line = capsys.readouterr().out.splitlines()[0]
-        assert line.startswith("run complete: 3 steps")
-        counts = dict(part.rsplit(" ", 1) for part in line.split(", ")[-4:])
-        assert float(counts["LUs/step"]) > 0
-        assert float(counts["Newton it./step"]) > 0
-        assert int(counts["fill/LU"]) > 0
-        assert int(counts["orderings"]) == 1
-        # solver counts stay out of the ledger
-        header = (tmp_path / "out" / "ledger.csv").read_text().splitlines()[0]
-        assert "fill" not in header and "factor" not in header
+            out = tmp_path / f"out-{v0}"
+            assert main(["run", path, "--out", str(out)]) == EXIT_OK
+            line = capsys.readouterr().out.splitlines()[0]
+            assert line.startswith("run complete: 3 steps")
+            counts = dict(part.rsplit(" ", 1)
+                          for part in line.split(", ")[-4:])
+            assert float(counts["operator builds/step"]) > 0
+            assert float(counts["Newton it./step"]) > 0
+            assert int(counts["fill/build"]) > 0
+            assert int(counts["orderings"]) == orderings
+            # solver counts stay out of the ledger
+            header = (out / "ledger.csv").read_text().splitlines()[0]
+            assert "fill" not in header and "factor" not in header
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
         path = self._uniform_cfg(tmp_path)
@@ -191,7 +196,8 @@ t_final = 6e-3
         assert report["backoffs"] == 0
         assert report["tau_used"] == 2e-3
         assert report["newton_iterations"] == 1
-        assert report["factorizations"] == 1      # the first step's only LU
+        # the first step's only operator build, J_CC's LU alone in v0 mode
+        assert report["factorizations"] == 1
         assert report["orderings"] == 1
         assert "budget" in report["failure_reason"]
         hist = report["residual_history"]

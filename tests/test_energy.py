@@ -82,7 +82,7 @@ class TestAuditStep:
 
     def test_quadrature_matches_stepper_operators(self, cset, params, rng):
         # the audited dissipation integral equals the quadratic form of the
-        # frozen diffusion block, minus the Jacobian's (mu, mu) block
+        # frozen diffusion block, minus the (mu, mu) block of J_CC
         from surfflow.stepper import (_block_layout, _Iterate, _jacobian,
                                       _Terms, assemble_linear)
         g = Grid(12, 12)
@@ -93,7 +93,7 @@ class TestAuditStep:
         J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0)))
         mu_block = _block_layout(g, v0=True)["mu"]
         mu = rng.standard_normal(g.n_cells)
-        form = float((J[mu_block, mu_block] @ mu) @ mu) * g.dV
+        form = float((J.CC[mu_block, mu_block] @ mu) @ mu) * g.dV
         gmu = g.ops.G @ mu
         direct = float((lin.mt_faces * gmu) @ gmu) * g.dV
         assert form == pytest.approx(direct, rel=1e-12)

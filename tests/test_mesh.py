@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fields import from_function, ux2d, uy2d, view2d, yface_coords
 from surfflow.constitutive import ModelParams, build_default_set
 from reference_assembly import convect_flux_jacobian, convect_matrix
 from surfflow.mesh import (FIELD_KIND_CELL, Grid, ScalarField, VectorField,
@@ -22,8 +23,8 @@ def _stepper_diffusion(g, rng, m=None):
     """The stepper's frozen step over a random state, with mobilities that
     vary from face to face, and the diffusion blocks div(m grad .) and
     div(mtilde grad .) its Newton Jacobian applies: minus the (q, q) and
-    (mu, mu) blocks in v0 mode.  With f' = g' = 0 the (q, q) block holds
-    no other term."""
+    (mu, mu) blocks of J_CC in v0 mode.  With f' = g' = 0 the (q, q) block
+    holds no other term."""
     params = ModelParams()
     cset = dataclasses.replace(
         build_default_set(params),
@@ -38,7 +39,7 @@ def _stepper_diffusion(g, rng, m=None):
     lin = assemble_linear(s, g, cset, params, cfg)
     J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s)))
     layout = _block_layout(g, v0=True)
-    return lin, [-J[layout[b], layout[b]] for b in ("q", "mu")]
+    return lin, [-J.CC[layout[b], layout[b]] for b in ("q", "mu")]
 
 
 class TestGradDiv:
@@ -50,8 +51,8 @@ class TestGradDiv:
 
     def test_linear_field_periodic_wrap(self):
         g = Grid(16, 16, 1.0, 1.0, "periodic")
-        u = grad(ScalarField.from_function(g, lambda X, Y: X))
-        ux = u.ux2d()
+        u = grad(from_function(g, lambda X, Y: X))
+        ux = ux2d(u)
         assert np.allclose(ux[1:, :], 1.0)
         assert np.allclose(ux[0, :], 1.0 - g.lx / g.dx)
 
@@ -74,8 +75,8 @@ class TestGradDiv:
         errs = []
         for n in (16, 32):
             g = Grid(n, n, 1.0, 1.0, "box")
-            c = ScalarField.from_function(g, lambda X, Y: X ** 2 + Y ** 2)
-            lap = div(grad(c)).view2d()
+            c = from_function(g, lambda X, Y: X ** 2 + Y ** 2)
+            lap = view2d(div(grad(c)))
             interior = lap[2:-2, 2:-2]
             errs.append(np.abs(interior - 4.0).max())
         assert errs[0] < 1e-10    # quadratic is differenced exactly inside
@@ -102,7 +103,7 @@ class TestLaplaceNeumann:
     def test_periodic_eigenfunction(self, rng):
         g = Grid(64, 8, 1.0, 1.0, "periodic")
         k = 2 * np.pi / g.lx
-        c = ScalarField.from_function(g, lambda X, Y: np.cos(k * X))
+        c = from_function(g, lambda X, Y: np.cos(k * X))
         # the unit Laplacian as the residual applies it, factored
         out = g.ops.D @ (g.ops.G @ c.data)
         sym = -(2.0 * np.sin(0.5 * k * g.dx) / g.dx) ** 2
@@ -190,10 +191,10 @@ class TestConvection:
         out = np.zeros(g.n_faces)
         per = g.periodic
         nx, ny, dx, dy = g.nx, g.ny, g.dx, g.dy
-        ux = v.ux2d()
-        uy = v.uy2d()
-        Mx = M.ux2d()
-        My = M.uy2d()
+        ux = ux2d(v)
+        uy = uy2d(v)
+        Mx = ux2d(M)
+        My = uy2d(M)
 
         def get(arr, i, j, n0, n1):
             if per:
@@ -279,11 +280,11 @@ class TestConvection:
             v = VectorField(g, rng.standard_normal(g.n_faces))
 
             def transposed(u):
-                return VectorField(gt, np.concatenate([u.uy2d().T.ravel(),
-                                                       u.ux2d().T.ravel()]))
+                return VectorField(gt, np.concatenate([uy2d(u).T.ravel(),
+                                                       ux2d(u).T.ravel()]))
 
-            got = convect_skew(M, v).uy2d()
-            ref = convect_skew(transposed(M), transposed(v)).ux2d().T
+            got = uy2d(convect_skew(M, v))
+            ref = ux2d(convect_skew(transposed(M), transposed(v))).T
             assert np.abs(got - ref).max() < 1e-13, bc
 
     def test_matrix_and_flux_jacobian_agree_with_apply(self, rng):
@@ -306,7 +307,7 @@ class TestConvection:
             g = Grid(n, n, 1.0, 1.0, "periodic")
             two = 2 * np.pi
             XF, YF = g.xface_coords()
-            XG, YG = g.yface_coords()
+            XG, YG = yface_coords(g)
             M = VectorField(g, np.concatenate([
                 (np.sin(two * XF) * np.cos(two * YF)).ravel(),
                 (0.5 * np.cos(two * XG) * np.sin(two * YG) + 0.3).ravel()]))

@@ -1,6 +1,7 @@
 """Implicit step: fixed point, oracle equivalence, assembly, conservation."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import root
 
 import reference_assembly
+from fields import from_function, ux2d, view2d
+from surfflow.cli import build_objects, parse_config
 from surfflow.constitutive import ModelParams, build_default_set
 from surfflow.energy import total_energy
 from surfflow.linalg import MeanPoissonSolver
@@ -17,6 +20,15 @@ from surfflow.stepper import (FACTOR_COST_PER_FILL, StepConfig, StepFailure,
                               StepReport, _block_layout, _factor, _HeldLU,
                               _Iterate, _jacobian, _Terms, assemble_linear,
                               run, step)
+
+
+def _ch_layout(g, v0):
+    """The slices of q, mu and phi within the C run [q, mu, phi] of the
+    unknowns (the rows and columns of J_CC and the rows of J_CS)."""
+    layout = _block_layout(g, v0)
+    ns = layout["q"].start
+    return {b: slice(layout[b].start - ns, layout[b].stop - ns)
+            for b in ("q", "mu", "phi")}
 
 
 def two_cell_oracle(phi_k, q_k, cset, params, tau, dx, x0=None):
@@ -108,7 +120,7 @@ def _mass_flux(phi_k, mu, cset, params):
 class TestMassFlux:
     def test_constant_mu_gives_zero_flux(self, cset, params):
         g = Grid(10, 10)
-        phi = ScalarField.from_function(g, lambda X, Y: np.tanh(4 * (X - 0.5)))
+        phi = from_function(g, lambda X, Y: np.tanh(4 * (X - 0.5)))
         J = _mass_flux(phi, ScalarField.full(g, 2.0), cset, params)
         assert np.all(J.data == 0.0)
 
@@ -116,8 +128,8 @@ class TestMassFlux:
         matched_params = dataclasses.replace(params, rho2=params.rho1)
         matched = build_default_set(matched_params)
         g = Grid(10, 10)
-        phi = ScalarField.from_function(g, lambda X, Y: X - 0.5)
-        mu = ScalarField.from_function(g, lambda X, Y: np.cos(3 * X * Y))
+        phi = from_function(g, lambda X, Y: X - 0.5)
+        mu = from_function(g, lambda X, Y: np.cos(3 * X * Y))
         J = _mass_flux(phi, mu, matched, matched_params)
         assert np.all(J.data == 0.0)
 
@@ -126,9 +138,9 @@ class TestMassFlux:
         # -(rho2 - rho1)/2 * mtilde(0); the wrap faces carry the jump
         g = Grid(16, 16, 1.0, 1.0, "periodic")
         phi = ScalarField.zeros(g)
-        mu = ScalarField.from_function(g, lambda X, Y: X)
+        mu = from_function(g, lambda X, Y: X)
         J = _mass_flux(phi, mu, cset, params)
-        jx = J.ux2d()
+        jx = ux2d(J)
         expect = -(params.rho2 - params.rho1) / 2.0
         assert np.allclose(jx[1:, :], expect, atol=1e-14)
         assert np.allclose(J.uy, 0.0)
@@ -144,11 +156,10 @@ class TestAssembly:
         cfg = StepConfig(tau=1e-3)
         lin = assemble_linear(s0, g, cset, params, cfg)
         J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0)))
-        layout = _block_layout(g, v0=False)
+        C = _ch_layout(g, v0=False)
         probes = {}
         for name, mat in (("velocity", lin.A_form),
-                          *((b, J[layout[b], layout[b]])
-                            for b in ("q", "mu", "phi"))):
+                          *((b, J.CC[C[b], C[b]]) for b in C)):
             worst = 0.0
             for _ in range(6):
                 x = rng.standard_normal(mat.shape[0])
@@ -187,7 +198,7 @@ class TestAssembly:
     def test_single_interface_momentum_rhs_is_capillary(self, cset, params):
         # v = 0, uniform q: the momentum load reduces to the capillary force
         g = Grid(24, 24)
-        phi = ScalarField.from_function(
+        phi = from_function(
             g, lambda X, Y: np.tanh((X - 0.5) / (np.sqrt(2) * params.epsilon)))
         q = ScalarField.full(g, 0.4)
         mu = ScalarField(g, -params.epsilon * (g.ops.D @ (g.ops.G @ phi.data))
@@ -233,14 +244,14 @@ class TestTwoCellOracle:
         assert rep.tau_used == tau
         q_o, mu_o, phi_o = two_cell_oracle(np.array(phi_pair), np.array(q_pair),
                                            cset, params, tau, g.dx)
-        got_q = s1.q.view2d()[:, 0]
-        got_mu = s1.mu.view2d()[:, 0]
-        got_phi = s1.phi.view2d()[:, 0]
+        got_q = view2d(s1.q)[:, 0]
+        got_mu = view2d(s1.mu)[:, 0]
+        got_phi = view2d(s1.phi)[:, 0]
         assert np.abs(got_q - q_o).max() < 1e-10
         assert np.abs(got_mu - mu_o).max() < 1e-10
         assert np.abs(got_phi - phi_o).max() < 1e-10
         # y-uniformity preserved
-        assert np.abs(np.diff(s1.phi.view2d(), axis=1)).max() < 1e-12
+        assert np.abs(np.diff(view2d(s1.phi), axis=1)).max() < 1e-12
 
 
 class TestStepBehavior:
@@ -563,12 +574,21 @@ class TestHeldLU:
         its = [rep.newton_iterations for rep in res.reports]
         assert np.mean(its[-5:]) <= np.mean(its[1:6])
 
-    def test_price_is_fill_per_unknown(self, cset, params, relax16):
-        g, s0, cfg = relax16
-        held = _held_at(s0, g, cset, params, cfg)
-        lu = held.lu
-        assert held.price == FACTOR_COST_PER_FILL * lu.nnz / lu.shape[0]
-        assert held.base is None and held.excess == 0
+    def test_price_is_fill_per_unknown(self, cset, params):
+        # the summed fill of the operator's LUs over all unknowns
+        g = Grid(12, 12)
+        s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
+                                 g, params, cset)
+        for v0 in (True, False):
+            held = _held_at(s0, g, cset, params,
+                            StepConfig(tau=1e-3, v0_mode=v0))
+            subs = [sub for sub in (held.lu.S, held.lu.C) if sub is not None]
+            assert len(subs) == (1 if v0 else 2)
+            fill = sum(sub.lu.nnz for sub in subs)
+            n = sum(sub.lu.shape[0] for sub in subs)
+            assert n == max(sl.stop for sl in _block_layout(g, v0).values())
+            assert held.price == FACTOR_COST_PER_FILL * fill / n
+            assert held.base is None and held.excess == 0
 
     def test_chord_prediction(self):
         held = _HeldLU(price=10.0)
@@ -608,8 +628,9 @@ class TestHeldLU:
 
 
 class TestFactorOrdering:
-    """The v0 Jacobian is structurally symmetric with a zero-free diagonal
-    and gets a symmetric ordering; the saddle keeps SuperLU's default."""
+    """J_CC is structurally symmetric with a zero-free diagonal and gets a
+    symmetric ordering, in v0 and coupled mode alike; the saddle J_SS keeps
+    SuperLU's default."""
 
     @staticmethod
     def _lu_and_jacobian(s, g, cset, params, cfg):
@@ -620,30 +641,92 @@ class TestFactorOrdering:
 
     def test_v0_lu_ordered_symmetrically(self, cset, params, relax16):
         g, s0, cfg = relax16
-        lu, J = self._lu_and_jacobian(s0, g, cset, params, cfg)
+        op, J = self._lu_and_jacobian(s0, g, cset, params, cfg)
+        assert op.S is None and op.CS is None and J.SS is None
+        lu = op.C.lu
         # the diagonal pivots are all taken: no row exchanges
         assert np.array_equal(lu.perm_r, lu.perm_c)
-        assert lu.nnz <= 0.6 * spla.splu(J).nnz
+        assert lu.nnz <= 0.6 * spla.splu(J.CC).nnz
 
-    def test_report_sums_fill_of_lus_built(self, cset, params, relax16):
-        g, s0, cfg = relax16
-        lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
-        held, report = _HeldLU(), StepReport()
-        fills = []
-        for _ in range(2):
-            assert _factor(t, held, report)
-            fills.append(held.lu.nnz)
-        assert report.factorizations == 2
-        assert report.factor_fill == sum(fills) > 0
+    def test_report_sums_fill_of_lus_built(self, cset, params):
+        g = Grid(12, 12)
+        s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
+                                 g, params, cset)
+        for v0 in (True, False):
+            cfg = StepConfig(tau=1e-3, v0_mode=v0)
+            lin = assemble_linear(s0, g, cset, params, cfg)
+            t = _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
+            held, report = _HeldLU(), StepReport()
+            fills = []
+            for _ in range(2):
+                assert _factor(t, held, report)
+                fills += [sub.lu.nnz for sub in (held.lu.S, held.lu.C)
+                          if sub is not None]
+            # one count per operator build, the fill of every LU in it
+            assert report.factorizations == 2
+            assert len(fills) == (2 if v0 else 4)
+            assert report.factor_fill == sum(fills) > 0
 
     def test_coupled_lu_keeps_default_ordering(self, cset, params):
         g = Grid(12, 12)
         s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1),
                                  g, params, cset)
-        lu, J = self._lu_and_jacobian(s0, g, cset, params,
+        op, J = self._lu_and_jacobian(s0, g, cset, params,
                                       StepConfig(tau=1e-3))
-        assert lu.nnz == spla.splu(J).nnz
+        # the saddle: SuperLU's default ordering and pivoting
+        assert op.S.lu.nnz == spla.splu(J.SS).nnz
+        # the Cahn-Hilliard block with transport: still diagonal pivots
+        assert np.array_equal(op.C.lu.perm_r, op.C.lu.perm_c)
+        assert op.C.lu.nnz <= 0.6 * spla.splu(J.CC).nnz
+
+
+class TestBlockOperator:
+    """The Newton operator is one block Gauss-Seidel sweep: it solves the
+    lower block triangle [J_SS 0; J_CS J_CC] of the Jacobian exactly."""
+
+    @pytest.mark.parametrize("bc", ["box", "periodic"])
+    def test_sweep_solves_the_lower_block_triangle(self, cset, params, rng,
+                                                   bc):
+        g = Grid(10, 8, 1.0, 1.0, bc)
+        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1,
+                                                shear=0.5), g, params, cset)
+        cfg = StepConfig(tau=1e-3)
+        lin = assemble_linear(s0, g, cset, params, cfg)
+        w = _iterate_near(s0, rng, 0.01, False)
+        t = _Terms(lin, cset, cfg, cfg.tau, w)
+        held = _HeldLU()
+        assert _factor(t, held, StepReport())
+        J = _jacobian(t)
+        ns = J.SS.shape[0]
+        b = rng.standard_normal(ns + J.CC.shape[0])
+        y = held.solve(b)
+        r_s = J.SS @ y[:ns] - b[:ns]
+        r_c = J.CS @ y[:ns] + J.CC @ y[ns:] - b[ns:]
+        assert max(np.abs(r_s).max(), np.abs(r_c).max()) \
+            <= 1e-10 * np.abs(b).max()
+
+    def test_v0_operator_is_the_jacobian_lu(self, cset, params, rng, relax16):
+        g, s0, cfg = relax16
+        held = _held_at(s0, g, cset, params, cfg)
+        lin = assemble_linear(s0, g, cset, params, cfg)
+        J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0)))
+        b = rng.standard_normal(J.CC.shape[0])
+        x = held.solve(b)
+        assert np.array_equal(x, held.lu.C.solve(b))
+        assert np.abs(J.CC @ x - b).max() <= 1e-10 * np.abs(b).max()
+
+    def test_coupled_droplet_iterations_stay_low(self):
+        # the shipped coupled droplet at 32^2: the held sweep converges its
+        # first ten steps in 87 Newton iterations (the held LU of the whole
+        # saddle took 165, climbing from 10 to 24 per step)
+        config = Path(__file__).parent.parent / "configs" / "droplet.ini"
+        grid, params, _, cfg, scenario, _ = build_objects(parse_config(config))
+        cset = build_default_set(params)
+        s0 = initialize_scenario(scenario, grid, params, cset)
+        res = run(s0, grid, cset, params, cfg, T=10 * cfg.tau)
+        assert len(res.reports) == 10
+        assert all(rep.backoffs == 0 for rep in res.reports)
+        assert sum(rep.newton_iterations for rep in res.reports) <= 120
 
 
 class TestJacobian:
@@ -667,18 +750,33 @@ class TestJacobian:
         tau = cfg.tau
         J = _jacobian(_Terms(lin, cset, cfg, tau, w))
         layout = _block_layout(g, v0)
+        ns = layout["q"].start
+        n = ns + J.CC.shape[0]
 
-        h = 1e-7
-        for _ in range(4):
-            dx = rng.standard_normal(J.shape[0])
-            if "b" in layout:           # multipliers are not in the iterate
-                dx[layout["b"]] = 0.0
+        def fd_along(dx):
+            h = 1e-7
             rp, rm = (_Terms(lin, cset, cfg, tau,
                              w.moved(dx, d, layout)).residual()[0]
                       for d in (h, -h))
-            fd = (rp - rm) / (2 * h)
-            jd = (J @ dx)[:fd.size]
+            return (rp - rm) / (2 * h)
+
+        def check(fd, jd):
             assert np.max(np.abs(fd - jd)) / (1.0 + np.max(np.abs(jd))) < 1e-6
+
+        # S-only directions: every row, through J_SS and J_CS
+        for _ in range(4 if ns else 0):
+            dx = np.zeros(n)
+            dx[:ns] = rng.standard_normal(ns)
+            if "b" in layout:           # multipliers are not in the iterate
+                dx[layout["b"]] = 0.0
+            check(fd_along(dx), np.concatenate([J.SS @ dx[:ns],
+                                                J.CS @ dx[:ns]]))
+        # C-only directions: the C rows, through J_CC (the S rows would
+        # need J_SC, which the Newton operator leaves out)
+        for _ in range(4):
+            dx = np.zeros(n)
+            dx[ns:] = rng.standard_normal(n - ns)
+            check(fd_along(dx)[ns:], J.CC @ dx[ns:])
 
 
 def _iterate_near(s, rng, scale, v0):
@@ -713,9 +811,11 @@ class TestFixedPattern:
                 for scale in (0.0, 0.01):           # iterates
                     w = _iterate_near(s, rng, scale, v0)
                     jacs.append(_jacobian(_Terms(lin, cset, cfg, tau, w)))
-        for J in jacs[1:]:
-            assert np.array_equal(J.indptr, jacs[0].indptr)
-            assert np.array_equal(J.indices, jacs[0].indices)
+        for name in ("CC",) if v0 else ("SS", "CS", "CC"):
+            first = getattr(jacs[0], name)
+            for J in jacs[1:]:
+                assert np.array_equal(getattr(J, name).indptr, first.indptr)
+                assert np.array_equal(getattr(J, name).indices, first.indices)
 
     @pytest.mark.parametrize("bc,v0", CASES)
     def test_matches_reference_assembly(self, cset, params, rng, bc, v0):
@@ -729,15 +829,23 @@ class TestFixedPattern:
         lin = assemble_linear(s0, g, cset, params, cfg)
         t = _Terms(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, v0))
         J = _jacobian(t)
-        R = reference_assembly.jacobian(t)
-        assert J.shape == R.shape
-        assert abs(J - R).max() <= 1e-12 * abs(R).max()
-        # every nonzero of the reference is structural in the pattern
-        S = J.copy()
-        S.data[:] = 1.0
-        R.eliminate_zeros()
-        R.data[:] = 1.0
-        assert (R - R.multiply(S)).count_nonzero() == 0
+        ref = reference_assembly.jacobian(t)
+        ns = _block_layout(g, v0)["q"].start
+        assert ref.shape == (ns + J.CC.shape[0],) * 2
+        assert (J.SS is None) == (J.CS is None) == v0
+        blocks = [(J.CC, ref[ns:, ns:])]
+        if not v0:
+            blocks += [(J.SS, ref[:ns, :ns]), (J.CS, ref[ns:, :ns])]
+        for B, R in blocks:
+            assert B.shape == R.shape
+            assert abs(B - R).max() <= 1e-12 * abs(R).max()
+            # every nonzero of the reference is structural in the pattern
+            S = B.copy()
+            S.data[:] = 1.0
+            R = R.tocsc()
+            R.eliminate_zeros()
+            R.data[:] = 1.0
+            assert (R - R.multiply(S)).count_nonzero() == 0
 
     @pytest.mark.parametrize("v0", [True, False])
     def test_later_lus_reuse_the_first_ordering(self, cset, params, rng, v0):
@@ -750,31 +858,37 @@ class TestFixedPattern:
         lin = assemble_linear(s0, g, cset, params, cfg)
         t = _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
         J = _jacobian(t)
-        b = rng.standard_normal(J.shape[0])
         held, report = _HeldLU(), StepReport()
-        lus = []
+        ops = []
         for _ in range(2):
             assert _factor(t, held, report)
-            lus.append((held.permuted, held.lu.nnz, held.solve(b)))
-        assert report.factorizations == 2 and report.orderings == 1
-        (first, fill1, x1), (later, fill2, x2) = lus
-        assert not first and later and fill1 == fill2
-        assert np.abs(J @ x2 - b).max() <= 1e-10 * np.abs(b).max()
-        if v0:
-            # rows permuted alike: the same LU up to round-off
-            assert np.abs(x1 - x2).max() <= 1e-12 * np.abs(x1).max()
-        else:
-            # columns only: bitwise the same L, U and solve
-            assert np.array_equal(x1, x2)
+            ops.append(held.lu)
+        # one ordering per sub-LU, computed by its first LU only
+        assert report.factorizations == 2
+        assert report.orderings == (1 if v0 else 2)
+        for name, A in (("C", J.CC),) if v0 else (("S", J.SS), ("C", J.CC)):
+            first, later = (getattr(op, name) for op in ops)
+            b = rng.standard_normal(A.shape[0])
+            x1, x2 = first.solve(b), later.solve(b)
+            assert first.ordering is None and later.ordering is not None
+            assert first.lu.nnz == later.lu.nnz
+            assert np.abs(A @ x2 - b).max() <= 1e-10 * np.abs(b).max()
+            if name == "C":
+                # rows permuted alike: the same LU up to round-off
+                assert np.abs(x1 - x2).max() <= 1e-12 * np.abs(x1).max()
+            else:
+                # columns only: bitwise the same L, U and solve
+                assert np.array_equal(x1, x2)
 
-    def test_coupled_run_computes_one_ordering(self, cset, params):
+    def test_coupled_run_computes_one_ordering_per_lu(self, cset, params):
         g = Grid(12, 12)
         s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1,
                                                 shear=0.5), g, params, cset)
         # the shorter last step refactors at least once more
         res = run(s0, g, cset, params, StepConfig(tau=1e-3), T=4.5e-3)
         assert sum(rep.factorizations for rep in res.reports) >= 2
-        assert sum(rep.orderings for rep in res.reports) == 1
+        # one for J_SS and one for J_CC
+        assert sum(rep.orderings for rep in res.reports) == 2
 
 
 class TestTransportDefect:
