@@ -313,16 +313,18 @@ def _cmd_run(values, outdir, args) -> int:
     rel_slack, _ = ledger_slack(result.rows, result.E0)
     bad_slack = int(np.sum(rel_slack < -SLACK_TOL))
     n_steps = len(result.rows)
-    builds = sum(rep.factorizations for rep in result.reports)
-    newton = sum(rep.newton_iterations for rep in result.reports)
-    fill = sum(rep.factor_fill for rep in result.reports)
-    orderings = sum(rep.orderings for rep in result.reports)
+    ss_lus, cc_lus, newton, fill, orderings = (
+        sum(getattr(rep, key) for rep in result.reports)
+        for key in ("ss_lus", "cc_lus", "newton_iterations", "factor_fill",
+                    "orderings"))
     print(f"run complete: {n_steps} steps to t={last.t:g}, "
           f"E_tot={last.E_tot:.9g}, phi_mass={last.phi_mass:.12g}, "
           f"max|div v|={max(r.div_inf for r in result.rows):.3e}, "
           f"energy-slack violations: {bad_slack}, "
-          f"operator builds/step {builds / n_steps:.3g}, Newton it./step "
-          f"{newton / n_steps:.3g}, fill/build {fill / max(builds, 1):.0f}, "
+          f"J_SS LUs/step {ss_lus / n_steps:.3g}, "
+          f"J_CC LUs/step {cc_lus / n_steps:.3g}, Newton it./step "
+          f"{newton / n_steps:.3g}, "
+          f"fill/LU {fill / max(ss_lus + cc_lus, 1):.0f}, "
           f"orderings {orderings}")
     print(f"ledger: {outdir / 'ledger.csv'}")
     return EXIT_OK

@@ -24,12 +24,17 @@ minimum-degree ordering (half the fill of COLAMD's); J_SS, whose pressure
 block is zero but for the pin, keeps COLAMD with partial pivoting.  Each
 block's ordering is computed by its first LU only; later LUs factor the
 block permuted by it in natural order (see ``_Ordering``).  ``run`` holds
-the operator from step to step (chord iterations) and rebuilds it at the
-current iterate when the chord iterations still expected cost more than a
-new factorization (see ``_HeldLU``), and drops it whenever tau differs from
-the tau it was factored at (the shorter last step, every tau halving).  A
-full step from an operator not built at the current iterate that does not
-lower the residual is solved again with a fresh one.  A backtracking line
+the operator from step to step (chord iterations), and each LU is priced
+on its own from its fill (see ``_HeldLU``).  The J_CC LU is the part that
+goes stale and the cheaper one: when the chord iterations still expected
+cost more than a new J_CC LU, it is refactored (with J_CS) at the current
+iterate and the J_SS LU is kept.  Both are rebuilt when a J_CC LU built in
+the same attempt still contracts too slowly to pay for both, when the
+excess iterations of the steps on the J_SS LU pay for its price, and when
+a full step from an operator not built whole at the current iterate does
+not lower the residual (that step is then solved again with the fresh
+one).  The operator is dropped whenever tau differs from the tau it was
+factored at (the shorter last step, every tau halving).  A backtracking line
 search on a fresh operator's direction accepts an iterate only if it lowers
 the scaled residual, so the accepted residual history is strictly
 decreasing.  When the line search stalls or the iteration budget runs out,
@@ -102,9 +107,10 @@ class StepReport:
     residual_history: list = field(default_factory=list)   # accepted, per block
     rejected: int = 0                   # line-search trials not accepted
     linear_solves: int = 0
-    factorizations: int = 0             # Newton operator builds, all attempts
-    factor_fill: int = 0                # summed L+U fill (lu.nnz) of their LUs
-    orderings: int = 0                  # fill-reducing orderings, one per LU
+    ss_lus: int = 0                     # J_SS LUs built, all attempts
+    cc_lus: int = 0                     # J_CC LUs built, all attempts
+    factor_fill: int = 0                # summed L+U fill (lu.nnz) of every LU
+    orderings: int = 0                  # fill-reducing orderings computed
     tau_used: float = 0.0
     transport_defect: float = 0.0       # at the converged iterate (0 in v0)
     backoffs: int = 0
@@ -477,19 +483,6 @@ def _jacobian(t: _Terms) -> _Jacobian:
 # the step
 # ---------------------------------------------------------------------------
 
-# A sparse LU's factorization costs about this many chord iterations (one
-# LU solve plus one residual) per unit of its L+U fill per unknown, the fill
-# being SuperLU's stored count ``lu.nnz`` (reading ``lu.L``/``lu.U`` would
-# copy both factors).  Measured factor / iteration time over fill / n gives
-# 0.16-0.185 on COLAMD-ordered LUs of relaxation-v0 and shear-droplet at
-# 32^2 and 64^2 (fill / n from 125 to about 580).  The symmetric-ordered v0
-# LU (fill / n about 60 at 32^2, 90 at 64^2) measures 0.39-0.61 (factor
-# plus Jacobian over a chord iteration), but a sweep of the constant over
-# 0.17-0.45 on relaxation-v0 32^2 found no run-time gain above the noise,
-# so one constant prices both.
-FACTOR_COST_PER_FILL = 0.17
-
-
 @dataclass(frozen=True)
 class _Ordering:
     """The fill-reducing ordering of a Jacobian block's pattern, taken from
@@ -528,23 +521,11 @@ class _BlockLU(NamedTuple):
     y_S = J_SS^-1 r_S, then y_C = J_CC^-1 (r_C - J_CS y_S).  ``S`` and ``CS``
     are None in v0 mode, where the operator is the LU of J_CC alone (block
     triangular preconditioning as in Elman, Silvester & Wathen, Finite
-    Elements and Fast Iterative Solvers, 2nd ed., OUP 2014)."""
+    Elements and Fast Iterative Solvers, 2nd ed., OUP 2014).  ``CS`` and
+    ``C`` are None while the J_CC LU is dropped and ``S`` still held."""
     S: Optional[_SubLU]
     CS: Optional[sp.csc_matrix]
-    C: _SubLU
-
-    def _lus(self) -> list:
-        return [sub.lu for sub in (self.S, self.C) if sub is not None]
-
-    @property
-    def nnz(self) -> int:
-        """Summed L+U fill of both LUs (SuperLU's ``lu.nnz``; reading
-        ``lu.L``/``lu.U`` would copy the factors)."""
-        return sum(lu.nnz for lu in self._lus())
-
-    @property
-    def n(self) -> int:
-        return sum(lu.shape[0] for lu in self._lus())
+    C: Optional[_SubLU]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.S is None:
@@ -554,32 +535,64 @@ class _BlockLU(NamedTuple):
         return np.concatenate([y_s, self.C.solve(rhs[ns:] - self.CS @ y_s)])
 
 
-# Building the Newton operator (the block Jacobian and both LUs, orderings
-# reused) costs about this many chord iterations (one operator apply plus
-# one residual) per unit of its summed L+U fill per unknown.  Measured build
-# / iteration time over fill / n, medians of repeats on one 2-core x86 host:
-# 0.14-0.21 on shear-droplet and droplet at 32^2 (fill / n 129, 66-85 ms
-# against 2.6-3.7 ms, so 19-27 iterations) and 0.17-0.18 at 64^2 (fill / n
-# 209, 620-694 ms against 17-19 ms).  The v0 operator, J_CC's LU alone
-# (fill / n 59 at 32^2), measures 0.28, but a sweep of the constant over
-# 0.17-0.45 on relaxation-v0 32^2 found no run-time gain above the noise,
-# so one constant prices both.
+_BLOCKS = ("S", "C")
+
+# Building one LU of the Newton operator (the block Jacobian and that LU,
+# its ordering reused) costs about this many chord iterations (one operator
+# apply plus one residual) per unit of its L+U fill per unknown, n counting
+# every unknown; the fill is SuperLU's stored count ``lu.nnz`` (reading
+# ``lu.L``/``lu.U`` would copy the factors).  Measured build / iteration
+# time over fill / n, medians of 5-9 repeats on one 2-core x86 host,
+# shear-droplet and droplet: J_SS 0.16-0.18 at 32^2 (fill / n 99, 47-56 ms
+# against 2.9-3.1 ms) and 0.17-0.21 at 64^2 (fill / n 163); J_CC 0.12-0.14
+# at 32^2 (fill / n 30, 11-12 ms) and 0.11 at 64^2 (fill / n 46).  The v0
+# operator, J_CC's LU alone over a cheaper iteration, measures 0.28.
+# Pricing the coupled J_CC LU at 0.12 instead traded 4 more J_CC LUs for 12
+# fewer of 580 Newton iterations on shipped droplet 32^2 (100 steps) and
+# left shear-droplet 32^2 (20 steps) at 160 iterations and 4 J_SS LUs, while
+# one constant keeps every v0 decision, so one constant prices every LU.
 FACTOR_COST_PER_FILL = 0.17
+
+
+@dataclass
+class _Age:
+    """The chord accounting of one held LU.  ``price`` is its rebuild in
+    chord iterations, ``FACTOR_COST_PER_FILL * fill / n``; ``base`` is the
+    Newton iteration count of the first step converged on it without
+    refactoring it, and ``excess`` adds up what each later such step spends
+    beyond that."""
+    price: float
+    base: Optional[int] = None
+    excess: int = 0
+
+    def settle(self, iterations: int) -> bool:
+        """Account a step converged on this LU; whether the excess has paid
+        for a rebuild."""
+        if self.base is None:
+            self.base = iterations
+        else:
+            self.excess += max(iterations - self.base, 0)
+        return self.excess >= self.price
 
 
 @dataclass
 class _HeldLU:
     """One-slot holder for the Newton operator, the tau it was built at and
     the chord/refactor trade-off (Kelley, Iterative Methods for Linear and
-    Nonlinear Equations, SIAM 1995, ch. 5).
+    Nonlinear Equations, SIAM 1995, ch. 5), priced per LU.
 
-    ``price`` is a refactorization in chord iterations, from the summed
-    fill of the operator's LUs.  Within a step, ``chord_too_slow`` weighs
-    the iterations the observed contraction still needs against it.  Across
-    steps, ``base`` is the Newton iteration count of the first step
-    converged on this operator without refactoring, and ``excess`` adds up
-    what each later such step spends beyond it, until that pays for a
-    refactorization.  No clock is read, so reruns repeat bitwise.
+    The two LUs age apart: a held J_CC goes stale within a few steps, a
+    held J_SS stays good for many, and J_SS's LU costs about three times
+    J_CC's.  So the cheap LU is refreshed first.  ``ages`` (block name ->
+    ``_Age``) price each held LU.  Within a step, ``refactor`` weighs the
+    iterations the observed contraction still needs against the price of
+    J_CC's LU, and refreshes it (with J_CS) at the current iterate; only
+    when a J_CC LU built in the same attempt still contracts too slowly
+    does it weigh them against both prices and rebuild both.  Across steps,
+    each LU's excess iterations are added up on its own: J_CC's LU is
+    dropped when they pay for J_CC's price, the whole operator when they
+    pay for J_SS's.  No clock is read, so reruns repeat bitwise.  In v0
+    mode there is only J_CC, and the rule is the one-LU rule.
     ``orderings`` (block name -> ``_Ordering``) outlive the LUs.  They are
     kept per holder, not per grid, so a rerun with a fresh holder factors
     its first LUs as the first run did (a symmetrically pre-permuted J_CC
@@ -587,41 +600,45 @@ class _HeldLU:
     """
     lu: Optional[_BlockLU] = None
     tau: float = 0.0
-    price: float = 0.0
-    base: Optional[int] = None
-    excess: int = 0
+    ages: dict = field(default_factory=dict)
     orderings: dict = field(default_factory=dict)
-
-    def hold(self, lu: _BlockLU, tau: float) -> None:
-        self.lu, self.tau = lu, tau
-        self.price = FACTOR_COST_PER_FILL * lu.nnz / lu.n
-        self.base, self.excess = None, 0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self.lu.solve(rhs)
 
-    def settle(self, iterations: int) -> None:
-        """Account a step converged on this operator without refactoring;
-        once the excess iterations reach the price, the next step factors
-        anew."""
-        if self.base is None:
-            self.base = iterations
-        else:
-            self.excess += max(iterations - self.base, 0)
-        if self.excess >= self.price:
+    def settle(self, iterations: int, rebuilt: set) -> None:
+        """Account a converged step to each held LU not in ``rebuilt``; an
+        LU whose excess iterations reach its price is dropped (J_SS's with
+        the whole operator)."""
+        if self.lu is None or self.lu.C is None:
+            return
+        paid = {name for name, age in self.ages.items()
+                if name not in rebuilt and age.settle(iterations)}
+        if "S" in paid:
             self.lu = None
+        elif "C" in paid:
+            self.lu = self.lu._replace(CS=None, C=None)
 
-    def chord_too_slow(self, res: float, prev_res: float, tol: float,
-                       left: int) -> bool:
-        """Whether the chord iterations still needed from the residual
-        ``res`` at the contraction ``res / prev_res`` of the last iteration
-        exceed a refactorization plus two Newton iterations, or the
-        ``left`` iterations of the budget."""
+    def refactor(self, res: float, prev_res: float, tol: float, left: int,
+                 c_fresh: bool) -> tuple:
+        """The blocks to factor at the current iterate before the next
+        Newton iteration: both without an operator, J_CC without its LU.
+        Else, from the residual ``res`` at the contraction ``res /
+        prev_res`` of the last iteration, J_CC when the chord iterations
+        still needed exceed its price plus two, or the ``left`` iterations
+        of the budget; once a J_CC LU was built in this attempt
+        (``c_fresh``), both when they exceed both prices plus two."""
+        if self.lu is None:
+            return _BLOCKS
+        if self.lu.C is None:
+            return ("C",)
         if not math.isfinite(prev_res):     # no iteration yet in this attempt
-            return False
+            return ()
         # accepted residuals strictly decrease, so log(res / prev_res) < 0
         needed = math.log(tol / res) / math.log(res / prev_res)
-        return needed > min(self.price + 2.0, left)
+        blocks = _BLOCKS if c_fresh else ("C",)
+        price = sum(self.ages[b].price for b in blocks if b in self.ages)
+        return blocks if needed > min(price + 2.0, left) else ()
 
 
 def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
@@ -632,7 +649,8 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
 
     The operator in ``held`` may come from an earlier iterate or step (a
     chord iteration); it is dropped when it was built at another tau, and
-    rebuilt at the current iterate when ``held.chord_too_slow``.
+    its LUs are refactored at the current iterate as ``held.refactor``
+    picks.
     """
     layout = _block_layout(state_k.grid, cfg.v0_mode)
     if held.tau != tau:
@@ -641,7 +659,7 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
     rvec, blocks = t.residual()
     newton_left = cfg.max_newton
     prev_res = np.inf
-    factorizations = report.factorizations
+    rebuilt = set()                     # blocks factored in this attempt
     while True:
         res = max(blocks.values())
         report.iterations += 1
@@ -651,20 +669,22 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
             return None
         if res <= cfg.tol_nl:
             report.converged = True
-            if report.factorizations == factorizations:   # no refactor here
-                held.settle(cfg.max_newton - newton_left)
+            held.settle(cfg.max_newton - newton_left, rebuilt)
             if not cfg.v0_mode:
                 report.transport_defect = transport_defect(t)
             return _finalize(state_k, t.w, tau)
         if newton_left == 0:
             report.failure_reason = "Newton iteration budget exhausted"
             return None
-        fresh = held.lu is None or held.chord_too_slow(
-            res, prev_res, cfg.tol_nl, newton_left)
+        stale = held.refactor(res, prev_res, cfg.tol_nl, newton_left,
+                              "C" in rebuilt)
         newton_left -= 1
         report.newton_iterations += 1
-        if fresh and not _factor(t, held, report):
+        if stale and not _factor(t, held, report, stale):
             return None
+        rebuilt.update(stale)
+        # the whole operator was built at this iterate
+        fresh = bool(stale) and (held.lu.S is None or "S" in stale)
         prev_res = res
         alpha = 1.0
         while True:
@@ -679,11 +699,13 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 break
             report.rejected += 1
             if not fresh:
-                # a held operator gave a full step that does not descend:
-                # refactor at this iterate, line search only on that direction
+                # a full step from an operator (or J_SS LU) of an earlier
+                # iterate does not descend: rebuild both at this iterate,
+                # line search only on that direction
                 fresh = True
                 if not _factor(t, held, report):
                     return None
+                rebuilt.update(_BLOCKS)
                 continue
             alpha *= 0.5
             if alpha < 1.0 / 256.0:
@@ -704,41 +726,57 @@ _LU_OPTIONS = {
 }
 
 
-def _factor(t: _Terms, held: _HeldLU, report: StepReport) -> bool:
-    """Replace the held operator by the block LU of the Jacobian at ``t``;
+def _factor(t: _Terms, held: _HeldLU, report: StepReport,
+            blocks: tuple = _BLOCKS) -> bool:
+    """Factor ``blocks`` of the Jacobian at ``t`` into the held operator;
     False (with the reason in the report) when a factorization fails.
 
-    J_CC is always factored, J_SS in coupled mode only.  The first LU of a
-    block's pattern computes its fill-reducing ordering, and every later one
-    factors the block permuted by it (see ``_Ordering``)."""
-    held.lu = None                 # free the old LUs before building the new
+    With "S" in ``blocks`` the whole operator is rebuilt: J_CC always, J_SS
+    in coupled mode only.  Without it, J_CC's LU and J_CS are replaced and
+    the held J_SS LU is kept.  The first LU of a block's pattern computes
+    its fill-reducing ordering, and every later one factors the block
+    permuted by it (see ``_Ordering``)."""
+    # free the old LUs before building the new
+    held.lu = None if "S" in blocks else held.lu._replace(CS=None, C=None)
     J = _jacobian(t)
     patterns = _jacobian_patterns(t.lin.grid, t.cfg.v0_mode)
+    n = J.CC.shape[0] + (0 if J.SS is None else J.SS.shape[0])
     try:
-        S = None if J.SS is None else \
-            _factor_block("S", J.SS, patterns.SS, held, report)
-        C = _factor_block("C", J.CC, patterns.CC, held, report)
+        if held.lu is not None:
+            S = held.lu.S
+        else:
+            S = None if J.SS is None else \
+                _factor_block("S", J.SS, patterns.SS, n, held, report)
+        C = _factor_block("C", J.CC, patterns.CC, n, held, report)
     except RuntimeError as exc:
         report.failure_reason = f"Newton linearization failed: {exc}"
         return False
-    held.hold(_BlockLU(S, J.CS, C), t.tau)
-    report.factorizations += 1
-    report.factor_fill += held.lu.nnz
+    held.lu, held.tau = _BlockLU(S, J.CS, C), t.tau
     return True
 
 
 def _factor_block(name: str, J: sp.csc_matrix, pattern: FixedPattern,
-                  held: _HeldLU, report: StepReport) -> _SubLU:
+                  n: int, held: _HeldLU, report: StepReport) -> _SubLU:
+    """The LU of block ``name``, counted in the report and priced for
+    ``held`` over the ``n`` unknowns of the whole system."""
     opts = _LU_OPTIONS[name]
     ordering = held.orderings.get(name)
     if ordering is not None and ordering.pattern is pattern:
-        return _SubLU(spla.splu(ordering.permute(J),
-                                **dict(opts, permc_spec="NATURAL")), ordering)
-    lu = spla.splu(J, **opts)
-    held.orderings[name] = _Ordering(pattern, np.argsort(lu.perm_c),
-                                     symmetric=name == "C")
-    report.orderings += 1
-    return _SubLU(lu, None)
+        sub = _SubLU(spla.splu(ordering.permute(J),
+                               **dict(opts, permc_spec="NATURAL")), ordering)
+    else:
+        lu = spla.splu(J, **opts)
+        held.orderings[name] = _Ordering(pattern, np.argsort(lu.perm_c),
+                                         symmetric=name == "C")
+        report.orderings += 1
+        sub = _SubLU(lu, None)
+    if name == "S":
+        report.ss_lus += 1
+    else:
+        report.cc_lus += 1
+    report.factor_fill += sub.lu.nnz
+    held.ages[name] = _Age(FACTOR_COST_PER_FILL * sub.lu.nnz / n)
+    return sub
 
 
 def transport_defect(t: _Terms) -> float:

@@ -115,8 +115,9 @@ t_final = 6e-3
         assert (out / "config.effective.ini").exists()
 
     def test_summary_reports_solver_counts(self, tmp_path, capsys):
-        # one ordering per LU of the Newton operator: J_CC's alone in v0
-        # mode, J_SS's and J_CC's with flow
+        # the LUs of each block per step, and one ordering per LU of the
+        # Newton operator: J_CC's alone in v0 mode, J_SS's and J_CC's with
+        # flow
         for v0, orderings in (("true", 1), ("false", 2)):
             path = write(tmp_path, f"""
 [grid]
@@ -139,10 +140,11 @@ t_final = 6e-3
             line = capsys.readouterr().out.splitlines()[0]
             assert line.startswith("run complete: 3 steps")
             counts = dict(part.rsplit(" ", 1)
-                          for part in line.split(", ")[-4:])
-            assert float(counts["operator builds/step"]) > 0
+                          for part in line.split(", ")[-5:])
+            assert (float(counts["J_SS LUs/step"]) > 0) == (orderings == 2)
+            assert float(counts["J_CC LUs/step"]) > 0
             assert float(counts["Newton it./step"]) > 0
-            assert int(counts["fill/build"]) > 0
+            assert int(counts["fill/LU"]) > 0
             assert int(counts["orderings"]) == orderings
             # solver counts stay out of the ledger
             header = (out / "ledger.csv").read_text().splitlines()[0]
@@ -196,8 +198,8 @@ t_final = 6e-3
         assert report["backoffs"] == 0
         assert report["tau_used"] == 2e-3
         assert report["newton_iterations"] == 1
-        # the first step's only operator build, J_CC's LU alone in v0 mode
-        assert report["factorizations"] == 1
+        # the first step's only LU, J_CC's: v0 mode has no J_SS
+        assert report["cc_lus"] == 1 and report["ss_lus"] == 0
         assert report["orderings"] == 1
         assert "budget" in report["failure_reason"]
         hist = report["residual_history"]

@@ -1,6 +1,7 @@
 """Implicit step: fixed point, oracle equivalence, assembly, conservation."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,9 @@ from surfflow.linalg import MeanPoissonSolver
 from surfflow.mesh import Grid, ScalarField, VectorField, convect_skew
 from surfflow.state import ScenarioConfig, State, initialize_scenario
 from surfflow.stepper import (FACTOR_COST_PER_FILL, StepConfig, StepFailure,
-                              StepReport, _block_layout, _factor, _HeldLU,
-                              _Iterate, _jacobian, _Terms, assemble_linear,
-                              run, step)
+                              StepReport, _Age, _block_layout, _BlockLU,
+                              _factor, _HeldLU, _Iterate, _jacobian, _Terms,
+                              assemble_linear, run, step)
 
 
 def _ch_layout(g, v0):
@@ -489,10 +490,20 @@ def _held_at(s, g, cset, params, cfg) -> _HeldLU:
     return held
 
 
+def _shipped(name: str):
+    """A shipped config: grid, params, cset, stepper config, initial state."""
+    config = Path(__file__).parent.parent / "configs" / f"{name}.ini"
+    grid, params, _, cfg, scenario, _ = build_objects(parse_config(config))
+    cset = build_default_set(params)
+    return grid, params, cset, cfg, initialize_scenario(scenario, grid,
+                                                        params, cset)
+
+
 def _forced(held: _HeldLU, price: float, base=None, excess=0) -> _HeldLU:
-    """``held`` with its refactor state set directly instead of from the
-    LU's fill, so a test's setup does not move with the ordering."""
-    held.price, held.base, held.excess = price, base, excess
+    """``held`` with the refactor state of its J_CC LU set directly instead
+    of from the LU's fill, so a test's setup does not move with the
+    ordering."""
+    held.ages["C"] = _Age(price, base, excess)
     return held
 
 
@@ -504,8 +515,8 @@ class TestHeldLU:
         g, s0, cfg = relax16
         res = run(s0, g, cset, params, cfg, T=20 * cfg.tau)
         assert len(res.reports) == 20
-        assert sum(rep.factorizations for rep in res.reports) < 20
-        assert res.reports[0].factorizations >= 1
+        assert sum(rep.cc_lus for rep in res.reports) < 20
+        assert res.reports[0].cc_lus >= 1
         assert all(rep.tau_used == cfg.tau and rep.backoffs == 0
                    for rep in res.reports)
 
@@ -514,7 +525,7 @@ class TestHeldLU:
         res = run(s0, g, cset, params, cfg, T=5.5 * cfg.tau)
         last = res.reports[-1]
         assert last.tau_used < cfg.tau
-        assert last.factorizations >= 1
+        assert last.cc_lus >= 1
 
     def test_backoff_refactors_at_each_tau(self, cset, params, relax16):
         g, s0, cfg = relax16
@@ -526,11 +537,11 @@ class TestHeldLU:
         s, rep = step(s, g, cset, params, tight, held=held)
         assert rep.converged and rep.backoffs >= 1
         # every halved tau drops the LU and factors its own
-        assert rep.factorizations >= rep.backoffs
+        assert rep.cc_lus >= rep.backoffs
         assert held.tau == rep.tau_used < cfg.tau
         # the next full-tau step drops the LU of the smaller tau
         _, rep = step(s, g, cset, params, cfg, held=held)
-        assert rep.backoffs == 0 and rep.factorizations >= 1
+        assert rep.backoffs == 0 and rep.cc_lus >= 1
         assert held.tau == cfg.tau
 
     def test_lu_from_initial_state_still_converges(self, cset, params, relax16):
@@ -551,7 +562,7 @@ class TestHeldLU:
         held = _held_at(other, g, cset, params, cfg)
         _, rep = step(s0, g, cset, params, cfg, held=held)
         assert rep.converged and rep.backoffs == 0
-        assert rep.rejected >= 1 and rep.factorizations >= 1
+        assert rep.rejected >= 1 and rep.cc_lus >= 1
         # the rejected direction is solved again with the fresh LU
         assert rep.linear_solves > rep.newton_iterations
 
@@ -562,8 +573,20 @@ class TestHeldLU:
                 for _ in range(2))
         assert [dataclasses.astuple(r) for r in a.rows] == \
             [dataclasses.astuple(r) for r in b.rows]
-        assert [(r.newton_iterations, r.factorizations) for r in a.reports] \
-            == [(r.newton_iterations, r.factorizations) for r in b.reports]
+        assert [(r.newton_iterations, r.cc_lus) for r in a.reports] \
+            == [(r.newton_iterations, r.cc_lus) for r in b.reports]
+
+    def test_v0_counts_match_the_one_lu_rule(self, cset, params, relax16):
+        # v0 mode has J_CC's LU alone, priced as the whole operator was
+        # before each LU had its own price: per step, the Newton iterations
+        # and LUs that rule took here
+        g, s0, cfg = relax16
+        res = run(s0, g, cset, params, cfg, T=20 * cfg.tau)
+        assert [(r.newton_iterations, r.cc_lus) for r in res.reports] == [
+            (5, 2), (5, 1), (5, 1), (5, 1), (5, 1), (7, 0), (5, 1), (7, 0),
+            (4, 1), (6, 0), (7, 0), (4, 1), (6, 0), (6, 0), (7, 0), (7, 0),
+            (8, 0), (8, 0), (8, 0), (5, 1)]
+        assert all(r.ss_lus == 0 for r in res.reports)
 
     def test_iterations_do_not_climb(self, cset, params):
         # an LU is rebuilt once the iterations its later steps spend beyond
@@ -575,45 +598,72 @@ class TestHeldLU:
         assert np.mean(its[-5:]) <= np.mean(its[1:6])
 
     def test_price_is_fill_per_unknown(self, cset, params):
-        # the summed fill of the operator's LUs over all unknowns
+        # each LU is priced from its own fill over all unknowns
         g = Grid(12, 12)
         s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
                                  g, params, cset)
         for v0 in (True, False):
             held = _held_at(s0, g, cset, params,
                             StepConfig(tau=1e-3, v0_mode=v0))
-            subs = [sub for sub in (held.lu.S, held.lu.C) if sub is not None]
-            assert len(subs) == (1 if v0 else 2)
-            fill = sum(sub.lu.nnz for sub in subs)
-            n = sum(sub.lu.shape[0] for sub in subs)
+            subs = {name: sub for name, sub in (("S", held.lu.S),
+                                                ("C", held.lu.C))
+                    if sub is not None}
+            assert set(held.ages) == set(subs) == ({"C"} if v0 else {"S", "C"})
+            n = sum(sub.lu.shape[0] for sub in subs.values())
             assert n == max(sl.stop for sl in _block_layout(g, v0).values())
-            assert held.price == FACTOR_COST_PER_FILL * fill / n
-            assert held.base is None and held.excess == 0
+            for name, sub in subs.items():
+                age = held.ages[name]
+                assert age.price == FACTOR_COST_PER_FILL * sub.lu.nnz / n
+                assert age.base is None and age.excess == 0
 
     def test_chord_prediction(self):
-        held = _HeldLU(price=10.0)
-        # contraction 0.1 from 1e-2 needs 8 more iterations to 1e-10
-        assert not held.chord_too_slow(1e-2, 1e-1, 1e-10, left=50)
-        assert held.chord_too_slow(1e-2, 1e-1, 1e-10, left=7)
-        assert _HeldLU(price=5.0).chord_too_slow(1e-2, 1e-1, 1e-10, left=50)
+        def held(s_price, c_price):
+            return _HeldLU(lu=_BlockLU(S="S", CS="CS", C="C"),
+                           ages={"S": _Age(s_price), "C": _Age(c_price)})
+
+        both = ("S", "C")
+        # contraction 0.1 from 1e-2 needs 8 more iterations to 1e-10; at
+        # first the chord is weighed against the J_CC LU alone
+        h = held(20.0, 10.0)
+        assert h.refactor(1e-2, 1e-1, 1e-10, left=50, c_fresh=False) == ()
+        assert h.refactor(1e-2, 1e-1, 1e-10, left=7, c_fresh=False) == ("C",)
+        assert held(20.0, 5.0).refactor(1e-2, 1e-1, 1e-10, left=50,
+                                        c_fresh=False) == ("C",)
+        # a J_CC LU built in this attempt that still contracts too slowly
+        # is weighed against both prices, and both LUs are rebuilt
+        cheap_c = held(20.0, 5.0)
+        assert cheap_c.refactor(1e-2, 1e-1, 1e-10, left=50, c_fresh=True) == ()
+        assert cheap_c.refactor(1e-2, 1e-1, 1e-10, left=7, c_fresh=True) == both
+        assert held(3.0, 2.0).refactor(1e-2, 1e-1, 1e-10, left=50,
+                                       c_fresh=True) == both
         # the first iteration of an attempt has no contraction to go by
-        assert not held.chord_too_slow(1e-2, np.inf, 1e-10, left=1)
+        assert h.refactor(1e-2, np.inf, 1e-10, left=1, c_fresh=False) == ()
+        # a dropped operator is rebuilt whole, a dropped J_CC LU alone
+        assert _HeldLU().refactor(1e-2, np.inf, 1e-10, left=1,
+                                  c_fresh=False) == both
+        h.lu = h.lu._replace(CS=None, C=None)
+        assert h.refactor(1e-2, np.inf, 1e-10, left=1, c_fresh=False) == ("C",)
 
     def test_budget_short_of_chord_refactors(self, cset, params, relax16):
         g, s0, cfg = relax16
         s = run(s0, g, cset, params, cfg, T=5 * cfg.tau).final_state
-        # the LU at the step's first iterate, priced at ten chord iterations
-        held = _forced(_held_at(s, g, cset, params, cfg), price=10.0)
+
+        def held_at_s():
+            # the LU at the step's first iterate, priced at ten chord
+            # iterations
+            return _forced(_held_at(s, g, cset, params, cfg), price=10.0)
+
         # with the full budget the held LU converges the next step as is
-        _, rep = step(s, g, cset, params, cfg, held=dataclasses.replace(held))
-        assert rep.factorizations == 0 and rep.newton_iterations > 4
+        _, rep = step(s, g, cset, params, cfg, held=held_at_s())
+        assert rep.cc_lus == 0 and rep.newton_iterations > 4
         # four iterations are fewer than the chord needs, and fewer than a
         # refactorization is worth: the LU is rebuilt, with no backoff
         tight = dataclasses.replace(cfg, max_newton=4, max_backoff=0)
-        assert held.price + 2.0 > tight.max_newton
+        held = held_at_s()
+        assert held.ages["C"].price + 2.0 > tight.max_newton
         _, rep = step(s, g, cset, params, tight, held=held)
         assert rep.converged and rep.backoffs == 0
-        assert rep.factorizations >= 1
+        assert rep.cc_lus >= 1
 
     def test_cheap_refactorization_taken_within_the_step(
             self, cset, params, relax16):
@@ -624,7 +674,7 @@ class TestHeldLU:
         held = _forced(_held_at(s, g, cset, params, cfg), price=1.0)
         _, rep = step(s, g, cset, params, cfg, held=held)
         assert rep.converged and rep.backoffs == 0
-        assert rep.factorizations >= 1
+        assert rep.cc_lus >= 1
 
 
 class TestFactorOrdering:
@@ -662,8 +712,8 @@ class TestFactorOrdering:
                 assert _factor(t, held, report)
                 fills += [sub.lu.nnz for sub in (held.lu.S, held.lu.C)
                           if sub is not None]
-            # one count per operator build, the fill of every LU in it
-            assert report.factorizations == 2
+            # one count per LU built, the fill of every LU
+            assert report.cc_lus == 2 and report.ss_lus == (0 if v0 else 2)
             assert len(fills) == (2 if v0 else 4)
             assert report.factor_fill == sum(fills) > 0
 
@@ -717,16 +767,77 @@ class TestBlockOperator:
 
     def test_coupled_droplet_iterations_stay_low(self):
         # the shipped coupled droplet at 32^2: the held sweep converges its
-        # first ten steps in 87 Newton iterations (the held LU of the whole
-        # saddle took 165, climbing from 10 to 24 per step)
-        config = Path(__file__).parent.parent / "configs" / "droplet.ini"
-        grid, params, _, cfg, scenario, _ = build_objects(parse_config(config))
-        cset = build_default_set(params)
-        s0 = initialize_scenario(scenario, grid, params, cset)
+        # first ten steps in 61 Newton iterations (87 when both LUs were
+        # rebuilt together; the held LU of the whole saddle took 165,
+        # climbing from 10 to 24 per step)
+        grid, params, cset, cfg, s0 = _shipped("droplet")
         res = run(s0, grid, cset, params, cfg, T=10 * cfg.tau)
         assert len(res.reports) == 10
         assert all(rep.backoffs == 0 for rep in res.reports)
         assert sum(rep.newton_iterations for rep in res.reports) <= 120
+
+
+    def test_cc_refresh_keeps_the_ss_lu(self, cset, params, rng):
+        g = Grid(12, 12)
+        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1,
+                                                shear=0.5), g, params, cset)
+        cfg = StepConfig(tau=1e-3)
+        held = _held_at(s0, g, cset, params, cfg)
+        S, C = held.lu.S, held.lu.C
+        b = rng.standard_normal(S.lu.shape[0])
+        before = S.solve(b)
+        lin = assemble_linear(s0, g, cset, params, cfg)
+        t = _Terms(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, False))
+        report = StepReport()
+        assert _factor(t, held, report, ("C",))
+        assert report.cc_lus == 1 and report.ss_lus == 0
+        assert report.factor_fill == held.lu.C.lu.nnz
+        # the same J_SS LU object, so bitwise the same S solves; J_CC's LU
+        # and J_CS are those of the new iterate
+        assert held.lu.S is S and held.lu.C is not C
+        assert np.array_equal(held.lu.S.solve(b), before)
+        assert abs(held.lu.CS - _jacobian(t).CS).max() == 0.0
+
+    def test_fresh_cc_on_an_old_ss_lu_converges_like_a_fresh_operator(self):
+        # shipped droplet 32^2: the J_CC LU is the part of a held operator
+        # that goes stale; a J_SS LU eight steps old with a fresh J_CC LU
+        # converges step 11 like a fully fresh operator (6 iterations), the
+        # operator eight steps old as a whole takes 25
+        grid, params, cset, cfg, s0 = _shipped("droplet")
+        states = [s0]
+        run(s0, grid, cset, params, cfg, T=10 * cfg.tau,
+            callbacks=[lambda s, rep, row: states.append(s)])
+        old, now = states[2], states[10]
+
+        def iterations(held):
+            for age in held.ages.values():      # no refactor at any price
+                age.price = math.inf
+            _, rep = step(now, grid, cset, params, cfg, held=held)
+            assert rep.converged and rep.backoffs == 0 and rep.ss_lus == 0
+            return rep.newton_iterations, rep.cc_lus
+
+        fresh = _held_at(now, grid, cset, params, cfg)
+        mixed = _held_at(old, grid, cset, params, cfg)
+        lin = assemble_linear(now, grid, cset, params, cfg)
+        assert _factor(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(now)),
+                       mixed, StepReport(), ("C",))
+        its_fresh, lus_fresh = iterations(fresh)
+        its_mixed, lus_mixed = iterations(mixed)
+        assert lus_fresh == lus_mixed == 0
+        assert abs(its_mixed - its_fresh) <= 1
+        its_stale, _ = iterations(_held_at(old, grid, cset, params, cfg))
+        assert its_stale >= 2 * its_fresh
+
+    def test_shear_droplet_builds_few_ss_lus(self):
+        # shipped shear-droplet 32^2, ten steps: J_CC's LU is refreshed
+        # where the held operator is too slow, J_SS's only once its own
+        # excess iterations pay for it (3 here; 6 when both LUs were
+        # rebuilt together)
+        grid, params, cset, cfg, s0 = _shipped("shear-droplet")
+        res = run(s0, grid, cset, params, cfg, T=10 * cfg.tau)
+        assert len(res.reports) == 10
+        assert all(rep.backoffs == 0 for rep in res.reports)
+        assert sum(rep.ss_lus for rep in res.reports) <= 3
 
 
 class TestJacobian:
@@ -864,7 +975,7 @@ class TestFixedPattern:
             assert _factor(t, held, report)
             ops.append(held.lu)
         # one ordering per sub-LU, computed by its first LU only
-        assert report.factorizations == 2
+        assert report.cc_lus == 2 and report.ss_lus == (0 if v0 else 2)
         assert report.orderings == (1 if v0 else 2)
         for name, A in (("C", J.CC),) if v0 else (("S", J.SS), ("C", J.CC)):
             first, later = (getattr(op, name) for op in ops)
@@ -886,7 +997,8 @@ class TestFixedPattern:
                                                 shear=0.5), g, params, cset)
         # the shorter last step refactors at least once more
         res = run(s0, g, cset, params, StepConfig(tau=1e-3), T=4.5e-3)
-        assert sum(rep.factorizations for rep in res.reports) >= 2
+        assert sum(rep.ss_lus for rep in res.reports) >= 2
+        assert sum(rep.cc_lus for rep in res.reports) >= 2
         # one for J_SS and one for J_CC
         assert sum(rep.orderings for rep in res.reports) == 2
 
