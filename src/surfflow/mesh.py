@@ -183,10 +183,6 @@ class Grid:
         return self.nx * self.ny
 
     @property
-    def cell_shape(self) -> Tuple[int, int]:
-        return (self.nx, self.ny)
-
-    @property
     def xface_shape(self) -> Tuple[int, int]:
         return (self.nx, self.ny) if self.periodic else (self.nx - 1, self.ny)
 

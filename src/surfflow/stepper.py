@@ -7,7 +7,7 @@ the transported gradients use the old phi/q, while the potentials f, g, h
 and the secant slope H of W are evaluated implicitly.
 
 The solver is a Newton iteration on the full coupled residual, started
-from the first iterate (the old state, or the extrapolated predictor).  The
+from the old state at every attempt (each tau halving included).  The
 unknowns split into the Stokes blocks S = [v, p, b] (momentum, continuity,
 periodic border) and the Cahn-Hilliard blocks C = [q, mu, phi].  The Newton
 operator is one block Gauss-Seidel sweep over that split (``_BlockLU``):
@@ -80,15 +80,13 @@ __all__ = [
 @dataclass(frozen=True)
 class StepConfig:
     """Stepper settings; the ``[stepper]`` config section.  ``v0_mode``
-    drops transport entirely; ``extrapolate`` starts Newton from the
-    previous increment."""
+    drops transport entirely."""
 
     tau: float = config_key(1e-3, "tau: time step")
     tol_nl: float = config_key(1e-10, "relative nonlinear residual tolerance")
     max_newton: int = config_key(50, "Newton iteration budget per tau attempt")
     max_backoff: int = config_key(8, "maximum tau halvings per step")
     v0_mode: bool = config_key(False, "freeze v = 0 (exact energy-estimate mode)")
-    extrapolate: bool = config_key(False, "extrapolated initial iterate")
 
     def __post_init__(self):
         for key in ("tau", "tol_nl"):
@@ -137,7 +135,6 @@ class LinearizedSystem:
     params: ModelParams
     # frozen coefficient fields (old time level)
     phi_k: np.ndarray
-    q_k: np.ndarray
     v_k: np.ndarray
     rho_k: np.ndarray           # cells
     rho_k_faces: np.ndarray
@@ -180,7 +177,7 @@ def assemble_linear(state_k: State, grid: Grid, cset: ConstitutiveSet,
     mt_faces = ops.Acf @ mtvals
     return LinearizedSystem(
         grid=grid, params=params,
-        phi_k=phi_k.copy(), q_k=q_k.copy(), v_k=state_k.v.data.copy(),
+        phi_k=phi_k.copy(), v_k=state_k.v.data.copy(),
         rho_k=rho_k, rho_k_faces=ops.Acf @ rho_k,
         jcoef_faces=ops.Acf @ (cset.rhop(phi_k) * mtvals),
         grad_phi_k=ops.G @ phi_k,
@@ -197,6 +194,7 @@ def assemble_linear(state_k: State, grid: Grid, cset: ConstitutiveSet,
 # ---------------------------------------------------------------------------
 
 _CH_BLOCKS = ("q", "mu", "phi")
+_BLOCKS = ("S", "C")                    # Stokes and Cahn-Hilliard runs
 
 
 def _block_layout(g: Grid, v0: bool) -> dict:
@@ -432,10 +430,11 @@ def _build_jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
                      FixedPattern((nC, nC), cc))
 
 
-def _jacobian(t: _Terms) -> _Jacobian:
+def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
     """The blocks J_SS, J_CS and J_CC of the Jacobian of the coupled
     residual at the iterate in ``t``, each on the grid's fixed pattern (see
-    ``_jacobian_patterns``)."""
+    ``_jacobian_patterns``).  Without "S" in ``blocks`` J_SS is not built
+    (``SS`` is None)."""
     lin, cset, cfg, tau = t.lin, t.cset, t.cfg, t.tau
     g = lin.grid
     ops = g.ops
@@ -462,6 +461,10 @@ def _jacobian(t: _Terms) -> _Jacobian:
     if cfg.v0_mode:
         return _Jacobian(None, None, patterns.CC.matrix(w_cc))
     w_cc["q_q_transport"] = (t.v, fq_p * lin.W_k / eps + gq_p)
+    CS = patterns.CS.matrix({"q_v": t.grad_surf, "mu_v": lin.grad_phi_k})
+    CC = patterns.CC.matrix(w_cc)
+    if "S" not in blocks:
+        return _Jacobian(None, CS, CC)
     w_ss = {
         "v_v_form": lin.A_form.data / g.dV,
         "v_v": (ops.Acf @ t.rho_it) / tau
@@ -473,10 +476,7 @@ def _jacobian(t: _Terms) -> _Jacobian:
         w_ss[f"conv{i}"] = f @ t.M.data[a]
         w_ss[f"flux{i}+"] = (Q @ u, lin.rho_k_faces[a])
         w_ss[f"flux{i}-"] = (P.T @ u, lin.rho_k_faces[a])
-    return _Jacobian(patterns.SS.matrix(w_ss),
-                     patterns.CS.matrix({"q_v": t.grad_surf,
-                                         "mu_v": lin.grad_phi_k}),
-                     patterns.CC.matrix(w_cc))
+    return _Jacobian(patterns.SS.matrix(w_ss), CS, CC)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +534,6 @@ class _BlockLU(NamedTuple):
         y_s = self.S.solve(rhs[:ns])
         return np.concatenate([y_s, self.C.solve(rhs[ns:] - self.CS @ y_s)])
 
-
-_BLOCKS = ("S", "C")
 
 # Building one LU of the Newton operator (the block Jacobian and that LU,
 # its ordering reused) costs about this many chord iterations (one operator
@@ -603,9 +601,6 @@ class _HeldLU:
     ages: dict = field(default_factory=dict)
     orderings: dict = field(default_factory=dict)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.lu.solve(rhs)
-
     def settle(self, iterations: int, rebuilt: set) -> None:
         """Account a converged step to each held LU not in ``rebuilt``; an
         LU whose excess iterations reach its price is dropped (J_SS's with
@@ -643,9 +638,9 @@ class _HeldLU:
 
 def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
               cfg: StepConfig, tau: float, report: StepReport,
-              w: _Iterate, held: _HeldLU) -> Optional[State]:
-    """The Newton iteration on the coupled system for one tau from the
-    iterate ``w``; None when the line search stalls or the budget runs out.
+              held: _HeldLU) -> Optional[State]:
+    """The Newton iteration on the coupled system for one tau from
+    ``state_k``; None when the line search stalls or the budget runs out.
 
     The operator in ``held`` may come from an earlier iterate or step (a
     chord iteration); it is dropped when it was built at another tau, and
@@ -655,7 +650,7 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
     layout = _block_layout(state_k.grid, cfg.v0_mode)
     if held.tau != tau:
         held.lu = None
-    t = _Terms(lin, cset, cfg, tau, w)
+    t = _Terms(lin, cset, cfg, tau, _Iterate.of(state_k))
     rvec, blocks = t.residual()
     newton_left = cfg.max_newton
     prev_res = np.inf
@@ -689,7 +684,7 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
         alpha = 1.0
         while True:
             if alpha == 1.0:      # first trial, or after a stale-operator build
-                dx = held.solve(-rvec)
+                dx = held.lu.solve(-rvec)
                 report.linear_solves += 1
             t_try = _Terms(lin, cset, cfg, tau, t.w.moved(dx, alpha, layout))
             rvec_try, blocks_try = t_try.residual()
@@ -738,9 +733,9 @@ def _factor(t: _Terms, held: _HeldLU, report: StepReport,
     permuted by it (see ``_Ordering``)."""
     # free the old LUs before building the new
     held.lu = None if "S" in blocks else held.lu._replace(CS=None, C=None)
-    J = _jacobian(t)
+    J = _jacobian(t, blocks)
     patterns = _jacobian_patterns(t.lin.grid, t.cfg.v0_mode)
-    n = J.CC.shape[0] + (0 if J.SS is None else J.SS.shape[0])
+    n = J.CC.shape[0] + (0 if J.CS is None else J.CS.shape[1])
     try:
         if held.lu is not None:
             S = held.lu.S
@@ -808,31 +803,25 @@ def _finalize(state_k: State, w: _Iterate, tau: float) -> State:
 
 def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
          params: ModelParams, cfg: StepConfig,
-         initial_guess: Optional[State] = None,
          held: Optional[_HeldLU] = None):
     """Advance one implicit step, halving tau on failure up to the limit.
 
-    ``initial_guess`` is a predictor for the full ``cfg.tau``; on a retry
-    with a smaller tau its increment over ``state_k`` is scaled by
-    ``tau / cfg.tau``.  ``held`` carries the Newton LU from step to step
-    (``run`` passes one); without it the LU lives for this call only.
-    Returns (state_{k+1}, StepReport).  Raises StepFailure when every retry
-    is exhausted; no partial state escapes.
+    Every attempt starts Newton from ``state_k``.  ``held`` carries the
+    Newton LU from step to step (``run`` passes one); without it the LU
+    lives for this call only.  Returns (state_{k+1}, StepReport).  Raises
+    StepFailure when every retry is exhausted; no partial state escapes.
     """
     t0 = _time.perf_counter()
     if cfg.v0_mode and float(np.abs(state_k.v.data).max()) != 0.0:
         raise ValueError("v0_mode requires a state with identically zero velocity")
     lin = assemble_linear(state_k, grid, cset, params, cfg)
     report = StepReport()
-    base = _Iterate.of(state_k)
-    guess = _Iterate.of(initial_guess) if initial_guess is not None else None
-    w0 = guess if guess is not None else base
     if held is None:
         held = _HeldLU()
     tau = cfg.tau
     for attempt in range(cfg.max_backoff + 1):
         report.tau_used = tau
-        out = _try_step(state_k, lin, cset, cfg, tau, report, w0, held)
+        out = _try_step(state_k, lin, cset, cfg, tau, report, held)
         if out is not None:
             report.wall_time = _time.perf_counter() - t0
             return out, report
@@ -841,9 +830,6 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
             report.backoffs += 1
             report.residual_history.append({"total": np.inf,
                                             "note": f"retry tau={tau:g}"})
-            if guess is not None:
-                fac = tau / cfg.tau
-                w0 = _Iterate(*(a + fac * (b - a) for a, b in zip(base, guess)))
     report.wall_time = _time.perf_counter() - t0
     raise StepFailure(
         f"step failed after {cfg.max_backoff} tau halvings "
@@ -877,8 +863,6 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
     rows = []
     reports = []
     s = state0
-    prev = None
-    prev_tau = 0.0
     held = _HeldLU()
     result = RunResult(rows, reports, state0,
                        energy.total_energy(state0, cset, params).E_tot)
@@ -887,16 +871,8 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
         remaining = T - s.t
         if remaining < cfg.tau * (1.0 - 1e-12):
             step_cfg = replace(cfg, tau=remaining)
-        guess = None
-        if cfg.extrapolate and prev is not None and prev_tau > 0.0:
-            fac = step_cfg.tau / prev_tau
-            guess = s.copy()
-            for a, b in ((guess.v.data, prev.v.data), (guess.q.data, prev.q.data),
-                         (guess.mu.data, prev.mu.data), (guess.phi.data, prev.phi.data)):
-                a += fac * (a - b)
         try:
-            s_new, rep = step(s, grid, cset, params, step_cfg, initial_guess=guess,
-                              held=held)
+            s_new, rep = step(s, grid, cset, params, step_cfg, held=held)
         except StepFailure as exc:
             exc.partial = result
             raise
@@ -907,8 +883,6 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
         if callbacks:
             for cb in callbacks:
                 cb(s_new, rep, row)
-        prev = s
-        prev_tau = rep.tau_used
         s = s_new
     result.final_state = s
     return result

@@ -1,5 +1,6 @@
 """Field helpers for the tests: grid functions sampled at cell centres,
-2-D views of cell and face arrays, and the y-face coordinates."""
+the cell array shape, 2-D views of cell and face arrays, and the y-face
+coordinates."""
 
 import numpy as np
 
@@ -12,9 +13,14 @@ def from_function(grid, fn) -> ScalarField:
     return ScalarField(grid, np.asarray(fn(X, Y), dtype=float).ravel())
 
 
+def cell_shape(grid) -> tuple:
+    """The (nx, ny) shape of a cell array."""
+    return (grid.nx, grid.ny)
+
+
 def view2d(f) -> np.ndarray:
     """A scalar field's values as an (nx, ny) array."""
-    return f.data.reshape(f.grid.cell_shape)
+    return f.data.reshape(cell_shape(f.grid))
 
 
 def ux2d(v) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference_assembly
-from fields import from_function, ux2d, uy2d
+from fields import cell_shape, from_function, ux2d, uy2d
 from surfflow.linalg import (ABS_TOL, REL_TOL, MeanPoissonSolver,
                              SolverFailure, assemble_velocity_form)
 from surfflow.mesh import Grid, VectorField, div
@@ -145,7 +145,7 @@ class TestVelocityForm:
         g = Grid(4, 3, 1.0, 1.0, "box")
         eta = 1.0 + rng.random(g.n_cells)
         A = assemble_velocity_form(g, eta, 0.0)
-        eta2 = eta.reshape(g.cell_shape)
+        eta2 = eta.reshape(cell_shape(g))
         nf = g.n_faces
 
         def strain_terms(vvec):
