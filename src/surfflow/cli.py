@@ -321,7 +321,7 @@ def _cmd_run(values, outdir, args) -> int:
           f"E_tot={last.E_tot:.9g}, phi_mass={last.phi_mass:.12g}, "
           f"max|div v|={max(r.div_inf for r in result.rows):.3e}, "
           f"energy-slack violations: {bad_slack}, "
-          f"J_SS LUs/step {ss_lus / n_steps:.3g}, "
+          f"Stokes LUs/step {ss_lus / n_steps:.3g}, "
           f"J_CC LUs/step {cc_lus / n_steps:.3g}, Newton it./step "
           f"{newton / n_steps:.3g}, "
           f"fill/LU {fill / max(ss_lus + cc_lus, 1):.0f}, "

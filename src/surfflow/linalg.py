@@ -4,7 +4,7 @@ solve outside the stepper.
 A ``FixedPattern`` is the sparsity pattern of a matrix whose values are
 linear in a few weight vectors, as in ``X diag(w) Z`` or
 ``X diag(w1) Y diag(w2) Z`` with constant operators X, Y, Z.  It is built
-once per grid (``GridOperators.pattern``) with every structural nonzero,
+once per grid (``GridOperators.cached``) with every structural nonzero,
 explicit zeros included, plus a sparse map from the weights to the data
 array; a matrix is then one sparse product ``data = map @ w``, and every
 matrix of one pattern shares its ``indptr``/``indices``.
@@ -132,6 +132,15 @@ class FixedPattern:
         return sp.csc_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
 
+    def congruence(self, C) -> Entries:
+        """Entries of ``C^T A C`` for the matrices A of this pattern, as a
+        term whose weight is A's data array: one weight per nonzero of A,
+        so the term has no more entries than A has nonzeros times the
+        nonzeros of two rows of C, and no triple product per matrix."""
+        C = sp.csr_matrix(C)
+        cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+        return chain(C[self.indices].T, C[cols])
+
     def entries(self, at=(0, 0)) -> Entries:
         """This pattern's nonzeros as a term of a larger pattern, one weight
         per nonzero in data order."""
@@ -153,7 +162,7 @@ def velocity_form_pattern(grid: Grid) -> FixedPattern:
             ("shear", chain(shear.T, shear)),
             ("biharmonic", scaled(ops.Lvec.T @ ops.Lvec)),
         ])
-    return grid.ops.pattern("velocity_form", build)
+    return grid.ops.cached("velocity_form", build)
 
 
 def assemble_velocity_form(grid: Grid, eta_cells: np.ndarray,

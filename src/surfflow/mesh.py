@@ -294,14 +294,25 @@ class GridOperators:
                        sp.kron(-d1x.T, Ify).tocsr(), sp.kron(a1x, Ify).tocsr())
         self.flux_y_e1 = self.Acf_y.T.tocsr()                # My -> cells
         self.flux_y_e2 = sp.kron(Ifx, a1y, format="csr")     # Mx -> corners
-        self._patterns = {}
 
-    def pattern(self, key, build):
-        """The fixed sparse pattern cached under ``key`` (see
-        ``linalg.FixedPattern``), built by ``build()`` on first use."""
-        found = self._patterns.get(key)
+        # discrete curl, nodes -> faces: (u, v) = (d psi/dy, -d psi/dx) with
+        # psi on the cell corners.  box: interior nodes only (psi = 0 on the
+        # walls); periodic: every node but node 0, where psi is pinned.  The
+        # Kronecker factors make D @ C and C^T @ G exactly zero, and the
+        # columns span the divergence-free face fields (periodic: those
+        # with zero component means)
+        C = sp.vstack([sp.kron(Ifx, d1y.T), -sp.kron(d1x.T, Ify)],
+                      format="csr")
+        self.C = C[:, 1:].tocsr() if per else C
+        self._cache = {}
+
+    def cached(self, key, build):
+        """The per-grid object cached under ``key`` (a fixed pattern, see
+        ``linalg.FixedPattern``, or a constant LU), built by ``build()`` on
+        first use."""
+        found = self._cache.get(key)
         if found is None:
-            found = self._patterns.setdefault(key, build())
+            found = self._cache.setdefault(key, build())
         return found
 
 
@@ -326,9 +337,6 @@ class ScalarField:
         self.data = np.asarray(self.data, dtype=float).ravel()
         if self.data.size != self.grid.n_cells:
             raise ValueError("scalar field size does not match grid")
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.data.copy())
 
     def integral(self) -> float:
         return float(self.data.sum() * self.grid.dV)
@@ -361,9 +369,6 @@ class VectorField:
     @property
     def uy(self) -> np.ndarray:
         return self.data[self.grid.n_xfaces:]
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.data.copy())
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.data)))

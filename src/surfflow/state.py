@@ -33,10 +33,6 @@ class State:
     def grid(self) -> Grid:
         return self.phi.grid
 
-    def copy(self) -> "State":
-        return State(self.v.copy(), self.p.copy(), self.phi.copy(),
-                     self.mu.copy(), self.q.copy(), self.t, self.k)
-
     def validate(self, div_tol: float = 1e-9) -> None:
         for name, f in (("v", self.v), ("p", self.p), ("phi", self.phi),
                         ("mu", self.mu), ("q", self.q)):

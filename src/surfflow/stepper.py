@@ -12,33 +12,38 @@ unknowns split into the Stokes blocks S = [v, p, b] (momentum, continuity,
 periodic border) and the Cahn-Hilliard blocks C = [q, mu, phi].  The Newton
 operator is one block Gauss-Seidel sweep over that split (``_BlockLU``):
 y_S = J_SS^-1 r_S, then y_C = J_CC^-1 (r_C - J_CS y_S), with a sparse LU of
-J_SS and one of J_CC; J_SC, the response of the momentum to q, mu and phi,
-is never built.  In v0 mode there is no S block and the operator is the LU
-of J_CC, the exact transport-free Jacobian.  Each of J_SS, J_CS and J_CC
-has one fixed pattern per grid and mode (``_jacobian_patterns``, explicit
-zeros kept): each term is a constant operator chain with at most two
-diagonal weights, so a block is one sparse product of a per-grid map with
-the weights, for every iterate, step and tau alike.  J_CC is structurally
-symmetric with a zero-free diagonal, so its LU takes a symmetric
-minimum-degree ordering (half the fill of COLAMD's); J_SS, whose pressure
-block is zero but for the pin, keeps COLAMD with partial pivoting.  Each
-block's ordering is computed by its first LU only; later LUs factor the
-block permuted by it in natural order (see ``_Ordering``).  ``run`` holds
-the operator from step to step (chord iterations), and each LU is priced
-on its own from its fill (see ``_HeldLU``).  The J_CC LU is the part that
-goes stale and the cheaper one: when the chord iterations still expected
-cost more than a new J_CC LU, it is refactored (with J_CS) at the current
-iterate and the J_SS LU is kept.  Both are rebuilt when a J_CC LU built in
-the same attempt still contracts too slowly to pay for both, when the
-excess iterations of the steps on the J_SS LU pay for its price, and when
-a full step from an operator not built whole at the current iterate does
-not lower the residual (that step is then solved again with the fresh
-one).  The operator is dropped whenever tau differs from the tau it was
-factored at (the shorter last step, every tau halving).  A backtracking line
-search on a fresh operator's direction accepts an iterate only if it lowers
-the scaled residual, so the accepted residual history is strictly
-decreasing.  When the line search stalls or the iteration budget runs out,
-the step is retried with tau halved.
+J_CC; J_SC, the response of the momentum to q, mu and phi, is never built.
+J_SS is solved exactly on the divergence-free velocities
+(``_StokesSolve``): the momentum rows tested against the grid's curl C drop
+the pressure, which leaves the stream-function operator K = C^T J_vv C of
+J_SS's velocity block J_vv to factor (a fifth of the saddle LU's fill at
+32^2); a constant pinned Poisson LU per grid meets the continuity rows and
+recovers the pressure.  In v0 mode there is no S block and the operator is
+the LU of J_CC, the exact transport-free Jacobian.  Each of J_vv, K, J_CS
+and J_CC has one fixed pattern per grid and mode (``_jacobian_patterns``,
+explicit zeros kept): each term is a constant operator chain with at most
+two diagonal weights, and K is linear in J_vv's values, so a block is one
+sparse product of a per-grid map with the weights, for every iterate, step
+and tau alike.  K and J_CC are structurally symmetric with a zero-free
+diagonal, so their LUs take a symmetric minimum-degree ordering (half the
+fill of COLAMD's on J_CC).  Each block's ordering is computed by its first
+LU only; later LUs factor the block permuted by it in natural order (see
+``_Ordering``).  ``run`` holds the operator from step to step (chord
+iterations), and each LU is priced on its own from its fill (see
+``_HeldLU``).  The J_CC LU is the part that goes stale: when the chord
+iterations still expected cost more than a new J_CC LU, it is refactored
+(with J_CS) at the current iterate and the Stokes LU is kept.  Both are
+rebuilt when a J_CC LU built in the same attempt still contracts too
+slowly to pay for both, when the excess iterations of the steps on the
+Stokes LU pay for its price, and when a full step from an operator not
+built whole at the current iterate does not lower the residual (that step
+is then solved again with the fresh one).  The operator is dropped
+whenever tau differs from the tau it was factored at (the shorter last
+step, every tau halving).  A backtracking line search on a fresh
+operator's direction accepts an iterate only if it lowers the scaled
+residual, so the accepted residual history is strictly decreasing.  When
+the line search stalls or the iteration budget runs out, the step is
+retried with tau halved.
 
 Momentum convection uses the skew form (M . grad) v + (div M) v / 2 with
 mass flux M = rho_k v + J, discretized by ``mesh.convect_skew`` so that its
@@ -105,7 +110,7 @@ class StepReport:
     residual_history: list = field(default_factory=list)   # accepted, per block
     rejected: int = 0                   # line-search trials not accepted
     linear_solves: int = 0
-    ss_lus: int = 0                     # J_SS LUs built, all attempts
+    ss_lus: int = 0                     # Stokes-block LUs (of K), all attempts
     cc_lus: int = 0                     # J_CC LUs built, all attempts
     factor_fill: int = 0                # summed L+U fill (lu.nnz) of every LU
     orderings: int = 0                  # fill-reducing orderings computed
@@ -327,8 +332,11 @@ class _Terms:
             r_v_free[nxf:] -= r_v_free[nxf:].mean()
         norms["momentum"] = _rel(r_v_free, [visc, gp, self.cap,
                                             self.time_term, self.conv])
+        # the continuity rows sum to zero identically: the redundant first
+        # one is replaced by a pressure pin (the pressure is shifted to mean
+        # zero once the step converges)
         r_div = ops.D @ self.v
-        r_div[0] = self.p[0]               # redundant row replaced by the p pin
+        r_div[0] = self.p[0]
         parts = [r_v, r_div]
         if g.periodic:
             parts.append(np.array([self.v[:nxf].sum(), self.v[nxf:].sum()]))
@@ -345,11 +353,15 @@ def _rel(r: np.ndarray, terms) -> float:
 # ---------------------------------------------------------------------------
 
 class _Jacobian(NamedTuple):
-    """The blocks of the Newton Jacobian the operator uses: J_SS and J_CS
-    (None in v0 mode) and J_CC, over S = [v, p, b] and C = [q, mu, phi];
-    also their fixed patterns (``_jacobian_patterns``).  J_SC is never
-    built."""
-    SS: Optional[sp.csc_matrix]
+    """The blocks of the Newton Jacobian the operator uses, over
+    S = [v, p, b] and C = [q, mu, phi]: J_vv, the velocity block of J_SS
+    (J_SS's other entries are the constant G, D, pressure pin and border
+    rows, which ``_StokesSolve`` applies by itself), the stream-function
+    operator K = C^T J_vv C (C the grid's curl) and J_CS, all None in v0
+    mode, and J_CC; also their fixed patterns (``_jacobian_patterns``).
+    J_SC is never built."""
+    VV: Optional[sp.csc_matrix]
+    K: Optional[sp.csc_matrix]
     CS: Optional[sp.csc_matrix]
     CC: sp.csc_matrix
 
@@ -358,8 +370,8 @@ def _jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
     """The fixed patterns of ``_jacobian``'s blocks, built on first use per
     grid and mode: one named term per coefficient, each at its position in
     the S or C run of ``_block_layout``."""
-    return g.ops.pattern(("jacobian", v0),
-                         lambda: _build_jacobian_patterns(g, v0))
+    return g.ops.cached(("jacobian", v0),
+                        lambda: _build_jacobian_patterns(g, v0))
 
 
 def _build_jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
@@ -386,24 +398,16 @@ def _build_jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
         ("phi_phi_lap", scaled(ops.D @ ops.G, at=at("phi", "phi"))),
     ]
     if v0:
-        return _Jacobian(None, None, FixedPattern((nC, nC), cc))
+        return _Jacobian(None, None, None, FixedPattern((nC, nC), cc))
     cc.append(("q_q_transport",
                chain(ops.Afc, Ic, Y=ops.G, at=at("q", "q"))))
 
     If = sp.identity(nf, format="csr")
     cs = [("q_v", chain(ops.Afc, If, at=at("q", "v"))),
           ("mu_v", chain(ops.Afc, If, at=at("mu", "v")))]
-    # the continuity rows sum to zero identically, so the redundant first
-    # one is replaced with a single-entry pressure pin (keeps the
-    # factorization sparse); the pressure is shifted to mean zero once the
-    # step converges
-    p0 = layout["p"].start
-    ss = [
+    vv = [
         ("v_v_form", velocity_form_pattern(g).entries()),
         ("v_v", chain(If, If)),
-        ("const", scaled(ops.G, at=at("v", "p"))),
-        ("const", scaled(ops.D[1:], at=(p0 + 1, 0))),
-        ("const", scaled(sp.identity(1), at=(p0, p0))),
     ]
     # skew convection (see mesh.convect_skew), per edge set: in v, and in
     # the flux M = rho_k v - jcoef G mu through its rho_k v part (the
@@ -411,30 +415,26 @@ def _build_jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
     # convected component u
     for i, (P, Q, f, sl, a) in enumerate(convect_edge_sets(g)):
         Ia = sp.identity(a.stop - a.start, format="csr")
-        ss += [
+        vv += [
             (f"conv{i}", chain(0.5 * P, Q, at=(sl.start, sl.start))),
             (f"conv{i}", chain(-0.5 * Q.T, P.T, at=(sl.start, sl.start))),
             (f"flux{i}+", chain(0.5 * P, Ia, Y=f, at=(sl.start, a.start))),
             (f"flux{i}-", chain(-0.5 * Q.T, Ia, Y=f, at=(sl.start, a.start))),
         ]
-    if g.periodic:
-        # border multipliers absorb the constant momentum modes and pin the
-        # velocity component means
-        E = np.zeros((nf, 2))
-        E[:g.n_xfaces, 0] = 1.0
-        E[g.n_xfaces:, 1] = 1.0
-        E = sp.csr_matrix(E)
-        ss += [("const", scaled(E, at=at("v", "b"))),
-               ("const", scaled(E.T, at=at("b", "v")))]
-    return _Jacobian(FixedPattern((ns, ns), ss), FixedPattern((nC, ns), cs),
+    VV = FixedPattern((nf, nf), vv)
+    # K = C^T J_vv C is linear in J_vv's values: one map from them, no
+    # triple product per build
+    nk = ops.C.shape[1]
+    K = FixedPattern((nk, nk), [("vv", VV.congruence(ops.C))])
+    return _Jacobian(VV, K, FixedPattern((nC, ns), cs),
                      FixedPattern((nC, nC), cc))
 
 
 def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
-    """The blocks J_SS, J_CS and J_CC of the Jacobian of the coupled
+    """The blocks J_vv, K, J_CS and J_CC of the Jacobian of the coupled
     residual at the iterate in ``t``, each on the grid's fixed pattern (see
-    ``_jacobian_patterns``).  Without "S" in ``blocks`` J_SS is not built
-    (``SS`` is None)."""
+    ``_jacobian_patterns``).  Without "S" in ``blocks`` neither J_vv nor K
+    is built (``VV`` and ``K`` are None)."""
     lin, cset, cfg, tau = t.lin, t.cset, t.cfg, t.tau
     g = lin.grid
     ops = g.ops
@@ -459,24 +459,24 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
     }
     patterns = _jacobian_patterns(g, cfg.v0_mode)
     if cfg.v0_mode:
-        return _Jacobian(None, None, patterns.CC.matrix(w_cc))
+        return _Jacobian(None, None, None, patterns.CC.matrix(w_cc))
     w_cc["q_q_transport"] = (t.v, fq_p * lin.W_k / eps + gq_p)
     CS = patterns.CS.matrix({"q_v": t.grad_surf, "mu_v": lin.grad_phi_k})
     CC = patterns.CC.matrix(w_cc)
     if "S" not in blocks:
-        return _Jacobian(None, CS, CC)
-    w_ss = {
+        return _Jacobian(None, None, CS, CC)
+    w_vv = {
         "v_v_form": lin.A_form.data / g.dV,
         "v_v": (ops.Acf @ t.rho_it) / tau
         - 0.5 * (ops.Acf @ ((t.rho_it - lin.rho_k) / tau)),
-        "const": 1.0,
     }
     for i, (P, Q, f, sl, a) in enumerate(convect_edge_sets(g)):
         u = t.v[sl]
-        w_ss[f"conv{i}"] = f @ t.M.data[a]
-        w_ss[f"flux{i}+"] = (Q @ u, lin.rho_k_faces[a])
-        w_ss[f"flux{i}-"] = (P.T @ u, lin.rho_k_faces[a])
-    return _Jacobian(patterns.SS.matrix(w_ss), CS, CC)
+        w_vv[f"conv{i}"] = f @ t.M.data[a]
+        w_vv[f"flux{i}+"] = (Q @ u, lin.rho_k_faces[a])
+        w_vv[f"flux{i}-"] = (P.T @ u, lin.rho_k_faces[a])
+    VV = patterns.VV.matrix(w_vv)
+    return _Jacobian(VV, patterns.K.matrix({"vv": VV.data}), CS, CC)
 
 
 # ---------------------------------------------------------------------------
@@ -487,20 +487,19 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
 class _Ordering:
     """The fill-reducing ordering of a Jacobian block's pattern, taken from
     the first LU of that pattern (SuperLU's own ordering, elimination-tree
-    postorder included): later blocks are factored permuted by it, in
-    natural order, which repeats that LU's fill without a new ordering.
-    ``symmetric`` permutes rows alike (J_CC's diagonal pivoting)."""
+    postorder included): later blocks are factored permuted by it, rows
+    and columns alike (diagonal pivoting), in natural order, which repeats
+    that LU's fill without a new ordering."""
     pattern: FixedPattern
     order: np.ndarray           # A Pc = A[:, order] for SuperLU's Pc
-    symmetric: bool
 
     def permute(self, J: sp.csc_matrix) -> sp.csc_matrix:
         o = self.order
-        return J[o][:, o] if self.symmetric else J[:, o]
+        return J[o][:, o]
 
     def solve(self, lu, rhs: np.ndarray) -> np.ndarray:
         x = np.empty_like(rhs)
-        x[self.order] = lu.solve(rhs[self.order] if self.symmetric else rhs)
+        x[self.order] = lu.solve(rhs[self.order])
         return x
 
 
@@ -516,6 +515,63 @@ class _SubLU(NamedTuple):
         return self.ordering.solve(self.lu, rhs)
 
 
+def _pinned_poisson(g: Grid):
+    """The LU of the cell Laplacian D G with cell 0 pinned (row and column
+    0 those of the identity), one per grid: x = solve(r) with r[0] = 0 has
+    x[0] = 0 and (D G x)[i] = r[i] for every i >= 1, and then
+    (D G x)[0] = -sum(r[1:]), as the rows of D G add up to zero."""
+    def build():
+        ops = g.ops
+        n = g.n_cells
+        free = sp.diags(np.r_[0.0, np.ones(n - 1)])
+        L = free @ ops.D @ ops.G @ free \
+            + sp.csc_matrix(([1.0], ([0], [0])), shape=(n, n))
+        L = L.tocsc()
+        L.eliminate_zeros()
+        return spla.splu(L, **_LU_OPTIONS)
+    return g.ops.cached("pinned_poisson", build)
+
+
+class _StokesSolve(NamedTuple):
+    """y_S = J_SS^-1 r_S, exactly, by the null-space method (Benzi, Golub &
+    Liesen, Numerical solution of saddle point problems, Acta Numerica 2005,
+    sec. 6) with the grid's curl C, whose columns span the divergence-free
+    velocities (periodic: those with zero component means): the momentum
+    rows tested against them drop the pressure, so the LU is that of the
+    stream-function operator K = C^T J_vv C.  A particular velocity G phi
+    meets the continuity rows (periodic: plus the constant fields E c the
+    border rows ask for, E's two columns the x- and y-face indicators), K
+    gives the divergence-free rest, and the pressure (periodic: and the
+    border multipliers) come from the leftover momentum residual through
+    the grid's pinned Poisson LU."""
+    grid: Grid
+    vv: sp.csc_matrix           # J_vv
+    K: _SubLU                   # the LU of K
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        g = self.grid
+        ops = g.ops
+        nf, nc, nxf = g.n_faces, g.n_cells, g.n_xfaces
+        poisson = _pinned_poisson(g)
+        r_v, r_div = r[:nf], r[nf:nf + nc]
+        # D dv = r_div on rows 1.., its row 0 is the pressure pin
+        rhs = r_div.copy()
+        rhs[0] = 0.0
+        v = ops.G @ poisson.solve(rhs)
+        if g.periodic:                  # E^T dv = r_b
+            v[:nxf] += r[-2] / nxf
+            v[nxf:] += r[-1] / (nf - nxf)
+        v += ops.C @ self.K.solve(ops.C.T @ (r_v - self.vv @ v))
+        # the leftover momentum residual is G dp + E db
+        w = r_v - self.vv @ v
+        rhs = ops.D @ w
+        rhs[0] = 0.0
+        parts = [v, poisson.solve(rhs) + r_div[0]]
+        if g.periodic:
+            parts.append(np.array([w[:nxf].mean(), w[nxf:].mean()]))
+        return np.concatenate(parts)
+
+
 class _BlockLU(NamedTuple):
     """The Newton operator: one block Gauss-Seidel sweep over S and C,
     y_S = J_SS^-1 r_S, then y_C = J_CC^-1 (r_C - J_CS y_S).  ``S`` and ``CS``
@@ -523,32 +579,34 @@ class _BlockLU(NamedTuple):
     triangular preconditioning as in Elman, Silvester & Wathen, Finite
     Elements and Fast Iterative Solvers, 2nd ed., OUP 2014).  ``CS`` and
     ``C`` are None while the J_CC LU is dropped and ``S`` still held."""
-    S: Optional[_SubLU]
+    S: Optional[_StokesSolve]
     CS: Optional[sp.csc_matrix]
     C: Optional[_SubLU]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.S is None:
             return self.C.solve(rhs)
-        ns = self.S.lu.shape[0]
+        ns = rhs.size - self.C.lu.shape[0]
         y_s = self.S.solve(rhs[:ns])
         return np.concatenate([y_s, self.C.solve(rhs[ns:] - self.CS @ y_s)])
 
 
-# Building one LU of the Newton operator (the block Jacobian and that LU,
-# its ordering reused) costs about this many chord iterations (one operator
-# apply plus one residual) per unit of its L+U fill per unknown, n counting
-# every unknown; the fill is SuperLU's stored count ``lu.nnz`` (reading
-# ``lu.L``/``lu.U`` would copy the factors).  Measured build / iteration
-# time over fill / n, medians of 5-9 repeats on one 2-core x86 host,
-# shear-droplet and droplet: J_SS 0.16-0.18 at 32^2 (fill / n 99, 47-56 ms
-# against 2.9-3.1 ms) and 0.17-0.21 at 64^2 (fill / n 163); J_CC 0.12-0.14
-# at 32^2 (fill / n 30, 11-12 ms) and 0.11 at 64^2 (fill / n 46).  The v0
-# operator, J_CC's LU alone over a cheaper iteration, measures 0.28.
-# Pricing the coupled J_CC LU at 0.12 instead traded 4 more J_CC LUs for 12
-# fewer of 580 Newton iterations on shipped droplet 32^2 (100 steps) and
-# left shear-droplet 32^2 (20 steps) at 160 iterations and 4 J_SS LUs, while
-# one constant keeps every v0 decision, so one constant prices every LU.
+# Building one LU of the Newton operator (its blocks of the Jacobian and
+# that LU, its ordering reused) costs about this many chord iterations (one
+# operator apply plus one residual) per unit of its L+U fill per unknown, n
+# counting every unknown; the fill is SuperLU's stored count ``lu.nnz``
+# (reading ``lu.L``/``lu.U`` would copy the factors).  Measured build /
+# iteration time over fill / n, medians of 5-9 repeats, three runs each on
+# one 2-core x86 host, shear-droplet and droplet after 3 steps: the Stokes
+# LU (J_vv and K assembled, K's LU) 0.19-0.24 at 32^2 (fill / n 18, 9.3-11
+# ms against 2.5-2.9 ms) and 0.17-0.22 at 64^2 (fill / n 30, 52-60 ms
+# against 9.0-10.4 ms); J_CC 0.17-0.19 at 32^2 (fill / n 30, 13-15 ms) and
+# 0.16-0.23 at 64^2 (fill / n 46).  The medians are 0.18-0.20 for both, so
+# one constant fits both LUs; it stays at 0.17, at the low end of both
+# spreads, which keeps every v0 decision (the v0 operator, J_CC's LU alone
+# over a cheaper iteration, measured 0.28).  With the saddle LU of J_SS in
+# K's place (fill / n 99 at 32^2) that LU measured 0.16-0.21 and J_CC
+# 0.11-0.14.
 FACTOR_COST_PER_FILL = 0.17
 
 
@@ -580,16 +638,16 @@ class _HeldLU:
     Nonlinear Equations, SIAM 1995, ch. 5), priced per LU.
 
     The two LUs age apart: a held J_CC goes stale within a few steps, a
-    held J_SS stays good for many, and J_SS's LU costs about three times
-    J_CC's.  So the cheap LU is refreshed first.  ``ages`` (block name ->
-    ``_Age``) price each held LU.  Within a step, ``refactor`` weighs the
-    iterations the observed contraction still needs against the price of
-    J_CC's LU, and refreshes it (with J_CS) at the current iterate; only
-    when a J_CC LU built in the same attempt still contracts too slowly
-    does it weigh them against both prices and rebuild both.  Across steps,
-    each LU's excess iterations are added up on its own: J_CC's LU is
-    dropped when they pay for J_CC's price, the whole operator when they
-    pay for J_SS's.  No clock is read, so reruns repeat bitwise.  In v0
+    held Stokes LU (of K) stays good for longer.  So J_CC's LU is refreshed
+    first, though K's is the cheaper one (0.6x J_CC's fill at 32^2).
+    ``ages`` (block name -> ``_Age``) price each held LU.  Within a step,
+    ``refactor`` weighs the iterations the observed contraction still
+    needs against the price of J_CC's LU, and refreshes it (with J_CS) at
+    the current iterate; only when a J_CC LU built in the same attempt
+    still contracts too slowly does it weigh them against both prices and
+    rebuild both.  Across steps, each LU's excess iterations are added up
+    on its own: J_CC's LU is dropped when they pay for J_CC's price, the
+    whole operator when they pay for the Stokes LU's.  No clock is read, so reruns repeat bitwise.  In v0
     mode there is only J_CC, and the rule is the one-LU rule.
     ``orderings`` (block name -> ``_Ordering``) outlive the LUs.  They are
     kept per holder, not per grid, so a rerun with a fresh holder factors
@@ -603,8 +661,8 @@ class _HeldLU:
 
     def settle(self, iterations: int, rebuilt: set) -> None:
         """Account a converged step to each held LU not in ``rebuilt``; an
-        LU whose excess iterations reach its price is dropped (J_SS's with
-        the whole operator)."""
+        LU whose excess iterations reach its price is dropped (the Stokes
+        LU with the whole operator)."""
         if self.lu is None or self.lu.C is None:
             return
         paid = {name for name, age in self.ages.items()
@@ -694,7 +752,7 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 break
             report.rejected += 1
             if not fresh:
-                # a full step from an operator (or J_SS LU) of an earlier
+                # a full step from an operator (or Stokes LU) of an earlier
                 # iterate does not descend: rebuild both at this iterate,
                 # line search only on that direction
                 fresh = True
@@ -708,17 +766,13 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 return None
 
 
-# SuperLU options per block.  J_CC ([q, mu, phi]) is structurally
-# symmetric with a zero-free diagonal: a minimum-degree ordering of
-# J^T + J, applied to rows and columns alike, has half COLAMD's fill; the
-# diagonal pivots have passed the 0.01 threshold on every Jacobian seen (no
-# row exchanges).  J_SS's pressure block is zero but for the pin: COLAMD
-# with partial pivoting.
-_LU_OPTIONS = {
-    "S": dict(permc_spec="COLAMD"),
-    "C": dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-              options=dict(SymmetricMode=True)),
-}
+# SuperLU options of every LU.  J_CC ([q, mu, phi]), K and the pinned cell
+# Laplacian are structurally symmetric with a zero-free diagonal: a
+# minimum-degree ordering of J^T + J, applied to rows and columns alike,
+# has half COLAMD's fill on J_CC; the diagonal pivots have passed the 0.01
+# threshold on every matrix seen (no row exchanges).
+_LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                   options=dict(SymmetricMode=True))
 
 
 def _factor(t: _Terms, held: _HeldLU, report: StepReport,
@@ -726,22 +780,23 @@ def _factor(t: _Terms, held: _HeldLU, report: StepReport,
     """Factor ``blocks`` of the Jacobian at ``t`` into the held operator;
     False (with the reason in the report) when a factorization fails.
 
-    With "S" in ``blocks`` the whole operator is rebuilt: J_CC always, J_SS
-    in coupled mode only.  Without it, J_CC's LU and J_CS are replaced and
-    the held J_SS LU is kept.  The first LU of a block's pattern computes
-    its fill-reducing ordering, and every later one factors the block
-    permuted by it (see ``_Ordering``)."""
+    With "S" in ``blocks`` the whole operator is rebuilt: J_CC always, the
+    Stokes solve (K's LU) in coupled mode only.  Without it, J_CC's LU and
+    J_CS are replaced and the held Stokes solve is kept.  The first LU of a
+    block's pattern computes its fill-reducing ordering, and every later
+    one factors the block permuted by it (see ``_Ordering``)."""
     # free the old LUs before building the new
     held.lu = None if "S" in blocks else held.lu._replace(CS=None, C=None)
     J = _jacobian(t, blocks)
-    patterns = _jacobian_patterns(t.lin.grid, t.cfg.v0_mode)
+    g = t.lin.grid
+    patterns = _jacobian_patterns(g, t.cfg.v0_mode)
     n = J.CC.shape[0] + (0 if J.CS is None else J.CS.shape[1])
     try:
         if held.lu is not None:
             S = held.lu.S
         else:
-            S = None if J.SS is None else \
-                _factor_block("S", J.SS, patterns.SS, n, held, report)
+            S = None if J.VV is None else _StokesSolve(
+                g, J.VV, _factor_block("S", J.K, patterns.K, n, held, report))
         C = _factor_block("C", J.CC, patterns.CC, n, held, report)
     except RuntimeError as exc:
         report.failure_reason = f"Newton linearization failed: {exc}"
@@ -752,17 +807,15 @@ def _factor(t: _Terms, held: _HeldLU, report: StepReport,
 
 def _factor_block(name: str, J: sp.csc_matrix, pattern: FixedPattern,
                   n: int, held: _HeldLU, report: StepReport) -> _SubLU:
-    """The LU of block ``name``, counted in the report and priced for
-    ``held`` over the ``n`` unknowns of the whole system."""
-    opts = _LU_OPTIONS[name]
+    """The LU of block ``name`` ("S": K, "C": J_CC), counted in the report
+    and priced for ``held`` over the ``n`` unknowns of the whole system."""
     ordering = held.orderings.get(name)
     if ordering is not None and ordering.pattern is pattern:
-        sub = _SubLU(spla.splu(ordering.permute(J),
-                               **dict(opts, permc_spec="NATURAL")), ordering)
+        sub = _SubLU(spla.splu(ordering.permute(J), **dict(
+            _LU_OPTIONS, permc_spec="NATURAL")), ordering)
     else:
-        lu = spla.splu(J, **opts)
-        held.orderings[name] = _Ordering(pattern, np.argsort(lu.perm_c),
-                                         symmetric=name == "C")
+        lu = spla.splu(J, **_LU_OPTIONS)
+        held.orderings[name] = _Ordering(pattern, np.argsort(lu.perm_c))
         report.orderings += 1
         sub = _SubLU(lu, None)
     if name == "S":

@@ -1,10 +1,11 @@
 """Field helpers for the tests: grid functions sampled at cell centres,
-the cell array shape, 2-D views of cell and face arrays, and the y-face
-coordinates."""
+the cell array shape, 2-D views of cell and face arrays, the y-face
+coordinates, and a state copy with its own arrays."""
 
 import numpy as np
 
-from surfflow.mesh import ScalarField
+from surfflow.mesh import ScalarField, VectorField
+from surfflow.state import State
 
 
 def from_function(grid, fn) -> ScalarField:
@@ -41,3 +42,10 @@ def yface_coords(grid):
     else:
         y = np.arange(1, grid.ny) * grid.dy
     return np.meshgrid(x, y, indexing="ij")
+
+
+def copy_state(s) -> State:
+    """A copy of the state ``s`` whose field arrays are its own."""
+    return State(VectorField(s.grid, s.v.data.copy()),
+                 *(ScalarField(s.grid, f.data.copy())
+                   for f in (s.p, s.phi, s.mu, s.q)), s.t, s.k)

@@ -1,10 +1,10 @@
 """Reference assemblies by sparse products, the way the solver's fixed
 patterns must reproduce them: the convection matrices of
-``mesh.convect_skew``, the velocity form ``B^T diag(w) B`` and the
-stepper's whole Jacobian (J_SC included, which the stepper never builds)
-as one ``sp.bmat`` of its blocks; and the transport defect of a step
-rebuilt from its two states, which the stepper reads from its converged
-terms."""
+``mesh.convect_skew``, the velocity form ``B^T diag(w) B``, the saddle
+J_SS around a velocity block, and the stepper's whole Jacobian (J_SC
+included, which the stepper never builds) as one ``sp.bmat`` of its
+blocks; and the transport defect of a step rebuilt from its two states,
+which the stepper reads from its converged terms."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,6 +55,27 @@ def velocity_form(g, eta, delta):
     return (A + delta * g.dV * (ops.Lvec.T @ ops.Lvec)).tocsr()
 
 
+def saddle(g, Jvv):
+    """J_SS over [v, p, b] (``b`` periodic only) around its velocity block
+    ``Jvv``: the pressure gradient, the continuity rows with the first
+    replaced by the pressure pin and, periodic, the border rows and
+    columns of the velocity component sums."""
+    ops = g.ops
+    nc = g.n_cells
+    D_mod = ops.D.tolil()
+    D_mod[0, :] = 0.0
+    p_pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(nc, nc))
+    if not g.periodic:
+        return sp.bmat([[Jvv, ops.G], [D_mod.tocsr(), p_pin]], format="csc")
+    E = np.zeros((g.n_faces, 2))
+    E[:g.n_xfaces, 0] = 1.0
+    E[g.n_xfaces:, 1] = 1.0
+    E = sp.csr_matrix(E)
+    return sp.bmat([[Jvv, ops.G, E],
+                    [D_mod.tocsr(), p_pin, None],
+                    [E.T, None, sp.csr_matrix((2, 2))]], format="csc")
+
+
 def jacobian(t):
     """The stepper's Jacobian at the iterate ``t`` assembled block by block,
     in the unknown order [v, p, b, q, mu, phi] (``b`` periodic only)."""
@@ -75,6 +96,9 @@ def jacobian(t):
     dH = cset.dsecant_W_da(t.phi, lin.phi_k)
 
     Jqq = sp.diags(fq_p * t.W_phi / (eps * tau) + gq_p / tau) - lap_q
+    if not cfg.v0_mode:
+        Dq_surf = sp.diags(fq_p * lin.W_k / eps + gq_p)
+        Jqq = Jqq + ops.Afc @ sp.diags(t.v) @ ops.G @ Dq_surf
     Jq_phi = sp.diags(t.f_q * Wp_it / (eps * tau))
     Jmu_mu = -lap_mu
     Jmu_phi = Ic / tau
@@ -82,15 +106,14 @@ def jacobian(t):
     Jp_mu = Ic
     Jp_phi = (eps * (ops.D @ ops.G) - sp.diags(t.h_q * dH / eps)
               - (delta / tau) * Ic)
+    CC = sp.bmat([[Jqq, None, Jq_phi],
+                  [None, Jmu_mu, Jmu_phi],
+                  [Jp_q, Jp_mu, Jp_phi]], format="csc")
     if cfg.v0_mode:
-        return sp.bmat([[Jqq, None, Jq_phi],
-                        [None, Jmu_mu, Jmu_phi],
-                        [Jp_q, Jp_mu, Jp_phi]], format="csc")
+        return CC
 
     nf = g.n_faces
     vf = VectorField(g, t.v)
-    Dq_surf = sp.diags(fq_p * lin.W_k / eps + gq_p)
-    Jqq = Jqq + ops.Afc @ sp.diags(t.v) @ ops.G @ Dq_surf
     Jvv = (lin.A_form / g.dV
            + sp.diags((ops.Acf @ t.rho_it) / tau)
            + convect_matrix(t.M)
@@ -103,30 +126,13 @@ def jacobian(t):
     Jvphi = 0.5 * sp.diags(t.v) @ ops.Acf @ sp.diags(cset.rhop(t.phi) / tau)
     Jqv = ops.Afc @ sp.diags(t.grad_surf)
     Jmv = ops.Afc @ Gpk
-    D_mod = ops.D.tolil()
-    D_mod[0, :] = 0.0
-    p_pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(nc, nc))
-    if not g.periodic:
-        return sp.bmat([
-            [Jvv, ops.G, Jvq, Jvmu, Jvphi],
-            [D_mod.tocsr(), p_pin, None, None, None],
-            [Jqv, None, Jqq, None, Jq_phi],
-            [Jmv, None, None, Jmu_mu, Jmu_phi],
-            [None, None, Jp_q, Jp_mu, Jp_phi],
-        ], format="csc")
-    E = np.zeros((nf, 2))
-    E[:g.n_xfaces, 0] = 1.0
-    E[g.n_xfaces:, 1] = 1.0
-    E = sp.csr_matrix(E)
-    Z = sp.csr_matrix((2, 2))
-    return sp.bmat([
-        [Jvv, ops.G, E, Jvq, Jvmu, Jvphi],
-        [D_mod.tocsr(), p_pin, None, None, None, None],
-        [E.T, None, Z, None, None, None],
-        [Jqv, None, None, Jqq, None, Jq_phi],
-        [Jmv, None, None, None, Jmu_mu, Jmu_phi],
-        [None, None, None, Jp_q, Jp_mu, Jp_phi],
-    ], format="csc")
+    SS = saddle(g, Jvv)
+    npb = SS.shape[0] - nf              # the p and b unknowns
+    SC = sp.vstack([sp.hstack([Jvq, Jvmu, Jvphi]),
+                    sp.csr_matrix((npb, 3 * nc))])
+    CS = sp.hstack([sp.vstack([Jqv, Jmv, sp.csr_matrix((nc, nf))]),
+                    sp.csr_matrix((3 * nc, npb))])
+    return sp.bmat([[SS, SC], [CS, CC]], format="csc")
 
 
 def transport_defect(state_k, state_k1, cset, params):

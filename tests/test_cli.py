@@ -116,8 +116,8 @@ t_final = 6e-3
 
     def test_summary_reports_solver_counts(self, tmp_path, capsys):
         # the LUs of each block per step, and one ordering per LU of the
-        # Newton operator: J_CC's alone in v0 mode, J_SS's and J_CC's with
-        # flow
+        # Newton operator: J_CC's alone in v0 mode, the Stokes LU (of K)
+        # and J_CC's with flow
         for v0, orderings in (("true", 1), ("false", 2)):
             path = write(tmp_path, f"""
 [grid]
@@ -141,7 +141,7 @@ t_final = 6e-3
             assert line.startswith("run complete: 3 steps")
             counts = dict(part.rsplit(" ", 1)
                           for part in line.split(", ")[-5:])
-            assert (float(counts["J_SS LUs/step"]) > 0) == (orderings == 2)
+            assert (float(counts["Stokes LUs/step"]) > 0) == (orderings == 2)
             assert float(counts["J_CC LUs/step"]) > 0
             assert float(counts["Newton it./step"]) > 0
             assert int(counts["fill/LU"]) > 0
@@ -158,6 +158,30 @@ t_final = 6e-3
         eff = out1 / "config.effective.ini"
         assert main(["run", str(eff), "--out", str(out2)]) == EXIT_OK
         assert (out1 / "ledger.csv").read_bytes() == (out2 / "ledger.csv").read_bytes()
+        # a coupled periodic run, twice: each run builds its own grid, and
+        # so its own pinned Poisson LU and Stokes LUs
+        path = write(tmp_path, """
+[grid]
+nx = 10
+ny = 10
+bc = periodic
+
+[scenario]
+name = droplet
+q0 = 0.1
+
+[stepper]
+tau = 2e-3
+
+[output]
+t_final = 8e-3
+""")
+        outs = [tmp_path / "p1", tmp_path / "p2"]
+        for out in outs:
+            assert main(["run", path, "--out", str(out)]) == EXIT_OK
+        ledgers = [(out / "ledger.csv").read_bytes() for out in outs]
+        assert ledgers[0] == ledgers[1]
+        assert len(ledgers[0].splitlines()) == 5       # header + 4 steps
 
     def test_snapshots_written(self, tmp_path):
         path = self._uniform_cfg(tmp_path, "write_fields = true\nsnapshot_every = 2")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fields import copy_state
 from surfflow.energy import (LEDGER_COLUMNS, audit_step, ledger_slack,
                              rows_to_csv, total_energy)
 from surfflow.mesh import Grid
@@ -75,7 +76,7 @@ class TestAuditStep:
         cfg = StepConfig(tau=1e-3, v0_mode=True)
         s1, rep = step(s0, g, cset, params, cfg)
         E0 = total_energy(s0, cset, params).E_tot
-        bad = s1.copy()
+        bad = copy_state(s1)
         bad.q.data[100] += 0.1
         row = audit_step(s0, bad, cset, params, rep.tau_used)
         assert row.slack < -1e-8 * max(E0, 1.0)

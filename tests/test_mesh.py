@@ -89,6 +89,31 @@ class TestGradDiv:
             assert abs(div(u).data.sum() * g.dV) < 1e-13
 
 
+class TestCurl:
+    """The curl C maps corner values psi to face velocities; its columns
+    span the divergence-free fields (box) or those with zero component
+    means (periodic), exactly."""
+
+    GRIDS = [(12, 10, 1.0, 2.0), (7, 9, 1.3, 0.8), (6, 6, 1.0, 1.0)]
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_div_curl_and_curl_grad_vanish_exactly(self, bc):
+        for nx, ny, lx, ly in self.GRIDS:
+            ops = Grid(nx, ny, lx, ly, bc).ops
+            assert abs(ops.D @ ops.C).max() == 0.0
+            assert abs(ops.C.T @ ops.G).max() == 0.0
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_rank_is_the_divergence_free_dimension(self, bc):
+        # box: div has rank n_cells - 1 on the faces; periodic: the two
+        # constant component modes are divergence-free but not curls
+        for nx, ny, lx, ly in self.GRIDS:
+            g = Grid(nx, ny, lx, ly, bc)
+            rank = np.linalg.matrix_rank(g.ops.C.toarray())
+            expected = g.n_faces - g.n_cells + (-1 if g.periodic else 1)
+            assert rank == expected == g.ops.C.shape[1]
+
+
 class TestLaplaceNeumann:
     def test_constants_in_kernel(self, rng):
         for bc in BCS:

@@ -470,6 +470,12 @@ def _shipped(name: str):
                                                         params, cset)
 
 
+def _sub_lus(op: _BlockLU) -> dict:
+    """The LUs of a Newton operator by block: J_CC's, and with flow the
+    Stokes solve's LU of K."""
+    return {"C": op.C} if op.S is None else {"S": op.S.K, "C": op.C}
+
+
 def _forced(held: _HeldLU, price: float, base=None, excess=0) -> _HeldLU:
     """``held`` with the refactor state of its J_CC LU set directly instead
     of from the LU's fill, so a test's setup does not move with the
@@ -576,12 +582,9 @@ class TestHeldLU:
         for v0 in (True, False):
             held = _held_at(s0, g, cset, params,
                             StepConfig(tau=1e-3, v0_mode=v0))
-            subs = {name: sub for name, sub in (("S", held.lu.S),
-                                                ("C", held.lu.C))
-                    if sub is not None}
+            subs = _sub_lus(held.lu)
             assert set(held.ages) == set(subs) == ({"C"} if v0 else {"S", "C"})
-            n = sum(sub.lu.shape[0] for sub in subs.values())
-            assert n == max(sl.stop for sl in _block_layout(g, v0).values())
+            n = max(sl.stop for sl in _block_layout(g, v0).values())
             for name, sub in subs.items():
                 age = held.ages[name]
                 assert age.price == FACTOR_COST_PER_FILL * sub.lu.nnz / n
@@ -649,9 +652,8 @@ class TestHeldLU:
 
 
 class TestFactorOrdering:
-    """J_CC is structurally symmetric with a zero-free diagonal and gets a
-    symmetric ordering, in v0 and coupled mode alike; the saddle J_SS keeps
-    SuperLU's default."""
+    """J_CC and K are structurally symmetric with a zero-free diagonal and
+    get a symmetric ordering, in v0 and coupled mode alike."""
 
     @staticmethod
     def _lu_and_jacobian(s, g, cset, params, cfg):
@@ -663,7 +665,7 @@ class TestFactorOrdering:
     def test_v0_lu_ordered_symmetrically(self, cset, params, relax16):
         g, s0, cfg = relax16
         op, J = self._lu_and_jacobian(s0, g, cset, params, cfg)
-        assert op.S is None and op.CS is None and J.SS is None
+        assert op.S is None and op.CS is None and J.VV is None
         lu = op.C.lu
         # the diagonal pivots are all taken: no row exchanges
         assert np.array_equal(lu.perm_r, lu.perm_c)
@@ -681,21 +683,24 @@ class TestFactorOrdering:
             fills = []
             for _ in range(2):
                 assert _factor(t, held, report)
-                fills += [sub.lu.nnz for sub in (held.lu.S, held.lu.C)
-                          if sub is not None]
+                fills += [sub.lu.nnz for sub in _sub_lus(held.lu).values()]
             # one count per LU built, the fill of every LU
             assert report.cc_lus == 2 and report.ss_lus == (0 if v0 else 2)
             assert len(fills) == (2 if v0 else 4)
             assert report.factor_fill == sum(fills) > 0
 
-    def test_coupled_lu_keeps_default_ordering(self, cset, params):
+    def test_coupled_lus_ordered_symmetrically(self, cset, params):
         g = Grid(12, 12)
         s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1),
                                  g, params, cset)
         op, J = self._lu_and_jacobian(s0, g, cset, params,
                                       StepConfig(tau=1e-3))
-        # the saddle: SuperLU's default ordering and pivoting
-        assert op.S.lu.nnz == spla.splu(J.SS).nnz
+        # the Stokes solve's LU of K: diagonal pivots, and a fraction of the
+        # fill of the saddle J_SS's default LU (0.16 here)
+        lu = op.S.K.lu
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        J_SS = reference_assembly.saddle(g, J.VV)
+        assert lu.nnz <= 0.3 * spla.splu(J_SS).nnz
         # the Cahn-Hilliard block with transport: still diagonal pivots
         assert np.array_equal(op.C.lu.perm_r, op.C.lu.perm_c)
         assert op.C.lu.nnz <= 0.6 * spla.splu(J.CC).nnz
@@ -718,13 +723,31 @@ class TestBlockOperator:
         held = _HeldLU()
         assert _factor(t, held, StepReport())
         J = _jacobian(t)
-        ns = J.SS.shape[0]
+        J_SS = reference_assembly.saddle(g, J.VV)
+        ns = J_SS.shape[0]
         b = rng.standard_normal(ns + J.CC.shape[0])
         y = held.lu.solve(b)
-        r_s = J.SS @ y[:ns] - b[:ns]
+        r_s = J_SS @ y[:ns] - b[:ns]
         r_c = J.CS @ y[:ns] + J.CC @ y[ns:] - b[ns:]
         assert max(np.abs(r_s).max(), np.abs(r_c).max()) \
             <= 1e-10 * np.abs(b).max()
+
+    @pytest.mark.parametrize("bc", ["box", "periodic"])
+    def test_stokes_solve_matches_the_saddle_lu(self, cset, params, rng, bc):
+        # the null-space solve applies J_SS^-1 itself: the same solution as
+        # a direct LU of the saddle, pressure pin and border rows included
+        g = Grid(12, 12, 1.0, 1.0, bc)
+        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1,
+                                                shear=0.5), g, params, cset)
+        cfg = StepConfig(tau=1e-3)
+        lin = assemble_linear(s0, g, cset, params, cfg)
+        t = _Terms(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, False))
+        held = _HeldLU()
+        assert _factor(t, held, StepReport())
+        J_SS = reference_assembly.saddle(g, _jacobian(t).VV)
+        b = rng.standard_normal(J_SS.shape[0])
+        x = spla.splu(J_SS).solve(b)
+        assert np.abs(held.lu.S.solve(b) - x).max() <= 1e-10 * np.abs(x).max()
 
     def test_v0_operator_is_the_jacobian_lu(self, cset, params, rng, relax16):
         g, s0, cfg = relax16
@@ -755,7 +778,7 @@ class TestBlockOperator:
         cfg = StepConfig(tau=1e-3)
         held = _held_at(s0, g, cset, params, cfg)
         S, C = held.lu.S, held.lu.C
-        b = rng.standard_normal(S.lu.shape[0])
+        b = rng.standard_normal(_block_layout(g, False)["q"].start)
         before = S.solve(b)
         lin = assemble_linear(s0, g, cset, params, cfg)
         t = _Terms(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, False))
@@ -763,7 +786,7 @@ class TestBlockOperator:
         assert _factor(t, held, report, ("C",))
         assert report.cc_lus == 1 and report.ss_lus == 0
         assert report.factor_fill == held.lu.C.lu.nnz
-        # the same J_SS LU object, so bitwise the same S solves; J_CC's LU
+        # the same Stokes solve, so bitwise the same S solves; J_CC's LU
         # and J_CS are those of the new iterate
         assert held.lu.S is S and held.lu.C is not C
         assert np.array_equal(held.lu.S.solve(b), before)
@@ -780,7 +803,7 @@ class TestBlockOperator:
         lin = assemble_linear(s0, g, cset, params, cfg)
         t = _Terms(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, False))
         full, c_only = _jacobian(t), _jacobian(t, ("C",))
-        assert full.SS is not None and c_only.SS is None
+        assert full.VV is not None and c_only.VV is None
         for name in ("CS", "CC"):
             a, b = getattr(full, name), getattr(c_only, name)
             assert np.array_equal(a.indptr, b.indptr)
@@ -789,7 +812,7 @@ class TestBlockOperator:
 
     def test_fresh_cc_on_an_old_ss_lu_converges_like_a_fresh_operator(self):
         # shipped droplet 32^2: the J_CC LU is the part of a held operator
-        # that goes stale; a J_SS LU eight steps old with a fresh J_CC LU
+        # that goes stale; a Stokes LU eight steps old with a fresh J_CC LU
         # converges step 11 like a fully fresh operator (6 iterations), the
         # operator eight steps old as a whole takes 25
         grid, params, cset, cfg, s0 = _shipped("droplet")
@@ -817,16 +840,17 @@ class TestBlockOperator:
         its_stale, _ = iterations(_held_at(old, grid, cset, params, cfg))
         assert its_stale >= 2 * its_fresh
 
-    def test_shear_droplet_builds_few_ss_lus(self):
+    def test_shear_droplet_lu_fill_stays_low(self):
         # shipped shear-droplet 32^2, ten steps: J_CC's LU is refreshed
-        # where the held operator is too slow, J_SS's only once its own
-        # excess iterations pay for it (3 here; 6 when both LUs were
-        # rebuilt together)
+        # where the held operator is too slow, the Stokes LU only once its
+        # own excess iterations pay for it.  All LUs built hold 2.62M L+U
+        # fill (4 of K at 111k, 12 of J_CC at 181k); with the saddle LU of
+        # J_SS (605k) in place of K's it was 3.82M (3 and 11 LUs)
         grid, params, cset, cfg, s0 = _shipped("shear-droplet")
         res = run(s0, grid, cset, params, cfg, T=10 * cfg.tau)
         assert len(res.reports) == 10
         assert all(rep.backoffs == 0 for rep in res.reports)
-        assert sum(rep.ss_lus for rep in res.reports) <= 3
+        assert sum(rep.factor_fill for rep in res.reports) <= 3.0e6
 
 
 class TestJacobian:
@@ -863,14 +887,24 @@ class TestJacobian:
         def check(fd, jd):
             assert np.max(np.abs(fd - jd)) / (1.0 + np.max(np.abs(jd))) < 1e-6
 
-        # S-only directions: every row, through J_SS and J_CS
+        # S-only directions: every row, through J_CS and J_SS (J_vv with
+        # the constant saddle rows of the reference assembly)
+        J_SS = None if v0 else reference_assembly.saddle(g, J.VV)
         for _ in range(4 if ns else 0):
             dx = np.zeros(n)
             dx[:ns] = rng.standard_normal(ns)
             if "b" in layout:           # multipliers are not in the iterate
                 dx[layout["b"]] = 0.0
-            check(fd_along(dx), np.concatenate([J.SS @ dx[:ns],
+            check(fd_along(dx), np.concatenate([J_SS @ dx[:ns],
                                                 J.CS @ dx[:ns]]))
+        # stream-function directions v = C psi: the momentum rows tested
+        # against the curl, through K
+        for _ in range(2 if ns else 0):
+            C = g.ops.C
+            psi = rng.standard_normal(C.shape[1])
+            dx = np.zeros(n)
+            dx[:g.n_faces] = C @ psi
+            check(C.T @ fd_along(dx)[:g.n_faces], J.K @ psi)
         # C-only directions: the C rows, through J_CC (the S rows would
         # need J_SC, which the Newton operator leaves out)
         for _ in range(4):
@@ -911,7 +945,7 @@ class TestFixedPattern:
                 for scale in (0.0, 0.01):           # iterates
                     w = _iterate_near(s, rng, scale, v0)
                     jacs.append(_jacobian(_Terms(lin, cset, cfg, tau, w)))
-        for name in ("CC",) if v0 else ("SS", "CS", "CC"):
+        for name in ("CC",) if v0 else ("VV", "K", "CS", "CC"):
             first = getattr(jacs[0], name)
             for J in jacs[1:]:
                 assert np.array_equal(getattr(J, name).indptr, first.indptr)
@@ -932,10 +966,12 @@ class TestFixedPattern:
         ref = reference_assembly.jacobian(t)
         ns = _block_layout(g, v0)["q"].start
         assert ref.shape == (ns + J.CC.shape[0],) * 2
-        assert (J.SS is None) == (J.CS is None) == v0
+        assert (J.VV is None) == (J.K is None) == (J.CS is None) == v0
         blocks = [(J.CC, ref[ns:, ns:])]
         if not v0:
-            blocks += [(J.SS, ref[:ns, :ns]), (J.CS, ref[ns:, :ns])]
+            C, nf = g.ops.C, g.n_faces
+            blocks += [(J.VV, ref[:nf, :nf]), (J.CS, ref[ns:, :ns]),
+                       (J.K, C.T @ ref[:nf, :nf] @ C)]
         for B, R in blocks:
             assert B.shape == R.shape
             assert abs(B - R).max() <= 1e-12 * abs(R).max()
@@ -966,19 +1002,15 @@ class TestFixedPattern:
         # one ordering per sub-LU, computed by its first LU only
         assert report.cc_lus == 2 and report.ss_lus == (0 if v0 else 2)
         assert report.orderings == (1 if v0 else 2)
-        for name, A in (("C", J.CC),) if v0 else (("S", J.SS), ("C", J.CC)):
-            first, later = (getattr(op, name) for op in ops)
+        for name, A in (("C", J.CC),) if v0 else (("S", J.K), ("C", J.CC)):
+            first, later = (_sub_lus(op)[name] for op in ops)
             b = rng.standard_normal(A.shape[0])
             x1, x2 = first.solve(b), later.solve(b)
             assert first.ordering is None and later.ordering is not None
             assert first.lu.nnz == later.lu.nnz
             assert np.abs(A @ x2 - b).max() <= 1e-10 * np.abs(b).max()
-            if name == "C":
-                # rows permuted alike: the same LU up to round-off
-                assert np.abs(x1 - x2).max() <= 1e-12 * np.abs(x1).max()
-            else:
-                # columns only: bitwise the same L, U and solve
-                assert np.array_equal(x1, x2)
+            # rows permuted alike: the same LU up to round-off
+            assert np.abs(x1 - x2).max() <= 1e-12 * np.abs(x1).max()
 
     def test_coupled_run_computes_one_ordering_per_lu(self, cset, params):
         g = Grid(12, 12)
@@ -988,7 +1020,8 @@ class TestFixedPattern:
         res = run(s0, g, cset, params, StepConfig(tau=1e-3), T=4.5e-3)
         assert sum(rep.ss_lus for rep in res.reports) >= 2
         assert sum(rep.cc_lus for rep in res.reports) >= 2
-        # one for J_SS and one for J_CC
+        # one for K and one for J_CC (the grid's pinned Poisson LU is no
+        # Newton LU)
         assert sum(rep.orderings for rep in res.reports) == 2
 
 
