@@ -30,17 +30,18 @@ fill of COLAMD's on J_CC).  Each block's ordering is computed by its first
 LU only; later LUs factor the block permuted by it in natural order (see
 ``_Ordering``).  ``run`` holds the operator from step to step (chord
 iterations), and each LU is priced on its own from its fill (see
-``_HeldLU``).  The J_CC LU is the part that goes stale: when the chord
-iterations still expected cost more than a new J_CC LU, it is refactored
-(with J_CS) at the current iterate and the Stokes LU is kept.  Both are
-rebuilt when a J_CC LU built in the same attempt still contracts too
-slowly to pay for both, when the excess iterations of the steps on the
-Stokes LU pay for its price, and when a full step from an operator not
-built whole at the current iterate does not lower the residual (that step
-is then solved again with the fresh one).  The operator is dropped
-whenever tau differs from the tau it was factored at (the shorter last
-step, every tau halving).  A backtracking line search on a fresh
-operator's direction accepts an iterate only if it lowers the scaled
+``_HeldLU``).  With flow, the first iteration of an attempt does not price
+the operator: out of the old state exact Newton contracts as slowly there.
+From the second on, when the chord iterations still expected cost more than
+a new J_CC LU, it is refactored (with J_CS) at the current iterate and the
+Stokes LU is kept.  Both are rebuilt when a J_CC LU built in the same
+attempt still contracts too slowly to pay for both, when the excess
+iterations of the steps on the Stokes LU pay for both, and when a full step
+from an operator not built whole at the current iterate does not lower the
+residual (that step is then solved again with the fresh one).  The operator
+is dropped whenever tau differs from the tau it was factored at (the
+shorter last step, every tau halving).  A backtracking line search on a
+fresh operator's direction accepts an iterate only if it lowers the scaled
 residual, so the accepted residual history is strictly decreasing.  When
 the line search stalls or the iteration budget runs out, the step is
 retried with tau halved.
@@ -621,14 +622,12 @@ class _Age:
     base: Optional[int] = None
     excess: int = 0
 
-    def settle(self, iterations: int) -> bool:
-        """Account a step converged on this LU; whether the excess has paid
-        for a rebuild."""
+    def settle(self, iterations: int) -> None:
+        """Account a step converged on this LU."""
         if self.base is None:
             self.base = iterations
         else:
             self.excess += max(iterations - self.base, 0)
-        return self.excess >= self.price
 
 
 @dataclass
@@ -641,14 +640,16 @@ class _HeldLU:
     held Stokes LU (of K) stays good for longer.  So J_CC's LU is refreshed
     first, though K's is the cheaper one (0.6x J_CC's fill at 32^2).
     ``ages`` (block name -> ``_Age``) price each held LU.  Within a step,
-    ``refactor`` weighs the iterations the observed contraction still
-    needs against the price of J_CC's LU, and refreshes it (with J_CS) at
-    the current iterate; only when a J_CC LU built in the same attempt
-    still contracts too slowly does it weigh them against both prices and
-    rebuild both.  Across steps, each LU's excess iterations are added up
-    on its own: J_CC's LU is dropped when they pay for J_CC's price, the
-    whole operator when they pay for the Stokes LU's.  No clock is read, so reruns repeat bitwise.  In v0
-    mode there is only J_CC, and the rule is the one-LU rule.
+    from the attempt's second iteration on, ``refactor`` weighs the
+    iterations the observed contraction still needs against the price of
+    J_CC's LU, and refreshes it (with J_CS) at the current iterate; only
+    when a J_CC LU built in the same attempt still contracts too slowly
+    does it weigh them against both prices and rebuild both.  Across
+    steps, each LU's excess iterations are added up on its own: J_CC's LU
+    is dropped when they pay for J_CC's price, the whole operator when the
+    Stokes LU's pay for both.  No clock is read, so reruns repeat
+    bitwise.  In v0 mode there is only J_CC, the whole operator, and the
+    rule is the one-LU rule, the first contraction included.
     ``orderings`` (block name -> ``_Ordering``) outlive the LUs.  They are
     kept per holder, not per grid, so a rerun with a fresh holder factors
     its first LUs as the first run did (a symmetrically pre-permuted J_CC
@@ -659,39 +660,54 @@ class _HeldLU:
     ages: dict = field(default_factory=dict)
     orderings: dict = field(default_factory=dict)
 
+    def price(self, blocks: tuple) -> float:
+        """The rebuild of the held LUs among ``blocks``, in chord
+        iterations."""
+        return sum(self.ages[b].price for b in blocks if b in self.ages)
+
     def settle(self, iterations: int, rebuilt: set) -> None:
-        """Account a converged step to each held LU not in ``rebuilt``; an
-        LU whose excess iterations reach its price is dropped (the Stokes
-        LU with the whole operator)."""
+        """Account a converged step to each held LU not in ``rebuilt``.
+        J_CC's LU is dropped when its excess iterations reach its price;
+        the Stokes LU, whose drop rebuilds the whole operator, when its
+        excess reaches both prices."""
         if self.lu is None or self.lu.C is None:
             return
-        paid = {name for name, age in self.ages.items()
-                if name not in rebuilt and age.settle(iterations)}
-        if "S" in paid:
+        for name, age in self.ages.items():
+            if name not in rebuilt:
+                age.settle(iterations)
+        # an LU rebuilt in this step has no excess yet
+        if self.lu.S is not None and \
+                self.ages["S"].excess >= self.price(_BLOCKS):
             self.lu = None
-        elif "C" in paid:
+        elif self.ages["C"].excess >= self.price(("C",)):
             self.lu = self.lu._replace(CS=None, C=None)
 
     def refactor(self, res: float, prev_res: float, tol: float, left: int,
-                 c_fresh: bool) -> tuple:
+                 c_fresh: bool, first: bool) -> tuple:
         """The blocks to factor at the current iterate before the next
         Newton iteration: both without an operator, J_CC without its LU.
         Else, from the residual ``res`` at the contraction ``res /
         prev_res`` of the last iteration, J_CC when the chord iterations
         still needed exceed its price plus two, or the ``left`` iterations
         of the budget; once a J_CC LU was built in this attempt
-        (``c_fresh``), both when they exceed both prices plus two."""
+        (``c_fresh``), both when they exceed both prices plus two.
+
+        With a Stokes LU held, the contraction of the attempt's ``first``
+        iteration refactors nothing: out of the old state exact Newton
+        contracts as slowly there (0.18-0.75 on shear-droplet, from the q
+        equation's nonlinearity), so it does not price the operator."""
         if self.lu is None:
             return _BLOCKS
         if self.lu.C is None:
             return ("C",)
         if not math.isfinite(prev_res):     # no iteration yet in this attempt
             return ()
+        if first and self.lu.S is not None:
+            return ()
         # accepted residuals strictly decrease, so log(res / prev_res) < 0
         needed = math.log(tol / res) / math.log(res / prev_res)
         blocks = _BLOCKS if c_fresh else ("C",)
-        price = sum(self.ages[b].price for b in blocks if b in self.ages)
-        return blocks if needed > min(price + 2.0, left) else ()
+        return blocks if needed > min(self.price(blocks) + 2.0, left) else ()
 
 
 def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
@@ -730,7 +746,8 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
             report.failure_reason = "Newton iteration budget exhausted"
             return None
         stale = held.refactor(res, prev_res, cfg.tol_nl, newton_left,
-                              "C" in rebuilt)
+                              "C" in rebuilt,
+                              first=newton_left == cfg.max_newton - 1)
         newton_left -= 1
         report.newton_iterations += 1
         if stale and not _factor(t, held, report, stale):

@@ -18,9 +18,9 @@ from surfflow.linalg import MeanPoissonSolver
 from surfflow.mesh import Grid, ScalarField, VectorField, convect_skew
 from surfflow.state import ScenarioConfig, State, initialize_scenario
 from surfflow.stepper import (FACTOR_COST_PER_FILL, StepConfig, StepFailure,
-                              StepReport, _Age, _block_layout, _BlockLU,
-                              _factor, _HeldLU, _Iterate, _jacobian, _Terms,
-                              assemble_linear, run, step)
+                              StepReport, _Age, _BLOCKS, _block_layout,
+                              _BlockLU, _factor, _HeldLU, _Iterate,
+                              _jacobian, _Terms, assemble_linear, run, step)
 
 
 def _ch_layout(g, v0):
@@ -599,24 +599,78 @@ class TestHeldLU:
         # contraction 0.1 from 1e-2 needs 8 more iterations to 1e-10; at
         # first the chord is weighed against the J_CC LU alone
         h = held(20.0, 10.0)
-        assert h.refactor(1e-2, 1e-1, 1e-10, left=50, c_fresh=False) == ()
-        assert h.refactor(1e-2, 1e-1, 1e-10, left=7, c_fresh=False) == ("C",)
+        assert h.refactor(1e-2, 1e-1, 1e-10, left=50, c_fresh=False,
+                          first=False) == ()
+        assert h.refactor(1e-2, 1e-1, 1e-10, left=7, c_fresh=False,
+                          first=False) == ("C",)
         assert held(20.0, 5.0).refactor(1e-2, 1e-1, 1e-10, left=50,
-                                        c_fresh=False) == ("C",)
+                                        c_fresh=False, first=False) == ("C",)
         # a J_CC LU built in this attempt that still contracts too slowly
         # is weighed against both prices, and both LUs are rebuilt
         cheap_c = held(20.0, 5.0)
-        assert cheap_c.refactor(1e-2, 1e-1, 1e-10, left=50, c_fresh=True) == ()
-        assert cheap_c.refactor(1e-2, 1e-1, 1e-10, left=7, c_fresh=True) == both
+        assert cheap_c.refactor(1e-2, 1e-1, 1e-10, left=50, c_fresh=True,
+                                first=False) == ()
+        assert cheap_c.refactor(1e-2, 1e-1, 1e-10, left=7, c_fresh=True,
+                                first=False) == both
         assert held(3.0, 2.0).refactor(1e-2, 1e-1, 1e-10, left=50,
-                                       c_fresh=True) == both
+                                       c_fresh=True, first=False) == both
         # the first iteration of an attempt has no contraction to go by
-        assert h.refactor(1e-2, np.inf, 1e-10, left=1, c_fresh=False) == ()
-        # a dropped operator is rebuilt whole, a dropped J_CC LU alone
-        assert _HeldLU().refactor(1e-2, np.inf, 1e-10, left=1,
-                                  c_fresh=False) == both
-        h.lu = h.lu._replace(CS=None, C=None)
-        assert h.refactor(1e-2, np.inf, 1e-10, left=1, c_fresh=False) == ("C",)
+        assert h.refactor(1e-2, np.inf, 1e-10, left=1, c_fresh=False,
+                          first=False) == ()
+        # a dropped operator is rebuilt whole, a dropped J_CC LU alone,
+        # whatever the contraction
+        for first in (False, True):
+            assert _HeldLU().refactor(1e-2, 1e-1, 1e-10, left=1,
+                                      c_fresh=False, first=first) == both
+            c_dropped = held(20.0, 10.0)
+            c_dropped.lu = c_dropped.lu._replace(CS=None, C=None)
+            assert c_dropped.refactor(1e-2, 1e-1, 1e-10, left=1,
+                                      c_fresh=False, first=first) == ("C",)
+
+    @pytest.mark.parametrize("ratio", [0.75, 0.2, 1e-5])
+    @pytest.mark.parametrize("c_fresh", [False, True])
+    def test_first_contraction_prices_only_the_v0_operator(self, ratio,
+                                                           c_fresh):
+        # out of the old state exact Newton contracts as slowly as the held
+        # sweep (0.75 at shear-droplet's first step): with a Stokes LU held,
+        # the attempt's first contraction refactors nothing at any ratio
+        # and budget; the later ones are judged as before
+        res, tol = 1e-2, 1e-10
+        coupled = _HeldLU(lu=_BlockLU(S="S", CS="CS", C="C"),
+                          ages={"S": _Age(0.5), "C": _Age(0.5)})
+        for left in (50, 1):
+            assert coupled.refactor(res, res / ratio, tol, left, c_fresh,
+                                    first=True) == ()
+        # from 1e-2 to 1e-10 the ratios need 64, 11 and 1.6 iterations,
+        # against a price of 0.5 (J_CC) or 1.0 (both) plus two
+        expected = ((_BLOCKS if c_fresh else ("C",)) if ratio > 1e-3
+                    else ())
+        assert coupled.refactor(res, res / ratio, tol, 50, c_fresh,
+                                first=False) == expected
+        # J_CC's LU is the whole v0 operator: its first contraction is
+        # judged as every later one
+        v0 = _HeldLU(lu=_BlockLU(S=None, CS=None, C="C"),
+                     ages={"C": _Age(0.5)})
+        for first in (True, False):
+            assert v0.refactor(res, res / ratio, tol, 50, c_fresh,
+                               first=first) == expected
+
+    def test_stokes_lu_dropped_once_its_excess_pays_for_both(self):
+        # dropping the Stokes LU rebuilds J_CC's too: its excess iterations
+        # are weighed against both prices (3 + 5 here), not its own
+        held = _HeldLU(lu=_BlockLU(S="S", CS="CS", C="C"),
+                       ages={"S": _Age(3.0, base=6), "C": _Age(5.0)})
+        for iterations, excess in ((10, 4), (9, 7)):
+            held.settle(iterations, rebuilt={"C"})
+            assert held.ages["S"].excess == excess
+            assert held.lu is not None and held.lu.C == "C"
+        held.settle(7, rebuilt={"C"})
+        assert held.ages["S"].excess == 8 and held.lu is None
+        # J_CC's own excess still drops J_CC's LU alone at its price
+        held = _HeldLU(lu=_BlockLU(S="S", CS="CS", C="C"),
+                       ages={"S": _Age(3.0, base=6), "C": _Age(5.0, base=6)})
+        held.settle(11, rebuilt=set())
+        assert held.lu == _BlockLU(S="S", CS=None, C=None)
 
     def test_budget_short_of_chord_refactors(self, cset, params, relax16):
         g, s0, cfg = relax16
@@ -704,6 +758,13 @@ class TestFactorOrdering:
         # the Cahn-Hilliard block with transport: still diagonal pivots
         assert np.array_equal(op.C.lu.perm_r, op.C.lu.perm_c)
         assert op.C.lu.nnz <= 0.6 * spla.splu(J.CC).nnz
+
+
+@pytest.fixture(scope="module")
+def shear_droplet_10():
+    """The reports of the shipped shear-droplet's first ten steps."""
+    grid, params, cset, cfg, s0 = _shipped("shear-droplet")
+    return run(s0, grid, cset, params, cfg, T=10 * cfg.tau).reports
 
 
 class TestBlockOperator:
@@ -840,17 +901,26 @@ class TestBlockOperator:
         its_stale, _ = iterations(_held_at(old, grid, cset, params, cfg))
         assert its_stale >= 2 * its_fresh
 
-    def test_shear_droplet_lu_fill_stays_low(self):
+    def test_shear_droplet_lu_fill_stays_low(self, shear_droplet_10):
         # shipped shear-droplet 32^2, ten steps: J_CC's LU is refreshed
-        # where the held operator is too slow, the Stokes LU only once its
-        # own excess iterations pay for it.  All LUs built hold 2.62M L+U
-        # fill (4 of K at 111k, 12 of J_CC at 181k); with the saddle LU of
-        # J_SS (605k) in place of K's it was 3.82M (3 and 11 LUs)
-        grid, params, cset, cfg, s0 = _shipped("shear-droplet")
-        res = run(s0, grid, cset, params, cfg, T=10 * cfg.tau)
-        assert len(res.reports) == 10
-        assert all(rep.backoffs == 0 for rep in res.reports)
-        assert sum(rep.factor_fill for rep in res.reports) <= 3.0e6
+        # where the held operator is too slow after the first iteration,
+        # the Stokes LU only once its excess iterations pay for both LUs.
+        # All LUs built hold 1.24M L+U fill (3 of K at 111k, 5 of J_CC at
+        # 181k); 2.62M (4 and 12) when the first contraction priced the
+        # operator, 3.82M (3 and 11) with the saddle LU of J_SS (605k) in
+        # place of K's
+        reports = shear_droplet_10
+        assert len(reports) == 10
+        assert all(rep.backoffs == 0 for rep in reports)
+        assert sum(rep.factor_fill for rep in reports) <= 2.0e6
+
+    def test_first_contraction_builds_no_shear_droplet_lu(
+            self, shear_droplet_10):
+        # exact Newton out of the old state contracts 0.18-0.75 at the
+        # first iteration of steps 1-6 here: judged by it, every step
+        # refreshed J_CC (12 LUs in ten steps); judged from the second
+        # iteration on, five
+        assert sum(rep.cc_lus for rep in shear_droplet_10) <= 7
 
 
 class TestJacobian:
