@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -280,20 +280,8 @@ class GridOperators:
         self.Acorner = sp.kron(_avg1_corner(nx, per), _avg1_corner(ny, per),
                                format="csr")
 
-        # skew convection: per component, conservative edge-flux divergence
-        # P (edges->nodes difference), Q (nodes->edges average), and the flux
-        # interpolation from face vector fields onto the edge sets.  Normal
-        # edges sit on the cell lattice, a half spacing ahead of their node;
-        # tangential edges sit on the interior corner lines, a half spacing
-        # behind (box wall edges carry zero flux and are left out).
-        self.conv_x = (sp.kron(d1x, Iy).tocsr(), sp.kron(a1x, Iy).T.tocsr(),
-                       sp.kron(Ifx, -d1y.T).tocsr(), sp.kron(Ifx, a1y).tocsr())
-        self.flux_x_e1 = self.Acf_x.T.tocsr()                # Mx -> cells
-        self.flux_x_e2 = sp.kron(a1x, Ify, format="csr")     # My -> corners
-        self.conv_y = (sp.kron(Ix, d1y).tocsr(), sp.kron(Ix, a1y).T.tocsr(),
-                       sp.kron(-d1x.T, Ify).tocsr(), sp.kron(a1x, Ify).tocsr())
-        self.flux_y_e1 = self.Acf_y.T.tocsr()                # My -> cells
-        self.flux_y_e2 = sp.kron(Ifx, a1y, format="csr")     # Mx -> corners
+        # skew convection 0.5 O ((Phi M) * (E v)): E, Phi and O are built on
+        # first use (``skew_convection``), so a v0 run never builds them
 
         # discrete curl, nodes -> faces: (u, v) = (d psi/dy, -d psi/dx) with
         # psi on the cell corners.  box: interior nodes only (psi = 0 on the
@@ -304,6 +292,7 @@ class GridOperators:
         C = sp.vstack([sp.kron(Ifx, d1y.T), -sp.kron(d1x.T, Ify)],
                       format="csr")
         self.C = C[:, 1:].tocsr() if per else C
+        self.CT = self.C.T.tocsr()
         self._cache = {}
 
     def cached(self, key, build):
@@ -389,38 +378,55 @@ def div(u: VectorField) -> ScalarField:
     return ScalarField(u.grid, u.grid.ops.D @ u.data)
 
 
-def convect_edge_sets(g: Grid):
-    """(P, Q, flux, convected component, flux component) per component and
-    edge set of ``convect_skew``: the edge fluxes are ``flux @ M[flux
-    component]``, and the set adds P diag(flux) Q minus its transpose, halved,
-    to the rows and columns of the convected component."""
-    ops = g.ops
-    x, y = slice(0, g.n_xfaces), slice(g.n_xfaces, g.n_faces)
-    (P1x, Q1x, P2x, Q2x), (P1y, Q1y, P2y, Q2y) = ops.conv_x, ops.conv_y
-    return ((P1x, Q1x, ops.flux_x_e1, x, x), (P2x, Q2x, ops.flux_x_e2, x, y),
-            (P1y, Q1y, ops.flux_y_e1, y, y), (P2y, Q2y, ops.flux_y_e2, y, x))
+class SkewConvection(NamedTuple):
+    """The stacked edge operators of ``convect_skew``, which is
+    0.5 O ((Phi M) * (E v)).  Each component u of v has two edge sets, each
+    with an edge-flux difference P (edges -> faces), an average Q (faces ->
+    edges) and a flux interpolation f from one component of M onto its
+    edges; the set adds the antisymmetric part of P diag(f M) Q to u's rows
+    and columns.  Normal edges sit on the cell lattice, a half spacing ahead
+    of their face, tangential edges on the corner lines, a half spacing
+    behind (box wall edges, where M's normal components vanish, carry zero
+    flux and are left out)."""
+    E: sp.csr_matrix            # faces -> edges: Q u and P^T u per set
+    Phi: sp.csr_matrix          # faces -> edges: f M, twice per set
+    O: sp.csr_matrix            # edges -> faces: [P, -Q^T] per set
+
+
+def skew_convection(g: Grid) -> SkewConvection:
+    """The grid's stacked convection operators, built on first use."""
+    def build():
+        ops, per = g.ops, g.periodic
+        d1x, d1y = _diff1(g.nx, g.dx, per), _diff1(g.ny, g.dy, per)
+        a1x, a1y = _avg1(g.nx, per), _avg1(g.ny, per)
+        Ifx, Ify = sp.identity(d1x.shape[0]), sp.identity(d1y.shape[0])
+        # (P, Q, f, flux component) per component and edge set, normal first
+        sets = (((ops.Gx, ops.Acf_x.T, ops.Acf_x.T, 0),
+                 (sp.kron(Ifx, -d1y.T), sp.kron(Ifx, a1y), sp.kron(a1x, Ify), 1)),
+                ((ops.Gy, ops.Acf_y.T, ops.Acf_y.T, 1),
+                 (sp.kron(-d1x.T, Ify), sp.kron(a1x, Ify), sp.kron(Ifx, a1y), 0)))
+        E = sp.block_diag([sp.vstack([B for P, Q, _, _ in comp for B in (Q, P.T)])
+                           for comp in sets], format="csr")
+        O = sp.block_diag([sp.hstack([B for P, Q, _, _ in comp for B in (P, -Q.T)])
+                           for comp in sets], format="csr")
+        Phi = sp.bmat([[f if a == c else None for c in (0, 1)]
+                       for comp in sets for _, _, f, a in comp for _ in (0, 1)],
+                      format="csr")
+        return SkewConvection(E, Phi, O)
+    return g.ops.cached("convection", build)
 
 
 def convect_skew(M: VectorField, v: VectorField) -> VectorField:
     """Skew-symmetric convection of v by the face mass flux M.
 
     Discretizes (M . grad) v + (div M) v / 2 component by component as the
-    antisymmetric part of a conservative edge-flux divergence, so that
-    <convect_skew(M, v), v> = 0 to round-off for any M (even when div M is
-    nonzero).  In box mode the edge sets hold interior edges only: the wall
-    edges carry zero flux because the normal components of M vanish on the
-    boundary.
+    antisymmetric part of a conservative edge-flux divergence, stacked as
+    0.5 O ((Phi M) * (E v)) (see ``SkewConvection``), so that
+    <convect_skew(M, v), v> = 0 to round-off for any M, even div M != 0.
     """
     g = M.grid
-    out = np.empty(g.n_faces)
-    sets = convect_edge_sets(g)
-    for (P1, Q1, f1, sl, a1), (P2, Q2, f2, _, a2) in (sets[:2], sets[2:]):
-        u = v.data[sl]
-        phi1, phi2 = f1 @ M.data[a1], f2 @ M.data[a2]
-        dd = P1 @ (phi1 * (Q1 @ u)) + P2 @ (phi2 * (Q2 @ u))
-        ddT = Q1.T @ (phi1 * (P1.T @ u)) + Q2.T @ (phi2 * (P2.T @ u))
-        out[sl] = 0.5 * (dd - ddT)
-    return VectorField(g, out)
+    c = skew_convection(g)
+    return VectorField(g, 0.5 * (c.O @ ((c.Phi @ M.data) * (c.E @ v.data))))
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,10 @@ the line search stalls or the iteration budget runs out, the step is
 retried with tau halved.
 
 Momentum convection uses the skew form (M . grad) v + (div M) v / 2 with
-mass flux M = rho_k v + J, discretized by ``mesh.convect_skew`` so that its
-kinetic-energy contribution vanishes identically; the half density-rate
-correction then cancels the excess from the d_t(rho v) telescope exactly.
+mass flux M = rho_k v + J, discretized as 0.5 O ((Phi M) * (E v)) with the
+grid's stacked edge operators (``mesh.convect_skew``) so that its kinetic
+energy contribution vanishes identically; the half density-rate correction
+then cancels the excess from the d_t(rho v) telescope exactly.
 Every coupling term shared by two equations (the transported phi gradient,
 the capillary/Marangoni pair) is evaluated once per iterate from one
 discrete form; the cell<->face averaging pair is an exact transpose pair,
@@ -73,8 +74,8 @@ import scipy.sparse.linalg as spla
 from .constitutive import ConstitutiveSet, ModelParams, config_key
 from .linalg import (FixedPattern, assemble_velocity_form, chain, scaled,
                      velocity_form_pattern)
-from .mesh import (Grid, ScalarField, VectorField, convect_edge_sets,
-                   convect_skew)
+from .mesh import (Grid, ScalarField, VectorField, convect_skew,
+                   skew_convection)
 from .state import State
 
 __all__ = [
@@ -280,13 +281,13 @@ class _Terms:
             self.transport_phi = ops.Afc @ (lin.grad_phi_k * v)
             cap_cells = mu - self.h_q * lin.Wp_k / eps
             self.cap = (ops.Acf @ cap_cells) * lin.grad_phi_k
-            rho_faces_it = ops.Acf @ self.rho_it
-            self.time_term = (rho_faces_it * v - lin.rho_k_faces * lin.v_k) / tau
+            self.rho_faces = ops.Acf @ self.rho_it
+            self.time_term = (self.rho_faces * v - lin.rho_k_faces * lin.v_k) / tau
             self.Jt = VectorField(g, -lin.jcoef_faces * (ops.G @ mu))
             self.M = VectorField(g, lin.rho_k_faces * v + self.Jt.data)
-            vf = VectorField(g, v)
-            self.conv = convect_skew(self.M, vf).data
-            self.corr = 0.5 * (ops.Acf @ ((self.rho_it - lin.rho_k) / tau)) * v
+            self.conv = convect_skew(self.M, VectorField(g, v)).data
+            self.rho_rate_faces = ops.Acf @ ((self.rho_it - lin.rho_k) / tau)
+            self.corr = 0.5 * self.rho_rate_faces * v
             # momentum load: everything but the viscous form and grad p
             self.rhs_v = self.cap - self.time_term - self.conv + self.corr
 
@@ -406,23 +407,16 @@ def _build_jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
     If = sp.identity(nf, format="csr")
     cs = [("q_v", chain(ops.Afc, If, at=at("q", "v"))),
           ("mu_v", chain(ops.Afc, If, at=at("mu", "v")))]
-    vv = [
+    # skew convection 0.5 O ((Phi M) * (E v)) (mesh.convect_skew): in v with
+    # weight Phi M, and in M = rho_k v - jcoef G mu through rho_k v with
+    # weight E v (the jcoef G mu part is J_SC)
+    conv = skew_convection(g)
+    VV = FixedPattern((nf, nf), [
         ("v_v_form", velocity_form_pattern(g).entries()),
         ("v_v", chain(If, If)),
-    ]
-    # skew convection (see mesh.convect_skew), per edge set: in v, and in
-    # the flux M = rho_k v - jcoef G mu through its rho_k v part (the
-    # jcoef G mu part is J_SC), the edge averages Q u and P^T u of the
-    # convected component u
-    for i, (P, Q, f, sl, a) in enumerate(convect_edge_sets(g)):
-        Ia = sp.identity(a.stop - a.start, format="csr")
-        vv += [
-            (f"conv{i}", chain(0.5 * P, Q, at=(sl.start, sl.start))),
-            (f"conv{i}", chain(-0.5 * Q.T, P.T, at=(sl.start, sl.start))),
-            (f"flux{i}+", chain(0.5 * P, Ia, Y=f, at=(sl.start, a.start))),
-            (f"flux{i}-", chain(-0.5 * Q.T, Ia, Y=f, at=(sl.start, a.start))),
-        ]
-    VV = FixedPattern((nf, nf), vv)
+        ("conv", chain(0.5 * conv.O, conv.E)),
+        ("flux", chain(0.5 * conv.O, If, Y=conv.Phi)),
+    ])
     # K = C^T J_vv C is linear in J_vv's values: one map from them, no
     # triple product per build
     nk = ops.C.shape[1]
@@ -438,7 +432,6 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
     is built (``VV`` and ``K`` are None)."""
     lin, cset, cfg, tau = t.lin, t.cset, t.cfg, t.tau
     g = lin.grid
-    ops = g.ops
     eps = lin.params.epsilon
     delta = lin.params.delta
 
@@ -466,17 +459,13 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
     CC = patterns.CC.matrix(w_cc)
     if "S" not in blocks:
         return _Jacobian(None, None, CS, CC)
-    w_vv = {
+    conv = skew_convection(g)
+    VV = patterns.VV.matrix({
         "v_v_form": lin.A_form.data / g.dV,
-        "v_v": (ops.Acf @ t.rho_it) / tau
-        - 0.5 * (ops.Acf @ ((t.rho_it - lin.rho_k) / tau)),
-    }
-    for i, (P, Q, f, sl, a) in enumerate(convect_edge_sets(g)):
-        u = t.v[sl]
-        w_vv[f"conv{i}"] = f @ t.M.data[a]
-        w_vv[f"flux{i}+"] = (Q @ u, lin.rho_k_faces[a])
-        w_vv[f"flux{i}-"] = (P.T @ u, lin.rho_k_faces[a])
-    VV = patterns.VV.matrix(w_vv)
+        "v_v": t.rho_faces / tau - 0.5 * t.rho_rate_faces,
+        "conv": conv.Phi @ t.M.data,
+        "flux": (conv.E @ t.v, lin.rho_k_faces),
+    })
     return _Jacobian(VV, patterns.K.matrix({"vv": VV.data}), CS, CC)
 
 
@@ -562,7 +551,7 @@ class _StokesSolve(NamedTuple):
         if g.periodic:                  # E^T dv = r_b
             v[:nxf] += r[-2] / nxf
             v[nxf:] += r[-1] / (nf - nxf)
-        v += ops.C @ self.K.solve(ops.C.T @ (r_v - self.vv @ v))
+        v += ops.C @ self.K.solve(ops.CT @ (r_v - self.vv @ v))
         # the leftover momentum residual is G dp + E db
         w = r_v - self.vv @ v
         rhs = ops.D @ w
@@ -743,7 +732,8 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 report.transport_defect = transport_defect(t)
             return _finalize(state_k, t.w, tau)
         if newton_left == 0:
-            report.failure_reason = "Newton iteration budget exhausted"
+            report.failure_reason = "Newton iteration budget exhausted " \
+                f"(max_newton = {cfg.max_newton})"
             return None
         stale = held.refactor(res, prev_res, cfg.tol_nl, newton_left,
                               "C" in rebuilt,
@@ -876,10 +866,12 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
          held: Optional[_HeldLU] = None):
     """Advance one implicit step, halving tau on failure up to the limit.
 
-    Every attempt starts Newton from ``state_k``.  ``held`` carries the
-    Newton LU from step to step (``run`` passes one); without it the LU
-    lives for this call only.  Returns (state_{k+1}, StepReport).  Raises
-    StepFailure when every retry is exhausted; no partial state escapes.
+    Every attempt starts Newton from ``state_k`` (one attempt only with
+    ``max_newton = 0``: the old state's residual does not shrink with tau).
+    ``held`` carries the Newton LU from step to step (``run`` passes one);
+    without it the LU lives for this call only.  Returns (state_{k+1},
+    StepReport).  Raises StepFailure when every retry is exhausted; no
+    partial state escapes.
     """
     t0 = _time.perf_counter()
     if cfg.v0_mode and float(np.abs(state_k.v.data).max()) != 0.0:
@@ -889,20 +881,21 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
     if held is None:
         held = _HeldLU()
     tau = cfg.tau
-    for attempt in range(cfg.max_backoff + 1):
+    backoffs = cfg.max_backoff if cfg.max_newton else 0
+    for attempt in range(backoffs + 1):
         report.tau_used = tau
         out = _try_step(state_k, lin, cset, cfg, tau, report, held)
         if out is not None:
             report.wall_time = _time.perf_counter() - t0
             return out, report
-        if attempt < cfg.max_backoff:
+        if attempt < backoffs:
             tau *= 0.5
             report.backoffs += 1
             report.residual_history.append({"total": np.inf,
                                             "note": f"retry tau={tau:g}"})
     report.wall_time = _time.perf_counter() - t0
     raise StepFailure(
-        f"step failed after {cfg.max_backoff} tau halvings "
+        f"step failed after {report.backoffs} tau halvings "
         f"(last reason: {report.failure_reason})", report)
 
 

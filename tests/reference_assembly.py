@@ -12,35 +12,57 @@ import scipy.sparse as sp
 from surfflow.mesh import VectorField
 
 
-def _conv_parts(g, M):
-    ops = g.ops
+def _diff_avg(n, d, periodic):
+    """1D cell -> face difference and two-point average (box: interior
+    faces only)."""
+    m = n if periodic else n - 1
+    rows = np.repeat(np.arange(m), 2)
+    cols = (np.arange(m)[:, None] + ([-1, 0] if periodic else [0, 1])) % n
+    diff = sp.csr_matrix((np.tile([-1.0 / d, 1.0 / d], m),
+                          (rows, cols.ravel())), shape=(m, n))
+    avg = sp.csr_matrix((np.full(2 * m, 0.5), (rows, cols.ravel())),
+                        shape=(m, n))
+    return diff, avg
+
+
+def _conv_sets(g):
+    """Per component (x, y) of the convected velocity, its two edge sets of
+    ``mesh.convect_skew``, normal edges (on the cell lattice) first, then
+    tangential (on the corner lines): each the edge-flux difference P, the
+    edge average Q and the flux interpolation f, with the index (0: x, 1: y)
+    of the component of M that f reads."""
+    per = g.periodic
+    d1x, a1x = _diff_avg(g.nx, g.dx, per)
+    d1y, a1y = _diff_avg(g.ny, g.dy, per)
+    Ix, Iy = sp.identity(g.nx), sp.identity(g.ny)
+    Ifx, Ify = sp.identity(d1x.shape[0]), sp.identity(d1y.shape[0])
     return (
-        (ops.conv_x, ops.flux_x_e1 @ M.ux, ops.flux_x_e2 @ M.uy),
-        (ops.conv_y, ops.flux_y_e1 @ M.uy, ops.flux_y_e2 @ M.ux),
+        ((sp.kron(d1x, Iy), sp.kron(a1x, Iy).T, sp.kron(a1x, Iy).T, 0),
+         (sp.kron(Ifx, -d1y.T), sp.kron(Ifx, a1y), sp.kron(a1x, Ify), 1)),
+        ((sp.kron(Ix, d1y), sp.kron(Ix, a1y).T, sp.kron(Ix, a1y).T, 1),
+         (sp.kron(-d1x.T, Ify), sp.kron(a1x, Ify), sp.kron(Ifx, a1y), 0)),
     )
 
 
 def convect_matrix(M):
     """Matrix of v -> convect_skew(M, v) (block diagonal over components)."""
+    comps = (M.ux, M.uy)
     blocks = []
-    for (P1, Q1, P2, Q2), phi1, phi2 in _conv_parts(M.grid, M):
-        dd = P1 @ sp.diags(phi1) @ Q1 + P2 @ sp.diags(phi2) @ Q2
+    for sets in _conv_sets(M.grid):
+        dd = sum(P @ sp.diags(f @ comps[a]) @ Q for P, Q, f, a in sets)
         blocks.append(0.5 * (dd - dd.T))
     return sp.block_diag(blocks, format="csr")
 
 
 def convect_flux_jacobian(v):
     """Matrix of M -> convect_skew(M, v) for fixed v (linear in the flux)."""
-    ops = v.grid.ops
-
-    def blk(P1, Q1, P2, Q2, u, f1, f2):
-        d1 = 0.5 * (P1 @ sp.diags(Q1 @ u) - Q1.T @ sp.diags(P1.T @ u))
-        d2 = 0.5 * (P2 @ sp.diags(Q2 @ u) - Q2.T @ sp.diags(P2.T @ u))
-        return d1 @ f1, d2 @ f2
-
-    dxx, dxy = blk(*ops.conv_x, v.ux, ops.flux_x_e1, ops.flux_x_e2)
-    dyy, dyx = blk(*ops.conv_y, v.uy, ops.flux_y_e1, ops.flux_y_e2)
-    return sp.bmat([[dxx, dxy], [dyx, dyy]], format="csr")
+    rows = []
+    for sets, u in zip(_conv_sets(v.grid), (v.ux, v.uy)):
+        row = [None, None]
+        for P, Q, f, a in sets:
+            row[a] = 0.5 * (P @ sp.diags(Q @ u) - Q.T @ sp.diags(P.T @ u)) @ f
+        rows.append(row)
+    return sp.bmat(rows, format="csr")
 
 
 def velocity_form(g, eta, delta):

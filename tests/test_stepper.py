@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import root
 
 import reference_assembly
+import surfflow.mesh as mesh
 from fields import from_function, ux2d, view2d
 from surfflow.cli import build_objects, parse_config
 from surfflow.constitutive import ModelParams, build_default_set
@@ -294,6 +295,29 @@ class TestStepBehavior:
         assert not rep.converged
         assert "budget" in rep.failure_reason
         assert rep.tau_used == pytest.approx(5e-4)
+
+    def test_zero_budget_fails_without_halving(self, cset, params):
+        # the old state is the only iterate, and its scaled residual does
+        # not shrink with tau: halving cannot help
+        g = Grid(16, 16)
+        s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
+                                 g, params, cset)
+        cfg = StepConfig(tau=1e-3, max_newton=0)
+        with pytest.raises(StepFailure, match="after 0 tau halvings") as exc:
+            step(s0, g, cset, params, cfg)
+        rep = exc.value.report
+        assert rep.backoffs == 0 and rep.iterations == 1
+        assert rep.tau_used == cfg.tau
+        assert "max_newton = 0" in rep.failure_reason
+
+    def test_zero_budget_converges_at_a_fixed_point(self, cset, params):
+        g = Grid(8, 8)
+        s0 = initialize_scenario(ScenarioConfig(name="uniform", phi0=0.3,
+                                                q0=0.5), g, params, cset)
+        s1, rep = step(s0, g, cset, params, StepConfig(tau=0.05, max_newton=0))
+        assert rep.converged and rep.iterations == 1
+        assert rep.newton_iterations == 0 and rep.backoffs == 0
+        assert np.array_equal(s1.phi.data, s0.phi.data)
 
     def test_backoff_reduces_tau_and_recovers(self, cset, params):
         g = Grid(12, 12)
@@ -1081,6 +1105,30 @@ class TestFixedPattern:
             assert np.abs(A @ x2 - b).max() <= 1e-10 * np.abs(b).max()
             # rows permuted alike: the same LU up to round-off
             assert np.abs(x1 - x2).max() <= 1e-12 * np.abs(x1).max()
+
+    def test_convection_operators_built_once_per_grid(self, cset, params,
+                                                      monkeypatch):
+        # convect_skew (once per iterate) and the J_vv pattern share the
+        # grid's stacked convection operators; a v0 run, which has no
+        # transport, never builds them
+        built = []
+        stacked = mesh.SkewConvection
+        monkeypatch.setattr(mesh, "SkewConvection",
+                            lambda *ops: built.append(ops) or stacked(*ops))
+        g = Grid(10, 8)
+        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1,
+                                                shear=0.5), g, params, cset)
+        res = run(s0, g, cset, params, StepConfig(tau=1e-3), T=2e-3)
+        assert sum(rep.ss_lus for rep in res.reports) >= 1
+        assert ("jacobian", False) in g.ops._cache
+        assert len(built) == 1
+        assert mesh.skew_convection(g) is g.ops._cache["convection"]
+
+        g16, s16, cfg = _relaxation(cset, params, 16)
+        run(s16, g16, cset, params, cfg, T=3 * cfg.tau)
+        assert ("jacobian", True) in g16.ops._cache
+        assert "convection" not in g16.ops._cache
+        assert len(built) == 1
 
     def test_coupled_run_computes_one_ordering_per_lu(self, cset, params):
         g = Grid(12, 12)
