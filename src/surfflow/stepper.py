@@ -7,24 +7,29 @@ the transported gradients use the old phi/q, while the potentials f, g, h
 and the secant slope H of W are evaluated implicitly.
 
 The solver is a Newton iteration on the full coupled residual, started
-from the old state at every attempt (each tau halving included).  The
-unknowns split into the Stokes blocks S = [v, p, b] (momentum, continuity,
-periodic border) and the Cahn-Hilliard blocks C = [q, mu, phi].  The Newton
-operator is one block Gauss-Seidel sweep over that split (``_BlockLU``):
-y_S = J_SS^-1 r_S, then y_C = J_CC^-1 (r_C - J_CS y_S), with a sparse LU of
+from the old state at every attempt (each tau halving included).  It works
+on the divergence-free velocities, as the weak formulation does (the
+null-space method: Benzi, Golub & Liesen, Numerical solution of saddle
+point problems, Acta Numerica 2005, sec. 6): each iterate moves v by C psi,
+C the grid's discrete curl (D C = 0; periodic: zero component means), and
+the momentum equation enters tested against C's columns, C^T r_v, which
+has no pressure.  The unknowns are the stream function psi (the Stokes
+block S) and the Cahn-Hilliard blocks C = [q, mu, phi]; no pressure, pin
+or border multiplier is iterated on, and D v stays at the old state's up
+to round-off.  The pressure is recovered from the momentum residual at
+every iterate with the grid's pinned Poisson LU (``_Terms.residual``): it
+scales the momentum norm and is the new state's p.  The Newton operator is
+one block Gauss-Seidel sweep over that split (``_BlockLU``): y_S = K^-1
+r_S with the stream-function operator K = C^T J_vv C of the velocity block
+J_vv, then y_C = J_CC^-1 (r_C - J_CS C y_S), with sparse LUs of K and
 J_CC; J_SC, the response of the momentum to q, mu and phi, is never built.
-J_SS is solved exactly on the divergence-free velocities
-(``_StokesSolve``): the momentum rows tested against the grid's curl C drop
-the pressure, which leaves the stream-function operator K = C^T J_vv C of
-J_SS's velocity block J_vv to factor (a fifth of the saddle LU's fill at
-32^2); a constant pinned Poisson LU per grid meets the continuity rows and
-recovers the pressure.  In v0 mode there is no S block and the operator is
-the LU of J_CC, the exact transport-free Jacobian.  Each of J_vv, K, J_CS
-and J_CC has one fixed pattern per grid and mode (``_jacobian_patterns``,
-explicit zeros kept): each term is a constant operator chain with at most
-two diagonal weights, and K is linear in J_vv's values, so a block is one
-sparse product of a per-grid map with the weights, for every iterate, step
-and tau alike.  K and J_CC are structurally symmetric with a zero-free
+In v0 mode there is no S block and the operator is the LU of J_CC, the
+exact transport-free Jacobian.  Each of J_vv, K, J_CS C and J_CC has one
+fixed pattern per grid and mode (``_jacobian_patterns``, explicit zeros
+kept): each term is a constant operator chain with at most two diagonal
+weights, and K is linear in J_vv's values, so a block is one sparse
+product of a per-grid map with the weights, for every iterate, step and
+tau alike.  K and J_CC are structurally symmetric with a zero-free
 diagonal, so their LUs take a symmetric minimum-degree ordering (half the
 fill of COLAMD's on J_CC).  Each block's ordering is computed by its first
 LU only; later LUs factor the block permuted by it in natural order (see
@@ -33,7 +38,7 @@ iterations), and each LU is priced on its own from its fill (see
 ``_HeldLU``).  With flow, the first iteration of an attempt does not price
 the operator: out of the old state exact Newton contracts as slowly there.
 From the second on, when the chord iterations still expected cost more than
-a new J_CC LU, it is refactored (with J_CS) at the current iterate and the
+a new J_CC LU, it is refactored (with J_CS C) at the current iterate and the
 Stokes LU is kept.  Both are rebuilt when a J_CC LU built in the same
 attempt still contracts too slowly to pay for both, when the excess
 iterations of the steps on the Stokes LU pay for both, and when a full step
@@ -205,16 +210,11 @@ _BLOCKS = ("S", "C")                    # Stokes and Cahn-Hilliard runs
 
 
 def _block_layout(g: Grid, v0: bool) -> dict:
-    """Block name -> slice of the unknown vector, in the Jacobian's order:
-    the Stokes blocks [v, p] plus the two border multipliers ``b``
-    (periodic), coupled mode only, then the Cahn-Hilliard blocks
-    [q, mu, phi] from ``layout["q"].start`` on."""
+    """Block name -> slice of the Newton vector, in the Jacobian's order:
+    the stream function ``psi`` (coupled mode only), then the Cahn-Hilliard
+    blocks [q, mu, phi] from ``layout["q"].start`` on."""
     nc = g.n_cells
-    sizes = {}
-    if not v0:
-        sizes = {"v": g.n_faces, "p": nc}
-        if g.periodic:
-            sizes["b"] = 2
+    sizes = {} if v0 else {"psi": g.ops.C.shape[1]}
     sizes.update((name, nc) for name in _CH_BLOCKS)
     ends = np.cumsum(list(sizes.values())).tolist()
     return {name: slice(end - n, end)
@@ -222,23 +222,49 @@ def _block_layout(g: Grid, v0: bool) -> dict:
 
 
 class _Iterate:
-    __slots__ = ("v", "p", "q", "mu", "phi")
+    __slots__ = ("v", "q", "mu", "phi")
 
-    def __init__(self, v, p, q, mu, phi):
-        self.v, self.p, self.q, self.mu, self.phi = v, p, q, mu, phi
+    def __init__(self, v, q, mu, phi):
+        self.v, self.q, self.mu, self.phi = v, q, mu, phi
 
     @classmethod
     def of(cls, s: State) -> "_Iterate":
-        return cls(s.v.data, s.p.data, s.q.data, s.mu.data, s.phi.data)
+        return cls(s.v.data, s.q.data, s.mu.data, s.phi.data)
+
+    @classmethod
+    def update(cls, dx: np.ndarray, layout: dict, g: Grid) -> "_Iterate":
+        """The field update of the Newton vector ``dx``: v by C dpsi (None
+        in v0 mode), q, mu and phi by their blocks."""
+        psi = layout.get("psi")
+        return cls(None if psi is None else g.ops.C @ dx[psi],
+                   *(dx[layout[name]] for name in _CH_BLOCKS))
 
     def __iter__(self):
-        return iter((self.v, self.p, self.q, self.mu, self.phi))
+        return iter((self.v, self.q, self.mu, self.phi))
 
-    def moved(self, dx: np.ndarray, alpha: float, layout: dict) -> "_Iterate":
-        """This iterate plus ``alpha`` times the blocks of ``dx`` that
-        ``layout`` names (v and p stay in v0 mode)."""
-        return _Iterate(*(a + alpha * dx[layout[name]] if name in layout
-                          else a for name, a in zip(self.__slots__, self)))
+    def moved(self, d: "_Iterate", alpha: float) -> "_Iterate":
+        """This iterate plus ``alpha`` times the field update ``d`` (a None
+        field stays)."""
+        return _Iterate(*(a if da is None else a + alpha * da
+                          for a, da in zip(self, d)))
+
+
+def _pinned_poisson(g: Grid):
+    """The LU of the cell Laplacian D G with cell 0 pinned (row and column
+    0 those of the identity), one per grid: x = solve(r) with r[0] = 0 has
+    x[0] = 0 and (D G x)[i] = r[i] for every i >= 1, and then
+    (D G x)[0] = -sum(r[1:]), as the rows of D G add up to zero.  Every
+    coupled residual recovers its pressure with it."""
+    def build():
+        ops = g.ops
+        n = g.n_cells
+        free = sp.diags(np.r_[0.0, np.ones(n - 1)])
+        L = free @ ops.D @ ops.G @ free \
+            + sp.csc_matrix(([1.0], ([0], [0])), shape=(n, n))
+        L = L.tocsc()
+        L.eliminate_zeros()
+        return spla.splu(L, **_LU_OPTIONS)
+    return g.ops.cached("pinned_poisson", build)
 
 
 class _Terms:
@@ -255,8 +281,8 @@ class _Terms:
         delta = lin.params.delta
         self.lin, self.cset, self.cfg, self.tau = lin, cset, cfg, tau
         self.w = w
-        v, p, q, mu, phi = w
-        self.v, self.p, self.q, self.mu, self.phi = v, p, q, mu, phi
+        v, q, mu, phi = w
+        self.v, self.q, self.mu, self.phi = v, q, mu, phi
 
         self.f_q = cset.f(q)
         self.g_q = cset.g(q)
@@ -296,9 +322,11 @@ class _Terms:
 
         The vector follows the Jacobian's row order; each norm is
         ``|r| / (1 + largest term norm)`` of one equation in field units.
-        Periodic constant momentum modes are projected out of the norm only:
-        in the vector the border multiplier columns absorb them, pinning the
-        velocity component means instead.
+        The momentum rows of the vector are C^T r_v, which has no pressure.
+        Its norm is that of r_v + G p with the pressure p that makes it
+        divergence free, D G p = -D r_v by the grid's pinned Poisson LU
+        (kept as ``self.p``, the new state's pressure once the step
+        converges), periodic constant modes projected out.
         """
         lin, tau = self.lin, self.tau
         g = lin.grid
@@ -324,25 +352,19 @@ class _Terms:
             return np.concatenate([r_q, r_mu, r_phi]), norms
 
         visc = (lin.A_form @ self.v) / g.dV
+        r_v = visc - self.rhs_v
+        rhs = -(ops.D @ r_v)
+        rhs[0] = 0.0        # the pin's row: D G's rows add up to zero
+        self.p = _pinned_poisson(g).solve(rhs)
         gp = ops.G @ self.p
-        r_v = visc + gp - self.rhs_v
-        r_v_free = r_v
-        nxf = g.n_xfaces
+        r_v_free = r_v + gp
         if g.periodic:
-            r_v_free = r_v.copy()
+            nxf = g.n_xfaces
             r_v_free[:nxf] -= r_v_free[:nxf].mean()
             r_v_free[nxf:] -= r_v_free[nxf:].mean()
         norms["momentum"] = _rel(r_v_free, [visc, gp, self.cap,
                                             self.time_term, self.conv])
-        # the continuity rows sum to zero identically: the redundant first
-        # one is replaced by a pressure pin (the pressure is shifted to mean
-        # zero once the step converges)
-        r_div = ops.D @ self.v
-        r_div[0] = self.p[0]
-        parts = [r_v, r_div]
-        if g.periodic:
-            parts.append(np.array([self.v[:nxf].sum(), self.v[nxf:].sum()]))
-        return np.concatenate(parts + [r_q, r_mu, r_phi]), norms
+        return np.concatenate([ops.CT @ r_v, r_q, r_mu, r_phi]), norms
 
 
 def _rel(r: np.ndarray, terms) -> float:
@@ -355,13 +377,12 @@ def _rel(r: np.ndarray, terms) -> float:
 # ---------------------------------------------------------------------------
 
 class _Jacobian(NamedTuple):
-    """The blocks of the Newton Jacobian the operator uses, over
-    S = [v, p, b] and C = [q, mu, phi]: J_vv, the velocity block of J_SS
-    (J_SS's other entries are the constant G, D, pressure pin and border
-    rows, which ``_StokesSolve`` applies by itself), the stream-function
-    operator K = C^T J_vv C (C the grid's curl) and J_CS, all None in v0
-    mode, and J_CC; also their fixed patterns (``_jacobian_patterns``).
-    J_SC is never built."""
+    """The blocks of the Newton Jacobian the operator uses, over S = [psi]
+    and C = [q, mu, phi]: J_vv, the momentum residual's derivative in the
+    velocity, the stream-function operator K = C^T J_vv C (C the grid's
+    curl, the S block's own Jacobian) and ``CS`` = J_CS C, the C rows'
+    derivative in psi, all None in v0 mode, and J_CC; also their fixed
+    patterns (``_jacobian_patterns``).  J_SC is never built."""
     VV: Optional[sp.csc_matrix]
     K: Optional[sp.csc_matrix]
     CS: Optional[sp.csc_matrix]
@@ -405,8 +426,8 @@ def _build_jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
                chain(ops.Afc, Ic, Y=ops.G, at=at("q", "q"))))
 
     If = sp.identity(nf, format="csr")
-    cs = [("q_v", chain(ops.Afc, If, at=at("q", "v"))),
-          ("mu_v", chain(ops.Afc, If, at=at("mu", "v")))]
+    cs = [("q_v", chain(ops.Afc, ops.C, at=at("q", "psi"))),
+          ("mu_v", chain(ops.Afc, ops.C, at=at("mu", "psi")))]
     # skew convection 0.5 O ((Phi M) * (E v)) (mesh.convect_skew): in v with
     # weight Phi M, and in M = rho_k v - jcoef G mu through rho_k v with
     # weight E v (the jcoef G mu part is J_SC)
@@ -426,7 +447,7 @@ def _build_jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
 
 
 def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
-    """The blocks J_vv, K, J_CS and J_CC of the Jacobian of the coupled
+    """The blocks J_vv, K, J_CS C and J_CC of the Jacobian of the coupled
     residual at the iterate in ``t``, each on the grid's fixed pattern (see
     ``_jacobian_patterns``).  Without "S" in ``blocks`` neither J_vv nor K
     is built (``VV`` and ``K`` are None)."""
@@ -505,71 +526,15 @@ class _SubLU(NamedTuple):
         return self.ordering.solve(self.lu, rhs)
 
 
-def _pinned_poisson(g: Grid):
-    """The LU of the cell Laplacian D G with cell 0 pinned (row and column
-    0 those of the identity), one per grid: x = solve(r) with r[0] = 0 has
-    x[0] = 0 and (D G x)[i] = r[i] for every i >= 1, and then
-    (D G x)[0] = -sum(r[1:]), as the rows of D G add up to zero."""
-    def build():
-        ops = g.ops
-        n = g.n_cells
-        free = sp.diags(np.r_[0.0, np.ones(n - 1)])
-        L = free @ ops.D @ ops.G @ free \
-            + sp.csc_matrix(([1.0], ([0], [0])), shape=(n, n))
-        L = L.tocsc()
-        L.eliminate_zeros()
-        return spla.splu(L, **_LU_OPTIONS)
-    return g.ops.cached("pinned_poisson", build)
-
-
-class _StokesSolve(NamedTuple):
-    """y_S = J_SS^-1 r_S, exactly, by the null-space method (Benzi, Golub &
-    Liesen, Numerical solution of saddle point problems, Acta Numerica 2005,
-    sec. 6) with the grid's curl C, whose columns span the divergence-free
-    velocities (periodic: those with zero component means): the momentum
-    rows tested against them drop the pressure, so the LU is that of the
-    stream-function operator K = C^T J_vv C.  A particular velocity G phi
-    meets the continuity rows (periodic: plus the constant fields E c the
-    border rows ask for, E's two columns the x- and y-face indicators), K
-    gives the divergence-free rest, and the pressure (periodic: and the
-    border multipliers) come from the leftover momentum residual through
-    the grid's pinned Poisson LU."""
-    grid: Grid
-    vv: sp.csc_matrix           # J_vv
-    K: _SubLU                   # the LU of K
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        g = self.grid
-        ops = g.ops
-        nf, nc, nxf = g.n_faces, g.n_cells, g.n_xfaces
-        poisson = _pinned_poisson(g)
-        r_v, r_div = r[:nf], r[nf:nf + nc]
-        # D dv = r_div on rows 1.., its row 0 is the pressure pin
-        rhs = r_div.copy()
-        rhs[0] = 0.0
-        v = ops.G @ poisson.solve(rhs)
-        if g.periodic:                  # E^T dv = r_b
-            v[:nxf] += r[-2] / nxf
-            v[nxf:] += r[-1] / (nf - nxf)
-        v += ops.C @ self.K.solve(ops.CT @ (r_v - self.vv @ v))
-        # the leftover momentum residual is G dp + E db
-        w = r_v - self.vv @ v
-        rhs = ops.D @ w
-        rhs[0] = 0.0
-        parts = [v, poisson.solve(rhs) + r_div[0]]
-        if g.periodic:
-            parts.append(np.array([w[:nxf].mean(), w[nxf:].mean()]))
-        return np.concatenate(parts)
-
-
 class _BlockLU(NamedTuple):
-    """The Newton operator: one block Gauss-Seidel sweep over S and C,
-    y_S = J_SS^-1 r_S, then y_C = J_CC^-1 (r_C - J_CS y_S).  ``S`` and ``CS``
-    are None in v0 mode, where the operator is the LU of J_CC alone (block
+    """The Newton operator: one block Gauss-Seidel sweep over S = [psi] and
+    C, y_S = K^-1 r_S by the Stokes LU ``S`` of K = C^T J_vv C, then
+    y_C = J_CC^-1 (r_C - J_CS C y_S).  ``S`` and ``CS`` (J_CS C) are None
+    in v0 mode, where the operator is the LU of J_CC alone (block
     triangular preconditioning as in Elman, Silvester & Wathen, Finite
     Elements and Fast Iterative Solvers, 2nd ed., OUP 2014).  ``CS`` and
     ``C`` are None while the J_CC LU is dropped and ``S`` still held."""
-    S: Optional[_StokesSolve]
+    S: Optional[_SubLU]
     CS: Optional[sp.csc_matrix]
     C: Optional[_SubLU]
 
@@ -583,9 +548,12 @@ class _BlockLU(NamedTuple):
 
 # Building one LU of the Newton operator (its blocks of the Jacobian and
 # that LU, its ordering reused) costs about this many chord iterations (one
-# operator apply plus one residual) per unit of its L+U fill per unknown, n
-# counting every unknown; the fill is SuperLU's stored count ``lu.nnz``
-# (reading ``lu.L``/``lu.U`` would copy the factors).  Measured build /
+# operator apply plus one residual) per unit of its L+U fill per unknown;
+# the fill is SuperLU's stored count ``lu.nnz`` (reading ``lu.L``/``lu.U``
+# would copy the factors).  n is the unknown count of the saddle form
+# [v, p, b, q, mu, phi] the constant was fitted on (``_factor``), not the
+# Newton vector's [psi, q, mu, phi], which would raise every coupled price
+# 1.5x at 32^2 and move solver decisions.  Measured build /
 # iteration time over fill / n, medians of 5-9 repeats, three runs each on
 # one 2-core x86 host, shear-droplet and droplet after 3 steps: the Stokes
 # LU (J_vv and K assembled, K's LU) 0.19-0.24 at 32^2 (fill / n 18, 9.3-11
@@ -626,12 +594,13 @@ class _HeldLU:
     Nonlinear Equations, SIAM 1995, ch. 5), priced per LU.
 
     The two LUs age apart: a held J_CC goes stale within a few steps, a
-    held Stokes LU (of K) stays good for longer.  So J_CC's LU is refreshed
-    first, though K's is the cheaper one (0.6x J_CC's fill at 32^2).
+    held Stokes LU (of K, the S block's whole operator) stays good for
+    longer.  So J_CC's LU is refreshed first, though K's is the cheaper one
+    (0.6x J_CC's fill at 32^2).
     ``ages`` (block name -> ``_Age``) price each held LU.  Within a step,
     from the attempt's second iteration on, ``refactor`` weighs the
     iterations the observed contraction still needs against the price of
-    J_CC's LU, and refreshes it (with J_CS) at the current iterate; only
+    J_CC's LU, and refreshes it (with J_CS C) at the current iterate; only
     when a J_CC LU built in the same attempt still contracts too slowly
     does it weigh them against both prices and rebuild both.  Across
     steps, each LU's excess iterations are added up on its own: J_CC's LU
@@ -730,7 +699,7 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
             held.settle(cfg.max_newton - newton_left, rebuilt)
             if not cfg.v0_mode:
                 report.transport_defect = transport_defect(t)
-            return _finalize(state_k, t.w, tau)
+            return _finalize(state_k, t)
         if newton_left == 0:
             report.failure_reason = "Newton iteration budget exhausted " \
                 f"(max_newton = {cfg.max_newton})"
@@ -749,9 +718,9 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
         alpha = 1.0
         while True:
             if alpha == 1.0:      # first trial, or after a stale-operator build
-                dx = held.lu.solve(-rvec)
+                dw = _Iterate.update(held.lu.solve(-rvec), layout, lin.grid)
                 report.linear_solves += 1
-            t_try = _Terms(lin, cset, cfg, tau, t.w.moved(dx, alpha, layout))
+            t_try = _Terms(lin, cset, cfg, tau, t.w.moved(dw, alpha))
             rvec_try, blocks_try = t_try.residual()
             res_try = max(blocks_try.values())
             if np.isfinite(res_try) and res_try < res:
@@ -788,8 +757,8 @@ def _factor(t: _Terms, held: _HeldLU, report: StepReport,
     False (with the reason in the report) when a factorization fails.
 
     With "S" in ``blocks`` the whole operator is rebuilt: J_CC always, the
-    Stokes solve (K's LU) in coupled mode only.  Without it, J_CC's LU and
-    J_CS are replaced and the held Stokes solve is kept.  The first LU of a
+    Stokes LU (of K) in coupled mode only.  Without it, J_CC's LU and
+    J_CS C are replaced and the held Stokes LU is kept.  The first LU of a
     block's pattern computes its fill-reducing ordering, and every later
     one factors the block permuted by it (see ``_Ordering``)."""
     # free the old LUs before building the new
@@ -797,13 +766,15 @@ def _factor(t: _Terms, held: _HeldLU, report: StepReport,
     J = _jacobian(t, blocks)
     g = t.lin.grid
     patterns = _jacobian_patterns(g, t.cfg.v0_mode)
-    n = J.CC.shape[0] + (0 if J.CS is None else J.CS.shape[1])
+    # the price's n (see FACTOR_COST_PER_FILL): [v, p, b] and [q, mu, phi]
+    n = J.CC.shape[0] + (0 if J.CS is None else
+                         g.n_faces + g.n_cells + (2 if g.periodic else 0))
     try:
         if held.lu is not None:
             S = held.lu.S
         else:
-            S = None if J.VV is None else _StokesSolve(
-                g, J.VV, _factor_block("S", J.K, patterns.K, n, held, report))
+            S = None if J.K is None else \
+                _factor_block("S", J.K, patterns.K, n, held, report)
         C = _factor_block("C", J.CC, patterns.CC, n, held, report)
     except RuntimeError as exc:
         report.failure_reason = f"Newton linearization failed: {exc}"
@@ -847,16 +818,20 @@ def transport_defect(t: _Terms) -> float:
         t.transport_q @ t.q + t.transport_phi @ t.mu - t.cap @ t.v)
 
 
-def _finalize(state_k: State, w: _Iterate, tau: float) -> State:
+def _finalize(state_k: State, t: _Terms) -> State:
+    """The new state at the converged iterate ``t``; its pressure is the
+    one recovered by the residual (the old state's in v0 mode), shifted to
+    mean zero."""
     grid = state_k.grid
-    p = w.p - w.p.mean()
+    w = t.w
+    p = state_k.p.data if t.cfg.v0_mode else t.p
     return State(
         v=VectorField(grid, w.v.copy()),
-        p=ScalarField(grid, p),
+        p=ScalarField(grid, p - p.mean()),
         phi=ScalarField(grid, w.phi.copy()),
         mu=ScalarField(grid, w.mu.copy()),
         q=ScalarField(grid, w.q.copy()),
-        t=state_k.t + tau,
+        t=state_k.t + t.tau,
         k=state_k.k + 1,
     )
 

@@ -1,10 +1,12 @@
 """Reference assemblies by sparse products, the way the solver's fixed
 patterns must reproduce them: the convection matrices of
 ``mesh.convect_skew``, the velocity form ``B^T diag(w) B``, the saddle
-J_SS around a velocity block, and the stepper's whole Jacobian (J_SC
-included, which the stepper never builds) as one ``sp.bmat`` of its
-blocks; and the transport defect of a step rebuilt from its two states,
-which the stepper reads from its converged terms."""
+J_SS around a velocity block, and the Jacobian of the saddle form over
+[v, p, b, q, mu, phi] (J_SC included, which the stepper never builds) as
+one ``sp.bmat`` of its blocks, each reduced to the stepper's Newton
+unknowns [psi, q, mu, phi] by the grid's curl (``divergence_free``); and
+the transport defect of a step rebuilt from its two states, which the
+stepper reads from its converged terms."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,9 +100,25 @@ def saddle(g, Jvv):
                     [E.T, None, sp.csr_matrix((2, 2))]], format="csc")
 
 
+def divergence_free(g, A):
+    """``A``, a matrix over [v, p, b] (``b`` periodic only) and any
+    further unknowns, reduced to [psi, ...] with v = C psi: blockdiag(C, I)
+    on the columns, blockdiag(C^T, I) on the rows, the p and b rows and
+    columns dropped."""
+    C = g.ops.C
+    ns = g.n_faces + g.n_cells + (2 if g.periodic else 0)
+    blocks = [sp.vstack([C, sp.csr_matrix((ns - g.n_faces, C.shape[1]))])]
+    if A.shape[0] > ns:
+        blocks.append(sp.identity(A.shape[0] - ns))
+    P = sp.block_diag(blocks, format="csc")
+    return (P.T @ A @ P).tocsc()
+
+
 def jacobian(t):
-    """The stepper's Jacobian at the iterate ``t`` assembled block by block,
-    in the unknown order [v, p, b, q, mu, phi] (``b`` periodic only)."""
+    """The Jacobian of the saddle form at the iterate ``t`` (with the
+    pressure, pin and border rows the stepper no longer iterates on)
+    assembled block by block, in the unknown order [v, p, b, q, mu, phi]
+    (``b`` periodic only); v0 mode: [q, mu, phi]."""
     lin, cset, cfg, tau = t.lin, t.cset, t.cfg, t.tau
     g = lin.grid
     ops = g.ops

@@ -496,8 +496,8 @@ def _shipped(name: str):
 
 def _sub_lus(op: _BlockLU) -> dict:
     """The LUs of a Newton operator by block: J_CC's, and with flow the
-    Stokes solve's LU of K."""
-    return {"C": op.C} if op.S is None else {"S": op.S.K, "C": op.C}
+    Stokes LU of K."""
+    return {"C": op.C} if op.S is None else {"S": op.S, "C": op.C}
 
 
 def _forced(held: _HeldLU, price: float, base=None, excess=0) -> _HeldLU:
@@ -599,7 +599,9 @@ class TestHeldLU:
         assert np.mean(its[-5:]) <= np.mean(its[1:6])
 
     def test_price_is_fill_per_unknown(self, cset, params):
-        # each LU is priced from its own fill over all unknowns
+        # each LU is priced from its own fill over the unknowns of the
+        # saddle form [v, p, q, mu, phi] the price was fitted on, not over
+        # the Newton vector's [psi, q, mu, phi]
         g = Grid(12, 12)
         s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
                                  g, params, cset)
@@ -608,7 +610,7 @@ class TestHeldLU:
                             StepConfig(tau=1e-3, v0_mode=v0))
             subs = _sub_lus(held.lu)
             assert set(held.ages) == set(subs) == ({"C"} if v0 else {"S", "C"})
-            n = max(sl.stop for sl in _block_layout(g, v0).values())
+            n = 3 * g.n_cells if v0 else g.n_faces + 4 * g.n_cells
             for name, sub in subs.items():
                 age = held.ages[name]
                 assert age.price == FACTOR_COST_PER_FILL * sub.lu.nnz / n
@@ -773,9 +775,9 @@ class TestFactorOrdering:
                                  g, params, cset)
         op, J = self._lu_and_jacobian(s0, g, cset, params,
                                       StepConfig(tau=1e-3))
-        # the Stokes solve's LU of K: diagonal pivots, and a fraction of the
-        # fill of the saddle J_SS's default LU (0.16 here)
-        lu = op.S.K.lu
+        # the Stokes LU of K: diagonal pivots, and a fraction of the fill of
+        # the saddle J_SS's default LU (0.16 here)
+        lu = op.S.lu
         assert np.array_equal(lu.perm_r, lu.perm_c)
         J_SS = reference_assembly.saddle(g, J.VV)
         assert lu.nnz <= 0.3 * spla.splu(J_SS).nnz
@@ -793,7 +795,8 @@ def shear_droplet_10():
 
 class TestBlockOperator:
     """The Newton operator is one block Gauss-Seidel sweep: it solves the
-    lower block triangle [J_SS 0; J_CS J_CC] of the Jacobian exactly."""
+    lower block triangle [K 0; J_CS C J_CC] of the Jacobian over
+    [psi, q, mu, phi] exactly."""
 
     @pytest.mark.parametrize("bc", ["box", "periodic"])
     def test_sweep_solves_the_lower_block_triangle(self, cset, params, rng,
@@ -807,20 +810,22 @@ class TestBlockOperator:
         t = _Terms(lin, cset, cfg, cfg.tau, w)
         held = _HeldLU()
         assert _factor(t, held, StepReport())
-        J = _jacobian(t)
-        J_SS = reference_assembly.saddle(g, J.VV)
-        ns = J_SS.shape[0]
-        b = rng.standard_normal(ns + J.CC.shape[0])
+        # the saddle form's Jacobian reduced to [psi, q, mu, phi]
+        J = reference_assembly.divergence_free(
+            g, reference_assembly.jacobian(t))
+        ns = _block_layout(g, False)["q"].start
+        b = rng.standard_normal(J.shape[0])
         y = held.lu.solve(b)
-        r_s = J_SS @ y[:ns] - b[:ns]
-        r_c = J.CS @ y[:ns] + J.CC @ y[ns:] - b[ns:]
+        r_s = J[:ns, :ns] @ y[:ns] - b[:ns]
+        r_c = J[ns:, :ns] @ y[:ns] + J[ns:, ns:] @ y[ns:] - b[ns:]
         assert max(np.abs(r_s).max(), np.abs(r_c).max()) \
             <= 1e-10 * np.abs(b).max()
 
     @pytest.mark.parametrize("bc", ["box", "periodic"])
     def test_stokes_solve_matches_the_saddle_lu(self, cset, params, rng, bc):
-        # the null-space solve applies J_SS^-1 itself: the same solution as
-        # a direct LU of the saddle, pressure pin and border rows included
+        # for a divergence-free right-hand side (zero continuity and border
+        # rows) the LU of K = C^T J_vv C gives, as v = C psi, the velocity
+        # of a direct LU of the saddle, pressure pin and border rows included
         g = Grid(12, 12, 1.0, 1.0, bc)
         s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1,
                                                 shear=0.5), g, params, cset)
@@ -830,9 +835,12 @@ class TestBlockOperator:
         held = _HeldLU()
         assert _factor(t, held, StepReport())
         J_SS = reference_assembly.saddle(g, _jacobian(t).VV)
-        b = rng.standard_normal(J_SS.shape[0])
-        x = spla.splu(J_SS).solve(b)
-        assert np.abs(held.lu.S.solve(b) - x).max() <= 1e-10 * np.abs(x).max()
+        nf, C = g.n_faces, g.ops.C
+        b = np.zeros(J_SS.shape[0])
+        b[:nf] = rng.standard_normal(nf)
+        x = spla.splu(J_SS).solve(b)[:nf]
+        v = C @ held.lu.S.solve(C.T @ b[:nf])
+        assert np.abs(v - x).max() <= 1e-10 * np.abs(x).max()
 
     def test_v0_operator_is_the_jacobian_lu(self, cset, params, rng, relax16):
         g, s0, cfg = relax16
@@ -961,7 +969,6 @@ class TestJacobian:
         lin = assemble_linear(s0, g, cset, params, cfg)
         w = _Iterate(
             s0.v.data + (0.0 if v0 else 0.01 * rng.standard_normal(g.n_faces)),
-            s0.p.data + 0.01 * rng.standard_normal(g.n_cells),
             s0.q.data + 0.01 * rng.standard_normal(g.n_cells),
             s0.mu.data + 0.01 * rng.standard_normal(g.n_cells),
             s0.phi.data + 0.01 * rng.standard_normal(g.n_cells))
@@ -973,32 +980,23 @@ class TestJacobian:
 
         def fd_along(dx):
             h = 1e-7
-            rp, rm = (_Terms(lin, cset, cfg, tau,
-                             w.moved(dx, d, layout)).residual()[0]
+            dw = _Iterate.update(dx, layout, g)
+            rp, rm = (_Terms(lin, cset, cfg, tau, w.moved(dw, d)).residual()[0]
                       for d in (h, -h))
             return (rp - rm) / (2 * h)
 
         def check(fd, jd):
             assert np.max(np.abs(fd - jd)) / (1.0 + np.max(np.abs(jd))) < 1e-6
 
-        # S-only directions: every row, through J_CS and J_SS (J_vv with
-        # the constant saddle rows of the reference assembly)
-        J_SS = None if v0 else reference_assembly.saddle(g, J.VV)
+        # stream-function directions v = C psi: every row, through J_CS C
+        # and K (J_vv in the saddle of the reference assembly, reduced to
+        # psi by the curl)
+        K = None if v0 else reference_assembly.divergence_free(
+            g, reference_assembly.saddle(g, J.VV))
         for _ in range(4 if ns else 0):
             dx = np.zeros(n)
             dx[:ns] = rng.standard_normal(ns)
-            if "b" in layout:           # multipliers are not in the iterate
-                dx[layout["b"]] = 0.0
-            check(fd_along(dx), np.concatenate([J_SS @ dx[:ns],
-                                                J.CS @ dx[:ns]]))
-        # stream-function directions v = C psi: the momentum rows tested
-        # against the curl, through K
-        for _ in range(2 if ns else 0):
-            C = g.ops.C
-            psi = rng.standard_normal(C.shape[1])
-            dx = np.zeros(n)
-            dx[:g.n_faces] = C @ psi
-            check(C.T @ fd_along(dx)[:g.n_faces], J.K @ psi)
+            check(fd_along(dx), np.concatenate([K @ dx[:ns], J.CS @ dx[:ns]]))
         # C-only directions: the C rows, through J_CC (the S rows would
         # need J_SC, which the Newton operator leaves out)
         for _ in range(4):
@@ -1057,15 +1055,17 @@ class TestFixedPattern:
         lin = assemble_linear(s0, g, cset, params, cfg)
         t = _Terms(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, v0))
         J = _jacobian(t)
-        ref = reference_assembly.jacobian(t)
+        # the saddle form's Jacobian, reduced to [psi, q, mu, phi]
+        full = reference_assembly.jacobian(t)
+        ref = full if v0 else reference_assembly.divergence_free(g, full)
         ns = _block_layout(g, v0)["q"].start
         assert ref.shape == (ns + J.CC.shape[0],) * 2
         assert (J.VV is None) == (J.K is None) == (J.CS is None) == v0
         blocks = [(J.CC, ref[ns:, ns:])]
         if not v0:
-            C, nf = g.ops.C, g.n_faces
-            blocks += [(J.VV, ref[:nf, :nf]), (J.CS, ref[ns:, :ns]),
-                       (J.K, C.T @ ref[:nf, :nf] @ C)]
+            nf = g.n_faces
+            blocks += [(J.VV, full[:nf, :nf]), (J.CS, ref[ns:, :ns]),
+                       (J.K, ref[:ns, :ns])]
         for B, R in blocks:
             assert B.shape == R.shape
             assert abs(B - R).max() <= 1e-12 * abs(R).max()
@@ -1141,6 +1141,83 @@ class TestFixedPattern:
         # one for K and one for J_CC (the grid's pinned Poisson LU is no
         # Newton LU)
         assert sum(rep.orderings for rep in res.reports) == 2
+
+
+class TestDivergenceFreeNewton:
+    """Newton iterates on the stream function: the unknowns hold no
+    pressure, pin or border multiplier, D v keeps the initial state's
+    divergence, and the pressure is recovered from the momentum residual."""
+
+    @pytest.mark.parametrize("bc", ["box", "periodic"])
+    def test_newton_vector_is_stream_function_and_ch_blocks(self, cset,
+                                                            params, bc):
+        g = Grid(10, 8, 1.0, 1.0, bc)
+        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1,
+                                                shear=0.5), g, params, cset)
+        cfg = StepConfig(tau=1e-3)
+        # box: psi on the interior nodes; periodic: every node but one
+        n_psi = (g.nx * g.ny - 1 if bc == "periodic"
+                 else (g.nx - 1) * (g.ny - 1))
+        nc = g.n_cells
+        assert _block_layout(g, False) == {
+            "psi": slice(0, n_psi), "q": slice(n_psi, n_psi + nc),
+            "mu": slice(n_psi + nc, n_psi + 2 * nc),
+            "phi": slice(n_psi + 2 * nc, n_psi + 3 * nc)}
+        assert list(_block_layout(g, True)) == ["q", "mu", "phi"]
+        lin = assemble_linear(s0, g, cset, params, cfg)
+        r, _ = _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0)).residual()
+        assert r.size == n_psi + 3 * nc
+        held = _held_at(s0, g, cset, params, cfg)
+        assert held.lu.solve(r).size == r.size
+        assert held.lu.S.lu.shape == (n_psi, n_psi)
+
+    @pytest.mark.parametrize("bc", ["box", "periodic"])
+    def test_divergence_stays_at_the_initial_state(self, cset, params, bc):
+        # no continuity rows correct D v: every ledger row keeps the initial
+        # divergence up to the round-off of D C psi, far below
+        # State.validate's 1e-9
+        g = Grid(16, 16, 1.0, 1.0, bc)
+        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1,
+                                                shear=0.5), g, params, cset)
+        div0 = float(np.abs(g.ops.D @ s0.v.data).max())
+        res = run(s0, g, cset, params, StepConfig(tau=1e-3), T=50e-3)
+        assert len(res.rows) == 50
+        assert max(r.div_inf for r in res.rows) <= div0 + 1e-13
+
+    @pytest.mark.parametrize("bc", ["box", "periodic"])
+    def test_recovered_pressure_meets_the_momentum_tolerance(self, cset,
+                                                             params, bc):
+        # the new state's p, put into the momentum residual with its
+        # gradient, meets tol_nl in the scaled norm of the saddle form
+        g = Grid(12, 12, 1.0, 1.0, bc)
+        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1,
+                                                shear=0.5), g, params, cset)
+        cfg = StepConfig(tau=1e-3)
+        s1, rep = step(s0, g, cset, params, cfg)
+        assert rep.converged and rep.newton_iterations > 0
+        s1.validate()
+        assert np.abs(s1.p.data).max() > 0.0
+        ops = g.ops
+        lin = assemble_linear(s0, g, cset, params, cfg)
+        t = _Terms(lin, cset, cfg, rep.tau_used, _Iterate.of(s1))
+        visc = (lin.A_form @ s1.v.data) / g.dV
+        gp = ops.G @ s1.p.data
+        r_v = visc + gp - t.rhs_v
+        if g.periodic:
+            nxf = g.n_xfaces
+            r_v[:nxf] -= r_v[:nxf].mean()
+            r_v[nxf:] -= r_v[nxf:].mean()
+        scale = max(np.linalg.norm(x) for x in
+                    (visc, gp, t.cap, t.time_term, t.conv))
+        assert np.linalg.norm(r_v) / (1.0 + scale) <= cfg.tol_nl
+
+    def test_v0_mode_keeps_the_pressure(self, cset, params, rng, relax16):
+        g, s0, cfg = relax16
+        p = rng.standard_normal(g.n_cells)
+        s0 = dataclasses.replace(s0, p=ScalarField(g, p - p.mean()))
+        s1, rep = step(s0, g, cset, params, cfg)
+        assert rep.converged
+        assert np.array_equal(s1.p.data, s0.p.data - s0.p.data.mean())
 
 
 class TestTransportDefect:
