@@ -32,7 +32,7 @@ from .constitutive import (ConstitutiveError, ModelParams, SamplingSpec,
                            pointwise_step_inequalities)
 from .energy import SLACK_TOL, ledger_slack, write_ledger_csv
 from .harness import SimulationSetup, study_delta, study_defect, study_tau
-from .linalg import MeanPoissonSolver, SolverFailure
+from .linalg import SolverFailure, gradient_potential
 from .mesh import (FIELD_KIND_CELL, FIELD_KIND_XFACE, FIELD_KIND_YFACE, Grid,
                    sbp_selftest, write_field_snapshot)
 from .state import ScenarioConfig, initialize_scenario
@@ -223,17 +223,20 @@ def _cmd_selftest(values, outdir, args) -> int:
             rep = sbp_selftest(Grid(n, n, 1.0, 1.0, bc))
             print(rep.to_text())
             ok &= rep.passed
-    # linear-solver certification on a variable-coefficient problem
-    rng = np.random.default_rng(0)
+    # linear-solver certification: the grid's pinned Poisson LU on a
+    # manufactured potential (x[0] = 0, the pin)
     g = Grid(24, 24, 1.0, 1.0, "box")
-    coeff = np.exp(0.3 * rng.standard_normal(g.n_faces))
-    solver = MeanPoissonSolver(g, coeff)
-    x_true = rng.standard_normal(g.n_cells)
-    x = solver.solve(solver.apply(x_true))
+    x_true = np.random.default_rng(1).standard_normal(g.n_cells)
+    x_true[0] = 0.0
+    x = gradient_potential(g, g.ops.G @ x_true)
     cert = float(np.abs(x - x_true).max())
-    print(f"linear certification: mean-augmented solve error {cert:.3e} "
+    print(f"linear certification: pinned Poisson solve error {cert:.3e} "
           f"[{'pass' if cert < 1e-8 else 'FAIL'}]")
     ok &= cert < 1e-8
+    # the sweeps draw seed 0's stream past its first n_faces + n_cells
+    # normals: the samples, and so the minima printed, stay fixed
+    rng = np.random.default_rng(0)
+    rng.standard_normal(g.n_faces + g.n_cells)
     cset = build_default_set(params)
     pairs = rng.uniform(-2.0, 3.0, size=(100_000, 2))
     ineq = pointwise_step_inequalities(cset, pairs)

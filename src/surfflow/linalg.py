@@ -1,5 +1,4 @@
-"""Fixed-pattern assembly, the velocity form, and the one certified direct
-solve outside the stepper.
+"""Fixed-pattern assembly, the velocity form, and the grid's one Poisson LU.
 
 A ``FixedPattern`` is the sparsity pattern of a matrix whose values are
 linear in a few weight vectors, as in ``X diag(w) Z`` or
@@ -10,12 +9,11 @@ array; a matrix is then one sparse product ``data = map @ w``, and every
 matrix of one pattern shares its ``indptr``/``indices``.
 ``assemble_velocity_form`` builds the viscous-plus-biharmonic form matrix
 the stepper's momentum block and the energy audit share that way.
-``MeanPoissonSolver`` solves the mean-augmented variable-coefficient
-Neumann-Poisson problem div(w grad x) - (integral of x) = rhs, which is
-invertible on the whole cell space (the mean functional removes the
-constant kernel), by a sparse LU of the bordered operator.  Every solve is
-certified by recomputing the residual through a forward application of the
-operator and raises ``SolverFailure`` when it misses the tolerance.
+``poisson_lu`` is the LU of the cell Laplacian D G with cell 0 pinned, one
+per grid; ``gradient_potential`` solves with it for the potential of a face
+field's gradient part, which the initial projection removes and every
+coupled residual takes as its pressure.  Every LU here and in the stepper
+uses ``LU_OPTIONS``.
 """
 
 from __future__ import annotations
@@ -28,15 +26,21 @@ import scipy.sparse.linalg as spla
 
 from .mesh import Grid
 
-__all__ = ["SolverFailure", "MeanPoissonSolver", "assemble_velocity_form",
-           "velocity_form_pattern", "FixedPattern", "chain", "scaled"]
+__all__ = ["SolverFailure", "LU_OPTIONS", "poisson_lu", "gradient_potential",
+           "assemble_velocity_form", "velocity_form_pattern", "FixedPattern",
+           "chain", "scaled"]
 
-REL_TOL = 1e-10
-ABS_TOL = 1e-14
+# SuperLU options of every LU.  J_CC ([q, mu, phi]), K and the pinned cell
+# Laplacian are structurally symmetric with a zero-free diagonal: a
+# minimum-degree ordering of J^T + J, applied to rows and columns alike,
+# has half COLAMD's fill on J_CC; the diagonal pivots have passed the 0.01
+# threshold on every matrix seen (no row exchanges).
+LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                  options=dict(SymmetricMode=True))
 
 
 class SolverFailure(RuntimeError):
-    """A linear solve whose forward residual missed the tolerance."""
+    """A linear solve that missed its bound."""
 
 
 class Entries(NamedTuple):
@@ -186,44 +190,29 @@ def assemble_velocity_form(grid: Grid, eta_cells: np.ndarray,
     })
 
 
-class MeanPoissonSolver:
-    """Solves  div(w grad x) - (integral x) * 1 = rhs  on cell fields.
-
-    The operator is the variable-coefficient Neumann Laplacian made
-    invertible by subtracting the integral functional; no cell is pinned.
-    Factorized once per coefficient field and reused.
-    """
-
-    def __init__(self, grid: Grid, coeff_faces: np.ndarray):
-        coeff_faces = np.asarray(coeff_faces, dtype=float).ravel()
-        if coeff_faces.size != grid.n_faces:
-            raise ValueError("coefficient must live on faces")
-        if np.any(coeff_faces <= 0):
-            raise ValueError("mean-augmented solve needs positive face coefficients")
+def poisson_lu(grid: Grid):
+    """The LU of the cell Laplacian D G with cell 0 pinned (row and column
+    0 those of the identity), one per grid: x = solve(r) with r[0] = 0 has
+    x[0] = 0 and (D G x)[i] = r[i] for every i >= 1, and then
+    (D G x)[0] = -sum(r[1:]), as the rows of D G add up to zero."""
+    def build():
         ops = grid.ops
-        self.lap = (ops.D @ sp.diags(coeff_faces) @ ops.G).tocsr()
-        self.dV = grid.dV
-        self.volume = grid.volume
-        e = np.full((grid.n_cells, 1), 1.0)
-        self._lu = spla.splu(sp.bmat([[self.lap, e], [e.T, None]], format="csc"))
+        n = grid.n_cells
+        free = sp.diags(np.r_[0.0, np.ones(n - 1)])
+        L = free @ ops.D @ ops.G @ free \
+            + sp.csc_matrix(([1.0], ([0], [0])), shape=(n, n))
+        L = L.tocsc()
+        L.eliminate_zeros()
+        return spla.splu(L, **LU_OPTIONS)
+    return grid.ops.cached("pinned_poisson", build)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.lap @ x - (self.dV * x.sum())
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float).ravel()
-        n = rhs.size
-        nb = float(np.linalg.norm(rhs))
-        if nb == 0.0:
-            return np.zeros(n)
-        # integral of x is determined by integrating the equation:
-        # the diffusion part integrates to zero exactly
-        int_x = -float(rhs.sum()) * self.dV / self.volume
-        sol = self._lu.solve(np.concatenate([rhs + int_x, [0.0]]))
-        x = sol[:n] + int_x / self.volume
-        res = float(np.linalg.norm(self.apply(x) - rhs))
-        bound = max(REL_TOL * nb + ABS_TOL, 1e-9 * nb)
-        if res > bound:
-            raise SolverFailure(f"mean-augmented solve residual {res:.3e} "
-                                f"> {bound:.3e}")
-        return x
+def gradient_potential(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """The cell field x with D G x = D f - mean(D f) and x[0] = 0: f - G x
+    is f's divergence-free part up to round-off.  D f sums to zero up to
+    round-off; subtracting its mean spreads that round-off over the cells
+    rather than leaving it all to the pinned cell 0."""
+    rhs = grid.ops.D @ f
+    rhs -= rhs.mean()
+    rhs[0] = 0.0
+    return poisson_lu(grid).solve(rhs)

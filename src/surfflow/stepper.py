@@ -77,8 +77,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .constitutive import ConstitutiveSet, ModelParams, config_key
-from .linalg import (FixedPattern, assemble_velocity_form, chain, scaled,
-                     velocity_form_pattern)
+from .linalg import (LU_OPTIONS, FixedPattern, assemble_velocity_form, chain,
+                     gradient_potential, scaled, velocity_form_pattern)
 from .mesh import (Grid, ScalarField, VectorField, convect_skew,
                    skew_convection)
 from .state import State
@@ -249,24 +249,6 @@ class _Iterate:
                           for a, da in zip(self, d)))
 
 
-def _pinned_poisson(g: Grid):
-    """The LU of the cell Laplacian D G with cell 0 pinned (row and column
-    0 those of the identity), one per grid: x = solve(r) with r[0] = 0 has
-    x[0] = 0 and (D G x)[i] = r[i] for every i >= 1, and then
-    (D G x)[0] = -sum(r[1:]), as the rows of D G add up to zero.  Every
-    coupled residual recovers its pressure with it."""
-    def build():
-        ops = g.ops
-        n = g.n_cells
-        free = sp.diags(np.r_[0.0, np.ones(n - 1)])
-        L = free @ ops.D @ ops.G @ free \
-            + sp.csc_matrix(([1.0], ([0], [0])), shape=(n, n))
-        L = L.tocsc()
-        L.eliminate_zeros()
-        return spla.splu(L, **_LU_OPTIONS)
-    return g.ops.cached("pinned_poisson", build)
-
-
 class _Terms:
     """The Newton context at one iterate: the step's frozen part, model
     functions, settings and tau, and every nonlinear coupling evaluated
@@ -324,9 +306,10 @@ class _Terms:
         ``|r| / (1 + largest term norm)`` of one equation in field units.
         The momentum rows of the vector are C^T r_v, which has no pressure.
         Its norm is that of r_v + G p with the pressure p that makes it
-        divergence free, D G p = -D r_v by the grid's pinned Poisson LU
-        (kept as ``self.p``, the new state's pressure once the step
-        converges), periodic constant modes projected out.
+        divergence free, p = -x with x r_v's gradient potential (the grid's
+        pinned Poisson LU, ``linalg.gradient_potential``; kept as
+        ``self.p``, the new state's pressure once the step converges),
+        periodic constant modes projected out.
         """
         lin, tau = self.lin, self.tau
         g = lin.grid
@@ -353,9 +336,7 @@ class _Terms:
 
         visc = (lin.A_form @ self.v) / g.dV
         r_v = visc - self.rhs_v
-        rhs = -(ops.D @ r_v)
-        rhs[0] = 0.0        # the pin's row: D G's rows add up to zero
-        self.p = _pinned_poisson(g).solve(rhs)
+        self.p = -gradient_potential(g, r_v)
         gp = ops.G @ self.p
         r_v_free = r_v + gp
         if g.periodic:
@@ -742,15 +723,6 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 return None
 
 
-# SuperLU options of every LU.  J_CC ([q, mu, phi]), K and the pinned cell
-# Laplacian are structurally symmetric with a zero-free diagonal: a
-# minimum-degree ordering of J^T + J, applied to rows and columns alike,
-# has half COLAMD's fill on J_CC; the diagonal pivots have passed the 0.01
-# threshold on every matrix seen (no row exchanges).
-_LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                   options=dict(SymmetricMode=True))
-
-
 def _factor(t: _Terms, held: _HeldLU, report: StepReport,
             blocks: tuple = _BLOCKS) -> bool:
     """Factor ``blocks`` of the Jacobian at ``t`` into the held operator;
@@ -790,9 +762,9 @@ def _factor_block(name: str, J: sp.csc_matrix, pattern: FixedPattern,
     ordering = held.orderings.get(name)
     if ordering is not None and ordering.pattern is pattern:
         sub = _SubLU(spla.splu(ordering.permute(J), **dict(
-            _LU_OPTIONS, permc_spec="NATURAL")), ordering)
+            LU_OPTIONS, permc_spec="NATURAL")), ordering)
     else:
-        lu = spla.splu(J, **_LU_OPTIONS)
+        lu = spla.splu(J, **LU_OPTIONS)
         held.orderings[name] = _Ordering(pattern, np.argsort(lu.perm_c))
         report.orderings += 1
         sub = _SubLU(lu, None)

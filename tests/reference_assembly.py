@@ -1,12 +1,13 @@
 """Reference assemblies by sparse products, the way the solver's fixed
 patterns must reproduce them: the convection matrices of
-``mesh.convect_skew``, the velocity form ``B^T diag(w) B``, the saddle
-J_SS around a velocity block, and the Jacobian of the saddle form over
-[v, p, b, q, mu, phi] (J_SC included, which the stepper never builds) as
-one ``sp.bmat`` of its blocks, each reduced to the stepper's Newton
-unknowns [psi, q, mu, phi] by the grid's curl (``divergence_free``); and
-the transport defect of a step rebuilt from its two states, which the
-stepper reads from its converged terms."""
+``mesh.convect_skew``, the velocity form ``B^T diag(w) B``, the cell
+diffusion operator ``D diag(w) G``, the saddle J_SS around a velocity
+block, and the Jacobian of the saddle form over [v, p, b, q, mu, phi]
+(J_SC included, which the stepper never builds) as one ``sp.bmat`` of its
+blocks, each reduced to the stepper's Newton unknowns [psi, q, mu, phi] by
+the grid's curl (``divergence_free``); and the transport defect of a step
+rebuilt from its two states, which the stepper reads from its converged
+terms."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,6 +80,11 @@ def velocity_form(g, eta, delta):
     return (A + delta * g.dV * (ops.Lvec.T @ ops.Lvec)).tocsr()
 
 
+def diffusion(g, w):
+    """The cell diffusion operator D diag(w) G of face coefficients w."""
+    return (g.ops.D @ sp.diags(w) @ g.ops.G).tocsr()
+
+
 def saddle(g, Jvv):
     """J_SS over [v, p, b] (``b`` periodic only) around its velocity block
     ``Jvv``: the pressure gradient, the continuity rows with the first
@@ -126,8 +132,8 @@ def jacobian(t):
     delta = lin.params.delta
     nc = g.n_cells
     Ic = sp.identity(nc, format="csr")
-    lap_q = ops.D @ sp.diags(lin.m_faces) @ ops.G
-    lap_mu = ops.D @ sp.diags(lin.mt_faces) @ ops.G
+    lap_q = diffusion(g, lin.m_faces)
+    lap_mu = diffusion(g, lin.mt_faces)
 
     fq_p = cset.fp(t.q)
     gq_p = cset.gp(t.q)

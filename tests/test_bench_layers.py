@@ -24,6 +24,8 @@ KNOWN_STALE = {
     ("surfflow.stepper", "convect_flux_jacobian"),
     ("surfflow.linalg", "SaddleSolver.__init__"),
     ("surfflow.linalg", "SaddleSolver.solve"),
+    ("surfflow.linalg", "MeanPoissonSolver.__init__"),
+    ("surfflow.linalg", "MeanPoissonSolver.solve"),
 }
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import surfflow.state as state
 from surfflow.cli import (EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, ConfigError,
                           default_config, effective_config_text, main,
                           parse_config)
@@ -259,6 +260,18 @@ t_final = 6e-3
         assert report["backoffs"] == 1
         notes = [h for h in report["residual_history"] if "note" in h]
         assert notes == [{"total": None, "note": "retry tau=0.001"}]
+
+    def test_projection_failure_exits_as_solver_failure(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # an initial projection left above its bound is a solver failure
+        # that states the reached divergence and the bound
+        monkeypatch.setattr(state, "gradient_potential",
+                            lambda g, f: np.zeros(g.n_cells))
+        path = write(tmp_path, "[grid]\nnx = 8\nny = 8\n\n"
+                     "[scenario]\nname = shear-droplet\nshear = 0.5\n")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) \
+            == EXIT_SOLVER
+        assert "projection reached max |div|" in capsys.readouterr().err
 
     def test_print_config(self, tmp_path, capsys):
         path = self._uniform_cfg(tmp_path)

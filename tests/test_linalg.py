@@ -1,41 +1,39 @@
-"""The velocity form, the mean-augmented Poisson solve and the projection."""
+"""The velocity form, the grid's pinned Poisson solve and the projection."""
 
 import numpy as np
 import pytest
 
 import reference_assembly
+import surfflow.linalg as linalg
 from fields import cell_shape, from_function, ux2d, uy2d
-from surfflow.linalg import (ABS_TOL, REL_TOL, MeanPoissonSolver,
-                             SolverFailure, assemble_velocity_form)
+from surfflow.linalg import (SolverFailure, assemble_velocity_form,
+                             gradient_potential, poisson_lu)
 from surfflow.mesh import Grid, VectorField, div
-from surfflow.state import project_divergence_free
+from surfflow.state import DIV_TOL, project_divergence_free
 
 
 class TestMeanPoisson:
+    """The pinned LU of D G and the potential of a face field's gradient
+    part, its right-hand side's mean subtracted; a pinned potential is
+    c - c[0]."""
+
     def test_zero_rhs(self, rng):
         g = Grid(12, 12)
-        solver = MeanPoissonSolver(g, np.ones(g.n_faces))
-        x = solver.solve(np.zeros(g.n_cells))
+        x = gradient_potential(g, np.zeros(g.n_faces))
         assert np.all(x == 0.0)
 
     def test_recovers_forward_application(self, rng):
         for bc in ("box", "periodic"):
             g = Grid(16, 12, 1.0, 1.0, bc)
-            w = np.exp(0.3 * rng.standard_normal(g.n_faces))
-            solver = MeanPoissonSolver(g, w)
             x_true = rng.standard_normal(g.n_cells)
-            x = solver.solve(solver.apply(x_true))
+            x_true[0] = 0.0
+            rhs = reference_assembly.diffusion(g, np.ones(g.n_faces)) @ x_true
+            rhs[0] = 0.0
+            x = poisson_lu(g).solve(rhs)
             assert np.abs(x - x_true).max() < 1e-10
-
-    def test_constant_rhs_mean(self):
-        # integrating the equation determines the mean: div-part integrates
-        # to zero, so integral(x) = -integral(rhs); forward-check the solve
-        g = Grid(10, 10, 2.0, 1.0)
-        solver = MeanPoissonSolver(g, np.ones(g.n_faces))
-        rhs = np.full(g.n_cells, 3.0)
-        x = solver.solve(rhs)
-        assert np.linalg.norm(solver.apply(x) - rhs) < 1e-9
-        assert x.mean() == pytest.approx(-3.0 / g.volume, rel=1e-12)
+            c = rng.standard_normal(g.n_cells)
+            x = gradient_potential(g, g.ops.G @ c)
+            assert np.abs(x - (c - c[0])).max() < 1e-10
 
     def test_one_dimensional_analytic_solution(self):
         # y-uniform cosine on an elongated grid is the 1D Neumann problem;
@@ -44,49 +42,40 @@ class TestMeanPoisson:
         for n in (32, 64):
             g = Grid(n, 2, 1.0, 1.0, "box")
             k = 2 * np.pi / g.lx
-            rhs = from_function(g, lambda X, Y: -np.cos(k * X))
-            sol = MeanPoissonSolver(g, np.ones(g.n_faces)).solve(rhs.data)
+            rhs = from_function(g, lambda X, Y: -np.cos(k * X)).data
+            rhs = rhs - rhs.mean()
+            rhs[0] = 0.0
+            sol = poisson_lu(g).solve(rhs)
             exact = from_function(
-                g, lambda X, Y: np.cos(k * X) / k ** 2)
-            # the mean augmentation shifts by the rhs mean (here ~0)
-            errs.append(np.abs(sol - exact.data).max())
+                g, lambda X, Y: np.cos(k * X) / k ** 2).data
+            errs.append(np.abs(sol - (exact - exact[0])).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
-    def test_rejects_nonpositive_coefficients(self):
-        g = Grid(8, 8)
-        w = np.ones(g.n_faces)
-        w[0] = -1.0
-        with pytest.raises(ValueError, match="positive"):
-            MeanPoissonSolver(g, w)
-
-    def test_failure_states_the_applied_bound(self, rng):
-        # with |b| = 1 the certification accepts a residual up to 1e-9, ten
-        # times REL_TOL * |b| + ABS_TOL; a solve perturbed to either side of
-        # 1e-9 is accepted or rejected, and the rejection quotes 1e-9
+    def test_failure_states_the_applied_bound(self, rng, monkeypatch):
+        # a solve perturbed by a potential d with max |D G d| = 1 leaves
+        # about the perturbation's size as the projection's divergence: one
+        # pass is accepted just below DIV_TOL, and just above it both passes
+        # miss and the failure quotes the reached value and DIV_TOL
         g = Grid(10, 10)
-        solver = MeanPoissonSolver(g, np.ones(g.n_faces))
-        rhs = rng.standard_normal(g.n_cells)
-        rhs /= np.linalg.norm(rhs)
-        bound = max(REL_TOL + ABS_TOL, 1e-9)
-        assert bound == 1e-9
-        lu = solver._lu
+        lu = poisson_lu(g)
         d = rng.standard_normal(g.n_cells)
-        d /= np.linalg.norm(solver.apply(d))     # apply(d) has norm 1
+        d /= np.abs(g.ops.D @ (g.ops.G @ d)).max()
 
         class Perturbed:
-            def __init__(self, size):
-                self.size = size
+            size = 0.0
 
             def solve(self, b):
-                x = lu.solve(b)
-                x[:-1] += self.size * d
-                return x
+                return lu.solve(b) + self.size * d
 
-        solver._lu = Perturbed(0.5 * bound)
-        solver.solve(rhs)                      # above the old message's bound
-        solver._lu = Perturbed(2.0 * bound)
-        with pytest.raises(SolverFailure, match=f"> {bound:.3e}$"):
-            solver.solve(rhs)
+        perturbed = Perturbed()
+        monkeypatch.setattr(linalg, "poisson_lu", lambda grid: perturbed)
+        v = VectorField(g, rng.standard_normal(g.n_faces))
+        perturbed.size = 0.5 * DIV_TOL
+        assert np.abs(div(project_divergence_free(v)).data).max() <= DIV_TOL
+        perturbed.size = 2.0 * DIV_TOL
+        with pytest.raises(SolverFailure,
+                           match=rf"\|div\| [12]\.\d{{3}}e-12 > {DIV_TOL:.3e}$"):
+            project_divergence_free(v)
 
 
 class TestSaddle:
@@ -99,9 +88,9 @@ class TestSaddle:
             gc = g.ops.G @ c
             v = project_divergence_free(VectorField(g, gc))
             assert np.abs(v.data).max() < 1e-11
-            # the pressure of a gradient load is its potential, mean pinned
-            p = MeanPoissonSolver(g, np.ones(g.n_faces)).solve(g.ops.D @ gc)
-            assert np.abs(p - (c - c.mean())).max() < 1e-9
+            # the pressure of a gradient load is its potential, cell 0 pinned
+            p = gradient_potential(g, gc)
+            assert np.abs(p - (c - c[0])).max() < 1e-9
 
     def test_divergence_free_rhs_identity_block(self, rng):
         g = Grid(12, 12)
@@ -109,7 +98,7 @@ class TestSaddle:
         v0 = project_divergence_free(VectorField(g, u))
         v1 = project_divergence_free(v0)
         assert np.abs(v1.data - v0.data).max() < 1e-11
-        p1 = MeanPoissonSolver(g, np.ones(g.n_faces)).solve(g.ops.D @ v0.data)
+        p1 = gradient_potential(g, v0.data)
         assert np.abs(p1).max() < 1e-11
 
     def test_output_discretely_divergence_free(self, rng):

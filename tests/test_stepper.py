@@ -15,7 +15,6 @@ from fields import from_function, ux2d, view2d
 from surfflow.cli import build_objects, parse_config
 from surfflow.constitutive import ModelParams, build_default_set
 from surfflow.energy import total_energy
-from surfflow.linalg import MeanPoissonSolver
 from surfflow.mesh import Grid, ScalarField, VectorField, convect_skew
 from surfflow.state import ScenarioConfig, State, initialize_scenario
 from surfflow.stepper import (FACTOR_COST_PER_FILL, StepConfig, StepFailure,
@@ -171,13 +170,14 @@ class TestAssembly:
             probes[name] = worst
         assert all(v <= 1e-13 for v in probes.values()), probes
 
-    def test_mean_augmented_blocks_invertibility_witness(self, cset, params):
+    def test_diffusion_blocks_annihilate_constants(self, cset, params):
+        # the constants are the kernel of the mobility diffusion D diag(m) G
         g = Grid(10, 10)
         s0 = initialize_scenario(ScenarioConfig(name="uniform"), g, params, cset)
         lin = assemble_linear(s0, g, cset, params, StepConfig(tau=1e-3))
         c = np.full(g.n_cells, 4.0)
-        out = MeanPoissonSolver(g, lin.m_faces).apply(c)
-        assert np.allclose(out, -4.0 * g.volume)
+        out = reference_assembly.diffusion(g, lin.m_faces) @ c
+        assert np.allclose(out, 0.0)
 
     def test_coefficient_bounds_enforced(self, cset, params):
         g = Grid(8, 8)
@@ -1141,6 +1141,23 @@ class TestFixedPattern:
         # one for K and one for J_CC (the grid's pinned Poisson LU is no
         # Newton LU)
         assert sum(rep.orderings for rep in res.reports) == 2
+
+    def test_coupled_run_after_projection_builds_no_poisson_lu(
+            self, cset, params, monkeypatch):
+        # the initial projection builds the grid's one Poisson LU and every
+        # residual of the run recovers its pressure with it: the run
+        # factors only K and J_CC
+        g = Grid(8, 8)
+        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1,
+                                                shear=0.5), g, params, cset)
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu",
+                            lambda *a, **k: calls.append(a) or splu(*a, **k))
+        res = run(s0, g, cset, params, StepConfig(tau=1e-3), T=2e-3)
+        assert sum(rep.ss_lus for rep in res.reports) >= 1
+        assert len(calls) == sum(rep.ss_lus + rep.cc_lus
+                                 for rep in res.reports)
 
 
 class TestDivergenceFreeNewton:
