@@ -67,6 +67,9 @@ class _OutputKeys:
         if not (math.isfinite(self.t_final) and self.t_final > 0):
             raise ValueError(f"[output] t_final must be positive and finite, "
                              f"got {self.t_final}")
+        if self.snapshot_every < 0:
+            raise ValueError(f"[output] snapshot_every must be >= 0, "
+                             f"got {self.snapshot_every}")
 
 
 @dataclass(frozen=True)

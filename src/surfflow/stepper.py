@@ -19,37 +19,27 @@ or border multiplier is iterated on, and D v stays at the old state's up
 to round-off.  The pressure is recovered from the momentum residual at
 every iterate with the grid's pinned Poisson LU (``_Terms.residual``): it
 scales the momentum norm and is the new state's p.  The Newton operator is
-one block Gauss-Seidel sweep over that split (``_BlockLU``): y_S = K^-1
-r_S with the stream-function operator K = C^T J_vv C of the velocity block
-J_vv, then y_C = J_CC^-1 (r_C - J_CS C y_S), with sparse LUs of K and
-J_CC; J_SC, the response of the momentum to q, mu and phi, is never built.
-In v0 mode there is no S block and the operator is the LU of J_CC, the
-exact transport-free Jacobian.  Each of J_vv, K, J_CS C and J_CC has one
-fixed pattern per grid and mode (``_jacobian_patterns``, explicit zeros
-kept): each term is a constant operator chain with at most two diagonal
-weights, and K is linear in J_vv's values, so a block is one sparse
-product of a per-grid map with the weights, for every iterate, step and
-tau alike.  K and J_CC are structurally symmetric with a zero-free
-diagonal, so their LUs take a symmetric minimum-degree ordering (half the
-fill of COLAMD's on J_CC).  Each block's ordering is computed by its first
-LU only; later LUs factor the block permuted by it in natural order (see
-``_Ordering``).  ``run`` holds the operator from step to step (chord
-iterations), and each LU is priced on its own from its fill (see
-``_HeldLU``).  With flow, the first iteration of an attempt does not price
-the operator: out of the old state exact Newton contracts as slowly there.
-From the second on, when the chord iterations still expected cost more than
-a new J_CC LU, it is refactored (with J_CS C) at the current iterate and the
-Stokes LU is kept.  Both are rebuilt when a J_CC LU built in the same
-attempt still contracts too slowly to pay for both, when the excess
-iterations of the steps on the Stokes LU pay for both, and when a full step
-from an operator not built whole at the current iterate does not lower the
-residual (that step is then solved again with the fresh one).  The operator
-is dropped whenever tau differs from the tau it was factored at (the
-shorter last step, every tau halving).  A backtracking line search on a
-fresh operator's direction accepts an iterate only if it lowers the scaled
-residual, so the accepted residual history is strictly decreasing.  When
-the line search stalls or the iteration budget runs out, the step is
-retried with tau halved.
+one block Gauss-Seidel sweep over that split: y_S = K^-1 r_S with the
+stream-function operator K = C^T J_vv C of the velocity block J_vv, then
+y_C = J_CC^-1 (r_C - J_CS C y_S), with sparse LUs of K and J_CC; J_SC, the
+response of the momentum to q, mu and phi, is never built.  In v0 mode
+there is no S block and the operator is the LU of J_CC, the exact
+transport-free Jacobian.  Each of J_vv, K, J_CS C and J_CC has one fixed
+pattern per grid and mode (``_jacobian_patterns``, explicit zeros kept):
+each term is a constant operator chain with at most two diagonal weights,
+and K is linear in J_vv's values, so a block is one sparse product of a
+per-grid map with the weights, for every iterate, step and tau alike.  K
+and J_CC are structurally symmetric with a zero-free diagonal, so their
+LUs take a symmetric minimum-degree ordering (half the fill of COLAMD's on
+J_CC), computed by each block's first LU only.  ``run`` holds the operator
+from step to step (chord iterations); ``_HeldLU`` owns it, with the rule
+that prices each LU from its fill and decides which to rebuild and when.
+A backtracking line search on a fresh operator's direction accepts an
+iterate only if it lowers the scaled residual, so the accepted residual
+history is strictly decreasing; a full step from an operator not built
+whole at the current iterate that does not lower the residual is solved
+again with a fresh one.  When the line search stalls or the iteration
+budget runs out, the step is retried with tau halved.
 
 Momentum convection uses the skew form (M . grad) v + (div M) v / 2 with
 mass flux M = rho_k v + J, discretized as 0.5 O ((Phi M) * (E v)) with the
@@ -475,66 +465,14 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
 # the step
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Ordering:
-    """The fill-reducing ordering of a Jacobian block's pattern, taken from
-    the first LU of that pattern (SuperLU's own ordering, elimination-tree
-    postorder included): later blocks are factored permuted by it, rows
-    and columns alike (diagonal pivoting), in natural order, which repeats
-    that LU's fill without a new ordering."""
-    pattern: FixedPattern
-    order: np.ndarray           # A Pc = A[:, order] for SuperLU's Pc
-
-    def permute(self, J: sp.csc_matrix) -> sp.csc_matrix:
-        o = self.order
-        return J[o][:, o]
-
-    def solve(self, lu, rhs: np.ndarray) -> np.ndarray:
-        x = np.empty_like(rhs)
-        x[self.order] = lu.solve(rhs[self.order])
-        return x
-
-
-class _SubLU(NamedTuple):
-    """The LU of one Jacobian block, and the ordering it was permuted by
-    before factoring (None: SuperLU ordered it itself)."""
-    lu: object
-    ordering: Optional[_Ordering]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.ordering is None:
-            return self.lu.solve(rhs)
-        return self.ordering.solve(self.lu, rhs)
-
-
-class _BlockLU(NamedTuple):
-    """The Newton operator: one block Gauss-Seidel sweep over S = [psi] and
-    C, y_S = K^-1 r_S by the Stokes LU ``S`` of K = C^T J_vv C, then
-    y_C = J_CC^-1 (r_C - J_CS C y_S).  ``S`` and ``CS`` (J_CS C) are None
-    in v0 mode, where the operator is the LU of J_CC alone (block
-    triangular preconditioning as in Elman, Silvester & Wathen, Finite
-    Elements and Fast Iterative Solvers, 2nd ed., OUP 2014).  ``CS`` and
-    ``C`` are None while the J_CC LU is dropped and ``S`` still held."""
-    S: Optional[_SubLU]
-    CS: Optional[sp.csc_matrix]
-    C: Optional[_SubLU]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.S is None:
-            return self.C.solve(rhs)
-        ns = rhs.size - self.C.lu.shape[0]
-        y_s = self.S.solve(rhs[:ns])
-        return np.concatenate([y_s, self.C.solve(rhs[ns:] - self.CS @ y_s)])
-
-
 # Building one LU of the Newton operator (its blocks of the Jacobian and
 # that LU, its ordering reused) costs about this many chord iterations (one
 # operator apply plus one residual) per unit of its L+U fill per unknown;
 # the fill is SuperLU's stored count ``lu.nnz`` (reading ``lu.L``/``lu.U``
 # would copy the factors).  n is the unknown count of the saddle form
-# [v, p, b, q, mu, phi] the constant was fitted on (``_factor``), not the
-# Newton vector's [psi, q, mu, phi], which would raise every coupled price
-# 1.5x at 32^2 and move solver decisions.  Measured build /
+# [v, p, b, q, mu, phi] the constant was fitted on (``_HeldLU.build``), not
+# the Newton vector's [psi, q, mu, phi], which would raise every coupled
+# price 1.5x at 32^2 and move solver decisions.  Measured build /
 # iteration time over fill / n, medians of 5-9 repeats, three runs each on
 # one 2-core x86 host, shear-droplet and droplet after 3 steps: the Stokes
 # LU (J_vv and K assembled, K's LU) 0.19-0.24 at 32^2 (fill / n 18, 9.3-11
@@ -550,15 +488,28 @@ FACTOR_COST_PER_FILL = 0.17
 
 
 @dataclass
-class _Age:
-    """The chord accounting of one held LU.  ``price`` is its rebuild in
-    chord iterations, ``FACTOR_COST_PER_FILL * fill / n``; ``base`` is the
-    Newton iteration count of the first step converged on it without
-    refactoring it, and ``excess`` adds up what each later such step spends
-    beyond that."""
+class _LU:
+    """One held LU of the Newton operator and its chord accounting.
+    ``ordering`` is the fill-reducing ordering the block was permuted by,
+    rows and columns alike, before it was factored in natural order (None:
+    SuperLU ordered it itself).  ``price`` is its rebuild in chord
+    iterations, ``FACTOR_COST_PER_FILL * fill / n``; ``base`` is the Newton
+    iteration count of the first step converged on it without refactoring
+    it, and ``excess`` adds up what each later such step spends beyond
+    that."""
+    lu: object
+    ordering: Optional[np.ndarray]      # A Pc = A[:, ordering]
     price: float
     base: Optional[int] = None
     excess: int = 0
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        o = self.ordering
+        if o is None:
+            return self.lu.solve(rhs)
+        x = np.empty_like(rhs)
+        x[o] = self.lu.solve(rhs[o])
+        return x
 
     def settle(self, iterations: int) -> None:
         """Account a step converged on this LU."""
@@ -570,83 +521,160 @@ class _Age:
 
 @dataclass
 class _HeldLU:
-    """One-slot holder for the Newton operator, the tau it was built at and
-    the chord/refactor trade-off (Kelley, Iterative Methods for Linear and
-    Nonlinear Equations, SIAM 1995, ch. 5), priced per LU.
+    """The Newton operator, held from step to step, and the policy that
+    rebuilds its LUs: the chord/refactor trade-off (Kelley, Iterative
+    Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 5), priced
+    per LU.
+
+    The operator is one block Gauss-Seidel sweep over S = [psi] and C
+    (``solve``): y_S = K^-1 r_S by the Stokes LU ``S`` of K = C^T J_vv C,
+    then y_C = J_CC^-1 (r_C - J_CS C y_S) by J_CC's LU ``C``, with ``CS``
+    = J_CS C (block triangular preconditioning as in Elman, Silvester &
+    Wathen, Finite Elements and Fast Iterative Solvers, 2nd ed., OUP 2014).
+    In v0 mode ``S`` and ``CS`` are None and the operator is J_CC's LU
+    alone.  ``C`` and ``CS`` are None while J_CC's LU is dropped and the
+    Stokes LU still held; all three while the whole operator is.
 
     The two LUs age apart: a held J_CC goes stale within a few steps, a
     held Stokes LU (of K, the S block's whole operator) stays good for
     longer.  So J_CC's LU is refreshed first, though K's is the cheaper one
-    (0.6x J_CC's fill at 32^2).
-    ``ages`` (block name -> ``_Age``) price each held LU.  Within a step,
-    from the attempt's second iteration on, ``refactor`` weighs the
-    iterations the observed contraction still needs against the price of
-    J_CC's LU, and refreshes it (with J_CS C) at the current iterate; only
-    when a J_CC LU built in the same attempt still contracts too slowly
-    does it weigh them against both prices and rebuild both.  Across
-    steps, each LU's excess iterations are added up on its own: J_CC's LU
-    is dropped when they pay for J_CC's price, the whole operator when the
-    Stokes LU's pay for both.  No clock is read, so reruns repeat
-    bitwise.  In v0 mode there is only J_CC, the whole operator, and the
-    rule is the one-LU rule, the first contraction included.
-    ``orderings`` (block name -> ``_Ordering``) outlive the LUs.  They are
-    kept per holder, not per grid, so a rerun with a fresh holder factors
-    its first LUs as the first run did (a symmetrically pre-permuted J_CC
-    LU differs from SuperLU's own at round-off).
+    (0.6x J_CC's fill at 32^2).  Within a Newton attempt (``begin``), from
+    its second iteration on, ``refactor`` weighs the iterations the observed
+    contraction still needs against the price of J_CC's LU, and refreshes
+    it (with J_CS C) at the current iterate; only when a J_CC LU built in
+    the same attempt (``rebuilt``) still contracts too slowly does it weigh
+    them against both prices and rebuild both.  Across steps, ``settle``
+    adds up each LU's excess iterations on its own: J_CC's LU is dropped
+    when they pay for J_CC's price, the whole operator when the Stokes LU's
+    pay for both.  The operator is also dropped when an attempt runs at
+    another tau than it was built at (the shorter last step, every tau
+    halving).  No clock is read, so reruns repeat bitwise.  In v0 mode
+    there is only J_CC, the whole operator, and the rule is the one-LU
+    rule, the first contraction included.
+
+    ``orderings`` (Jacobian block pattern -> ordering) outlive the LUs: the
+    first LU of a pattern computes it (SuperLU's own ordering, elimination
+    tree postorder included), and every later one factors the block
+    permuted by it, which repeats that LU's fill without a new ordering.
+    They are kept per holder, not per grid, so a rerun with a fresh holder
+    factors its first LUs as the first run did (a symmetrically
+    pre-permuted J_CC LU differs from SuperLU's own at round-off).
     """
-    lu: Optional[_BlockLU] = None
+    S: Optional[_LU] = None
+    CS: Optional[sp.csc_matrix] = None
+    C: Optional[_LU] = None
     tau: float = 0.0
-    ages: dict = field(default_factory=dict)
     orderings: dict = field(default_factory=dict)
+    rebuilt: set = field(default_factory=set)   # blocks built this attempt
+
+    def begin(self, tau: float) -> None:
+        """Start a Newton attempt at ``tau``."""
+        if tau != self.tau:
+            self.S = self.CS = self.C = None
+        self.rebuilt = set()
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The block sweep applied to ``rhs`` over [psi, q, mu, phi]."""
+        if self.S is None:
+            return self.C.solve(rhs)
+        ns = rhs.size - self.C.lu.shape[0]
+        y_s = self.S.solve(rhs[:ns])
+        return np.concatenate([y_s, self.C.solve(rhs[ns:] - self.CS @ y_s)])
 
     def price(self, blocks: tuple) -> float:
         """The rebuild of the held LUs among ``blocks``, in chord
         iterations."""
-        return sum(self.ages[b].price for b in blocks if b in self.ages)
+        return sum(getattr(self, b).price for b in blocks
+                   if getattr(self, b) is not None)
 
-    def settle(self, iterations: int, rebuilt: set) -> None:
-        """Account a converged step to each held LU not in ``rebuilt``.
-        J_CC's LU is dropped when its excess iterations reach its price;
-        the Stokes LU, whose drop rebuilds the whole operator, when its
-        excess reaches both prices."""
-        if self.lu is None or self.lu.C is None:
+    def settle(self, iterations: int) -> None:
+        """Account a converged step to each held LU not rebuilt in this
+        attempt.  J_CC's LU is dropped when its excess iterations reach its
+        price; the Stokes LU, whose drop rebuilds the whole operator, when
+        its excess reaches both prices."""
+        if self.C is None:
             return
-        for name, age in self.ages.items():
-            if name not in rebuilt:
-                age.settle(iterations)
-        # an LU rebuilt in this step has no excess yet
-        if self.lu.S is not None and \
-                self.ages["S"].excess >= self.price(_BLOCKS):
-            self.lu = None
-        elif self.ages["C"].excess >= self.price(("C",)):
-            self.lu = self.lu._replace(CS=None, C=None)
+        for b in _BLOCKS:
+            # an LU rebuilt in this attempt has no excess yet
+            if getattr(self, b) is not None and b not in self.rebuilt:
+                getattr(self, b).settle(iterations)
+        if self.S is not None and self.S.excess >= self.price(_BLOCKS):
+            self.S = self.CS = self.C = None
+        elif self.C.excess >= self.C.price:
+            self.CS = self.C = None
 
     def refactor(self, res: float, prev_res: float, tol: float, left: int,
-                 c_fresh: bool, first: bool) -> tuple:
+                 first: bool) -> tuple:
         """The blocks to factor at the current iterate before the next
         Newton iteration: both without an operator, J_CC without its LU.
         Else, from the residual ``res`` at the contraction ``res /
         prev_res`` of the last iteration, J_CC when the chord iterations
         still needed exceed its price plus two, or the ``left`` iterations
-        of the budget; once a J_CC LU was built in this attempt
-        (``c_fresh``), both when they exceed both prices plus two.
+        of the budget; once a J_CC LU was built in this attempt, both when
+        they exceed both prices plus two.
 
         With a Stokes LU held, the contraction of the attempt's ``first``
         iteration refactors nothing: out of the old state exact Newton
         contracts as slowly there (0.18-0.75 on shear-droplet, from the q
         equation's nonlinearity), so it does not price the operator."""
-        if self.lu is None:
-            return _BLOCKS
-        if self.lu.C is None:
-            return ("C",)
+        if self.C is None:
+            return _BLOCKS if self.S is None else ("C",)
         if not math.isfinite(prev_res):     # no iteration yet in this attempt
             return ()
-        if first and self.lu.S is not None:
+        if first and self.S is not None:
             return ()
         # accepted residuals strictly decrease, so log(res / prev_res) < 0
         needed = math.log(tol / res) / math.log(res / prev_res)
-        blocks = _BLOCKS if c_fresh else ("C",)
+        blocks = _BLOCKS if "C" in self.rebuilt else ("C",)
         return blocks if needed > min(self.price(blocks) + 2.0, left) else ()
+
+    def build(self, t: _Terms, report: StepReport,
+              blocks: tuple = _BLOCKS) -> bool:
+        """Factor ``blocks`` of the Jacobian at ``t`` into the operator,
+        counted and filled in ``report``; False (with the reason in the
+        report) when a factorization fails.
+
+        With "S" in ``blocks`` the whole operator is rebuilt: J_CC always,
+        the Stokes LU (of K) in coupled mode only.  Without it, J_CC's LU
+        and J_CS C are replaced and the held Stokes LU is kept.  Each LU is
+        priced over the ``n`` unknowns of the saddle form (see
+        ``FACTOR_COST_PER_FILL``)."""
+        # free the old LUs before building the new
+        if "S" in blocks:
+            self.S = None
+        self.CS = self.C = None
+        J = _jacobian(t, blocks)
+        g = t.lin.grid
+        patterns = _jacobian_patterns(g, t.cfg.v0_mode)
+        # [v, p, b] and [q, mu, phi]
+        n = J.CC.shape[0] + (0 if J.CS is None else
+                             g.n_faces + g.n_cells + (2 if g.periodic else 0))
+
+        def factor(A: sp.csc_matrix, pattern: FixedPattern) -> _LU:
+            o = self.orderings.get(pattern)
+            if o is None:
+                lu = spla.splu(A, **LU_OPTIONS)
+                self.orderings[pattern] = np.argsort(lu.perm_c)
+                report.orderings += 1
+            else:
+                lu = spla.splu(A[o][:, o], **dict(LU_OPTIONS,
+                                                   permc_spec="NATURAL"))
+            report.factor_fill += lu.nnz
+            return _LU(lu, o, FACTOR_COST_PER_FILL * lu.nnz / n)
+
+        try:
+            S = self.S
+            if J.K is not None:
+                S = factor(J.K, patterns.K)
+                report.ss_lus += 1
+            C = factor(J.CC, patterns.CC)
+            report.cc_lus += 1
+        except RuntimeError as exc:
+            report.failure_reason = f"Newton linearization failed: {exc}"
+            return False
+        self.S, self.CS, self.C, self.tau = S, J.CS, C, t.tau
+        self.rebuilt.update(blocks)
+        return True
 
 
 def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
@@ -656,18 +684,14 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
     ``state_k``; None when the line search stalls or the budget runs out.
 
     The operator in ``held`` may come from an earlier iterate or step (a
-    chord iteration); it is dropped when it was built at another tau, and
-    its LUs are refactored at the current iterate as ``held.refactor``
-    picks.
+    chord iteration); its LUs are rebuilt as ``held`` decides.
     """
     layout = _block_layout(state_k.grid, cfg.v0_mode)
-    if held.tau != tau:
-        held.lu = None
+    held.begin(tau)
     t = _Terms(lin, cset, cfg, tau, _Iterate.of(state_k))
     rvec, blocks = t.residual()
     newton_left = cfg.max_newton
     prev_res = np.inf
-    rebuilt = set()                     # blocks factored in this attempt
     while True:
         res = max(blocks.values())
         report.iterations += 1
@@ -677,7 +701,7 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
             return None
         if res <= cfg.tol_nl:
             report.converged = True
-            held.settle(cfg.max_newton - newton_left, rebuilt)
+            held.settle(cfg.max_newton - newton_left)
             if not cfg.v0_mode:
                 report.transport_defect = transport_defect(t)
             return _finalize(state_k, t)
@@ -686,20 +710,18 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 f"(max_newton = {cfg.max_newton})"
             return None
         stale = held.refactor(res, prev_res, cfg.tol_nl, newton_left,
-                              "C" in rebuilt,
                               first=newton_left == cfg.max_newton - 1)
         newton_left -= 1
         report.newton_iterations += 1
-        if stale and not _factor(t, held, report, stale):
+        if stale and not held.build(t, report, stale):
             return None
-        rebuilt.update(stale)
         # the whole operator was built at this iterate
-        fresh = bool(stale) and (held.lu.S is None or "S" in stale)
+        fresh = bool(stale) and (held.S is None or "S" in stale)
         prev_res = res
         alpha = 1.0
         while True:
             if alpha == 1.0:      # first trial, or after a stale-operator build
-                dw = _Iterate.update(held.lu.solve(-rvec), layout, lin.grid)
+                dw = _Iterate.update(held.solve(-rvec), layout, lin.grid)
                 report.linear_solves += 1
             t_try = _Terms(lin, cset, cfg, tau, t.w.moved(dw, alpha))
             rvec_try, blocks_try = t_try.residual()
@@ -713,68 +735,13 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 # iterate does not descend: rebuild both at this iterate,
                 # line search only on that direction
                 fresh = True
-                if not _factor(t, held, report):
+                if not held.build(t, report):
                     return None
-                rebuilt.update(_BLOCKS)
                 continue
             alpha *= 0.5
             if alpha < 1.0 / 256.0:
                 report.failure_reason = "Newton line search stalled"
                 return None
-
-
-def _factor(t: _Terms, held: _HeldLU, report: StepReport,
-            blocks: tuple = _BLOCKS) -> bool:
-    """Factor ``blocks`` of the Jacobian at ``t`` into the held operator;
-    False (with the reason in the report) when a factorization fails.
-
-    With "S" in ``blocks`` the whole operator is rebuilt: J_CC always, the
-    Stokes LU (of K) in coupled mode only.  Without it, J_CC's LU and
-    J_CS C are replaced and the held Stokes LU is kept.  The first LU of a
-    block's pattern computes its fill-reducing ordering, and every later
-    one factors the block permuted by it (see ``_Ordering``)."""
-    # free the old LUs before building the new
-    held.lu = None if "S" in blocks else held.lu._replace(CS=None, C=None)
-    J = _jacobian(t, blocks)
-    g = t.lin.grid
-    patterns = _jacobian_patterns(g, t.cfg.v0_mode)
-    # the price's n (see FACTOR_COST_PER_FILL): [v, p, b] and [q, mu, phi]
-    n = J.CC.shape[0] + (0 if J.CS is None else
-                         g.n_faces + g.n_cells + (2 if g.periodic else 0))
-    try:
-        if held.lu is not None:
-            S = held.lu.S
-        else:
-            S = None if J.K is None else \
-                _factor_block("S", J.K, patterns.K, n, held, report)
-        C = _factor_block("C", J.CC, patterns.CC, n, held, report)
-    except RuntimeError as exc:
-        report.failure_reason = f"Newton linearization failed: {exc}"
-        return False
-    held.lu, held.tau = _BlockLU(S, J.CS, C), t.tau
-    return True
-
-
-def _factor_block(name: str, J: sp.csc_matrix, pattern: FixedPattern,
-                  n: int, held: _HeldLU, report: StepReport) -> _SubLU:
-    """The LU of block ``name`` ("S": K, "C": J_CC), counted in the report
-    and priced for ``held`` over the ``n`` unknowns of the whole system."""
-    ordering = held.orderings.get(name)
-    if ordering is not None and ordering.pattern is pattern:
-        sub = _SubLU(spla.splu(ordering.permute(J), **dict(
-            LU_OPTIONS, permc_spec="NATURAL")), ordering)
-    else:
-        lu = spla.splu(J, **LU_OPTIONS)
-        held.orderings[name] = _Ordering(pattern, np.argsort(lu.perm_c))
-        report.orderings += 1
-        sub = _SubLU(lu, None)
-    if name == "S":
-        report.ss_lus += 1
-    else:
-        report.cc_lus += 1
-    report.factor_fill += sub.lu.nnz
-    held.ages[name] = _Age(FACTOR_COST_PER_FILL * sub.lu.nnz / n)
-    return sub
 
 
 def transport_defect(t: _Terms) -> float:

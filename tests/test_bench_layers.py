@@ -1,4 +1,5 @@
-"""The benchmark's traced layers still name surfflow functions.
+"""The benchmark's traced layers and step counters still name surfflow
+functions and report fields.
 
 ``bench/spans.py`` wraps the functions listed in its ``FUNCTION_LAYERS``
 where the stepper looks them up at call time.  A name that a refactor
@@ -6,15 +7,19 @@ removes is skipped there and reported only as an absent layer of a traced
 run, so these checks keep the list and the package in step.
 """
 
+import ast
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
 from surfflow.mesh import Grid
 from surfflow.state import ScenarioConfig, initialize_scenario
-from surfflow.stepper import StepConfig, run
+from surfflow.stepper import StepConfig, StepReport, run
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
+CHILD = BENCH / "child.py"
 
 # names removed from the package while the benchmark was frozen; they go
 # from FUNCTION_LAYERS with its next change
@@ -42,6 +47,20 @@ def test_every_traced_layer_resolves():
     absent = {(module, dotted) for module, dotted, _ in spans.FUNCTION_LAYERS
               if spans._resolve(module, dotted) is None}
     assert absent <= KNOWN_STALE, sorted(absent - KNOWN_STALE)
+
+
+def test_step_counters_name_report_fields():
+    # bench/child.py reads each counter with getattr(report, attr, 0): a
+    # renamed StepReport field would read zero instead of failing
+    tree = ast.parse(CHILD.read_text())
+    counters = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "STEP_COUNTERS"
+                for t in node.targets))
+    fields = {f.name for f in dataclasses.fields(StepReport)}
+    assert counters and set(counters.values()) <= fields, \
+        sorted(set(counters.values()) - fields)
 
 
 def test_traced_coupled_run_charges_every_layer(cset, params):

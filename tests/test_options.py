@@ -99,6 +99,14 @@ def test_invalid_horizon_rejected(t_final):
         build_objects(values)
 
 
+def test_negative_snapshot_cadence_rejected():
+    # a negative cadence would write only the final snapshot, silently
+    values = default_config()
+    values["output"].update(snapshot_every=-3, write_fields=True)
+    with pytest.raises(ConfigError, match="snapshot_every"):
+        build_objects(values)
+
+
 @pytest.mark.parametrize("T", INVALID_HORIZONS, ids=str)
 def test_run_rejects_invalid_horizon(T):
     grid, params, _, _, scenario, _ = build_objects(default_config())

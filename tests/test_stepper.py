@@ -18,9 +18,9 @@ from surfflow.energy import total_energy
 from surfflow.mesh import Grid, ScalarField, VectorField, convect_skew
 from surfflow.state import ScenarioConfig, State, initialize_scenario
 from surfflow.stepper import (FACTOR_COST_PER_FILL, StepConfig, StepFailure,
-                              StepReport, _Age, _BLOCKS, _block_layout,
-                              _BlockLU, _factor, _HeldLU, _Iterate,
-                              _jacobian, _Terms, assemble_linear, run, step)
+                              StepReport, _BLOCKS, _block_layout, _HeldLU,
+                              _Iterate, _jacobian, _LU, _Terms,
+                              assemble_linear, run, step)
 
 
 def _ch_layout(g, v0):
@@ -480,8 +480,8 @@ def _held_at(s, g, cset, params, cfg) -> _HeldLU:
     """A holder with the LU of the Jacobian at the state ``s``."""
     lin = assemble_linear(s, g, cset, params, cfg)
     held = _HeldLU()
-    assert _factor(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s)),
-                   held, StepReport())
+    assert held.build(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s)),
+                      StepReport())
     return held
 
 
@@ -494,18 +494,28 @@ def _shipped(name: str):
                                                         params, cset)
 
 
-def _sub_lus(op: _BlockLU) -> dict:
-    """The LUs of a Newton operator by block: J_CC's, and with flow the
-    Stokes LU of K."""
-    return {"C": op.C} if op.S is None else {"S": op.S, "C": op.C}
+def _sub_lus(held: _HeldLU) -> dict:
+    """The held LUs of a Newton operator by block: J_CC's, and with flow
+    the Stokes LU of K."""
+    return {b: getattr(held, b) for b in _BLOCKS
+            if getattr(held, b) is not None}
 
 
 def _forced(held: _HeldLU, price: float, base=None, excess=0) -> _HeldLU:
     """``held`` with the refactor state of its J_CC LU set directly instead
     of from the LU's fill, so a test's setup does not move with the
     ordering."""
-    held.ages["C"] = _Age(price, base, excess)
+    held.C.price, held.C.base, held.C.excess = price, base, excess
     return held
+
+
+def _priced(s_price, c_price, s_base=None, c_base=None) -> _HeldLU:
+    """A coupled holder with placeholder LUs at the given prices (no Stokes
+    LU without ``s_price``)."""
+    return _HeldLU(S=None if s_price is None else _LU("S", None, s_price,
+                                                      s_base),
+                   CS=None if s_price is None else "CS",
+                   C=_LU("C", None, c_price, c_base))
 
 
 class TestHeldLU:
@@ -589,6 +599,16 @@ class TestHeldLU:
             (8, 0), (8, 0), (8, 0), (5, 1)]
         assert all(r.ss_lus == 0 for r in res.reports)
 
+    def test_coupled_counts_match_the_per_lu_rule(self, shear_droplet_10):
+        # shipped shear-droplet 32^2: per step, the Newton iterations,
+        # Stokes LUs and J_CC LUs the per-LU rule takes (J_CC refreshed
+        # from the second contraction on, the Stokes LU once its excess
+        # pays for both)
+        assert [(r.newton_iterations, r.ss_lus, r.cc_lus)
+                for r in shear_droplet_10] == [
+            (6, 2, 2), (7, 0, 1), (10, 0, 0), (9, 0, 1), (10, 0, 0),
+            (10, 0, 0), (6, 1, 1), (7, 0, 0), (8, 0, 0), (9, 0, 0)]
+
     def test_iterations_do_not_climb(self, cset, params):
         # an LU is rebuilt once the iterations its later steps spend beyond
         # its first step pay for a factorization (without that drop they
@@ -600,58 +620,57 @@ class TestHeldLU:
 
     def test_price_is_fill_per_unknown(self, cset, params):
         # each LU is priced from its own fill over the unknowns of the
-        # saddle form [v, p, q, mu, phi] the price was fitted on, not over
-        # the Newton vector's [psi, q, mu, phi]
-        g = Grid(12, 12)
-        s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
-                                 g, params, cset)
-        for v0 in (True, False):
+        # saddle form [v, p, b, q, mu, phi] the price was fitted on, not
+        # over the Newton vector's [psi, q, mu, phi]; the periodic grid's
+        # saddle has its 2 border unknowns b
+        for bc, v0 in (("box", True), ("box", False), ("periodic", False)):
+            g = Grid(12, 12, 1.0, 1.0, bc)
+            s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
+                                     g, params, cset)
             held = _held_at(s0, g, cset, params,
                             StepConfig(tau=1e-3, v0_mode=v0))
-            subs = _sub_lus(held.lu)
-            assert set(held.ages) == set(subs) == ({"C"} if v0 else {"S", "C"})
-            n = 3 * g.n_cells if v0 else g.n_faces + 4 * g.n_cells
-            for name, sub in subs.items():
-                age = held.ages[name]
-                assert age.price == FACTOR_COST_PER_FILL * sub.lu.nnz / n
-                assert age.base is None and age.excess == 0
+            subs = _sub_lus(held)
+            assert set(subs) == ({"C"} if v0 else {"S", "C"})
+            n = 3 * g.n_cells if v0 else \
+                g.n_faces + 4 * g.n_cells + (2 if bc == "periodic" else 0)
+            for sub in subs.values():
+                assert sub.price == FACTOR_COST_PER_FILL * sub.lu.nnz / n
+                assert sub.base is None and sub.excess == 0
 
     def test_chord_prediction(self):
-        def held(s_price, c_price):
-            return _HeldLU(lu=_BlockLU(S="S", CS="CS", C="C"),
-                           ages={"S": _Age(s_price), "C": _Age(c_price)})
+        def held(s_price, c_price, c_fresh=False):
+            h = _priced(s_price, c_price)
+            h.rebuilt = {"C"} if c_fresh else set()
+            return h
 
         both = ("S", "C")
         # contraction 0.1 from 1e-2 needs 8 more iterations to 1e-10; at
         # first the chord is weighed against the J_CC LU alone
         h = held(20.0, 10.0)
-        assert h.refactor(1e-2, 1e-1, 1e-10, left=50, c_fresh=False,
-                          first=False) == ()
-        assert h.refactor(1e-2, 1e-1, 1e-10, left=7, c_fresh=False,
-                          first=False) == ("C",)
+        assert h.refactor(1e-2, 1e-1, 1e-10, left=50, first=False) == ()
+        assert h.refactor(1e-2, 1e-1, 1e-10, left=7, first=False) == ("C",)
         assert held(20.0, 5.0).refactor(1e-2, 1e-1, 1e-10, left=50,
-                                        c_fresh=False, first=False) == ("C",)
+                                        first=False) == ("C",)
         # a J_CC LU built in this attempt that still contracts too slowly
         # is weighed against both prices, and both LUs are rebuilt
-        cheap_c = held(20.0, 5.0)
-        assert cheap_c.refactor(1e-2, 1e-1, 1e-10, left=50, c_fresh=True,
+        cheap_c = held(20.0, 5.0, c_fresh=True)
+        assert cheap_c.refactor(1e-2, 1e-1, 1e-10, left=50,
                                 first=False) == ()
-        assert cheap_c.refactor(1e-2, 1e-1, 1e-10, left=7, c_fresh=True,
+        assert cheap_c.refactor(1e-2, 1e-1, 1e-10, left=7,
                                 first=False) == both
-        assert held(3.0, 2.0).refactor(1e-2, 1e-1, 1e-10, left=50,
-                                       c_fresh=True, first=False) == both
+        assert held(3.0, 2.0, c_fresh=True).refactor(
+            1e-2, 1e-1, 1e-10, left=50, first=False) == both
         # the first iteration of an attempt has no contraction to go by
-        assert h.refactor(1e-2, np.inf, 1e-10, left=1, c_fresh=False,
-                          first=False) == ()
+        assert h.refactor(1e-2, np.inf, 1e-10, left=1, first=False) == ()
         # a dropped operator is rebuilt whole, a dropped J_CC LU alone,
         # whatever the contraction
         for first in (False, True):
             assert _HeldLU().refactor(1e-2, 1e-1, 1e-10, left=1,
-                                      c_fresh=False, first=first) == both
+                                      first=first) == both
             c_dropped = held(20.0, 10.0)
-            c_dropped.lu = c_dropped.lu._replace(CS=None, C=None)
+            c_dropped.CS = c_dropped.C = None
             assert c_dropped.refactor(1e-2, 1e-1, 1e-10, left=1,
-                                      c_fresh=False, first=first) == ("C",)
+                                      first=first) == ("C",)
 
     @pytest.mark.parametrize("ratio", [0.75, 0.2, 1e-5])
     @pytest.mark.parametrize("c_fresh", [False, True])
@@ -662,41 +681,43 @@ class TestHeldLU:
         # the attempt's first contraction refactors nothing at any ratio
         # and budget; the later ones are judged as before
         res, tol = 1e-2, 1e-10
-        coupled = _HeldLU(lu=_BlockLU(S="S", CS="CS", C="C"),
-                          ages={"S": _Age(0.5), "C": _Age(0.5)})
+        coupled = _priced(0.5, 0.5)
+        coupled.rebuilt = {"C"} if c_fresh else set()
         for left in (50, 1):
-            assert coupled.refactor(res, res / ratio, tol, left, c_fresh,
+            assert coupled.refactor(res, res / ratio, tol, left,
                                     first=True) == ()
         # from 1e-2 to 1e-10 the ratios need 64, 11 and 1.6 iterations,
         # against a price of 0.5 (J_CC) or 1.0 (both) plus two
         expected = ((_BLOCKS if c_fresh else ("C",)) if ratio > 1e-3
                     else ())
-        assert coupled.refactor(res, res / ratio, tol, 50, c_fresh,
+        assert coupled.refactor(res, res / ratio, tol, 50,
                                 first=False) == expected
         # J_CC's LU is the whole v0 operator: its first contraction is
         # judged as every later one
-        v0 = _HeldLU(lu=_BlockLU(S=None, CS=None, C="C"),
-                     ages={"C": _Age(0.5)})
+        v0 = _priced(None, 0.5)
+        v0.rebuilt = coupled.rebuilt
         for first in (True, False):
-            assert v0.refactor(res, res / ratio, tol, 50, c_fresh,
+            assert v0.refactor(res, res / ratio, tol, 50,
                                first=first) == expected
 
     def test_stokes_lu_dropped_once_its_excess_pays_for_both(self):
         # dropping the Stokes LU rebuilds J_CC's too: its excess iterations
         # are weighed against both prices (3 + 5 here), not its own
-        held = _HeldLU(lu=_BlockLU(S="S", CS="CS", C="C"),
-                       ages={"S": _Age(3.0, base=6), "C": _Age(5.0)})
+        held = _priced(3.0, 5.0, s_base=6)
+        S = held.S
         for iterations, excess in ((10, 4), (9, 7)):
-            held.settle(iterations, rebuilt={"C"})
-            assert held.ages["S"].excess == excess
-            assert held.lu is not None and held.lu.C == "C"
-        held.settle(7, rebuilt={"C"})
-        assert held.ages["S"].excess == 8 and held.lu is None
+            held.rebuilt = {"C"}
+            held.settle(iterations)
+            assert held.S.excess == excess
+            assert held.C is not None and held.C.lu == "C"
+        held.rebuilt = {"C"}
+        held.settle(7)
+        assert S.excess == 8
+        assert held.S is held.CS is held.C is None
         # J_CC's own excess still drops J_CC's LU alone at its price
-        held = _HeldLU(lu=_BlockLU(S="S", CS="CS", C="C"),
-                       ages={"S": _Age(3.0, base=6), "C": _Age(5.0, base=6)})
-        held.settle(11, rebuilt=set())
-        assert held.lu == _BlockLU(S="S", CS=None, C=None)
+        held = _priced(3.0, 5.0, s_base=6, c_base=6)
+        held.settle(11)
+        assert held.S.lu == "S" and held.CS is None and held.C is None
 
     def test_budget_short_of_chord_refactors(self, cset, params, relax16):
         g, s0, cfg = relax16
@@ -714,7 +735,7 @@ class TestHeldLU:
         # refactorization is worth: the LU is rebuilt, with no backoff
         tight = dataclasses.replace(cfg, max_newton=4, max_backoff=0)
         held = held_at_s()
-        assert held.ages["C"].price + 2.0 > tight.max_newton
+        assert held.C.price + 2.0 > tight.max_newton
         _, rep = step(s, g, cset, params, tight, held=held)
         assert rep.converged and rep.backoffs == 0
         assert rep.cc_lus >= 1
@@ -739,7 +760,7 @@ class TestFactorOrdering:
     def _lu_and_jacobian(s, g, cset, params, cfg):
         held = _held_at(s, g, cset, params, cfg)
         lin = assemble_linear(s, g, cset, params, cfg)
-        return held.lu, _jacobian(_Terms(lin, cset, cfg, cfg.tau,
+        return held, _jacobian(_Terms(lin, cset, cfg, cfg.tau,
                                          _Iterate.of(s)))
 
     def test_v0_lu_ordered_symmetrically(self, cset, params, relax16):
@@ -762,8 +783,8 @@ class TestFactorOrdering:
             held, report = _HeldLU(), StepReport()
             fills = []
             for _ in range(2):
-                assert _factor(t, held, report)
-                fills += [sub.lu.nnz for sub in _sub_lus(held.lu).values()]
+                assert held.build(t, report)
+                fills += [sub.lu.nnz for sub in _sub_lus(held).values()]
             # one count per LU built, the fill of every LU
             assert report.cc_lus == 2 and report.ss_lus == (0 if v0 else 2)
             assert len(fills) == (2 if v0 else 4)
@@ -809,13 +830,13 @@ class TestBlockOperator:
         w = _iterate_near(s0, rng, 0.01, False)
         t = _Terms(lin, cset, cfg, cfg.tau, w)
         held = _HeldLU()
-        assert _factor(t, held, StepReport())
+        assert held.build(t, StepReport())
         # the saddle form's Jacobian reduced to [psi, q, mu, phi]
         J = reference_assembly.divergence_free(
             g, reference_assembly.jacobian(t))
         ns = _block_layout(g, False)["q"].start
         b = rng.standard_normal(J.shape[0])
-        y = held.lu.solve(b)
+        y = held.solve(b)
         r_s = J[:ns, :ns] @ y[:ns] - b[:ns]
         r_c = J[ns:, :ns] @ y[:ns] + J[ns:, ns:] @ y[ns:] - b[ns:]
         assert max(np.abs(r_s).max(), np.abs(r_c).max()) \
@@ -833,13 +854,13 @@ class TestBlockOperator:
         lin = assemble_linear(s0, g, cset, params, cfg)
         t = _Terms(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, False))
         held = _HeldLU()
-        assert _factor(t, held, StepReport())
+        assert held.build(t, StepReport())
         J_SS = reference_assembly.saddle(g, _jacobian(t).VV)
         nf, C = g.n_faces, g.ops.C
         b = np.zeros(J_SS.shape[0])
         b[:nf] = rng.standard_normal(nf)
         x = spla.splu(J_SS).solve(b)[:nf]
-        v = C @ held.lu.S.solve(C.T @ b[:nf])
+        v = C @ held.S.solve(C.T @ b[:nf])
         assert np.abs(v - x).max() <= 1e-10 * np.abs(x).max()
 
     def test_v0_operator_is_the_jacobian_lu(self, cset, params, rng, relax16):
@@ -848,8 +869,8 @@ class TestBlockOperator:
         lin = assemble_linear(s0, g, cset, params, cfg)
         J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0)))
         b = rng.standard_normal(J.CC.shape[0])
-        x = held.lu.solve(b)
-        assert np.array_equal(x, held.lu.C.solve(b))
+        x = held.solve(b)
+        assert np.array_equal(x, held.C.solve(b))
         assert np.abs(J.CC @ x - b).max() <= 1e-10 * np.abs(b).max()
 
     def test_coupled_droplet_iterations_stay_low(self):
@@ -870,20 +891,20 @@ class TestBlockOperator:
                                                 shear=0.5), g, params, cset)
         cfg = StepConfig(tau=1e-3)
         held = _held_at(s0, g, cset, params, cfg)
-        S, C = held.lu.S, held.lu.C
+        S, C = held.S, held.C
         b = rng.standard_normal(_block_layout(g, False)["q"].start)
         before = S.solve(b)
         lin = assemble_linear(s0, g, cset, params, cfg)
         t = _Terms(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, False))
         report = StepReport()
-        assert _factor(t, held, report, ("C",))
+        assert held.build(t, report, ("C",))
         assert report.cc_lus == 1 and report.ss_lus == 0
-        assert report.factor_fill == held.lu.C.lu.nnz
+        assert report.factor_fill == held.C.lu.nnz
         # the same Stokes solve, so bitwise the same S solves; J_CC's LU
         # and J_CS are those of the new iterate
-        assert held.lu.S is S and held.lu.C is not C
-        assert np.array_equal(held.lu.S.solve(b), before)
-        assert abs(held.lu.CS - _jacobian(t).CS).max() == 0.0
+        assert held.S is S and held.C is not C
+        assert np.array_equal(held.S.solve(b), before)
+        assert abs(held.CS - _jacobian(t).CS).max() == 0.0
 
     @pytest.mark.parametrize("bc", ["box", "periodic"])
     def test_cc_only_jacobian_skips_ss(self, cset, params, rng, bc):
@@ -915,8 +936,8 @@ class TestBlockOperator:
         old, now = states[2], states[10]
 
         def iterations(held):
-            for age in held.ages.values():      # no refactor at any price
-                age.price = math.inf
+            for sub in _sub_lus(held).values():   # no refactor at any price
+                sub.price = math.inf
             _, rep = step(now, grid, cset, params, cfg, held=held)
             assert rep.converged and rep.backoffs == 0 and rep.ss_lus == 0
             return rep.newton_iterations, rep.cc_lus
@@ -924,8 +945,8 @@ class TestBlockOperator:
         fresh = _held_at(now, grid, cset, params, cfg)
         mixed = _held_at(old, grid, cset, params, cfg)
         lin = assemble_linear(now, grid, cset, params, cfg)
-        assert _factor(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(now)),
-                       mixed, StepReport(), ("C",))
+        assert mixed.build(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(now)),
+                           StepReport(), ("C",))
         its_fresh, lus_fresh = iterations(fresh)
         its_mixed, lus_mixed = iterations(mixed)
         assert lus_fresh == lus_mixed == 0
@@ -1091,13 +1112,13 @@ class TestFixedPattern:
         held, report = _HeldLU(), StepReport()
         ops = []
         for _ in range(2):
-            assert _factor(t, held, report)
-            ops.append(held.lu)
+            assert held.build(t, report)
+            ops.append(_sub_lus(held))
         # one ordering per sub-LU, computed by its first LU only
         assert report.cc_lus == 2 and report.ss_lus == (0 if v0 else 2)
         assert report.orderings == (1 if v0 else 2)
         for name, A in (("C", J.CC),) if v0 else (("S", J.K), ("C", J.CC)):
-            first, later = (_sub_lus(op)[name] for op in ops)
+            first, later = (op[name] for op in ops)
             b = rng.standard_normal(A.shape[0])
             x1, x2 = first.solve(b), later.solve(b)
             assert first.ordering is None and later.ordering is not None
@@ -1185,8 +1206,8 @@ class TestDivergenceFreeNewton:
         r, _ = _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0)).residual()
         assert r.size == n_psi + 3 * nc
         held = _held_at(s0, g, cset, params, cfg)
-        assert held.lu.solve(r).size == r.size
-        assert held.lu.S.lu.shape == (n_psi, n_psi)
+        assert held.solve(r).size == r.size
+        assert held.S.lu.shape == (n_psi, n_psi)
 
     @pytest.mark.parametrize("bc", ["box", "periodic"])
     def test_divergence_stays_at_the_initial_state(self, cset, params, bc):
