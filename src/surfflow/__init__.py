@@ -8,7 +8,7 @@ from .constitutive import (AuditReport, ConstitutiveSet, ModelParams,
                            SamplingSpec, audit_assumptions, build_default_set,
                            pointwise_step_inequalities)
 from .energy import EnergyLedgerRow, audit_step, total_energy
-from .mesh import Grid, ScalarField, VectorField, div, grad, sbp_selftest
+from .mesh import Grid, ScalarField, VectorField, sbp_selftest
 from .state import ScenarioConfig, State, initialize_scenario, observables
 from .stepper import StepConfig, StepFailure, StepReport, run, step
 
@@ -17,7 +17,7 @@ __all__ = [
     "AuditReport", "ConstitutiveSet", "ModelParams", "SamplingSpec",
     "audit_assumptions", "build_default_set", "pointwise_step_inequalities",
     "EnergyLedgerRow", "audit_step", "total_energy",
-    "Grid", "ScalarField", "VectorField", "div", "grad", "sbp_selftest",
+    "Grid", "ScalarField", "VectorField", "sbp_selftest",
     "ScenarioConfig", "State", "initialize_scenario", "observables",
     "StepConfig", "StepFailure", "StepReport", "run", "step",
 ]

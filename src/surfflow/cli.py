@@ -92,7 +92,8 @@ class ConfigError(ValueError):
 
 def _coerce(default, raw: str, where: str):
     """``raw`` converted to the type of ``default``; a tuple default takes
-    a comma- or space-separated list of its first element's type."""
+    a comma- or space-separated list of its first element's type.  A float
+    (alone or in a list) must be finite: ``float()`` accepts inf and nan."""
     try:
         if isinstance(default, bool):
             low = raw.strip().lower()
@@ -103,10 +104,15 @@ def _coerce(default, raw: str, where: str):
             raise ValueError(f"not a boolean: {raw!r}")
         if isinstance(default, tuple):
             kind = type(default[0])
-            return tuple(kind(x) for x in raw.replace(",", " ").split())
-        return type(default)(raw.strip())
+            value = tuple(kind(x) for x in raw.replace(",", " ").split())
+        else:
+            value = type(default)(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if any(isinstance(x, float) and not math.isfinite(x)
+           for x in (value if isinstance(value, tuple) else (value,))):
+        raise ConfigError(f"{where}: not a finite number")
+    return value
 
 
 def default_config() -> dict:

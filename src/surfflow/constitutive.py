@@ -119,7 +119,6 @@ class ConstitutiveSet:
     rhop: Callable
     secant_W: Callable
     dsecant_W_da: Callable
-    params: ModelParams
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +311,6 @@ def build_default_set(params: ModelParams) -> ConstitutiveSet:
         rho=rho, rhop=rhop,
         secant_W=_default_secant_W,
         dsecant_W_da=_default_dsecant_W_da,
-        params=params,
     )
 
 
@@ -320,27 +318,29 @@ def build_default_set(params: ModelParams) -> ConstitutiveSet:
 # audit
 # ---------------------------------------------------------------------------
 
+# the audit's sample window: q over [q_min - AUDIT_PAD, q_max + AUDIT_PAD],
+# phi over [AUDIT_PHI_LO, AUDIT_PHI_HI]; pair-based clauses draw AUDIT_PAIRS
+# pseudo-random pairs from AUDIT_SEED
+AUDIT_PAD = 1.0
+AUDIT_PHI_LO = -3.0
+AUDIT_PHI_HI = 3.0
+AUDIT_PAIRS = 4096
+AUDIT_SEED = 20260809
+
+
 @dataclass(frozen=True)
 class SamplingSpec:
-    """Deterministic sample layout for the structural audit.
-
-    q samples cover [q_min - pad, q_max + pad], phi samples cover
-    [phi_lo, phi_hi]; n points each (>= 1000).  Pair-based clauses use
-    n_pairs pseudo-random pairs from the fixed seed.
-    """
+    """Deterministic sample layout for the structural audit: n points
+    (>= 1000) each over the q and phi windows."""
 
     n: int = 4096
-    pad: float = 1.0
-    phi_lo: float = -3.0
-    phi_hi: float = 3.0
-    n_pairs: int = 4096
-    seed: int = 20260809
 
     def q_samples(self, params: ModelParams) -> np.ndarray:
-        return np.linspace(params.q_min - self.pad, params.q_max + self.pad, self.n)
+        return np.linspace(params.q_min - AUDIT_PAD, params.q_max + AUDIT_PAD,
+                           self.n)
 
     def phi_samples(self) -> np.ndarray:
-        return np.linspace(self.phi_lo, self.phi_hi, self.n)
+        return np.linspace(AUDIT_PHI_LO, AUDIT_PHI_HI, self.n)
 
 
 @dataclass(frozen=True)
@@ -366,7 +366,7 @@ class AuditReport:
         return [c.clause_id for c in self.clauses if not c.passed]
 
     def to_text(self) -> str:
-        lines = ["constitutive audit (%d samples, seed %d)" % (self.spec.n, self.spec.seed)]
+        lines = ["constitutive audit (%d samples, seed %d)" % (self.spec.n, AUDIT_SEED)]
         for c in self.clauses:
             status = "pass" if c.passed else "FAIL"
             lines.append(
@@ -420,9 +420,9 @@ def audit_assumptions(cset: ConstitutiveSet, params: ModelParams,
         raise ConstitutiveError("sampling spec must use at least 1000 points")
     q = spec.q_samples(params)
     phi = spec.phi_samples()
-    rng = np.random.default_rng(spec.seed)
-    qa = rng.uniform(q[0], q[-1], spec.n_pairs)
-    qb = rng.uniform(q[0], q[-1], spec.n_pairs)
+    rng = np.random.default_rng(AUDIT_SEED)
+    qa = rng.uniform(q[0], q[-1], AUDIT_PAIRS)
+    qb = rng.uniform(q[0], q[-1], AUDIT_PAIRS)
     nan = float("nan")
     out = []
 
@@ -446,10 +446,8 @@ def audit_assumptions(cset: ConstitutiveSet, params: ModelParams,
     out.append(ClauseResult("G_convex_c0", mg > 0 and g0 <= 1e-5, wg, nan, mg))
 
     # G'(q) = g'(q) q  (compare against finite differences of G)
-    step = 1e-6
-    Gp_fd = (cset.G(q + step) - cset.G(q - step)) / (2 * step)
-    errG = np.abs(Gp_fd - Gp) - (1e-6 * (1 + np.abs(Gp)) + 1e-8)
-    mG, wG = _worst(-errG, q)
+    mG, wG, _ = _fd_consistency(cset.G, lambda x: cset.gp(x) * x, q, "G",
+                                step=1e-6)
     out.append(ClauseResult("G_g_identity", mG >= 0, wG, nan, mG))
 
     # G growth: fitted constants, informational

@@ -42,7 +42,7 @@ class EnergyComponents:
 
 def total_energy(s: State, cset: ConstitutiveSet,
                  params: ModelParams) -> EnergyComponents:
-    """Midpoint-quadrature energy, gradient term through the shared grad."""
+    """Midpoint-quadrature energy, gradient term through the grid's G."""
     g = s.grid
     dV = g.dV
     phi, q = s.phi.data, s.q.data

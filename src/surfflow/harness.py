@@ -11,9 +11,9 @@ Three studies probe the scheme's limiting behavior numerically:
     decay order of the per-step transport energy defect.
 
 Runs inside a study are independent and may execute concurrently; report
-assembly is serialized and deterministic.  Every report row is reproducible
-in isolation from the recorded configuration fingerprint, so an interrupted
-study can be resumed member by member.
+assembly is serialized and deterministic.  A run of the base setup in the
+study's effective config with the list entry a member's label names
+reproduces that member; the config hash only identifies the base setup.
 """
 
 from __future__ import annotations

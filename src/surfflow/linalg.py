@@ -145,12 +145,12 @@ class FixedPattern:
         cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
         return chain(C[self.indices].T, C[cols])
 
-    def entries(self, at=(0, 0)) -> Entries:
+    def entries(self) -> Entries:
         """This pattern's nonzeros as a term of a larger pattern, one weight
         per nonzero in data order."""
         n = self.indices.size
         cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
-        return Entries(self.indices + at[0], cols + at[1], np.ones(n),
+        return Entries(self.indices, cols, np.ones(n),
                        np.arange(n, dtype=np.int32), n)
 
 

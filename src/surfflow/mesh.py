@@ -34,9 +34,8 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "Grid", "ScalarField", "VectorField",
-    "grad", "div", "sbp_selftest", "SbpReport",
-    "write_field_snapshot", "read_field_snapshot",
+    "Grid", "ScalarField", "VectorField", "sbp_selftest", "SbpReport",
+    "write_field_snapshot",
     "FIELD_KIND_CELL", "FIELD_KIND_XFACE", "FIELD_KIND_YFACE",
 ]
 
@@ -204,18 +203,6 @@ class Grid:
     def n_faces(self) -> int:
         return self.n_xfaces + self.n_yfaces
 
-    @property
-    def volume(self) -> float:
-        return self.lx * self.ly
-
-    def __eq__(self, other):
-        return (isinstance(other, Grid)
-                and (self.nx, self.ny, self.lx, self.ly, self.bc)
-                == (other.nx, other.ny, other.lx, other.ly, other.bc))
-
-    def __hash__(self):
-        return hash((self.nx, self.ny, self.lx, self.ly, self.bc))
-
     def __repr__(self):
         return f"Grid({self.nx}x{self.ny}, {self.lx}x{self.ly}, {self.bc})"
 
@@ -264,11 +251,11 @@ class GridOperators:
         # componentwise vector Laplacian (Dirichlet ghosts in box mode)
         Ifx = sp.identity(d1x.shape[0], format="csr")     # x-face lines in x
         Ify = sp.identity(d1y.shape[0], format="csr")     # y-face lines in y
-        self.Lxx = (sp.kron(_lap1_normal(nx, dx, per), Iy)
-                    + sp.kron(Ifx, _lap1_tangential(ny, dy, per))).tocsr()
-        self.Lyy = (sp.kron(_lap1_tangential(nx, dx, per), Ify)
-                    + sp.kron(Ix, _lap1_normal(ny, dy, per))).tocsr()
-        self.Lvec = sp.block_diag([self.Lxx, self.Lyy], format="csr")
+        Lxx = (sp.kron(_lap1_normal(nx, dx, per), Iy)
+               + sp.kron(Ifx, _lap1_tangential(ny, dy, per))).tocsr()
+        Lyy = (sp.kron(_lap1_tangential(nx, dx, per), Ify)
+               + sp.kron(Ix, _lap1_normal(ny, dy, per))).tocsr()
+        self.Lvec = sp.block_diag([Lxx, Lyy], format="csr")
 
         # symmetric-gradient pieces: normal strains at cells, shear at corners
         self.B11 = (-self.Gx.T).tocsr()
@@ -367,17 +354,6 @@ class VectorField:
 # operator application
 # ---------------------------------------------------------------------------
 
-def grad(c: ScalarField) -> VectorField:
-    """Two-point difference onto faces.  Box boundary faces are not stored;
-    their homogeneous-Neumann value is identically zero."""
-    return VectorField(c.grid, c.grid.ops.G @ c.data)
-
-
-def div(u: VectorField) -> ScalarField:
-    """Conservative face difference per cell; exact negative adjoint of grad."""
-    return ScalarField(u.grid, u.grid.ops.D @ u.data)
-
-
 class SkewConvection(NamedTuple):
     """The stacked edge operators of ``convect_skew``, which is
     0.5 O ((Phi M) * (E v)).  Each component u of v has two edge sets, each
@@ -449,16 +425,23 @@ class SbpReport:
         return "\n".join(lines)
 
 
-def sbp_selftest(grid: Grid, n_trials: int = 20, seed: int = 7,
-                 tol: float = 1e-12) -> SbpReport:
+# sbp_selftest's random trials, their seed, and the largest residual a
+# check passes with
+SELFTEST_TRIALS = 20
+SELFTEST_SEED = 7
+SELFTEST_TOL = 1e-12
+
+
+def sbp_selftest(grid: Grid) -> SbpReport:
     """Verify the discrete identities the energy accounting depends on.
 
-    On random fields: grad/-div adjointness, the discrete divergence theorem,
-    symmetry / negative semidefiniteness / constant kernel of the
-    variable-coefficient cell Laplacian, cell<->face interpolation duality,
-    operator linearity, and symmetry of the biharmonic pairing.
+    On SELFTEST_TRIALS random fields: grad/-div adjointness, the discrete
+    divergence theorem, symmetry / negative semidefiniteness / constant
+    kernel of the variable-coefficient cell Laplacian, cell<->face
+    interpolation duality, operator linearity, and symmetry of the
+    biharmonic pairing.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SELFTEST_SEED)
     ops = grid.ops
     dV = grid.dV
 
@@ -467,7 +450,7 @@ def sbp_selftest(grid: Grid, n_trials: int = 20, seed: int = 7,
         "laplace_negative", "laplace_kernel_constants", "laplace_mean_zero",
         "interpolation_duality", "linearity", "biharmonic_symmetry"]}
 
-    for _ in range(n_trials):
+    for _ in range(SELFTEST_TRIALS):
         c = rng.standard_normal(grid.n_cells)
         c2 = rng.standard_normal(grid.n_cells)
         u = rng.standard_normal(grid.n_faces)
@@ -518,7 +501,8 @@ def sbp_selftest(grid: Grid, n_trials: int = 20, seed: int = 7,
         worst["biharmonic_symmetry"] = max(worst["biharmonic_symmetry"],
                                            abs(b1 - b2) / (1.0 + abs(b1)))
 
-    checks = tuple((name, res <= tol, res) for name, res in worst.items())
+    checks = tuple((name, res <= SELFTEST_TOL, res)
+                   for name, res in worst.items())
     return SbpReport(grid=repr(grid), checks=checks)
 
 
@@ -535,17 +519,3 @@ def write_field_snapshot(path, data: np.ndarray, nx: int, ny: int, kind: int,
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
-
-
-def read_field_snapshot(path):
-    """Returns (data, meta) with meta = dict(nx, ny, kind, time, step)."""
-    with open(path, "rb") as fh:
-        header = fh.read(_SNAPSHOT_HEADER_LEN)
-        magic, nx, ny, kind, _, time, step = _SNAPSHOT_HEADER.unpack(
-            header[:_SNAPSHOT_HEADER.size])
-        if magic != _SNAPSHOT_MAGIC:
-            raise ValueError(f"{path}: not a field snapshot (bad magic)")
-        data = np.frombuffer(fh.read(), dtype="<f8").astype(float)
-    return data, {"nx": int(nx), "ny": int(ny), "kind": int(kind),
-                  "time": float(time), "step": int(step)}
-

@@ -8,7 +8,7 @@ import numpy as np
 
 from .constitutive import ConstitutiveSet, ModelParams, config_key
 from .linalg import SolverFailure, gradient_potential
-from .mesh import Grid, ScalarField, VectorField, div
+from .mesh import Grid, ScalarField, VectorField
 
 __all__ = ["State", "Observables", "observables", "initialize_scenario",
            "ScenarioConfig", "SCENARIO_NAMES", "project_divergence_free"]
@@ -38,7 +38,7 @@ class State:
                         ("mu", self.mu), ("q", self.q)):
             if not f.is_finite():
                 raise ValueError(f"state field {name} contains non-finite values")
-        d = float(np.abs(div(self.v).data).max())
+        d = float(np.abs(self.grid.ops.D @ self.v.data).max())
         if d > div_tol:
             raise ValueError(f"state velocity is not divergence free: {d:.3e}")
         if abs(self.p.mean()) > 1e-10 * (1.0 + float(np.abs(self.p.data).max())):
@@ -62,7 +62,7 @@ def observables(s: State, cset: ConstitutiveSet, params: ModelParams) -> Observa
     return Observables(
         phi_mass=s.phi.integral(),
         surf_total=float(surf.sum()) * s.grid.dV,
-        div_inf=float(np.abs(div(s.v).data).max()),
+        div_inf=float(np.abs(s.grid.ops.D @ s.v.data).max()),
     )
 
 
@@ -170,7 +170,8 @@ def initialize_scenario(scn: ScenarioConfig, grid: Grid, params: ModelParams,
     if float(np.abs(v.data).max()) > 0.0:
         v = project_divergence_free(v)
         if grid.periodic:
-            # periodic momentum solves act on mean-free velocities
+            # every Newton update C dpsi has zero component means, so the
+            # means keep their initial values: start them at zero
             ux, uy = v.ux, v.uy
             v = VectorField(grid, np.concatenate([ux - ux.mean(), uy - uy.mean()]))
     mu = _consistent_mu(phi, q, cset, params)

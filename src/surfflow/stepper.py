@@ -481,9 +481,7 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
 # 0.16-0.23 at 64^2 (fill / n 46).  The medians are 0.18-0.20 for both, so
 # one constant fits both LUs; it stays at 0.17, at the low end of both
 # spreads, which keeps every v0 decision (the v0 operator, J_CC's LU alone
-# over a cheaper iteration, measured 0.28).  With the saddle LU of J_SS in
-# K's place (fill / n 99 at 32^2) that LU measured 0.16-0.21 and J_CC
-# 0.11-0.14.
+# over a cheaper iteration, measured 0.28).
 FACTOR_COST_PER_FILL = 0.17
 
 

@@ -1,6 +1,10 @@
 """Field helpers for the tests: grid functions sampled at cell centres,
 the cell array shape, 2-D views of cell and face arrays, the y-face
-coordinates, and a state copy with its own arrays."""
+coordinates, a state copy with its own arrays, the discrete gradient and
+divergence as field maps, and a field-snapshot reader."""
+
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -49,3 +53,27 @@ def copy_state(s) -> State:
     return State(VectorField(s.grid, s.v.data.copy()),
                  *(ScalarField(s.grid, f.data.copy())
                    for f in (s.p, s.phi, s.mu, s.q)), s.t, s.k)
+
+
+def grad(c) -> VectorField:
+    """Two-point difference onto faces.  Box boundary faces are not stored;
+    their homogeneous-Neumann value is identically zero."""
+    return VectorField(c.grid, c.grid.ops.G @ c.data)
+
+
+def div(u) -> ScalarField:
+    """Conservative face difference per cell; exact negative adjoint of grad."""
+    return ScalarField(u.grid, u.grid.ops.D @ u.data)
+
+
+def read_field_snapshot(path):
+    """(data, meta) of a field snapshot, decoded from its documented layout
+    rather than from the writer's code: a 64-byte header (8-byte magic,
+    uint32 nx, ny, kind and pad, float64 time, int64 step, zero padding),
+    then little-endian float64 values.  meta holds the magic, nx, ny,
+    kind, time, step and the header's last 24 bytes (``tail``)."""
+    raw = Path(path).read_bytes()
+    magic, nx, ny, kind, _, time, step = struct.unpack_from("<8s4Idq", raw)
+    meta = {"magic": magic, "nx": nx, "ny": ny, "kind": kind, "time": time,
+            "step": step, "tail": raw[40:64]}
+    return np.frombuffer(raw[64:], dtype="<f8").astype(float), meta

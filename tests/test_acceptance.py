@@ -94,7 +94,7 @@ def test_criterion_3_discrete_duality():
     all_ok = True
     for n in (16, 32, 64):
         for bc in ("box", "periodic"):
-            rep = sbp_selftest(Grid(n, n, 1.0, 1.0, bc), tol=1e-12)
+            rep = sbp_selftest(Grid(n, n, 1.0, 1.0, bc))
             all_ok &= rep.passed
             worst = max(worst, max(r for _, _, r in rep.checks))
     elapsed = time.perf_counter() - t0

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import surfflow.state as state
+from fields import read_field_snapshot
 from surfflow.cli import (EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, ConfigError,
                           default_config, effective_config_text, main,
                           parse_config)
-from surfflow.mesh import read_field_snapshot
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
 

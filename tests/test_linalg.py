@@ -5,10 +5,10 @@ import pytest
 
 import reference_assembly
 import surfflow.linalg as linalg
-from fields import cell_shape, from_function, ux2d, uy2d
+from fields import cell_shape, div, from_function, ux2d, uy2d
 from surfflow.linalg import (SolverFailure, assemble_velocity_form,
                              gradient_potential, poisson_lu)
-from surfflow.mesh import Grid, VectorField, div
+from surfflow.mesh import Grid, VectorField
 from surfflow.state import DIV_TOL, project_divergence_free
 
 

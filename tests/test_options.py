@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from surfflow.cli import (ConfigError, build_objects, default_config,
-                          parse_config)
+from surfflow.cli import (EXIT_VALIDATION, ConfigError, build_objects,
+                          default_config, main, parse_config)
 from surfflow.constitutive import ModelParams, SamplingSpec, build_default_set
 from surfflow.state import ScenarioConfig, initialize_scenario
 from surfflow.stepper import StepConfig, run
@@ -34,6 +34,10 @@ INVALID_STEPPER = [("max_newton", -3), ("max_backoff", -1),
                    ("tau", math.nan), ("tau", math.inf),
                    ("tol_nl", math.nan), ("tol_nl", math.inf)]
 INVALID_HORIZONS = [math.nan, math.inf, 0.0, -1e-3]
+# float() reads each of these; none is a finite number
+NON_FINITE = [("run", "grid", "lx", "inf"), ("run", "params", "q_max", "inf"),
+              ("run", "params", "delta", "inf"), ("run", "grid", "lx", "nan"),
+              ("study-tau", "study", "taus", "1e-2, nan, 1e-3")]
 
 
 def _with_options(src: Path, dest: Path, **stepper) -> str:
@@ -89,6 +93,20 @@ def test_invalid_stepper_value_rejected(key, value):
     values["stepper"][key] = value
     with pytest.raises(ConfigError, match=key):
         build_objects(values)
+
+
+@pytest.mark.parametrize("command,section,key,value", NON_FINITE,
+                         ids=[f"{k}={v}" for _, _, k, v in NON_FINITE])
+def test_non_finite_config_value_rejected(tmp_path, capsys, command, section,
+                                          key, value):
+    cp = configparser.ConfigParser()
+    cp.read_dict({"grid": {"nx": "8", "ny": "8"}, section: {key: value}})
+    path = tmp_path / "c.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    code = main([command, str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert f"[{section}] {key}: not a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t_final", INVALID_HORIZONS, ids=str)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import surfflow.state as state
+from fields import div
 from surfflow.energy import total_energy
 from surfflow.linalg import gradient_potential
-from surfflow.mesh import Grid, VectorField, div
+from surfflow.mesh import Grid, VectorField
 from surfflow.state import (DIV_TOL, ScenarioConfig, initialize_scenario,
                             observables, project_divergence_free)
 
@@ -122,6 +123,14 @@ class TestStateValidation:
         s.v.data[5] = 1.0
         with pytest.raises(ValueError, match="divergence"):
             s.validate(div_tol=1e-9)
+
+    def test_unpinned_pressure_rejected(self, cset, params):
+        g = Grid(8, 8)
+        s = initialize_scenario(ScenarioConfig(name="droplet"), g, params, cset)
+        s.validate()
+        s.p.data += 0.5
+        with pytest.raises(ValueError, match="pressure mean"):
+            s.validate()
 
     def test_projection_helper(self, rng, cset, params, monkeypatch):
         passes = []
