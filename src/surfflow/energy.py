@@ -9,7 +9,8 @@ slack
 which is nonnegative (up to solver tolerance) whenever the step satisfies
 the dissipative structure of the scheme.  With transport disabled the slack
 is exact to solver tolerance; with flow the transport chain-rule defect
-enters and is measured separately (see ``stepper.transport_defect``).
+enters and is measured separately (see ``stepper.transport_defect``), and
+the estimate bounds the slack less that defect (``estimate_slack``).
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .linalg import assemble_velocity_form
 from .state import State, observables
 
 __all__ = ["EnergyComponents", "EnergyLedgerRow", "LEDGER_COLUMNS",
-           "total_energy", "audit_step", "ledger_slack", "write_ledger_csv",
-           "rows_to_csv"]
+           "total_energy", "audit_step", "ledger_slack", "estimate_slack",
+           "write_ledger_csv", "rows_to_csv"]
 
-# a relative slack (see ``ledger_slack``) below -SLACK_TOL flags a step that
-# did not dissipate
+# a relative slack of the one-step estimate (see ``estimate_slack``) below
+# -SLACK_TOL flags a step that did not dissipate
 SLACK_TOL = 1e-8
 
 
@@ -160,6 +161,19 @@ def ledger_slack(rows, E0: float):
     e_prev = np.array([E0] + [r.E_tot for r in rows[:-1]])
     slack = np.array([r.slack for r in rows])
     return slack / np.maximum(np.abs(e_prev), 1.0), e_prev
+
+
+def estimate_slack(rows, defects, E0: float):
+    """(relative slack, violated) of each step's one-step energy estimate.
+
+    The estimate bounds the ledger's slack less the step's transport defect
+    (``stepper.transport_defect``, 0 in v0 mode): the relative slack is
+    (slack - defect) / max(|E(k-1)|, 1), E(k-1) as in ``ledger_slack``, and
+    a step below -SLACK_TOL violates the estimate."""
+    _, e_prev = ledger_slack(rows, E0)
+    slack = np.array([r.slack for r in rows]) - np.asarray(defects, float)
+    rel = slack / np.maximum(np.abs(e_prev), 1.0)
+    return rel, rel < -SLACK_TOL
 
 
 def rows_to_csv(rows) -> str:

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .constitutive import ModelParams, build_default_set
-from .energy import SLACK_TOL, ledger_slack
+from .energy import estimate_slack, ledger_slack
 from .mesh import Grid
 from .state import ScenarioConfig, initialize_scenario
 from .stepper import RunResult, StepConfig, StepFailure, run
@@ -129,8 +129,8 @@ def _continuation(base: SimulationSetup, kind: str, values, vary, threads: int,
                   check_slack: bool = False) -> StudyReport:
     """Runs ``vary(value)`` for at least three strictly descending values and
     reports the L2 differences of the final order parameter between
-    consecutive runs; with ``check_slack`` a run whose relative slack falls
-    below ``-energy.SLACK_TOL`` is a failure."""
+    consecutive runs; with ``check_slack`` a run that violates the one-step
+    energy estimate (``energy.estimate_slack``) is a failure."""
     values = [float(x) for x in values]
     if len(values) < 3:
         raise ValueError(f"{kind} continuation needs at least 3 values for a ratio")
@@ -147,14 +147,15 @@ def _continuation(base: SimulationSetup, kind: str, values, vary, threads: int,
             rep.rows.append({"failed": 1})
             finals.append(None)
             continue
-        rel_slack = float(ledger_slack(res.rows, res.E0)[0].min())
+        rel_slack, violated = estimate_slack(
+            res.rows, [r.transport_defect for r in res.reports], res.E0)
+        worst = float(rel_slack.min())
         rep.rows.append({"E_final": res.rows[-1].E_tot,
-                         "min_rel_slack": rel_slack,
+                         "min_rel_estimate_slack": worst,
                          "steps": len(res.rows)})
-        if check_slack and rel_slack < -SLACK_TOL:
-            abs_slack = min(r.slack for r in res.rows)
-            rep.failures.append(
-                f"{label}: energy slack {abs_slack:.3e} below tolerance")
+        if check_slack and violated.any():
+            rep.failures.append(f"{label}: relative energy-estimate slack "
+                                f"{worst:.3e} below tolerance")
         finals.append(res.final_state.phi.data)
     if all(f is not None for f in finals):
         rep.diffs = [_l2(base.grid, finals[i], finals[i + 1])

@@ -27,8 +27,7 @@ import scipy.sparse.linalg as spla
 from .mesh import Grid
 
 __all__ = ["SolverFailure", "LU_OPTIONS", "poisson_lu", "gradient_potential",
-           "assemble_velocity_form", "velocity_form_pattern", "FixedPattern",
-           "chain", "scaled"]
+           "assemble_velocity_form", "FixedPattern", "chain", "scaled"]
 
 # SuperLU options of every LU.  J_CC ([q, mu, phi]), K and the pinned cell
 # Laplacian are structurally symmetric with a zero-free diagonal: a
@@ -136,38 +135,6 @@ class FixedPattern:
         return sp.csc_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
 
-    def congruence(self, C) -> Entries:
-        """Entries of ``C^T A C`` for the matrices A of this pattern, as a
-        term whose weight is A's data array: one weight per nonzero of A,
-        so the term has no more entries than A has nonzeros times the
-        nonzeros of two rows of C, and no triple product per matrix."""
-        C = sp.csr_matrix(C)
-        cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
-        return chain(C[self.indices].T, C[cols])
-
-    def entries(self) -> Entries:
-        """This pattern's nonzeros as a term of a larger pattern, one weight
-        per nonzero in data order."""
-        n = self.indices.size
-        cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
-        return Entries(self.indices, cols, np.ones(n),
-                       np.arange(n, dtype=np.int32), n)
-
-
-def velocity_form_pattern(grid: Grid) -> FixedPattern:
-    """The velocity form's pattern (biharmonic entries included), built on
-    first use per grid."""
-    def build():
-        ops = grid.ops
-        normal = sp.block_diag([ops.B11, ops.B22])    # normal strains, cells
-        shear = sp.hstack([ops.B12x, ops.B12y])        # shear strain, corners
-        return FixedPattern((grid.n_faces, grid.n_faces), [
-            ("normal", chain(normal.T, normal)),
-            ("shear", chain(shear.T, shear)),
-            ("biharmonic", scaled(ops.Lvec.T @ ops.Lvec)),
-        ])
-    return grid.ops.cached("velocity_form", build)
-
 
 def assemble_velocity_form(grid: Grid, eta_cells: np.ndarray,
                            delta: float) -> sp.csc_matrix:
@@ -177,13 +144,23 @@ def assemble_velocity_form(grid: Grid, eta_cells: np.ndarray,
     the viscosity averaged there; the regularization term pairs the discrete
     componentwise Laplacians, which weakly imposes a vanishing Laplacian on
     the boundary.  Symmetric positive definite on the no-slip velocity space.
-    One pattern for every eta and delta (delta = 0 leaves the biharmonic
-    entries as explicit zeros).
+    One pattern per grid, built on first use, for every eta and delta
+    (delta = 0 leaves the biharmonic entries as explicit zeros).
     """
     ops = grid.ops
+
+    def pattern():
+        normal = sp.block_diag([ops.B11, ops.B22])    # normal strains, cells
+        shear = sp.hstack([ops.B12x, ops.B12y])        # shear strain, corners
+        return FixedPattern((grid.n_faces, grid.n_faces), [
+            ("normal", chain(normal.T, normal)),
+            ("shear", chain(shear.T, shear)),
+            ("biharmonic", scaled(ops.Lvec.T @ ops.Lvec)),
+        ])
+
     eta = np.asarray(eta_cells, dtype=float).ravel()
     wc = 2.0 * eta * grid.dV
-    return velocity_form_pattern(grid).matrix({
+    return ops.cached("velocity_form", pattern).matrix({
         "normal": np.concatenate([wc, wc]),
         "shear": (ops.Acorner @ eta) * grid.dV,
         "biharmonic": delta * grid.dV,

@@ -24,16 +24,18 @@ stream-function operator K = C^T J_vv C of the velocity block J_vv, then
 y_C = J_CC^-1 (r_C - J_CS C y_S), with sparse LUs of K and J_CC; J_SC, the
 response of the momentum to q, mu and phi, is never built.  In v0 mode
 there is no S block and the operator is the LU of J_CC, the exact
-transport-free Jacobian.  Each of J_vv, K, J_CS C and J_CC has one fixed
-pattern per grid and mode (``_jacobian_patterns``, explicit zeros kept):
-each term is a constant operator chain with at most two diagonal weights,
-and K is linear in J_vv's values, so a block is one sparse product of a
-per-grid map with the weights, for every iterate, step and tau alike.  K
-and J_CC are structurally symmetric with a zero-free diagonal, so their
-LUs take a symmetric minimum-degree ordering (half the fill of COLAMD's on
-J_CC), computed by each block's first LU only.  ``run`` holds the operator
-from step to step (chord iterations); ``_HeldLU`` owns it, with the rule
-that prices each LU from its fill and decides which to rebuild and when.
+transport-free Jacobian.  J_CS C, J_CC and J_vv less its frozen velocity
+form each have one fixed pattern per grid and mode (``_jacobian_patterns``,
+explicit zeros kept): each term is a constant operator chain with at most
+two diagonal weights, so a block is one sparse product of a per-grid map
+with the weights, for every iterate, step and tau alike.  K = C^T J_vv C
+is one sparse product at each Stokes build: a run makes too few of them
+for a per-grid map of K to pay for itself.  K and J_CC are structurally
+symmetric with a zero-free diagonal, so their LUs take a symmetric
+minimum-degree ordering (half the fill of COLAMD's on J_CC), computed by
+each block's first LU only.  ``run`` holds the operator from step to step
+(chord iterations); ``_HeldLU`` owns it, with the rule that prices each
+LU from its fill and decides which to rebuild and when.
 A backtracking line search on a fresh operator's direction accepts an
 iterate only if it lowers the scaled residual, so the accepted residual
 history is strictly decreasing; a full step from an operator not built
@@ -68,7 +70,7 @@ import scipy.sparse.linalg as spla
 
 from .constitutive import ConstitutiveSet, ModelParams, config_key
 from .linalg import (LU_OPTIONS, FixedPattern, assemble_velocity_form, chain,
-                     gradient_potential, scaled, velocity_form_pattern)
+                     gradient_potential, scaled)
 from .mesh import (Grid, ScalarField, VectorField, convect_skew,
                    skew_convection)
 from .state import State
@@ -353,7 +355,8 @@ class _Jacobian(NamedTuple):
     velocity, the stream-function operator K = C^T J_vv C (C the grid's
     curl, the S block's own Jacobian) and ``CS`` = J_CS C, the C rows'
     derivative in psi, all None in v0 mode, and J_CC; also their fixed
-    patterns (``_jacobian_patterns``).  J_SC is never built."""
+    patterns (``_jacobian_patterns``), where K, a product formed at each
+    build, has none.  J_SC is never built."""
     VV: Optional[sp.csc_matrix]
     K: Optional[sp.csc_matrix]
     CS: Optional[sp.csc_matrix]
@@ -404,24 +407,21 @@ def _build_jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
     # weight E v (the jcoef G mu part is J_SC)
     conv = skew_convection(g)
     VV = FixedPattern((nf, nf), [
-        ("v_v_form", velocity_form_pattern(g).entries()),
         ("v_v", chain(If, If)),
         ("conv", chain(0.5 * conv.O, conv.E)),
         ("flux", chain(0.5 * conv.O, If, Y=conv.Phi)),
     ])
-    # K = C^T J_vv C is linear in J_vv's values: one map from them, no
-    # triple product per build
-    nk = ops.C.shape[1]
-    K = FixedPattern((nk, nk), [("vv", VV.congruence(ops.C))])
-    return _Jacobian(VV, K, FixedPattern((nC, ns), cs),
+    return _Jacobian(VV, None, FixedPattern((nC, ns), cs),
                      FixedPattern((nC, nC), cc))
 
 
 def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
     """The blocks J_vv, K, J_CS C and J_CC of the Jacobian of the coupled
-    residual at the iterate in ``t``, each on the grid's fixed pattern (see
-    ``_jacobian_patterns``).  Without "S" in ``blocks`` neither J_vv nor K
-    is built (``VV`` and ``K`` are None)."""
+    residual at the iterate in ``t``.  J_CS C and J_CC are on the grid's
+    fixed patterns (see ``_jacobian_patterns``), J_vv is its pattern's
+    matrix plus the frozen velocity form, and K is the sparse product
+    C^T J_vv C.  Without "S" in ``blocks`` neither J_vv nor K is built
+    (``VV`` and ``K`` are None)."""
     lin, cset, cfg, tau = t.lin, t.cset, t.cfg, t.tau
     g = lin.grid
     eps = lin.params.epsilon
@@ -453,12 +453,11 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
         return _Jacobian(None, None, CS, CC)
     conv = skew_convection(g)
     VV = patterns.VV.matrix({
-        "v_v_form": lin.A_form.data / g.dV,
         "v_v": t.rho_faces / tau - 0.5 * t.rho_rate_faces,
         "conv": conv.Phi @ t.M.data,
         "flux": (conv.E @ t.v, lin.rho_k_faces),
-    })
-    return _Jacobian(VV, patterns.K.matrix({"vv": VV.data}), CS, CC)
+    }) + lin.A_form / g.dV
+    return _Jacobian(VV, (g.ops.CT @ VV @ g.ops.C).tocsc(), CS, CC)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +549,8 @@ class _HeldLU:
     there is only J_CC, the whole operator, and the rule is the one-LU
     rule, the first contraction included.
 
-    ``orderings`` (Jacobian block pattern -> ordering) outlive the LUs: the
-    first LU of a pattern computes it (SuperLU's own ordering, elimination
+    ``orderings`` (block name "S" or "C" -> ordering) outlive the LUs: the
+    first LU of a block computes it (SuperLU's own ordering, elimination
     tree postorder included), and every later one factors the block
     permuted by it, which repeats that LU's fill without a new ordering.
     They are kept per holder, not per grid, so a rerun with a fresh holder
@@ -643,16 +642,15 @@ class _HeldLU:
         self.CS = self.C = None
         J = _jacobian(t, blocks)
         g = t.lin.grid
-        patterns = _jacobian_patterns(g, t.cfg.v0_mode)
         # [v, p, b] and [q, mu, phi]
         n = J.CC.shape[0] + (0 if J.CS is None else
                              g.n_faces + g.n_cells + (2 if g.periodic else 0))
 
-        def factor(A: sp.csc_matrix, pattern: FixedPattern) -> _LU:
-            o = self.orderings.get(pattern)
+        def factor(A: sp.csc_matrix, block: str) -> _LU:
+            o = self.orderings.get(block)
             if o is None:
                 lu = spla.splu(A, **LU_OPTIONS)
-                self.orderings[pattern] = np.argsort(lu.perm_c)
+                self.orderings[block] = np.argsort(lu.perm_c)
                 report.orderings += 1
             else:
                 lu = spla.splu(A[o][:, o], **dict(LU_OPTIONS,
@@ -663,9 +661,9 @@ class _HeldLU:
         try:
             S = self.S
             if J.K is not None:
-                S = factor(J.K, patterns.K)
+                S = factor(J.K, "S")
                 report.ss_lus += 1
-            C = factor(J.CC, patterns.CC)
+            C = factor(J.CC, "C")
             report.cc_lus += 1
         except RuntimeError as exc:
             report.failure_reason = f"Newton linearization failed: {exc}"

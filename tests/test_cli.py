@@ -15,6 +15,32 @@ from surfflow.cli import (EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, ConfigError,
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
 
 
+# a coupled run whose raw slack is negative (the transport defect, about
+# -4e-4 of the energy at step 1) while slack - defect stays positive
+STRESSED = """
+[grid]
+nx = 8
+ny = 8
+
+[params]
+epsilon = 0.1
+
+[scenario]
+name = random-seed
+sigma = 0.5
+q0 = 0.1
+
+[stepper]
+tau = 1e-2
+
+[output]
+t_final = 0.02
+
+[study]
+taus = 1e-2, 5e-3, 2.5e-3
+"""
+
+
 def write(tmp_path, text, name="config.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -69,6 +95,7 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "grad_div_adjoint" in out
+        assert "worst pair (" in out
 
     def test_audit_writes_reports(self, tmp_path):
         out = tmp_path / "out"
@@ -150,6 +177,18 @@ t_final = 6e-3
             # solver counts stay out of the ledger
             header = (out / "ledger.csv").read_text().splitlines()[0]
             assert "fill" not in header and "factor" not in header
+
+    def test_summary_counts_energy_estimate_violations(self, tmp_path,
+                                                       capsys):
+        # the one-step estimate bounds slack - transport_defect, so the
+        # negative raw slack of this run is no violation
+        out = tmp_path / "out"
+        assert main(["run", write(tmp_path, STRESSED), "--out",
+                     str(out)]) == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[0]
+        assert "energy-estimate violations: 0," in line
+        ledger = np.genfromtxt(out / "ledger.csv", delimiter=",", names=True)
+        assert ledger["slack"].min() < -1e-4 * np.abs(ledger["E_tot"]).max()
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
         path = self._uniform_cfg(tmp_path)
@@ -357,6 +396,15 @@ taus = 2e-3, 1e-3, 5e-4
         assert main(["study-tau", path, "--out", str(out)]) == EXIT_OK
         assert "ratios" in capsys.readouterr().out
         assert (out / "study.csv").exists()
+
+    def test_tau_study_checks_slack_less_defect(self, tmp_path, capsys):
+        # every member's raw slack is negative, none violates the estimate
+        out = tmp_path / "out"
+        assert main(["study-tau", write(tmp_path, STRESSED), "--out",
+                     str(out)]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "FAILURES" not in text
+        assert text.count("min_rel_estimate_slack=") == 3
 
     def test_defect_study_command(self, tmp_path, capsys):
         path = write(tmp_path, """

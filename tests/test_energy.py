@@ -1,11 +1,15 @@
 """Total energy evaluation and the per-step energy audit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fields import copy_state
-from surfflow.energy import (LEDGER_COLUMNS, audit_step, ledger_slack,
-                             rows_to_csv, total_energy)
+from surfflow.constitutive import build_default_set
+from surfflow.energy import (LEDGER_COLUMNS, SLACK_TOL, audit_step,
+                             estimate_slack, ledger_slack, rows_to_csv,
+                             total_energy)
 from surfflow.mesh import Grid
 from surfflow.state import ScenarioConfig, initialize_scenario
 from surfflow.stepper import StepConfig, run, step
@@ -121,6 +125,36 @@ class TestLedgerSlack:
         assert max(abs(e_prev[0]), 1.0) == max(abs(E0), 1.0)
         assert rel[0] == res.rows[0].slack / max(abs(E0), 1.0)
         assert np.array_equal(e_prev[1:], [r.E_tot for r in res.rows[:-1]])
+
+    def test_estimate_slack_is_slack_less_defect(self, params):
+        # random-seed at 8^2, tau 1e-2: the raw slack of a coupled step
+        # includes its transport defect, which the estimate does not bound
+        p = dataclasses.replace(params, epsilon=0.1)
+        cs = build_default_set(p)
+        g = Grid(8, 8)
+        s0 = initialize_scenario(ScenarioConfig(name="random-seed", sigma=0.5,
+                                                q0=0.1), g, p, cs)
+        res = run(s0, g, cs, p, StepConfig(tau=1e-2), T=0.02)
+        defects = np.array([rep.transport_defect for rep in res.reports])
+        raw, e_prev = ledger_slack(res.rows, res.E0)
+        rel, violated = estimate_slack(res.rows, defects, res.E0)
+        slack = np.array([r.slack for r in res.rows])
+        assert np.array_equal(rel, (slack - defects)
+                              / np.maximum(np.abs(e_prev), 1.0))
+        assert np.array_equal(violated, rel < -SLACK_TOL)
+        assert raw.min() < -SLACK_TOL and not violated.any()
+
+    def test_estimate_slack_is_ledger_slack_without_flow(self, cset, params):
+        g = Grid(8, 8)
+        s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
+                                 g, params, cset)
+        res = run(s0, g, cset, params, StepConfig(tau=1e-3, v0_mode=True),
+                  T=2e-3)
+        defects = [rep.transport_defect for rep in res.reports]
+        assert defects == [0.0, 0.0]
+        rel, violated = estimate_slack(res.rows, defects, res.E0)
+        assert np.array_equal(rel, ledger_slack(res.rows, res.E0)[0])
+        assert not violated.any()
 
 
 class TestSlackTracksTolerance:

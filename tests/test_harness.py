@@ -64,7 +64,7 @@ class TestTauStudy:
     def test_slack_checked_for_every_run(self):
         rep = study_tau(_droplet_setup(), [2e-3, 1e-3, 5e-4])
         assert rep.passed
-        assert all("min_rel_slack" in row for row in rep.rows)
+        assert all("min_rel_estimate_slack" in row for row in rep.rows)
 
     def test_first_order_richardson(self):
         rep = study_tau(_droplet_setup(), [4e-3, 2e-3, 1e-3])

@@ -101,8 +101,9 @@ def definitions(tree: ast.Module) -> list:
 
 def references(tree: ast.Module) -> list:
     """(name, line) of every Name, Attribute and imported name (each part
-    of a dotted import), keyword argument (a field set by its constructor)
-    and string subscript (a config key read from its section's dict)."""
+    of a dotted import) and string subscript (a config key read from its
+    section's dict).  A keyword argument is no reference: a field that its
+    constructor sets and nothing reads is idle."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -112,8 +113,6 @@ def references(tree: ast.Module) -> list:
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             found += [(part, node.lineno) for alias in node.names
                       for part in alias.name.split(".")]
-        elif isinstance(node, ast.keyword) and node.arg:
-            found.append((node.arg, node.value.lineno))
         elif isinstance(node, ast.Subscript) \
                 and isinstance(node.slice, ast.Constant) \
                 and isinstance(node.slice.value, str):
@@ -159,12 +158,15 @@ def test_every_definition_is_referenced():
 
 
 def test_unreferenced_definition_is_caught():
+    # y is read, k only set by keyword, z never named
     trees = {"a.py": ast.parse(
         "class A:\n    x: int = 0\n    y: int = 1\n    z: int = 2\n"
+        "    k: int = 3\n"
         "    def used(self):\n        return self.x\n"
         "    def idle(self):\n        return self.idle()\n"
         "    def __eq__(self, other):\n        return True\n"
         "def wrapped(): pass\n"),
-        "b.py": ast.parse("from a import A\nA(y=2).used()\n")}
-    assert unreferenced(trees, ["a.py"], {"wrapped"}) == ["a.py: z",
-                                                          "a.py: idle"]
+        "b.py": ast.parse("from a import A\nA(y=2, k=4).used()\n"
+                          "print(A().y)\n")}
+    assert unreferenced(trees, ["a.py"], {"wrapped"}) == [
+        "a.py: z", "a.py: k", "a.py: idle"]

@@ -14,7 +14,7 @@ import surfflow.mesh as mesh
 from fields import from_function, ux2d, view2d
 from surfflow.cli import build_objects, parse_config
 from surfflow.constitutive import ModelParams, build_default_set
-from surfflow.energy import total_energy
+from surfflow.energy import rows_to_csv, total_energy
 from surfflow.mesh import Grid, ScalarField, VectorField, convect_skew
 from surfflow.state import ScenarioConfig, State, initialize_scenario
 from surfflow.stepper import (FACTOR_COST_PER_FILL, StepConfig, StepFailure,
@@ -436,8 +436,9 @@ class TestRun:
         assert all(r.slack >= -1e-8 for r in res.rows)
 
     def test_periodic_coupled_run(self, cset, params):
-        # periodic momentum solves act on mean-free velocities; conservation
-        # and dissipation still hold
+        # every Newton update C dpsi has zero component means, so the
+        # velocity means stay at the initial state's zero; conservation and
+        # dissipation still hold
         g = Grid(16, 16, 1.0, 1.0, "periodic")
         s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1,
                                                 shear=0.4), g, params, cset)
@@ -461,6 +462,42 @@ class TestRun:
         res = run(s0, g, cs0, p0, StepConfig(tau=1e-3, v0_mode=True), T=3e-3)
         assert all(r.phi_jump == 0.0 and r.biharm == 0.0 for r in res.rows)
         assert all(r.slack >= -1e-8 for r in res.rows)
+
+    def test_delta_zero_coupled_run(self, cset, params):
+        # without the biharmonic term J_vv, and so K, loses the form's
+        # explicit biharmonic zeros: K's pattern is sparser than for
+        # delta > 0 but still the same for every build of the run
+        p0 = dataclasses.replace(params, delta=0.0)
+        cs0 = build_default_set(p0)
+        g = Grid(12, 12)
+
+        def once():
+            s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
+                                     g, p0, cs0)
+            return run(s0, g, cs0, p0, StepConfig(tau=1e-3), T=4e-3)
+
+        res = once()
+        assert len(res.rows) == 4
+        assert all(r.phi_jump == 0.0 and r.biharm == 0.0 for r in res.rows)
+        E = [res.E0] + [r.E_tot for r in res.rows]
+        for r, rep, e in zip(res.rows, res.reports, E):
+            assert r.slack - rep.transport_defect >= -1e-8 * max(abs(e), 1.0)
+        assert sum(rep.ss_lus for rep in res.reports) >= 1
+        assert sum(rep.orderings for rep in res.reports) == 2
+        again = once()
+        assert rows_to_csv(again.rows) == rows_to_csv(res.rows)
+
+        def K(p, cs, s):
+            cfg = StepConfig(tau=1e-3)
+            lin = assemble_linear(s, g, cs, p, cfg)
+            return _jacobian(_Terms(lin, cs, cfg, cfg.tau,
+                                    _Iterate.of(s))).K
+        s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
+                                 g, p0, cs0)
+        rest, flow = K(p0, cs0, s0), K(p0, cs0, res.final_state)
+        assert np.array_equal(rest.indptr, flow.indptr)
+        assert np.array_equal(rest.indices, flow.indices)
+        assert rest.nnz < K(params, cset, s0).nnz
 
 
 def _relaxation(cset, params, n):
