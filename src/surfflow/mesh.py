@@ -22,6 +22,9 @@ same weights).
 
 Layout: a field with index (ix, iy) is flattened C-style to ix*ny + iy.
 Operators acting along x are kron(Op1d, I_ny); along y, kron(I_nx, Op1d).
+``ScalarField`` and ``VectorField`` hold a state's arrays; the operators,
+skew convection (``convect_skew``) included, take and return plain cell or
+face arrays, so the stepper's Newton iterate is four arrays.
 """
 
 from __future__ import annotations
@@ -114,26 +117,26 @@ def _d1_corner(n: int, d: float, periodic: bool) -> sp.csr_matrix:
     walls.  box: (n+1, n); periodic: (n, n)."""
     if periodic:
         return _diff1(n, d, True)
-    m = sp.lil_matrix((n + 1, n))
-    m[0, 0] = 2.0 / d
-    for j in range(1, n):
-        m[j, j - 1] = -1.0 / d
-        m[j, j] = 1.0 / d
-    m[n, n - 1] = -2.0 / d
-    return m.tocsr()
+    return _between_walls(_diff1(n, d, False), 2.0 / d, -2.0 / d)
 
 
 def _avg1_corner(n: int, periodic: bool) -> sp.csr_matrix:
     """Cell -> corner-line average; nearest cell at box boundary lines."""
     if periodic:
         return _avg1(n, True)
-    m = sp.lil_matrix((n + 1, n))
-    m[0, 0] = 1.0
-    for j in range(1, n):
-        m[j, j - 1] = 0.5
-        m[j, j] = 0.5
-    m[n, n - 1] = 1.0
-    return m.tocsr()
+    return _between_walls(_avg1(n, False), 1.0, 1.0)
+
+
+def _between_walls(m: sp.csr_matrix, first: float,
+                   last: float) -> sp.csr_matrix:
+    """The (n-1, n) interior-line rows ``m`` between the wall rows ``first``
+    on cell 0 and ``last`` on cell n-1: (n+1, n)."""
+    n = m.shape[1]
+
+    def wall(value, col):
+        return sp.csr_matrix(([value], ([0], [col])), shape=(1, n))
+
+    return sp.vstack([wall(first, 0), m, wall(last, n - 1)], format="csr")
 
 
 def _embed_wall_zero(n: int, periodic: bool) -> sp.csr_matrix:
@@ -141,10 +144,7 @@ def _embed_wall_zero(n: int, periodic: bool) -> sp.csr_matrix:
     wall edges.  box: (n+1, n-1); periodic: identity (n, n)."""
     if periodic:
         return sp.identity(n, format="csr")
-    m = sp.lil_matrix((n + 1, n - 1))
-    for j in range(1, n):
-        m[j, j - 1] = 1.0
-    return m.tocsr()
+    return sp.eye(n + 1, n - 1, k=-1, format="csr")
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +392,17 @@ def skew_convection(g: Grid) -> SkewConvection:
     return g.ops.cached("convection", build)
 
 
-def convect_skew(M: VectorField, v: VectorField) -> VectorField:
-    """Skew-symmetric convection of v by the face mass flux M.
+def convect_skew(g: Grid, M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Skew-symmetric convection of the face array v by the face mass flux
+    M, both of ``g``'s faces.
 
     Discretizes (M . grad) v + (div M) v / 2 component by component as the
     antisymmetric part of a conservative edge-flux divergence, stacked as
     0.5 O ((Phi M) * (E v)) (see ``SkewConvection``), so that
-    <convect_skew(M, v), v> = 0 to round-off for any M, even div M != 0.
+    <convect_skew(g, M, v), v> = 0 to round-off for any M, even div M != 0.
     """
-    g = M.grid
     c = skew_convection(g)
-    return VectorField(g, 0.5 * (c.O @ ((c.Phi @ M.data) * (c.E @ v.data))))
+    return 0.5 * (c.O @ ((c.Phi @ M) * (c.E @ v)))
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +438,12 @@ def sbp_selftest(grid: Grid) -> SbpReport:
     On SELFTEST_TRIALS random fields: grad/-div adjointness, the discrete
     divergence theorem, symmetry / negative semidefiniteness / constant
     kernel of the variable-coefficient cell Laplacian, cell<->face
-    interpolation duality, operator linearity, and symmetry of the
-    biharmonic pairing.
+    interpolation duality, operator linearity, and symmetry of the velocity
+    form as ``linalg.assemble_velocity_form`` assembles it (a random
+    positive viscosity, delta = 1e-3).
     """
+    from .linalg import assemble_velocity_form     # linalg imports mesh
+
     rng = np.random.default_rng(SELFTEST_SEED)
     ops = grid.ops
     dV = grid.dV
@@ -448,7 +451,7 @@ def sbp_selftest(grid: Grid) -> SbpReport:
     worst = {k: 0.0 for k in [
         "grad_div_adjoint", "divergence_theorem", "laplace_symmetry",
         "laplace_negative", "laplace_kernel_constants", "laplace_mean_zero",
-        "interpolation_duality", "linearity", "biharmonic_symmetry"]}
+        "interpolation_duality", "linearity", "velocity_form_symmetry"]}
 
     for _ in range(SELFTEST_TRIALS):
         c = rng.standard_normal(grid.n_cells)
@@ -496,10 +499,12 @@ def sbp_selftest(grid: Grid) -> SbpReport:
                                  float(np.abs(lin).max()) / (1.0 + float(np.abs(gc).max())))
 
         v2 = rng.standard_normal(grid.n_faces)
-        b1 = float((ops.Lvec @ u) @ (ops.Lvec @ v2)) * dV
-        b2 = float((ops.Lvec @ v2) @ (ops.Lvec @ u)) * dV
-        worst["biharmonic_symmetry"] = max(worst["biharmonic_symmetry"],
-                                           abs(b1 - b2) / (1.0 + abs(b1)))
+        A = assemble_velocity_form(
+            grid, np.exp(rng.standard_normal(grid.n_cells)), 1e-3)
+        b1 = float(u @ (A @ v2))
+        b2 = float(v2 @ (A @ u))
+        worst["velocity_form_symmetry"] = max(worst["velocity_form_symmetry"],
+                                              abs(b1 - b2) / (1.0 + abs(b1)))
 
     checks = tuple((name, res <= SELFTEST_TOL, res)
                    for name, res in worst.items())

@@ -16,10 +16,13 @@ the momentum equation enters tested against C's columns, C^T r_v, which
 has no pressure.  The unknowns are the stream function psi (the Stokes
 block S) and the Cahn-Hilliard blocks C = [q, mu, phi]; no pressure, pin
 or border multiplier is iterated on, and D v stays at the old state's up
-to round-off.  The pressure is recovered from the momentum residual at
+to round-off.  The iterate is the four field arrays v, q, mu and phi of
+``_Terms``; each Newton update [dpsi, dq, dmu, dphi] is split once and a
+line-search trial moves the arrays by C dpsi and the cell blocks
+(``_moved``).  The pressure is recovered from the momentum residual at
 every iterate with the grid's pinned Poisson LU (``_Terms.residual``): it
 scales the momentum norm and is the new state's p.  The Newton operator is
-one block Gauss-Seidel sweep over that split: y_S = K^-1 r_S with the
+one block Gauss-Seidel sweep over S and C: y_S = K^-1 r_S with the
 stream-function operator K = C^T J_vv C of the velocity block J_vv, then
 y_C = J_CC^-1 (r_C - J_CS C y_S), with sparse LUs of K and J_CC; J_SC, the
 response of the momentum to q, mu and phi, is never built.  In v0 mode
@@ -201,62 +204,23 @@ _CH_BLOCKS = ("q", "mu", "phi")
 _BLOCKS = ("S", "C")                    # Stokes and Cahn-Hilliard runs
 
 
-def _block_layout(g: Grid, v0: bool) -> dict:
-    """Block name -> slice of the Newton vector, in the Jacobian's order:
-    the stream function ``psi`` (coupled mode only), then the Cahn-Hilliard
-    blocks [q, mu, phi] from ``layout["q"].start`` on."""
-    nc = g.n_cells
-    sizes = {} if v0 else {"psi": g.ops.C.shape[1]}
-    sizes.update((name, nc) for name in _CH_BLOCKS)
-    ends = np.cumsum(list(sizes.values())).tolist()
-    return {name: slice(end - n, end)
-            for (name, n), end in zip(sizes.items(), ends)}
-
-
-class _Iterate:
-    __slots__ = ("v", "q", "mu", "phi")
-
-    def __init__(self, v, q, mu, phi):
-        self.v, self.q, self.mu, self.phi = v, q, mu, phi
-
-    @classmethod
-    def of(cls, s: State) -> "_Iterate":
-        return cls(s.v.data, s.q.data, s.mu.data, s.phi.data)
-
-    @classmethod
-    def update(cls, dx: np.ndarray, layout: dict, g: Grid) -> "_Iterate":
-        """The field update of the Newton vector ``dx``: v by C dpsi (None
-        in v0 mode), q, mu and phi by their blocks."""
-        psi = layout.get("psi")
-        return cls(None if psi is None else g.ops.C @ dx[psi],
-                   *(dx[layout[name]] for name in _CH_BLOCKS))
-
-    def __iter__(self):
-        return iter((self.v, self.q, self.mu, self.phi))
-
-    def moved(self, d: "_Iterate", alpha: float) -> "_Iterate":
-        """This iterate plus ``alpha`` times the field update ``d`` (a None
-        field stays)."""
-        return _Iterate(*(a if da is None else a + alpha * da
-                          for a, da in zip(self, d)))
-
-
 class _Terms:
-    """The Newton context at one iterate: the step's frozen part, model
-    functions, settings and tau, and every nonlinear coupling evaluated
-    there (shared forms are computed once and reused by the residual, the
-    Jacobian and the defect)."""
+    """The Newton context at the iterate of face array ``v`` and cell arrays
+    ``q``, ``mu``, ``phi``: the step's frozen part, model functions,
+    settings and tau, and every nonlinear coupling evaluated there (shared
+    forms, G mu among them, are computed once and reused by the residual,
+    the Jacobian and the defect)."""
 
     def __init__(self, lin: LinearizedSystem, cset: ConstitutiveSet,
-                 cfg: StepConfig, tau: float, w: _Iterate):
+                 cfg: StepConfig, tau: float, v: np.ndarray, q: np.ndarray,
+                 mu: np.ndarray, phi: np.ndarray):
         g = lin.grid
         ops = g.ops
         eps = lin.params.epsilon
         delta = lin.params.delta
         self.lin, self.cset, self.cfg, self.tau = lin, cset, cfg, tau
-        self.w = w
-        v, q, mu, phi = w
         self.v, self.q, self.mu, self.phi = v, q, mu, phi
+        self.grad_mu = ops.G @ mu
 
         self.f_q = cset.f(q)
         self.g_q = cset.g(q)
@@ -283,9 +247,9 @@ class _Terms:
             self.cap = (ops.Acf @ cap_cells) * lin.grad_phi_k
             self.rho_faces = ops.Acf @ self.rho_it
             self.time_term = (self.rho_faces * v - lin.rho_k_faces * lin.v_k) / tau
-            self.Jt = VectorField(g, -lin.jcoef_faces * (ops.G @ mu))
-            self.M = VectorField(g, lin.rho_k_faces * v + self.Jt.data)
-            self.conv = convect_skew(self.M, VectorField(g, v)).data
+            # mass flux: rho_k v plus the diffusive flux -jcoef G mu
+            self.M = lin.rho_k_faces * v - lin.jcoef_faces * self.grad_mu
+            self.conv = convect_skew(g, self.M, v)
             self.rho_rate_faces = ops.Acf @ ((self.rho_it - lin.rho_k) / tau)
             self.corr = 0.5 * self.rho_rate_faces * v
             # momentum load: everything but the viscous form and grad p
@@ -310,7 +274,7 @@ class _Terms:
 
         diff_q = ops.D @ (lin.m_faces * (ops.G @ self.q))
         r_q = self.Fq_time + self.transport_q - diff_q
-        diff_mu = ops.D @ (lin.mt_faces * (ops.G @ self.mu))
+        diff_mu = ops.D @ (lin.mt_faces * self.grad_mu)
         dphi = (self.phi - lin.phi_k) / tau
         r_mu = dphi + self.transport_phi - diff_mu
         # factored application: exactly zero on constants, unlike the
@@ -354,34 +318,39 @@ class _Jacobian(NamedTuple):
     and C = [q, mu, phi]: J_vv, the momentum residual's derivative in the
     velocity, the stream-function operator K = C^T J_vv C (C the grid's
     curl, the S block's own Jacobian) and ``CS`` = J_CS C, the C rows'
-    derivative in psi, all None in v0 mode, and J_CC; also their fixed
-    patterns (``_jacobian_patterns``), where K, a product formed at each
-    build, has none.  J_SC is never built."""
+    derivative in psi, all None in v0 mode, and J_CC.  J_SC is never
+    built."""
     VV: Optional[sp.csc_matrix]
     K: Optional[sp.csc_matrix]
     CS: Optional[sp.csc_matrix]
     CC: sp.csc_matrix
 
 
-def _jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
+class _Patterns(NamedTuple):
+    """The fixed patterns of J_vv less its velocity form, J_CS C (None in
+    v0 mode) and J_CC; K, a product formed at each build, has none."""
+    VV: Optional[FixedPattern]
+    CS: Optional[FixedPattern]
+    CC: FixedPattern
+
+
+def _jacobian_patterns(g: Grid, v0: bool) -> _Patterns:
     """The fixed patterns of ``_jacobian``'s blocks, built on first use per
-    grid and mode: one named term per coefficient, each at its position in
-    the S or C run of ``_block_layout``."""
+    grid and mode: one named term per coefficient, each C block at its
+    index in ``_CH_BLOCKS`` and J_CS C in the psi columns."""
     return g.ops.cached(("jacobian", v0),
                         lambda: _build_jacobian_patterns(g, v0))
 
 
-def _build_jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
+def _build_jacobian_patterns(g: Grid, v0: bool) -> _Patterns:
     ops = g.ops
     nc, nf = g.n_cells, g.n_faces
     Ic = sp.identity(nc, format="csr")
-    layout = _block_layout(g, v0)
-    ns = layout["q"].start
     nC = 3 * nc
 
     def at(row, col):
-        return tuple(layout[b].start - (ns if b in _CH_BLOCKS else 0)
-                     for b in (row, col))
+        return (_CH_BLOCKS.index(row) * nc,
+                0 if col == "psi" else _CH_BLOCKS.index(col) * nc)
 
     cc = [
         ("q_q", chain(Ic, Ic, at=at("q", "q"))),
@@ -395,7 +364,7 @@ def _build_jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
         ("phi_phi_lap", scaled(ops.D @ ops.G, at=at("phi", "phi"))),
     ]
     if v0:
-        return _Jacobian(None, None, None, FixedPattern((nC, nC), cc))
+        return _Patterns(None, None, FixedPattern((nC, nC), cc))
     cc.append(("q_q_transport",
                chain(ops.Afc, Ic, Y=ops.G, at=at("q", "q"))))
 
@@ -411,7 +380,7 @@ def _build_jacobian_patterns(g: Grid, v0: bool) -> _Jacobian:
         ("conv", chain(0.5 * conv.O, conv.E)),
         ("flux", chain(0.5 * conv.O, If, Y=conv.Phi)),
     ])
-    return _Jacobian(VV, None, FixedPattern((nC, ns), cs),
+    return _Patterns(VV, FixedPattern((nC, ops.C.shape[1]), cs),
                      FixedPattern((nC, nC), cc))
 
 
@@ -454,7 +423,7 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
     conv = skew_convection(g)
     VV = patterns.VV.matrix({
         "v_v": t.rho_faces / tau - 0.5 * t.rho_rate_faces,
-        "conv": conv.Phi @ t.M.data,
+        "conv": conv.Phi @ t.M,
         "flux": (conv.E @ t.v, lin.rho_k_faces),
     }) + lin.A_form / g.dV
     return _Jacobian(VV, (g.ops.CT @ VV @ g.ops.C).tocsc(), CS, CC)
@@ -682,9 +651,13 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
     The operator in ``held`` may come from an earlier iterate or step (a
     chord iteration); its LUs are rebuilt as ``held`` decides.
     """
-    layout = _block_layout(state_k.grid, cfg.v0_mode)
+    g = lin.grid
+    # the Newton vector [psi, q, mu, phi] (no psi in v0 mode)
+    ns = 0 if cfg.v0_mode else g.ops.C.shape[1]
+    splits = [ns + i * g.n_cells for i in range(3)]
     held.begin(tau)
-    t = _Terms(lin, cset, cfg, tau, _Iterate.of(state_k))
+    t = _Terms(lin, cset, cfg, tau, state_k.v.data, state_k.q.data,
+               state_k.mu.data, state_k.phi.data)
     rvec, blocks = t.residual()
     newton_left = cfg.max_newton
     prev_res = np.inf
@@ -717,9 +690,10 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
         alpha = 1.0
         while True:
             if alpha == 1.0:      # first trial, or after a stale-operator build
-                dw = _Iterate.update(held.solve(-rvec), layout, lin.grid)
+                dpsi, *d = np.split(held.solve(-rvec), splits)
+                dv = None if cfg.v0_mode else g.ops.C @ dpsi
                 report.linear_solves += 1
-            t_try = _Terms(lin, cset, cfg, tau, t.w.moved(dw, alpha))
+            t_try = _Terms(lin, cset, cfg, tau, *_moved(t, dv, *d, alpha))
             rvec_try, blocks_try = t_try.residual()
             res_try = max(blocks_try.values())
             if np.isfinite(res_try) and res_try < res:
@@ -740,6 +714,13 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 return None
 
 
+def _moved(t: _Terms, dv, dq, dmu, dphi, alpha: float) -> tuple:
+    """The fields (v, q, mu, phi) of ``t`` moved by ``alpha`` times their
+    updates; v stays where ``dv`` is None (v0 mode)."""
+    v = t.v if dv is None else t.v + alpha * dv
+    return v, t.q + alpha * dq, t.mu + alpha * dmu, t.phi + alpha * dphi
+
+
 def transport_defect(t: _Terms) -> float:
     """Energy defect of the transport/Marangoni cancellation at the
     converged iterate ``t`` of a coupled step.
@@ -758,14 +739,13 @@ def _finalize(state_k: State, t: _Terms) -> State:
     one recovered by the residual (the old state's in v0 mode), shifted to
     mean zero."""
     grid = state_k.grid
-    w = t.w
     p = state_k.p.data if t.cfg.v0_mode else t.p
     return State(
-        v=VectorField(grid, w.v.copy()),
+        v=VectorField(grid, t.v.copy()),
         p=ScalarField(grid, p - p.mean()),
-        phi=ScalarField(grid, w.phi.copy()),
-        mu=ScalarField(grid, w.mu.copy()),
-        q=ScalarField(grid, w.q.copy()),
+        phi=ScalarField(grid, t.phi.copy()),
+        mu=ScalarField(grid, t.mu.copy()),
+        q=ScalarField(grid, t.q.copy()),
         t=state_k.t + t.tau,
         k=state_k.k + 1,
     )

@@ -55,6 +55,12 @@ def copy_state(s) -> State:
                    for f in (s.p, s.phi, s.mu, s.q)), s.t, s.k)
 
 
+def iterate_of(s) -> tuple:
+    """The field arrays (v, q, mu, phi) of the state ``s``, the stepper's
+    Newton iterate at ``s``."""
+    return s.v.data, s.q.data, s.mu.data, s.phi.data
+
+
 def grad(c) -> VectorField:
     """Two-point difference onto faces.  Box boundary faces are not stored;
     their homogeneous-Neumann value is identically zero."""

@@ -48,7 +48,8 @@ def _conv_sets(g):
 
 
 def convect_matrix(M):
-    """Matrix of v -> convect_skew(M, v) (block diagonal over components)."""
+    """Matrix of v -> convect_skew(g, M, v) (block diagonal over
+    components) for the vector field M on g."""
     comps = (M.ux, M.uy)
     blocks = []
     for sets in _conv_sets(M.grid):
@@ -58,7 +59,8 @@ def convect_matrix(M):
 
 
 def convect_flux_jacobian(v):
-    """Matrix of M -> convect_skew(M, v) for fixed v (linear in the flux)."""
+    """Matrix of M -> convect_skew(g, M, v) for the fixed vector field v on
+    g (linear in the flux)."""
     rows = []
     for sets, u in zip(_conv_sets(v.grid), (v.ux, v.uy)):
         row = [None, None]
@@ -162,7 +164,7 @@ def jacobian(t):
     vf = VectorField(g, t.v)
     Jvv = (lin.A_form / g.dV
            + sp.diags((ops.Acf @ t.rho_it) / tau)
-           + convect_matrix(t.M)
+           + convect_matrix(VectorField(g, t.M))
            + convect_flux_jacobian(vf) @ sp.diags(lin.rho_k_faces)
            - 0.5 * sp.diags(ops.Acf @ ((t.rho_it - lin.rho_k) / tau)))
     Gpk = sp.diags(lin.grad_phi_k)

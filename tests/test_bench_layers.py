@@ -81,3 +81,23 @@ def test_traced_coupled_run_charges_every_layer(cset, params):
                 if (module, dotted) not in KNOWN_STALE}
     seen = {sp.layer for sp in tracer.spans}
     assert expected <= seen, sorted(expected - seen)
+
+
+def test_traced_v0_run_charges_every_v0_layer(cset, params):
+    # the v0 benchmark workload (relax-v0-32) reaches a subset of the
+    # layers: no convection and no transport defect without flow
+    spans = _spans()
+    tracer = spans.Tracer("test")
+    inst = spans.Instrumentation(tracer).install()
+    try:
+        g = Grid(8, 8)
+        s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1), g,
+                                 params, cset)
+        run(s0, g, cset, params, StepConfig(tau=1e-3, v0_mode=True), T=2e-3)
+    finally:
+        inst.restore()
+    seen = {sp.layer for sp in tracer.spans}
+    assert {"stepper.step", "stepper.assemble_linear", "stepper.terms",
+            "stepper.jacobian", "energy.audit"} <= seen, sorted(seen)
+    assert not seen & {"mesh.convect", "stepper.transport_defect"}, \
+        sorted(seen)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fields import copy_state
+from fields import copy_state, iterate_of
 from surfflow.constitutive import build_default_set
 from surfflow.energy import (LEDGER_COLUMNS, SLACK_TOL, audit_step,
                              estimate_slack, ledger_slack, rows_to_csv,
@@ -88,15 +88,14 @@ class TestAuditStep:
     def test_quadrature_matches_stepper_operators(self, cset, params, rng):
         # the audited dissipation integral equals the quadratic form of the
         # frozen diffusion block, minus the (mu, mu) block of J_CC
-        from surfflow.stepper import (_block_layout, _Iterate, _jacobian,
-                                      _Terms, assemble_linear)
+        from surfflow.stepper import _jacobian, _Terms, assemble_linear
         g = Grid(12, 12)
         s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.3),
                                  g, params, cset)
         cfg = StepConfig(tau=1e-3, v0_mode=True)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0)))
-        mu_block = _block_layout(g, v0=True)["mu"]
+        J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, *iterate_of(s0)))
+        mu_block = slice(g.n_cells, 2 * g.n_cells)      # [q, mu, phi]
         mu = rng.standard_normal(g.n_cells)
         form = float((J.CC[mu_block, mu_block] @ mu) @ mu) * g.dV
         gmu = g.ops.G @ mu
@@ -203,5 +202,61 @@ class TestSlackTracksTolerance:
         # the lower bound alone is loose; the slack of every step also moves
         # by at most C * tol_nl against a run at tol_nl = 1e-13 (measured:
         # at most 3e-4 * tol_nl)
+        dev = np.abs(relative_slacks[tol] - relative_slacks[1e-13])
+        assert dev.max() <= self.C * tol
+
+
+class TestCoupledEstimateTracksTolerance:
+    """With flow, the slack less the transport defect is nonnegative to
+    solver tolerance.
+
+    The split of ``TestSlackTracksTolerance`` with the momentum equation
+    tested with tau*v: the slack less the step's transport defect
+    (``stepper.transport_defect``, the three coupling forms that do not
+    cancel on the stencil) is a sum of pointwise step-inequality terms,
+    each >= 0 at any iterate, plus dV * (tau <r_v, v> + tau <r_q, q>
+    + tau <r_mu, mu> + <r_phi, phi - phi_k>), so the relative estimate slack
+    (slack - defect) / max(|E(k-1)|, 1) is at least -tol_nl * B with
+
+        B = dV * (tau |v| (1 + S_v) + tau |q| (1 + S_q) + tau |mu| (1 + S_mu)
+                  + |phi - phi_k| (1 + S_phi)) / max(|E(k-1)|, 1).
+
+    The run is stressed: random-seed (sigma 0.5, q0 0.1, epsilon 0.1) at
+    16^2, tau = 1e-2, five steps.  Its first step's raw relative slack is
+    -1.2e-4, the capillary power in the defect, so the defect term decides
+    the sign.  B <= 0.41 at every step (S_v <= 900, S_mu <= 800,
+    |phi - phi_k| the largest weight), so C = 1; the relative estimate
+    slack is at least 4.0e-6 at every tolerance.
+    """
+
+    C = 1.0
+    TOLS = (1e-6, 1e-8, 1e-10)
+
+    @pytest.fixture(scope="class")
+    def relative_slacks(self, params):
+        p = dataclasses.replace(params, epsilon=0.1)
+        cs = build_default_set(p)
+        g = Grid(16, 16)
+        s0 = initialize_scenario(ScenarioConfig(name="random-seed", sigma=0.5,
+                                                q0=0.1), g, p, cs)
+        out = {}
+        for tol in self.TOLS + (1e-13,):
+            res = run(s0, g, cs, p, StepConfig(tau=1e-2, tol_nl=tol), T=0.05)
+            assert len(res.rows) == 5
+            raw, e_prev = ledger_slack(res.rows, res.E0)
+            assert raw.min() < -1e-4
+            defects = np.array([rep.transport_defect for rep in res.reports])
+            slack = np.array([r.slack for r in res.rows])
+            out[tol] = (slack - defects) / np.maximum(np.abs(e_prev), 1.0)
+        return out
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_min_estimate_slack_bounded_by_tolerance(self, relative_slacks,
+                                                     tol):
+        assert relative_slacks[tol].min() >= -self.C * tol
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_estimate_slack_converges_with_tolerance(self, relative_slacks,
+                                                     tol):
         dev = np.abs(relative_slacks[tol] - relative_slacks[1e-13])
         assert dev.max() <= self.C * tol

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fields import (div, from_function, grad, read_field_snapshot, ux2d,
-                    uy2d, view2d, yface_coords)
+from fields import (div, from_function, grad, iterate_of,
+                    read_field_snapshot, ux2d, uy2d, view2d, yface_coords)
 from surfflow.constitutive import ModelParams, build_default_set
 from reference_assembly import convect_flux_jacobian, convect_matrix
 from surfflow.mesh import (FIELD_KIND_CELL, Grid, ScalarField, VectorField,
                            convect_skew, sbp_selftest, write_field_snapshot)
 from surfflow.state import State
-from surfflow.stepper import (StepConfig, _block_layout, _Iterate, _jacobian,
-                              _Terms, assemble_linear)
+from surfflow.stepper import StepConfig, _jacobian, _Terms, assemble_linear
 
 BCS = ("box", "periodic")
 
@@ -37,9 +36,10 @@ def _stepper_diffusion(g, rng, m=None):
               q=ScalarField(g, rng.standard_normal(g.n_cells)))
     cfg = StepConfig(v0_mode=True)
     lin = assemble_linear(s, g, cset, params, cfg)
-    J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s)))
-    layout = _block_layout(g, v0=True)
-    return lin, [-J.CC[layout[b], layout[b]] for b in ("q", "mu")]
+    J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, *iterate_of(s)))
+    nc = g.n_cells                      # J_CC over [q, mu, phi]
+    return lin, [-J.CC[i * nc:(i + 1) * nc, i * nc:(i + 1) * nc]
+                 for i in range(2)]
 
 
 class TestGradDiv:
@@ -190,6 +190,21 @@ class TestSelfTest:
         rep = sbp_selftest(Grid(n, n, 1.0, 1.0, bc))
         assert rep.passed, rep.to_text()
 
+    def test_asymmetric_velocity_form_fails(self, monkeypatch):
+        # the assembled form with one entry moved off its transpose's
+        import surfflow.linalg as linalg
+        assemble = linalg.assemble_velocity_form
+
+        def skewed(grid, eta, delta):
+            A = assemble(grid, eta, delta).tolil()
+            A[0, 1] += 1e-6 * abs(A[0, 1])
+            return A.tocsc()
+
+        monkeypatch.setattr(linalg, "assemble_velocity_form", skewed)
+        rep = sbp_selftest(Grid(12, 12))
+        failed = [name for name, ok, _ in rep.checks if not ok]
+        assert failed == ["velocity_form_symmetry"], rep.to_text()
+
     def test_biased_gradient_breaks_adjointness(self, rng):
         # deliberately one-sided (forward) difference as the gradient
         g = Grid(12, 12, 1.0, 1.0, "periodic")
@@ -279,18 +294,18 @@ class TestConvection:
             M = VectorField(g, rng.standard_normal(g.n_faces))
             v = VectorField(g, rng.standard_normal(g.n_faces))
             w = VectorField(g, rng.standard_normal(g.n_faces))
-            c = convect_skew(M, v)
-            cw = convect_skew(M, w)
-            assert abs(c.data @ v.data) < 1e-12 * (1 + np.abs(c.data).max())
-            assert abs(c.data @ w.data + cw.data @ v.data) \
-                < 1e-12 * (1 + abs(c.data @ w.data))
+            c = convect_skew(g, M.data, v.data)
+            cw = convect_skew(g, M.data, w.data)
+            assert abs(c @ v.data) < 1e-12 * (1 + np.abs(c).max())
+            assert abs(c @ w.data + cw @ v.data) \
+                < 1e-12 * (1 + abs(c @ w.data))
 
     def test_x_component_matches_dense_reference(self, rng):
         for bc in BCS:
             g = Grid(5, 4, 1.0, 1.0, bc)
             M = VectorField(g, rng.standard_normal(g.n_faces))
             v = VectorField(g, rng.standard_normal(g.n_faces))
-            got = convect_skew(M, v).data[:g.n_xfaces]
+            got = convect_skew(g, M.data, v.data)[:g.n_xfaces]
             ref = self._dense_reference(g, M, v)[:g.n_xfaces]
             assert np.abs(got - ref).max() < 1e-13, bc
 
@@ -308,8 +323,9 @@ class TestConvection:
                 return VectorField(gt, np.concatenate([uy2d(u).T.ravel(),
                                                        ux2d(u).T.ravel()]))
 
-            got = uy2d(convect_skew(M, v))
-            ref = ux2d(convect_skew(transposed(M), transposed(v))).T
+            got = uy2d(VectorField(g, convect_skew(g, M.data, v.data)))
+            ref = ux2d(VectorField(gt, convect_skew(
+                gt, transposed(M).data, transposed(v).data))).T
             assert np.abs(got - ref).max() < 1e-13, bc
 
     def test_matrix_and_flux_jacobian_agree_with_apply(self, rng):
@@ -319,10 +335,10 @@ class TestConvection:
             dM = VectorField(g, rng.standard_normal(g.n_faces))
             v = VectorField(g, rng.standard_normal(g.n_faces))
             c1 = convect_matrix(M) @ v.data
-            c2 = convect_skew(M, v).data
+            c2 = convect_skew(g, M.data, v.data)
             assert np.abs(c1 - c2).max() < 1e-13
             d1 = convect_flux_jacobian(v) @ dM.data
-            d2 = convect_skew(dM, v).data
+            d2 = convect_skew(g, dM.data, v.data)
             assert np.abs(d1 - d2).max() < 1e-13
 
     def test_consistency_with_skew_advection_form(self):
@@ -355,7 +371,8 @@ class TestConvection:
                    + 0.5 * ((Mx(XF + h, YF) - Mx(XF - h, YF)) / (2 * h)
                             + (My(XF, YF + h) - My(XF, YF - h)) / (2 * h))
                    * vx(XF, YF))
-            got = convect_skew(M, v).data[:g.n_xfaces].reshape(g.xface_shape)
+            got = convect_skew(g, M.data, v.data)[:g.n_xfaces].reshape(
+                g.xface_shape)
             errs.append(np.abs(got - tgt).max())
         assert errs[0] / errs[1] > 3.0
         assert errs[1] / errs[2] > 3.0

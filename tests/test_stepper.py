@@ -11,25 +11,23 @@ from scipy.optimize import root
 
 import reference_assembly
 import surfflow.mesh as mesh
-from fields import from_function, ux2d, view2d
+from fields import from_function, iterate_of, ux2d, view2d
 from surfflow.cli import build_objects, parse_config
 from surfflow.constitutive import ModelParams, build_default_set
 from surfflow.energy import rows_to_csv, total_energy
 from surfflow.mesh import Grid, ScalarField, VectorField, convect_skew
 from surfflow.state import ScenarioConfig, State, initialize_scenario
 from surfflow.stepper import (FACTOR_COST_PER_FILL, StepConfig, StepFailure,
-                              StepReport, _BLOCKS, _block_layout, _HeldLU,
-                              _Iterate, _jacobian, _LU, _Terms,
+                              StepReport, _BLOCKS, _CH_BLOCKS, _HeldLU,
+                              _jacobian, _LU, _Terms,
                               assemble_linear, run, step)
 
 
-def _ch_layout(g, v0):
+def _ch_layout(g):
     """The slices of q, mu and phi within the C run [q, mu, phi] of the
     unknowns (the rows and columns of J_CC and the rows of J_CS)."""
-    layout = _block_layout(g, v0)
-    ns = layout["q"].start
-    return {b: slice(layout[b].start - ns, layout[b].stop - ns)
-            for b in ("q", "mu", "phi")}
+    nc = g.n_cells
+    return {b: slice(i * nc, (i + 1) * nc) for i, b in enumerate(_CH_BLOCKS)}
 
 
 def two_cell_oracle(phi_k, q_k, cset, params, tau, dx, x0=None):
@@ -108,14 +106,14 @@ class TestFixedPoint:
 
 
 def _mass_flux(phi_k, mu, cset, params):
-    """The stepper's diffusive mass flux Jt at an iterate with potential mu,
-    coefficients frozen at phi_k."""
+    """The stepper's diffusive mass flux at an iterate with potential mu,
+    coefficients frozen at phi_k: its mass flux M at v = 0."""
     g = phi_k.grid
     s = State(v=VectorField.zeros(g), p=ScalarField.zeros(g), phi=phi_k,
               mu=mu, q=ScalarField.zeros(g))
     cfg = StepConfig(tau=1e-3)
     lin = assemble_linear(s, g, cset, params, cfg)
-    return _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s)).Jt
+    return VectorField(g, _Terms(lin, cset, cfg, cfg.tau, *iterate_of(s)).M)
 
 
 class TestMassFlux:
@@ -156,8 +154,8 @@ class TestAssembly:
                                  g, params, cset)
         cfg = StepConfig(tau=1e-3)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0)))
-        C = _ch_layout(g, v0=False)
+        J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, *iterate_of(s0)))
+        C = _ch_layout(g)
         probes = {}
         for name, mat in (("velocity", lin.A_form),
                           *((b, J.CC[C[b], C[b]]) for b in C)):
@@ -192,7 +190,7 @@ class TestAssembly:
                                                 q0=0.3), g, params, cset)
         cfg = StepConfig(tau=1e-3)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
+        t = _Terms(lin, cset, cfg, cfg.tau, *iterate_of(s0))
         r, res = t.residual()
         assert max(res.values()) == 0.0
         assert np.all(r == 0.0)
@@ -208,7 +206,7 @@ class TestAssembly:
         s0 = State(VectorField.zeros(g), ScalarField.zeros(g), phi, mu, q)
         cfg = StepConfig(tau=1e-3)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
+        t = _Terms(lin, cset, cfg, cfg.tau, *iterate_of(s0))
         cap_cells = mu.data - cset.h(q.data) * cset.Wp(phi.data) / params.epsilon
         expect = (g.ops.Acf @ cap_cells) * (g.ops.G @ phi.data)
         assert np.abs(t.rhs_v - expect).max() < 1e-13
@@ -223,11 +221,12 @@ class TestAssembly:
                                                 shear=0.5), g, p2, cs2)
         cfg = StepConfig(tau=1e-3)
         lin = assemble_linear(s0, g, cs2, p2, cfg)
-        t = _Terms(lin, cs2, cfg, cfg.tau, _Iterate.of(s0))
-        assert np.all(t.Jt.data == 0.0)
+        t = _Terms(lin, cs2, cfg, cfg.tau, *iterate_of(s0))
+        # the diffusive flux -jcoef G mu in M vanishes
+        assert np.all(lin.jcoef_faces * t.grad_mu == 0.0)
         assert np.all(t.corr == 0.0)
-        M = VectorField(g, (g.ops.Acf @ cs2.rho(s0.phi.data)) * s0.v.data)
-        ref = t.cap - t.time_term - convect_skew(M, s0.v).data
+        M = (g.ops.Acf @ cs2.rho(s0.phi.data)) * s0.v.data
+        ref = t.cap - t.time_term - convect_skew(g, M, s0.v.data)
         assert np.abs(t.rhs_v - ref).max() < 1e-14
 
 
@@ -491,7 +490,7 @@ class TestRun:
             cfg = StepConfig(tau=1e-3)
             lin = assemble_linear(s, g, cs, p, cfg)
             return _jacobian(_Terms(lin, cs, cfg, cfg.tau,
-                                    _Iterate.of(s))).K
+                                    *iterate_of(s))).K
         s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
                                  g, p0, cs0)
         rest, flow = K(p0, cs0, s0), K(p0, cs0, res.final_state)
@@ -517,7 +516,7 @@ def _held_at(s, g, cset, params, cfg) -> _HeldLU:
     """A holder with the LU of the Jacobian at the state ``s``."""
     lin = assemble_linear(s, g, cset, params, cfg)
     held = _HeldLU()
-    assert held.build(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s)),
+    assert held.build(_Terms(lin, cset, cfg, cfg.tau, *iterate_of(s)),
                       StepReport())
     return held
 
@@ -798,7 +797,7 @@ class TestFactorOrdering:
         held = _held_at(s, g, cset, params, cfg)
         lin = assemble_linear(s, g, cset, params, cfg)
         return held, _jacobian(_Terms(lin, cset, cfg, cfg.tau,
-                                         _Iterate.of(s)))
+                                         *iterate_of(s)))
 
     def test_v0_lu_ordered_symmetrically(self, cset, params, relax16):
         g, s0, cfg = relax16
@@ -816,7 +815,7 @@ class TestFactorOrdering:
         for v0 in (True, False):
             cfg = StepConfig(tau=1e-3, v0_mode=v0)
             lin = assemble_linear(s0, g, cset, params, cfg)
-            t = _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
+            t = _Terms(lin, cset, cfg, cfg.tau, *iterate_of(s0))
             held, report = _HeldLU(), StepReport()
             fills = []
             for _ in range(2):
@@ -864,14 +863,14 @@ class TestBlockOperator:
                                                 shear=0.5), g, params, cset)
         cfg = StepConfig(tau=1e-3)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        w = _iterate_near(s0, rng, 0.01, False)
-        t = _Terms(lin, cset, cfg, cfg.tau, w)
+        t = _Terms(lin, cset, cfg, cfg.tau,
+                   *_iterate_near(s0, rng, 0.01, False))
         held = _HeldLU()
         assert held.build(t, StepReport())
         # the saddle form's Jacobian reduced to [psi, q, mu, phi]
         J = reference_assembly.divergence_free(
             g, reference_assembly.jacobian(t))
-        ns = _block_layout(g, False)["q"].start
+        ns = g.ops.C.shape[1]
         b = rng.standard_normal(J.shape[0])
         y = held.solve(b)
         r_s = J[:ns, :ns] @ y[:ns] - b[:ns]
@@ -889,7 +888,7 @@ class TestBlockOperator:
                                                 shear=0.5), g, params, cset)
         cfg = StepConfig(tau=1e-3)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _Terms(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, False))
+        t = _Terms(lin, cset, cfg, cfg.tau, *_iterate_near(s0, rng, 0.01, False))
         held = _HeldLU()
         assert held.build(t, StepReport())
         J_SS = reference_assembly.saddle(g, _jacobian(t).VV)
@@ -904,7 +903,7 @@ class TestBlockOperator:
         g, s0, cfg = relax16
         held = _held_at(s0, g, cset, params, cfg)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0)))
+        J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, *iterate_of(s0)))
         b = rng.standard_normal(J.CC.shape[0])
         x = held.solve(b)
         assert np.array_equal(x, held.C.solve(b))
@@ -929,10 +928,10 @@ class TestBlockOperator:
         cfg = StepConfig(tau=1e-3)
         held = _held_at(s0, g, cset, params, cfg)
         S, C = held.S, held.C
-        b = rng.standard_normal(_block_layout(g, False)["q"].start)
+        b = rng.standard_normal(g.ops.C.shape[1])
         before = S.solve(b)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _Terms(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, False))
+        t = _Terms(lin, cset, cfg, cfg.tau, *_iterate_near(s0, rng, 0.01, False))
         report = StepReport()
         assert held.build(t, report, ("C",))
         assert report.cc_lus == 1 and report.ss_lus == 0
@@ -952,7 +951,7 @@ class TestBlockOperator:
                                                 shear=0.5), g, params, cset)
         cfg = StepConfig(tau=1e-3)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _Terms(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, False))
+        t = _Terms(lin, cset, cfg, cfg.tau, *_iterate_near(s0, rng, 0.01, False))
         full, c_only = _jacobian(t), _jacobian(t, ("C",))
         assert full.VV is not None and c_only.VV is None
         for name in ("CS", "CC"):
@@ -982,7 +981,7 @@ class TestBlockOperator:
         fresh = _held_at(now, grid, cset, params, cfg)
         mixed = _held_at(old, grid, cset, params, cfg)
         lin = assemble_linear(now, grid, cset, params, cfg)
-        assert mixed.build(_Terms(lin, cset, cfg, cfg.tau, _Iterate.of(now)),
+        assert mixed.build(_Terms(lin, cset, cfg, cfg.tau, *iterate_of(now)),
                            StepReport(), ("C",))
         its_fresh, lus_fresh = iterations(fresh)
         its_mixed, lus_mixed = iterations(mixed)
@@ -1025,22 +1024,24 @@ class TestJacobian:
         if v0:
             s0.v.data[:] = 0.0
         lin = assemble_linear(s0, g, cset, params, cfg)
-        w = _Iterate(
-            s0.v.data + (0.0 if v0 else 0.01 * rng.standard_normal(g.n_faces)),
-            s0.q.data + 0.01 * rng.standard_normal(g.n_cells),
-            s0.mu.data + 0.01 * rng.standard_normal(g.n_cells),
-            s0.phi.data + 0.01 * rng.standard_normal(g.n_cells))
+        w = (s0.v.data + (0.0 if v0 else 0.01 * rng.standard_normal(g.n_faces)),
+             s0.q.data + 0.01 * rng.standard_normal(g.n_cells),
+             s0.mu.data + 0.01 * rng.standard_normal(g.n_cells),
+             s0.phi.data + 0.01 * rng.standard_normal(g.n_cells))
         tau = cfg.tau
-        J = _jacobian(_Terms(lin, cset, cfg, tau, w))
-        layout = _block_layout(g, v0)
-        ns = layout["q"].start
+        J = _jacobian(_Terms(lin, cset, cfg, tau, *w))
+        ns = 0 if v0 else g.ops.C.shape[1]
         n = ns + J.CC.shape[0]
 
         def fd_along(dx):
+            # the Newton vector [psi, q, mu, phi] as a field update, v by
+            # C psi (kept in v0 mode)
             h = 1e-7
-            dw = _Iterate.update(dx, layout, g)
-            rp, rm = (_Terms(lin, cset, cfg, tau, w.moved(dw, d)).residual()[0]
-                      for d in (h, -h))
+            dpsi, *d = np.split(dx, [ns + i * g.n_cells for i in range(3)])
+            dw = (np.zeros(g.n_faces) if v0 else g.ops.C @ dpsi, *d)
+            rp, rm = (_Terms(lin, cset, cfg, tau,
+                             *(a + s * da for a, da in zip(w, dw))).residual()[0]
+                      for s in (h, -h))
             return (rp - rm) / (2 * h)
 
         def check(fd, jd):
@@ -1064,12 +1065,10 @@ class TestJacobian:
 
 
 def _iterate_near(s, rng, scale, v0):
-    """The state ``s`` perturbed by ``scale`` (v kept in v0 mode)."""
-    w = _Iterate(*(a + scale * rng.standard_normal(a.size)
-                   for a in _Iterate.of(s)))
-    if v0:
-        w.v = s.v.data
-    return w
+    """The fields (v, q, mu, phi) of the state ``s`` perturbed by ``scale``
+    (v kept in v0 mode)."""
+    v, *w = (a + scale * rng.standard_normal(a.size) for a in iterate_of(s))
+    return (s.v.data if v0 else v, *w)
 
 
 class TestFixedPattern:
@@ -1094,7 +1093,7 @@ class TestFixedPattern:
             for tau in (cfg.tau, 0.5 * cfg.tau):    # a tau halving
                 for scale in (0.0, 0.01):           # iterates
                     w = _iterate_near(s, rng, scale, v0)
-                    jacs.append(_jacobian(_Terms(lin, cset, cfg, tau, w)))
+                    jacs.append(_jacobian(_Terms(lin, cset, cfg, tau, *w)))
         for name in ("CC",) if v0 else ("VV", "K", "CS", "CC"):
             first = getattr(jacs[0], name)
             for J in jacs[1:]:
@@ -1111,12 +1110,12 @@ class TestFixedPattern:
             s0.v.data[:] = 0.0
         cfg = StepConfig(tau=1e-2, v0_mode=v0)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _Terms(lin, cset, cfg, cfg.tau, _iterate_near(s0, rng, 0.01, v0))
+        t = _Terms(lin, cset, cfg, cfg.tau, *_iterate_near(s0, rng, 0.01, v0))
         J = _jacobian(t)
         # the saddle form's Jacobian, reduced to [psi, q, mu, phi]
         full = reference_assembly.jacobian(t)
         ref = full if v0 else reference_assembly.divergence_free(g, full)
-        ns = _block_layout(g, v0)["q"].start
+        ns = 0 if v0 else g.ops.C.shape[1]
         assert ref.shape == (ns + J.CC.shape[0],) * 2
         assert (J.VV is None) == (J.K is None) == (J.CS is None) == v0
         blocks = [(J.CC, ref[ns:, ns:])]
@@ -1144,7 +1143,7 @@ class TestFixedPattern:
             s0.v.data[:] = 0.0
         cfg = StepConfig(tau=1e-3, v0_mode=v0)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0))
+        t = _Terms(lin, cset, cfg, cfg.tau, *iterate_of(s0))
         J = _jacobian(t)
         held, report = _HeldLU(), StepReport()
         ops = []
@@ -1234,17 +1233,20 @@ class TestDivergenceFreeNewton:
         n_psi = (g.nx * g.ny - 1 if bc == "periodic"
                  else (g.nx - 1) * (g.ny - 1))
         nc = g.n_cells
-        assert _block_layout(g, False) == {
-            "psi": slice(0, n_psi), "q": slice(n_psi, n_psi + nc),
-            "mu": slice(n_psi + nc, n_psi + 2 * nc),
-            "phi": slice(n_psi + 2 * nc, n_psi + 3 * nc)}
-        assert list(_block_layout(g, True)) == ["q", "mu", "phi"]
+        assert g.ops.C.shape == (g.n_faces, n_psi)
         lin = assemble_linear(s0, g, cset, params, cfg)
-        r, _ = _Terms(lin, cset, cfg, cfg.tau, _Iterate.of(s0)).residual()
+        r, _ = _Terms(lin, cset, cfg, cfg.tau, *iterate_of(s0)).residual()
         assert r.size == n_psi + 3 * nc
         held = _held_at(s0, g, cset, params, cfg)
         assert held.solve(r).size == r.size
         assert held.S.lu.shape == (n_psi, n_psi)
+        assert held.C.lu.shape == (3 * nc, 3 * nc)
+        # v0 mode: no psi, the C run [q, mu, phi] alone
+        v0 = StepConfig(tau=1e-3, v0_mode=True)
+        s0.v.data[:] = 0.0
+        lin = assemble_linear(s0, g, cset, params, v0)
+        r, _ = _Terms(lin, cset, v0, v0.tau, *iterate_of(s0)).residual()
+        assert r.size == 3 * nc
 
     @pytest.mark.parametrize("bc", ["box", "periodic"])
     def test_divergence_stays_at_the_initial_state(self, cset, params, bc):
@@ -1274,7 +1276,7 @@ class TestDivergenceFreeNewton:
         assert np.abs(s1.p.data).max() > 0.0
         ops = g.ops
         lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _Terms(lin, cset, cfg, rep.tau_used, _Iterate.of(s1))
+        t = _Terms(lin, cset, cfg, rep.tau_used, *iterate_of(s1))
         visc = (lin.A_form @ s1.v.data) / g.dV
         gp = ops.G @ s1.p.data
         r_v = visc + gp - t.rhs_v
