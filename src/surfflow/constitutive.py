@@ -16,6 +16,15 @@ conditions numerically for any user-supplied set.
 The exact secant slope H(a, b) of W, with H(a,b)*(a-b) = W(a) - W(b), is
 computed from per-piece closed forms rather than the naive quotient, so the
 identity survives floating point even for nearly equal arguments.
+
+The piecewise defaults W, W', the secant and its derivative, f', h (through
+F) and rho' are evaluated piece by piece: the interior piece (the quartic
+well, the active interval [q_min, q_max]) on every cell, then each other
+piece only on the cells where it applies, and not at all when none does.
+The closed forms and the piece priority are those of an every-piece
+``np.where``/``np.select``, and the values equal it bit for bit.  f (a
+clamp) and the density's saturation keep ``np.clip``/``np.where``: their
+other pieces cost less than picking out the cells they apply to.
 """
 
 from __future__ import annotations
@@ -130,82 +139,120 @@ _WELL_VAL = 2.25       # W at the matching point, (1 - 4)^2 / 4
 _WELL_SLOPE = 6.0      # W' at the matching point
 
 
+def _cells(mask):
+    """Flat (C order) indices of the cells where ``mask`` holds."""
+    return mask.ravel().nonzero()[0]
+
+
+def _off_quartic(a, b):
+    # pairs not both on the quartic piece; a NaN pair stays on it
+    return np.maximum(np.abs(a), np.abs(b)) > _WELL_EDGE
+
+
 def _default_W(x):
     x = np.asarray(x, dtype=float)
+    # asarray: a 0-d input gives a numpy scalar, which put cannot write to
+    W = np.asarray((1.0 - x * x) ** 2 / 4.0)
     ax = np.abs(x)
-    quart = (1.0 - x * x) ** 2 / 4.0
-    lin = _WELL_VAL + _WELL_SLOPE * (ax - _WELL_EDGE)
-    return np.where(ax <= _WELL_EDGE, quart, lin)
+    i = _cells(ax > _WELL_EDGE)
+    if i.size:
+        W.put(i, _WELL_VAL + _WELL_SLOPE * (ax.take(i) - _WELL_EDGE))
+    return W
 
 
 def _default_Wp(x):
     x = np.asarray(x, dtype=float)
-    inner = (x * x - 1.0) * x
-    outer = _WELL_SLOPE * np.sign(x)
-    return np.where(np.abs(x) <= _WELL_EDGE, inner, outer)
+    Wp = np.asarray((x * x - 1.0) * x)
+    i = _cells(np.abs(x) > _WELL_EDGE)
+    if i.size:
+        Wp.put(i, np.copysign(_WELL_SLOPE, x.take(i)))
+    return Wp
 
 
 def _secant_quartic(p, q):
-    # divided difference of (x^4 - 2 x^2 + 1)/4 between p and q
+    # divided difference of (x^4 - 2 x^2 + 1)/4 between p and q; symmetric
+    # in p and q bit for bit
     return (p + q) * (p * p + q * q - 2.0) / 4.0
+
+
+def _left_cross(lo, hi):
+    # lo < -2 < hi <= 2: the linear piece up to -2, the quartic beyond
+    e, s = _WELL_EDGE, _WELL_SLOPE
+    return (s * (e + lo) + _secant_quartic(-e, hi) * (hi + e)) / (hi - lo)
+
+
+def _right_cross(lo, hi):
+    # -2 <= lo < 2 < hi: the quartic up to 2, the linear piece beyond
+    e, s = _WELL_EDGE, _WELL_SLOPE
+    return (_secant_quartic(lo, e) * (e - lo) + s * (hi - e)) / (hi - lo)
+
+
+def _full_cross(lo, hi):
+    # lo < -2 and 2 < hi: W(hi) - W(lo) = s (hi + lo) on the two lines
+    return _WELL_SLOPE * (lo + hi) / (hi - lo)
+
+
+def _secant_off_quartic(a, b):
+    """The secant on pairs that are not both on the quartic piece."""
+    e, s = _WELL_EDGE, _WELL_SLOPE
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    H = np.where(lo >= e, s, -s)          # both ends on one linear piece
+    for cross, piece in (((lo < -e) & (hi > -e) & (hi <= e), _left_cross),
+                         ((lo >= -e) & (lo < e) & (hi > e), _right_cross),
+                         ((lo < -e) & (hi > e), _full_cross)):
+        i = _cells(cross)
+        if i.size:
+            H.put(i, piece(lo.take(i), hi.take(i)))
+    return H
 
 
 def _default_secant_W(a, b):
     """Exact divided difference of the default W, piece by piece.
 
-    Same-piece pairs use the polynomial divided-difference closed form (no
-    cancellation, H(a,a) = W'(a) automatically).  Cross-piece pairs split at
-    the matching points +-2, where |a - b| is bounded below by the distance
-    to the crossed boundary, so the division is safe.
+    The quartic closed form has no cancellation and is evaluated on every
+    pair.  Each other piece is evaluated only on the pairs it applies to:
+    both ends on one linear piece give its slope, and cross-piece pairs
+    split at the matching points +-2, where |a - b| is bounded below by the
+    distance to the crossed boundary, so the division is safe.  Pairs with
+    a == b take the defining case H(a, a) = W'(a) last, over every piece.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    H = np.asarray(_secant_quartic(a, b))
+    i = _cells(_off_quartic(a, b))
+    if i.size:
+        H.put(i, _secant_off_quartic(a.take(i), b.take(i)))
+    i = _cells(a == b)
+    if i.size:
+        H.put(i, _default_Wp(b.take(i)))
+    return H
+
+
+def _dsecant_off_quartic(a, b):
+    # zero where one linear piece holds both ends; across pieces the
+    # quotient rule is stable because a - b is bounded away from zero by the
+    # crossed matching point
     e = _WELL_EDGE
-    s = _WELL_SLOPE
-    if lo.size and lo.min() >= -e and hi.max() <= e:
-        # every pair on the quartic piece: the two branches np.select picks
-        # there, without evaluating the other four
-        return np.where(a == b, _default_Wp(b), _secant_quartic(lo, hi))
-
-    # branches np.select discards may divide by a subnormal gap
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = np.where(hi > lo, hi - lo, 1.0)
-        both_q = _secant_quartic(lo, hi)
-        left_cross = (s * (e + lo) + _secant_quartic(-e, hi) * (hi + e)) / den
-        right_cross = (_secant_quartic(lo, e) * (e - lo) + s * (hi - e)) / den
-        full_cross = s * (lo + hi) / den
-
-    conds = [
-        a == b,                  # literal defining case: H(a, a) = W'(a)
-        (lo >= -e) & (hi <= e),
-        lo >= e,
-        hi <= -e,
-        (lo < -e) & (hi <= e),
-        (lo >= -e) & (hi > e),
-    ]
-    choices = [_default_Wp(b), both_q, np.full_like(lo, s),
-               np.full_like(lo, -s), left_cross, right_cross]
-    return np.select(conds, choices, default=full_cross)
+    dH = np.zeros_like(a)
+    i = _cells(~(((a >= e) & (b >= e)) | ((a <= -e) & (b <= -e))))
+    if i.size:
+        a, b = a.take(i), b.take(i)
+        dH.put(i, (_default_Wp(a) - _default_secant_W(a, b)) / (a - b))
+    return dH
 
 
 def _default_dsecant_W_da(a, b):
-    """d/da of the exact secant of the default W."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
-    e = _WELL_EDGE
-    same_q = (np.abs(a) <= e) & (np.abs(b) <= e)
-    same_lin = ((a >= e) & (b >= e)) | ((a <= -e) & (b <= -e))
-    in_q = (3.0 * a * a + 2.0 * a * b + b * b - 2.0) / 4.0
-    # cross-piece: quotient rule is stable because a - b is bounded away
-    # from zero by the crossed matching point
-    with np.errstate(divide="ignore", invalid="ignore"):
-        den = np.where(a != b, a - b, 1.0)
-        cross = (_default_Wp(a) - _default_secant_W(a, b)) / den
-    return np.select([same_q, same_lin], [in_q, np.zeros_like(a)], default=cross)
+    """d/da of the exact secant of the default W, piece by piece like the
+    secant: the quartic piece's on every pair, the others where they
+    apply."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    dH = np.asarray((3.0 * a * a + 2.0 * a * b + b * b - 2.0) / 4.0)
+    i = _cells(_off_quartic(a, b))
+    if i.size:
+        dH.put(i, _dsecant_off_quartic(a.take(i), b.take(i)))
+    return dH
 
 
 def build_default_set(params: ModelParams) -> ConstitutiveSet:
@@ -238,17 +285,24 @@ def build_default_set(params: ModelParams) -> ConstitutiveSet:
     def fp(q):
         q = np.asarray(q, dtype=float)
         t = (q - qlo) / width
-        inside = (t >= 0.0) & (t <= 1.0)
-        return np.where(inside, 6.0 * beta / width * t * (1.0 - t), 0.0)
+        out = np.asarray(6.0 * beta / width * t * (1.0 - t))
+        out[~((t >= 0.0) & (t <= 1.0))] = 0.0
+        return out
 
     # integral of f from q_min: width * beta * (t^3 - t^4/2) on [0, 1],
     # then beta per unit q beyond q_max
     def _F(q):
         q = np.asarray(q, dtype=float)
-        t = np.clip((q - qlo) / width, 0.0, 1.0)
-        core = width * beta * (t ** 3 - 0.5 * t ** 4)
-        tail = np.where(q > qhi, beta * (q - qhi), 0.0)
-        return core + tail
+        t = np.asarray((q - qlo) / width)
+        # clamp t to [0, 1] (t >= 1 above q_max), then add the linear tail
+        # on the cells above q_max only
+        t[t < 0.0] = 0.0
+        above = _cells(q > qhi)
+        t.put(above, 1.0)
+        F = np.asarray(width * beta * (t ** 3 - 0.5 * t ** 4))
+        if above.size:
+            F.put(above, F.take(above) + beta * (q.take(above) - qhi))
+        return F
 
     def h(q):
         return h0 - _F(q)
@@ -293,9 +347,9 @@ def build_default_set(params: ModelParams) -> ConstitutiveSet:
         return np.where(ax <= 1.0, phi, sat)
 
     def _Tp(phi):
-        phi = np.asarray(phi, dtype=float)
-        ax = np.abs(phi)
-        return np.where(ax <= 1.0, 1.0, np.exp(1.0 - ax))
+        # exp(1 - 1) = 1 on [-1, 1]
+        return np.exp(1.0 - np.maximum(np.abs(np.asarray(phi, dtype=float)),
+                                        1.0))
 
     def rho(phi):
         return rho_mid + rho_half * _T(phi)

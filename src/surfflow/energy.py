@@ -92,10 +92,12 @@ LEDGER_COLUMNS = tuple(f.name for f in fields(EnergyLedgerRow))
 
 
 def audit_step(state_k: State, state_k1: State, cset: ConstitutiveSet,
-               params: ModelParams, tau: float,
+               params: ModelParams, tau: float, E_k: float,
                nl_iters: int = 0) -> EnergyLedgerRow:
     """Evaluate the one-step energy estimate term by term.
 
+    ``E_k`` is the total energy of ``state_k`` (``total_energy``), which the
+    caller already holds: the previous row's E_tot, or the initial state's.
     Dissipation coefficients follow the one-step estimate (no factor of two
     on the mtilde term).  All coefficients freeze at the old level exactly
     as in the stepper, and every quadrature shares the stepper's operators,
@@ -107,7 +109,6 @@ def audit_step(state_k: State, state_k1: State, cset: ConstitutiveSet,
     eps, delta = params.epsilon, params.delta
     phi_k, q_k = state_k.phi.data, state_k.q.data
     v1 = state_k1.v.data
-    Ek = total_energy(state_k, cset, params)
     E1 = total_energy(state_k1, cset, params)
 
     if float(np.abs(v1).max()) > 0.0 or float(np.abs(state_k.v.data).max()) > 0.0:
@@ -137,7 +138,7 @@ def audit_step(state_k: State, state_k1: State, cset: ConstitutiveSet,
 
     dissipation = (visc + q_diss + mu_diss + kin_jump + grad_jump
                    + phi_jump + biharm)
-    slack = Ek.E_tot - E1.E_tot - dissipation
+    slack = E_k - E1.E_tot - dissipation
 
     obs = observables(state_k1, cset, params)
     return EnergyLedgerRow(

@@ -304,9 +304,14 @@ class _Terms:
         return np.concatenate([ops.CT @ r_v, r_q, r_mu, r_phi]), norms
 
 
+def _norm(x: np.ndarray) -> float:
+    # what np.linalg.norm computes for a 1-D float array, without its
+    # dispatch
+    return math.sqrt(x @ x)
+
+
 def _rel(r: np.ndarray, terms) -> float:
-    scale = max((float(np.linalg.norm(t)) for t in terms), default=0.0)
-    return float(np.linalg.norm(r)) / (1.0 + scale)
+    return _norm(r) / (1.0 + max(map(_norm, terms), default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +824,7 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
     held = _HeldLU()
     result = RunResult(rows, reports, state0,
                        energy.total_energy(state0, cset, params).E_tot)
+    E_k = result.E0                 # the energy of s, computed once
     while s.t < T - 1e-12 * max(T, 1.0):
         step_cfg = cfg
         remaining = T - s.t
@@ -829,8 +835,9 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
         except StepFailure as exc:
             exc.partial = result
             raise
-        row = energy.audit_step(s, s_new, cset, params, rep.tau_used,
+        row = energy.audit_step(s, s_new, cset, params, rep.tau_used, E_k,
                                 nl_iters=rep.iterations)
+        E_k = row.E_tot
         rows.append(row)
         reports.append(rep)
         if callbacks:

@@ -232,26 +232,6 @@ class TestSecantProperties:
         assert abs(fd - an) / (1.0 + abs(an)) < 1e-6
 
 
-_QUARTIC = st.one_of(st.sampled_from([-2.0, 2.0, -1.0, 0.0, 1.0]),
-                     st.floats(-2.0, 2.0))
-
-
-class TestSecantQuarticFastPath:
-    @_PROPERTY
-    @given(pairs=st.lists(st.tuples(_QUARTIC, _QUARTIC, st.booleans()),
-                          min_size=1, max_size=16))
-    def test_fast_path_equals_generic_path(self, pairs):
-        # every pair in [-2, 2] takes the quartic fast path; one pair off
-        # that piece sends the whole call down the generic np.select path
-        a = np.array([x for x, _, _ in pairs])
-        b = np.array([x if same else y for x, y, same in pairs])
-        fast = _CSET.secant_W(a, b)
-        generic = _CSET.secant_W(np.append(a, 3.0), np.append(b, 0.0))[:-1]
-        assert np.array_equal(fast.view(np.int64), generic.view(np.int64))
-        same = a == b
-        assert np.array_equal(fast[same], _CSET.Wp(a[same]))
-
-
 class TestStepInequalityProperties:
     @_PROPERTY
     @given(a=_near(_BOUNDARIES, -3.0, 4.0), b=_near(_BOUNDARIES, -3.0, 4.0))

@@ -56,7 +56,8 @@ class TestAuditStep:
         g = Grid(8, 8)
         s = initialize_scenario(ScenarioConfig(name="uniform", phi0=0.2, q0=0.4),
                                 g, params, cset)
-        row = audit_step(s, s, cset, params, tau=1e-3)
+        row = audit_step(s, s, cset, params, tau=1e-3,
+                         E_k=total_energy(s, cset, params).E_tot)
         assert row.slack == 0.0
         for name in ("visc", "q_diss", "mu_diss", "kin_jump", "grad_jump",
                      "phi_jump", "biharm"):
@@ -68,8 +69,8 @@ class TestAuditStep:
                                  g, params, cset)
         cfg = StepConfig(tau=1e-3, v0_mode=True)
         s1, rep = step(s0, g, cset, params, cfg)
-        row = audit_step(s0, s1, cset, params, rep.tau_used)
         E0 = total_energy(s0, cset, params).E_tot
+        row = audit_step(s0, s1, cset, params, rep.tau_used, E0)
         assert row.slack >= -1e-8 * max(E0, 1.0)
         assert row.q_diss >= 0 and row.mu_diss >= 0 and row.grad_jump >= 0
 
@@ -82,7 +83,7 @@ class TestAuditStep:
         E0 = total_energy(s0, cset, params).E_tot
         bad = copy_state(s1)
         bad.q.data[100] += 0.1
-        row = audit_step(s0, bad, cset, params, rep.tau_used)
+        row = audit_step(s0, bad, cset, params, rep.tau_used, E0)
         assert row.slack < -1e-8 * max(E0, 1.0)
 
     def test_quadrature_matches_stepper_operators(self, cset, params, rng):
@@ -105,11 +106,42 @@ class TestAuditStep:
     def test_csv_schema(self, cset, params):
         g = Grid(8, 8)
         s = initialize_scenario(ScenarioConfig(name="uniform"), g, params, cset)
-        row = audit_step(s, s, cset, params, tau=1e-3)
+        row = audit_step(s, s, cset, params, tau=1e-3,
+                         E_k=total_energy(s, cset, params).E_tot)
         text = rows_to_csv([row])
         header, line = text.strip().splitlines()
         assert header == ",".join(LEDGER_COLUMNS)
         assert len(line.split(",")) == len(LEDGER_COLUMNS)
+
+
+class TestEnergyReuse:
+    @pytest.mark.parametrize("v0_mode", (True, False), ids=("v0", "coupled"))
+    def test_each_state_energy_is_computed_once(self, cset, params,
+                                                 monkeypatch, v0_mode):
+        # run hands each row's E_tot to the next audit: N steps evaluate
+        # N + 1 energies, and the rows equal audits that recompute E(k)
+        import surfflow.energy as energy_module
+        calls = []
+
+        def counted(s, *args):
+            calls.append(s)
+            return total_energy(s, *args)
+
+        monkeypatch.setattr(energy_module, "total_energy", counted)
+        g = Grid(12, 12)
+        s0 = initialize_scenario(ScenarioConfig(name="droplet", q0=0.1),
+                                 g, params, cset)
+        states = [s0]
+        res = run(s0, g, cset, params, StepConfig(tau=1e-3, v0_mode=v0_mode),
+                  T=3e-3, callbacks=[lambda s, rep, row: states.append(s)])
+        monkeypatch.undo()
+        assert len(res.rows) == 3
+        assert len(calls) == len(res.rows) + 1
+        fresh = [audit_step(old, new, cset, params, rep.tau_used,
+                            total_energy(old, cset, params).E_tot,
+                            nl_iters=rep.iterations)
+                 for old, new, rep in zip(states, states[1:], res.reports)]
+        assert rows_to_csv(fresh) == rows_to_csv(res.rows)
 
 
 class TestLedgerSlack:

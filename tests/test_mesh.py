@@ -173,15 +173,6 @@ class TestVectorLaplacian:
         u = np.concatenate([np.full(g.n_xfaces, 0.7), np.zeros(g.n_yfaces)])
         assert np.abs(g.ops.Lvec @ u).max() < 1e-13
 
-    def test_biharmonic_pairing_symmetry(self, rng):
-        for bc in BCS:
-            g = Grid(10, 12, 1.0, 1.0, bc)
-            lu = g.ops.Lvec @ rng.standard_normal(g.n_faces)
-            lw = g.ops.Lvec @ rng.standard_normal(g.n_faces)
-            b1 = float(lu @ lw)
-            b2 = float(lw @ lu)
-            assert abs(b1 - b2) <= 1e-13 * (1 + abs(b1))
-
 
 class TestSelfTest:
     @pytest.mark.parametrize("bc", BCS)
