@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Grid
+from .mesh import Grid, KernelCSC, KernelCSR
 
 __all__ = ["SolverFailure", "LU_OPTIONS", "poisson_lu", "gradient_potential",
            "assemble_velocity_form", "FixedPattern", "chain", "scaled"]
@@ -111,7 +111,7 @@ class FixedPattern:
         keys, pos = np.unique(np.concatenate(
             [e.cols.astype(np.int64) * nrow + e.rows for _, e in terms]),
             return_inverse=True)
-        self._map = sp.csr_matrix(
+        self._map = KernelCSR(
             (np.concatenate([e.coefs for _, e in terms]),
              (pos, np.concatenate([e.k + start[name] for name, e in terms]))),
             shape=(keys.size, sum(width for _, width, _ in self._terms)))
@@ -119,7 +119,7 @@ class FixedPattern:
         self.indptr = np.searchsorted(keys // nrow,
                                       np.arange(ncol + 1)).astype(np.int32)
 
-    def matrix(self, weights: dict) -> sp.csc_matrix:
+    def matrix(self, weights: dict) -> KernelCSC:
         """The matrix for ``weights``: name -> vector (a scalar broadcasts),
         or (w1, w2) for a term with a middle operator."""
         if weights.keys() != {name for name, _, _ in self._terms}:
@@ -132,12 +132,11 @@ class FixedPattern:
                 w = w[0][pair[0]] * w[1][pair[1]]
             parts.append(np.broadcast_to(w, (width,)))
         data = self._map @ np.concatenate(parts)
-        return sp.csc_matrix((data, self.indices, self.indptr),
-                             shape=self.shape)
+        return KernelCSC((data, self.indices, self.indptr), shape=self.shape)
 
 
 def assemble_velocity_form(grid: Grid, eta_cells: np.ndarray,
-                           delta: float) -> sp.csc_matrix:
+                           delta: float) -> KernelCSC:
     """Form matrix of  2 integral eta(phi) Dv : Dw  +  delta integral Lap v . Lap w.
 
     Normal strains are evaluated at cells, the shear strain at corners with

@@ -18,7 +18,10 @@ cell<->face averaging operators are exact transposes of each other.  Every
 cancellation in the discrete energy accounting relies on such exact
 dualities, not on consistency orders, so the operators are assembled once as
 sparse matrices and reused everywhere (quadrature = midpoint sums with the
-same weights).
+same weights).  Every operator of the bundle and of skew convection is a
+``KernelCSR``: its product with a float64 vector calls the kernel scipy's
+own ``A @ x`` ends in, without scipy's Python dispatch, and is scipy's
+result bit for bit (``linalg``'s fixed-pattern matrices are ``KernelCSC``).
 
 Layout: a field with index (ix, iy) is flattened C-style to ix*ny + iy.
 Operators acting along x are kron(Op1d, I_ny); along y, kron(I_nx, Op1d).
@@ -35,10 +38,12 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+# the kernels scipy's own ``A @ x`` ends in for a CSR / CSC matrix
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 __all__ = [
     "Grid", "ScalarField", "VectorField", "sbp_selftest", "SbpReport",
-    "write_field_snapshot",
+    "write_field_snapshot", "KernelCSR", "KernelCSC",
     "FIELD_KIND_CELL", "FIELD_KIND_XFACE", "FIELD_KIND_YFACE",
 ]
 
@@ -52,6 +57,40 @@ FIELD_KIND_YFACE = 2
 _SNAPSHOT_MAGIC = b"CHNSFLD1"
 _SNAPSHOT_HEADER = struct.Struct("<8sIIIIdq")   # magic nx ny kind pad time step
 _SNAPSHOT_HEADER_LEN = 64
+
+
+# ---------------------------------------------------------------------------
+# the kernel path of a sparse matrix-vector product
+# ---------------------------------------------------------------------------
+
+_F8 = np.dtype(np.float64)
+
+
+class _KernelPath:
+    """``A @ x`` for a C-contiguous 1-D float64 ndarray x of A's column
+    count, with float64 data: scipy's own kernel (``_matvec``) called into
+    a fresh zero vector, as ``A @ x`` ends in, without scipy's dispatch.
+    Any other operand, a vector of the wrong length included (which scipy
+    rejects), goes to scipy, so every result is scipy's bit for bit."""
+
+    def __matmul__(self, x):
+        m, n = self._shape
+        if (x.__class__ is np.ndarray and x.shape == (n,) and x.dtype is _F8
+                and self.data.dtype is _F8 and x.flags.c_contiguous):
+            out = np.zeros(m)
+            self._matvec(m, n, self.indptr, self.indices, self.data, x, out)
+            return out
+        return super().__matmul__(x)
+
+
+class KernelCSR(_KernelPath, sp.csr_matrix):
+    """A CSR matrix whose ``@`` on a vector takes the kernel path."""
+    _matvec = staticmethod(csr_matvec)
+
+
+class KernelCSC(_KernelPath, sp.csc_matrix):
+    """A CSC matrix whose ``@`` on a vector takes the kernel path."""
+    _matvec = staticmethod(csc_matvec)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +319,9 @@ class GridOperators:
                       format="csr")
         self.C = C[:, 1:].tocsr() if per else C
         self.CT = self.C.T.tocsr()
+        # every operator above applies through the kernel path
+        vars(self).update((name, KernelCSR(op))
+                          for name, op in vars(self).items())
         self._cache = {}
 
     def cached(self, key, build):
@@ -364,9 +406,9 @@ class SkewConvection(NamedTuple):
     of their face, tangential edges on the corner lines, a half spacing
     behind (box wall edges, where M's normal components vanish, carry zero
     flux and are left out)."""
-    E: sp.csr_matrix            # faces -> edges: Q u and P^T u per set
-    Phi: sp.csr_matrix          # faces -> edges: f M, twice per set
-    O: sp.csr_matrix            # edges -> faces: [P, -Q^T] per set
+    E: KernelCSR                # faces -> edges: Q u and P^T u per set
+    Phi: KernelCSR              # faces -> edges: f M, twice per set
+    O: KernelCSR                # edges -> faces: [P, -Q^T] per set
 
 
 def skew_convection(g: Grid) -> SkewConvection:
@@ -388,7 +430,7 @@ def skew_convection(g: Grid) -> SkewConvection:
         Phi = sp.bmat([[f if a == c else None for c in (0, 1)]
                        for comp in sets for _, _, f, a in comp for _ in (0, 1)],
                       format="csr")
-        return SkewConvection(E, Phi, O)
+        return SkewConvection(KernelCSR(E), KernelCSR(Phi), KernelCSR(O))
     return g.ops.cached("convection", build)
 
 

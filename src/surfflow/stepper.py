@@ -17,12 +17,14 @@ has no pressure.  The unknowns are the stream function psi (the Stokes
 block S) and the Cahn-Hilliard blocks C = [q, mu, phi]; no pressure, pin
 or border multiplier is iterated on, and D v stays at the old state's up
 to round-off.  The iterate is the four field arrays v, q, mu and phi of
-``_Terms``; each Newton update [dpsi, dq, dmu, dphi] is split once and a
-line-search trial moves the arrays by C dpsi and the cell blocks
-(``_moved``).  The pressure is recovered from the momentum residual at
-every iterate with the grid's pinned Poisson LU (``_Terms.residual``): it
-scales the momentum norm and is the new state's p.  The Newton operator is
-one block Gauss-Seidel sweep over S and C: y_S = K^-1 r_S with the
+``_Terms``; each Newton update [dpsi, dq, dmu, dphi] is split into views
+and a line-search trial moves the arrays by C dpsi and the cell blocks
+(``_moved``).  An attempt's first iterate is the old state, whose model
+function values the frozen part already holds (``_Terms``, ``old``).  The
+pressure is recovered from the momentum residual at every iterate with the
+grid's pinned Poisson LU (``_Terms.residual``): it scales the momentum norm
+and is the new state's p.  The Newton operator is one block Gauss-Seidel
+sweep over S and C: y_S = K^-1 r_S with the
 stream-function operator K = C^T J_vv C of the velocity block J_vv, then
 y_C = J_CC^-1 (r_C - J_CS C y_S), with sparse LUs of K and J_CC; J_SC, the
 response of the momentum to q, mu and phi, is never built.  In v0 mode
@@ -209,11 +211,16 @@ class _Terms:
     ``q``, ``mu``, ``phi``: the step's frozen part, model functions,
     settings and tau, and every nonlinear coupling evaluated there (shared
     forms, G mu among them, are computed once and reused by the residual,
-    the Jacobian and the defect)."""
+    the Jacobian and the defect).
+
+    With ``old`` the iterate is the step's old state, the first iterate of
+    every attempt: f(q), g(q), W(phi) and, coupled, rho(phi) are ``lin``'s
+    old-state values, and the secant of W at (phi_k, phi_k) is its defining
+    case W'(phi_k), ``lin.Wp_k``; only h(q) is evaluated."""
 
     def __init__(self, lin: LinearizedSystem, cset: ConstitutiveSet,
                  cfg: StepConfig, tau: float, v: np.ndarray, q: np.ndarray,
-                 mu: np.ndarray, phi: np.ndarray):
+                 mu: np.ndarray, phi: np.ndarray, old: bool = False):
         g = lin.grid
         ops = g.ops
         eps = lin.params.epsilon
@@ -222,11 +229,15 @@ class _Terms:
         self.v, self.q, self.mu, self.phi = v, q, mu, phi
         self.grad_mu = ops.G @ mu
 
-        self.f_q = cset.f(q)
-        self.g_q = cset.g(q)
         self.h_q = cset.h(q)
-        self.W_phi = cset.W(phi)
-        self.H = cset.secant_W(phi, lin.phi_k)
+        if old:
+            self.f_q, self.g_q, self.W_phi = lin.f_qk, lin.g_qk, lin.W_k
+            self.H = lin.Wp_k
+        else:
+            self.f_q = cset.f(q)
+            self.g_q = cset.g(q)
+            self.W_phi = cset.W(phi)
+            self.H = cset.secant_W(phi, lin.phi_k)
 
         # surfactant equation pieces (old-level W in the transported density)
         self.Fq_time = ((self.f_q - lin.f_qk) * lin.W_k
@@ -239,7 +250,7 @@ class _Terms:
             self.transport_q = np.zeros(g.n_cells)
             self.transport_phi = np.zeros(g.n_cells)
         else:
-            self.rho_it = cset.rho(phi)
+            self.rho_it = lin.rho_k if old else cset.rho(phi)
             self.grad_surf = ops.G @ (self.f_q * lin.W_k / eps + self.g_q)
             self.transport_q = ops.Afc @ (self.grad_surf * v)
             self.transport_phi = ops.Afc @ (lin.grad_phi_k * v)
@@ -659,10 +670,11 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
     g = lin.grid
     # the Newton vector [psi, q, mu, phi] (no psi in v0 mode)
     ns = 0 if cfg.v0_mode else g.ops.C.shape[1]
-    splits = [ns + i * g.n_cells for i in range(3)]
+    nc = g.n_cells
+    cells = [slice(ns + i * nc, ns + (i + 1) * nc) for i in range(3)]
     held.begin(tau)
     t = _Terms(lin, cset, cfg, tau, state_k.v.data, state_k.q.data,
-               state_k.mu.data, state_k.phi.data)
+               state_k.mu.data, state_k.phi.data, old=True)
     rvec, blocks = t.residual()
     newton_left = cfg.max_newton
     prev_res = np.inf
@@ -695,8 +707,9 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
         alpha = 1.0
         while True:
             if alpha == 1.0:      # first trial, or after a stale-operator build
-                dpsi, *d = np.split(held.solve(-rvec), splits)
-                dv = None if cfg.v0_mode else g.ops.C @ dpsi
+                y = held.solve(-rvec)
+                d = [y[c] for c in cells]
+                dv = None if cfg.v0_mode else g.ops.C @ y[:ns]
                 report.linear_solves += 1
             t_try = _Terms(lin, cset, cfg, tau, *_moved(t, dv, *d, alpha))
             rvec_try, blocks_try = t_try.residual()
@@ -721,9 +734,13 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
 
 def _moved(t: _Terms, dv, dq, dmu, dphi, alpha: float) -> tuple:
     """The fields (v, q, mu, phi) of ``t`` moved by ``alpha`` times their
-    updates; v stays where ``dv`` is None (v0 mode)."""
-    v = t.v if dv is None else t.v + alpha * dv
-    return v, t.q + alpha * dq, t.mu + alpha * dmu, t.phi + alpha * dphi
+    updates (a full step without the multiply, which is exact); v stays
+    where ``dv`` is None (v0 mode)."""
+    if alpha != 1.0:
+        dv = None if dv is None else alpha * dv
+        dq, dmu, dphi = alpha * dq, alpha * dmu, alpha * dphi
+    v = t.v if dv is None else t.v + dv
+    return v, t.q + dq, t.mu + dmu, t.phi + dphi
 
 
 def transport_defect(t: _Terms) -> float:

@@ -10,8 +10,10 @@ from fields import (div, from_function, grad, iterate_of,
                     read_field_snapshot, ux2d, uy2d, view2d, yface_coords)
 from surfflow.constitutive import ModelParams, build_default_set
 from reference_assembly import convect_flux_jacobian, convect_matrix
-from surfflow.mesh import (FIELD_KIND_CELL, Grid, ScalarField, VectorField,
-                           convect_skew, sbp_selftest, write_field_snapshot)
+from surfflow.linalg import assemble_velocity_form
+from surfflow.mesh import (FIELD_KIND_CELL, Grid, KernelCSC, KernelCSR,
+                           ScalarField, VectorField, convect_skew,
+                           sbp_selftest, skew_convection, write_field_snapshot)
 from surfflow.state import State
 from surfflow.stepper import StepConfig, _jacobian, _Terms, assemble_linear
 
@@ -367,6 +369,85 @@ class TestConvection:
             errs.append(np.abs(got - tgt).max())
         assert errs[0] / errs[1] > 3.0
         assert errs[1] / errs[2] > 3.0
+
+
+def _kernel_operators(g, rng):
+    """(name, matrix) of every operator of ``g`` that a run applies through
+    the kernel path: the bundle's, the skew-convection operators, and a
+    velocity form (the fixed patterns' CSC matrices)."""
+    ops = g.ops
+    conv = skew_convection(g)
+    form = assemble_velocity_form(g, np.exp(rng.standard_normal(g.n_cells)),
+                                  1e-3)
+    return ([(name, getattr(ops, name)) for name in
+             ("G", "D", "Acf", "Afc", "C", "CT", "Lvec")]
+            + list(conv._asdict().items()) + [("velocity_form", form)])
+
+
+def _scipy_matmul(A, x):
+    """``A @ x`` through scipy's own dispatch."""
+    plain = sp.csc_matrix if isinstance(A, KernelCSC) else sp.csr_matrix
+    return plain.__matmul__(A, x)
+
+
+def _same_bits(a, b) -> bool:
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+class TestKernelPath:
+    """``A @ x`` on a grid operator calls scipy's kernel directly for a
+    C-contiguous 1-D float64 vector and gives scipy's result bit for bit;
+    every other operand is scipy's own."""
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_vectors_match_scipy_bit_for_bit(self, rng, bc):
+        g = Grid(9, 7, 1.0, 1.3, bc)
+        for name, A in _kernel_operators(g, rng):
+            n = A.shape[1]
+            special = np.resize([0.0, -0.0, np.inf, -np.inf, np.nan], n)
+            for x in (rng.standard_normal(n), special,
+                      np.where(rng.random(n) < 0.3, special,
+                               rng.standard_normal(n))):
+                assert _same_bits(A @ x, _scipy_matmul(A, x)), name
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_wrong_length_raises(self, rng, bc):
+        g = Grid(9, 7, 1.0, 1.3, bc)
+        for name, A in _kernel_operators(g, rng):
+            for n in (A.shape[1] - 1, A.shape[1] + 1):
+                with pytest.raises(ValueError):
+                    A @ np.ones(n)
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_other_operands_give_scipy_s_result(self, rng, bc):
+        g = Grid(9, 7, 1.0, 1.3, bc)
+        for name, A in _kernel_operators(g, rng):
+            n = A.shape[1]
+            x = rng.standard_normal(n)
+            for other in (rng.standard_normal(2 * n)[::2],   # not contiguous
+                          np.arange(n),                      # integer
+                          x.astype(np.float32),
+                          x[:, None],                        # 2-D
+                          np.stack([x, 2.0 * x], axis=1)):
+                assert _same_bits(A @ other, _scipy_matmul(A, other)), name
+            S = sp.random(n, 3, density=0.5, random_state=1, format="csr")
+            assert (abs(A @ S - _scipy_matmul(A, S)) > 0).nnz == 0, name
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_every_operator_takes_the_kernel_path(self, rng, bc):
+        # a sparse operator added to the bundle, the convection operators or
+        # the fixed patterns must not fall back to scipy's dispatch
+        g = Grid(9, 7, 1.0, 1.3, bc)
+        held = {name: op for name, op in vars(g.ops).items()
+                if sp.issparse(op)}
+        held.update(skew_convection(g)._asdict())
+        assert {"G", "D", "Acf", "Afc", "C", "CT", "Lvec", "E", "Phi",
+                "O"} <= held.keys()
+        for name, op in held.items():
+            assert type(op) is KernelCSR, name
+        form = assemble_velocity_form(g, np.ones(g.n_cells), 1e-3)
+        assert type(form) is KernelCSC
 
 
 class TestSnapshots:
