@@ -327,14 +327,15 @@ def _cmd_run(values, outdir, args) -> int:
         result.rows, [rep.transport_defect for rep in result.reports],
         result.E0)
     n_steps = len(result.rows)
-    ss_lus, cc_lus, newton, fill, orderings = (
+    ss_lus, cc_lus, newton, fill, orderings, restarts = (
         sum(getattr(rep, key) for rep in result.reports)
         for key in ("ss_lus", "cc_lus", "newton_iterations", "factor_fill",
-                    "orderings"))
+                    "orderings", "restarts"))
     print(f"run complete: {n_steps} steps to t={last.t:g}, "
           f"E_tot={last.E_tot:.9g}, phi_mass={last.phi_mass:.12g}, "
           f"max|div v|={max(r.div_inf for r in result.rows):.3e}, "
           f"energy-estimate violations: {int(violated.sum())}, "
+          f"restarts {restarts}, "
           f"Stokes LUs/step {ss_lus / n_steps:.3g}, "
           f"J_CC LUs/step {cc_lus / n_steps:.3g}, Newton it./step "
           f"{newton / n_steps:.3g}, "

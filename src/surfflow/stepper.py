@@ -6,10 +6,14 @@ energy-stable discretization prescribes: viscosity, mobilities, density and
 the transported gradients use the old phi/q, while the potentials f, g, h
 and the secant slope H of W are evaluated implicitly.
 
-The solver is a Newton iteration on the full coupled residual, started
-from the old state at every attempt (each tau halving included).  It works
-on the divergence-free velocities, as the weak formulation does (the
-null-space method: Benzi, Golub & Liesen, Numerical solution of saddle
+The solver is a Newton iteration on the full coupled residual.  With flow
+every attempt (each tau halving included) starts it from the old state.
+In v0 mode a step of ``run`` first starts it from q, mu and phi
+extrapolated in time through the old states of the last steps
+(``_predicted``; Hairer & Wanner, Solving ODEs II, sec. IV.8), and from
+the old state at the same tau if that fails.  It works on the
+divergence-free velocities, as the weak formulation does (the null-space
+method: Benzi, Golub & Liesen, Numerical solution of saddle
 point problems, Acta Numerica 2005, sec. 6): each iterate moves v by C psi,
 C the grid's discrete curl (D C = 0; periodic: zero component means), and
 the momentum equation enters tested against C's columns, C^T r_v, which
@@ -19,8 +23,8 @@ or border multiplier is iterated on, and D v stays at the old state's up
 to round-off.  The iterate is the four field arrays v, q, mu and phi of
 ``_Terms``; each Newton update [dpsi, dq, dmu, dphi] is split into views
 and a line-search trial moves the arrays by C dpsi and the cell blocks
-(``_moved``).  An attempt's first iterate is the old state, whose model
-function values the frozen part already holds (``_Terms``, ``old``).  The
+(``_moved``).  An attempt from the old state takes its model function
+values there from the frozen part (``_Terms``, ``old``).  The
 pressure is recovered from the momentum residual at every iterate with the
 grid's pinned Poisson LU (``_Terms.residual``): it scales the momentum norm
 and is the new state's p.  The Newton operator is one block Gauss-Seidel
@@ -46,7 +50,8 @@ iterate only if it lowers the scaled residual, so the accepted residual
 history is strictly decreasing; a full step from an operator not built
 whole at the current iterate that does not lower the residual is solved
 again with a fresh one.  When the line search stalls or the iteration
-budget runs out, the step is retried with tau halved.
+budget runs out (or the residual is not finite), the step is retried:
+from the old state after an extrapolated start, else with tau halved.
 
 Momentum convection uses the skew form (M . grad) v + (div M) v / 2 with
 mass flux M = rho_k v + J, discretized as 0.5 O ((Phi M) * (E v)) with the
@@ -121,6 +126,7 @@ class StepReport:
     tau_used: float = 0.0
     transport_defect: float = 0.0       # at the converged iterate (0 in v0)
     backoffs: int = 0
+    restarts: int = 0                   # extrapolated starts abandoned (v0)
     converged: bool = False
     failure_reason: str = ""
     wall_time: float = 0.0
@@ -214,9 +220,10 @@ class _Terms:
     the Jacobian and the defect).
 
     With ``old`` the iterate is the step's old state, the first iterate of
-    every attempt: f(q), g(q), W(phi) and, coupled, rho(phi) are ``lin``'s
-    old-state values, and the secant of W at (phi_k, phi_k) is its defining
-    case W'(phi_k), ``lin.Wp_k``; only h(q) is evaluated."""
+    every attempt but an extrapolated start: f(q), g(q), W(phi) and,
+    coupled, rho(phi) are ``lin``'s old-state values, and the secant of W
+    at (phi_k, phi_k) is its defining case W'(phi_k), ``lin.Wp_k``; only
+    h(q) is evaluated."""
 
     def __init__(self, lin: LinearizedSystem, cset: ConstitutiveSet,
                  cfg: StepConfig, tau: float, v: np.ndarray, q: np.ndarray,
@@ -660,9 +667,12 @@ class _HeldLU:
 
 def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
               cfg: StepConfig, tau: float, report: StepReport,
-              held: _HeldLU) -> Optional[State]:
+              held: _HeldLU,
+              start: Optional[tuple] = None) -> Optional[State]:
     """The Newton iteration on the coupled system for one tau from
-    ``state_k``; None when the line search stalls or the budget runs out.
+    ``state_k``, or from the cell arrays ``start`` = (q, mu, phi) with v
+    at ``state_k``'s; None when the residual is not finite, the line search
+    stalls or the budget runs out.
 
     The operator in ``held`` may come from an earlier iterate or step (a
     chord iteration); its LUs are rebuilt as ``held`` decides.
@@ -673,8 +683,9 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
     nc = g.n_cells
     cells = [slice(ns + i * nc, ns + (i + 1) * nc) for i in range(3)]
     held.begin(tau)
-    t = _Terms(lin, cset, cfg, tau, state_k.v.data, state_k.q.data,
-               state_k.mu.data, state_k.phi.data, old=True)
+    t = _Terms(lin, cset, cfg, tau, state_k.v.data,
+               *(_cells(state_k) if start is None else start),
+               old=start is None)
     rvec, blocks = t.residual()
     newton_left = cfg.max_newton
     prev_res = np.inf
@@ -773,17 +784,46 @@ def _finalize(state_k: State, t: _Terms) -> State:
     )
 
 
+def _cells(s: State) -> tuple:
+    """The cell arrays (q, mu, phi) of the state ``s``."""
+    return s.q.data, s.mu.data, s.phi.data
+
+
+def _predicted(state_k: State, history: tuple, tau: float) -> Optional[tuple]:
+    """The start (q, mu, phi) of a step of ``tau`` from ``state_k``
+    extrapolated through the old states of the last accepted steps
+    (``history``, newest first, each with the tau it stepped by):
+    quadratic, 3 (x_k - x_k-1) + x_k-2, when both stepped by ``tau``,
+    else linear, x_k + (tau / tau_k-1) (x_k - x_k-1); None without
+    history."""
+    if not history:
+        return None
+    (tau1, s1), *earlier = history
+    x, x1 = _cells(state_k), _cells(s1)
+    if earlier and tau1 == tau == earlier[0][0]:
+        x2 = _cells(earlier[0][1])
+        return tuple(3.0 * (a - b) + c for a, b, c in zip(x, x1, x2))
+    ratio = tau / tau1
+    return tuple(a + ratio * (a - b) for a, b in zip(x, x1))
+
+
 def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
          params: ModelParams, cfg: StepConfig,
-         held: Optional[_HeldLU] = None):
+         held: Optional[_HeldLU] = None, history: tuple = ()):
     """Advance one implicit step, halving tau on failure up to the limit.
 
-    Every attempt starts Newton from ``state_k`` (one attempt only with
-    ``max_newton = 0``: the old state's residual does not shrink with tau).
-    ``held`` carries the Newton LU from step to step (``run`` passes one);
-    without it the LU lives for this call only.  Returns (state_{k+1},
-    StepReport).  Raises StepFailure when every retry is exhausted; no
-    partial state escapes.
+    In v0 mode with ``history``, the old states of the last accepted steps
+    (newest first, each with the tau it stepped by; ``run`` passes the last
+    two), the first attempt starts Newton from their extrapolation
+    (``_predicted``) with v at ``state_k``'s.  If it fails, the step
+    retries from ``state_k`` at the same tau (counted in
+    ``StepReport.restarts``).  That attempt and every halved one start from
+    ``state_k``, as every attempt does in coupled mode and without history.
+    With ``max_newton = 0`` tau is never halved: the old state's residual
+    does not shrink with tau.  ``held`` carries the Newton LU from step to
+    step (``run`` passes one); without it the LU lives for this call only.
+    Returns (state_{k+1}, StepReport).  Raises StepFailure when every retry
+    is exhausted; no partial state escapes.
     """
     t0 = _time.perf_counter()
     if cfg.v0_mode and float(np.abs(state_k.v.data).max()) != 0.0:
@@ -793,18 +833,25 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
     if held is None:
         held = _HeldLU()
     tau = cfg.tau
+    start = _predicted(state_k, history, tau) if cfg.v0_mode else None
     backoffs = cfg.max_backoff if cfg.max_newton else 0
-    for attempt in range(backoffs + 1):
+    while True:
         report.tau_used = tau
-        out = _try_step(state_k, lin, cset, cfg, tau, report, held)
+        out = _try_step(state_k, lin, cset, cfg, tau, report, held, start)
         if out is not None:
             report.wall_time = _time.perf_counter() - t0
             return out, report
-        if attempt < backoffs:
+        if start is not None:
+            start = None
+            report.restarts += 1
+            note = "retry from the old state"
+        elif report.backoffs < backoffs:
             tau *= 0.5
             report.backoffs += 1
-            report.residual_history.append({"total": np.inf,
-                                            "note": f"retry tau={tau:g}"})
+            note = f"retry tau={tau:g}"
+        else:
+            break
+        report.residual_history.append({"total": np.inf, "note": note})
     report.wall_time = _time.perf_counter() - t0
     raise StepFailure(
         f"step failed after {report.backoffs} tau halvings "
@@ -828,8 +875,10 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
     """Repeated stepping to the horizon T with per-step energy accounting.
 
     Appends one ledger row per accepted step.  The Newton LU is held from
-    step to step.  A StepFailure propagates with the partial ledger attached
-    to the exception (``exc.partial``).
+    step to step, and in v0 mode each step gets the old states of the last
+    two steps with their taus (``step``'s ``history``).  A StepFailure
+    propagates with the partial ledger attached to the exception
+    (``exc.partial``).
     """
     from . import energy
 
@@ -839,6 +888,7 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
     reports = []
     s = state0
     held = _HeldLU()
+    history = ()                    # (tau, old state) of the last two steps
     result = RunResult(rows, reports, state0,
                        energy.total_energy(state0, cset, params).E_tot)
     E_k = result.E0                 # the energy of s, computed once
@@ -848,7 +898,8 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
         if remaining < cfg.tau * (1.0 - 1e-12):
             step_cfg = replace(cfg, tau=remaining)
         try:
-            s_new, rep = step(s, grid, cset, params, step_cfg, held=held)
+            s_new, rep = step(s, grid, cset, params, step_cfg, held=held,
+                              history=history)
         except StepFailure as exc:
             exc.partial = result
             raise
@@ -860,6 +911,8 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
         if callbacks:
             for cb in callbacks:
                 cb(s_new, rep, row)
+        if cfg.v0_mode:             # only v0 steps use it
+            history = ((rep.tau_used, s),) + history[:1]
         s = s_new
     result.final_state = s
     return result

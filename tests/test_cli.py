@@ -178,6 +178,30 @@ t_final = 6e-3
             header = (out / "ledger.csv").read_text().splitlines()[0]
             assert "fill" not in header and "factor" not in header
 
+    def test_summary_reports_restarts(self, tmp_path, capsys):
+        # on this rough v0 state the extrapolated starts of steps 2 and 3
+        # fail, and each step starts again from its old state
+        path = write(tmp_path, """
+[grid]
+nx = 16
+ny = 16
+
+[scenario]
+name = random-seed
+sigma = 1.0
+q0 = 0.1
+
+[stepper]
+tau = 1e-3
+v0_mode = true
+
+[output]
+t_final = 3e-3
+""")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[0]
+        assert ", restarts 2, " in line
+
     def test_summary_counts_energy_estimate_violations(self, tmp_path,
                                                        capsys):
         # the one-step estimate bounds slack - transport_defect, so the

@@ -19,7 +19,7 @@ from surfflow.mesh import Grid, ScalarField, VectorField, convect_skew
 from surfflow.state import ScenarioConfig, State, initialize_scenario
 from surfflow.stepper import (FACTOR_COST_PER_FILL, StepConfig, StepFailure,
                               StepReport, _BLOCKS, _CH_BLOCKS, _HeldLU,
-                              _jacobian, _LU, _Terms, _try_step,
+                              _cells, _jacobian, _LU, _Terms, _try_step,
                               assemble_linear, run, step)
 
 
@@ -626,13 +626,14 @@ class TestHeldLU:
     def test_v0_counts_match_the_one_lu_rule(self, cset, params, relax16):
         # v0 mode has J_CC's LU alone, priced as the whole operator was
         # before each LU had its own price: per step, the Newton iterations
-        # and LUs that rule took here
+        # and LUs that rule takes here from the extrapolated starts (120
+        # iterations and 10 LUs from the old states)
         g, s0, cfg = relax16
         res = run(s0, g, cset, params, cfg, T=20 * cfg.tau)
         assert [(r.newton_iterations, r.cc_lus) for r in res.reports] == [
-            (5, 2), (5, 1), (5, 1), (5, 1), (5, 1), (7, 0), (5, 1), (7, 0),
-            (4, 1), (6, 0), (7, 0), (4, 1), (6, 0), (6, 0), (7, 0), (7, 0),
-            (8, 0), (8, 0), (8, 0), (5, 1)]
+            (5, 2), (5, 1), (4, 1), (8, 0), (4, 1), (7, 0), (4, 1), (6, 0),
+            (7, 0), (3, 1), (5, 0), (6, 0), (7, 0), (7, 0), (7, 0), (2, 1),
+            (4, 0), (5, 0), (5, 0), (5, 0)]
         assert all(r.ss_lus == 0 for r in res.reports)
 
     def test_coupled_counts_match_the_per_lu_rule(self, shear_droplet_10):
@@ -1411,3 +1412,105 @@ class TestFirstIterate:
         _, norms = _Terms(lin, cset, cfg, cfg.tau, *iterate_of(s0)).residual()
         assert report.residual_history == [dict(norms,
                                                 total=max(norms.values()))]
+
+
+def _run_states(s0, g, cset, params, cfg, steps):
+    """A run from ``s0`` to ``steps`` tau: its states (``s0`` first) and
+    step reports."""
+    states = [s0]
+    res = run(s0, g, cset, params, cfg, T=steps * cfg.tau,
+              callbacks=[lambda s, rep, row: states.append(s)])
+    return states, res.reports
+
+
+def _first_residual(s, start, g, cset, params, cfg):
+    """The first residual_history entry of an attempt of ``cfg.tau`` from
+    the old state ``s`` whose first iterate has cell arrays ``start``."""
+    lin = assemble_linear(s, g, cset, params, cfg)
+    _, norms = _Terms(lin, cset, cfg, cfg.tau, s.v.data, *start).residual()
+    return dict(norms, total=max(norms.values()))
+
+
+class TestPredictedStart:
+    """In v0 mode a step of ``run`` first tries Newton from the old states
+    of the last two steps extrapolated, and from its own old state at the
+    same tau if that fails; coupled steps start from the old state."""
+
+    def test_start_is_the_extrapolated_state(self, cset, params, relax16):
+        g, s0, cfg = relax16
+        (s0, s1, s2, _), reports = _run_states(s0, g, cset, params, cfg, 3)
+        # step 1 has no history: its start is the old state
+        assert reports[0].residual_history[0] == _first_residual(
+            s0, _cells(s0), g, cset, params, cfg)
+        linear = [b + (b - a) for a, b in zip(_cells(s0), _cells(s1))]
+        assert reports[1].residual_history[0] == _first_residual(
+            s1, linear, g, cset, params, cfg)
+        quadratic = [3.0 * (c - b) + a for a, b, c in
+                     zip(_cells(s0), _cells(s1), _cells(s2))]
+        assert reports[2].residual_history[0] == _first_residual(
+            s2, quadratic, g, cset, params, cfg)
+        assert all(r.restarts == 0 for r in reports)
+        # a step called without history starts from its old state
+        _, rep = step(s2, g, cset, params, cfg)
+        assert rep.residual_history[0] == _first_residual(
+            s2, _cells(s2), g, cset, params, cfg)
+
+    def test_linear_start_scales_with_the_tau_ratio(self, cset, params,
+                                                    relax16):
+        # the last step of a run to 2.5 tau steps by tau / 2 from s2, so
+        # both earlier steps took another tau: a linear start at ratio 1/2
+        g, s0, cfg = relax16
+        (_, s1, s2, _), reports = _run_states(s0, g, cset, params, cfg, 2.5)
+        last = dataclasses.replace(cfg, tau=reports[-1].tau_used)
+        assert last.tau < cfg.tau
+        ratio = last.tau / cfg.tau
+        linear = [b + ratio * (b - a)
+                  for a, b in zip(_cells(s1), _cells(s2))]
+        assert reports[-1].residual_history[0] == _first_residual(
+            s2, linear, g, cset, params, last)
+
+    def test_failed_start_retries_from_the_old_state(self, cset, params):
+        # on this rough state the extrapolated start of steps 2 and 3
+        # stalls; each step then starts again from its old state at the
+        # full tau, before any halving
+        g = Grid(16, 16)
+        s0 = initialize_scenario(ScenarioConfig(name="random-seed", sigma=1.0,
+                                                q0=0.1), g, params, cset)
+        cfg = StepConfig(tau=1e-3, v0_mode=True)
+        states, reports = _run_states(s0, g, cset, params, cfg, 30)
+        assert [k for k, r in enumerate(reports, 1) if r.restarts] == [2, 3]
+        for k in (2, 3):
+            rep, s = reports[k - 1], states[k - 1]
+            assert rep.restarts == 1 and rep.converged
+            assert rep.backoffs == 0 and rep.tau_used == cfg.tau
+            notes = [i for i, h in enumerate(rep.residual_history)
+                     if "note" in h]
+            assert len(notes) == 1
+            i = notes[0]
+            assert rep.residual_history[i] == {
+                "total": np.inf, "note": "retry from the old state"}
+            assert rep.residual_history[i + 1] == _first_residual(
+                s, _cells(s), g, cset, params, cfg)
+            assert dataclasses.asdict(rep)["restarts"] == 1
+
+    def test_coupled_run_steps_as_without_history(self, cset, params):
+        g = Grid(16, 16)
+        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet",
+                                                shear=0.5, q0=0.1),
+                                 g, params, cset)
+        cfg = StepConfig(tau=1e-3)
+        res = run(s0, g, cset, params, cfg, T=8 * cfg.tau)
+        held, s = _HeldLU(), s0
+        for rep in res.reports:
+            s, plain = step(s, g, cset, params, cfg, held=held)
+            assert dataclasses.replace(rep, wall_time=0.0) == \
+                dataclasses.replace(plain, wall_time=0.0)
+            assert plain.restarts == 0
+        assert np.array_equal(s.phi.data, res.final_state.phi.data)
+        assert np.array_equal(s.v.data, res.final_state.v.data)
+        # a coupled step handed a history starts from its old state
+        s1, rep = step(s, g, cset, params, cfg, history=((cfg.tau, s0),))
+        s2, plain = step(s, g, cset, params, cfg)
+        assert dataclasses.replace(rep, wall_time=0.0) == \
+            dataclasses.replace(plain, wall_time=0.0)
+        assert np.array_equal(s1.phi.data, s2.phi.data)
