@@ -9,9 +9,9 @@ and the secant slope H of W are evaluated implicitly.
 The solver is a Newton iteration on the full coupled residual.  With flow
 every attempt (each tau halving included) starts it from the old state.
 In v0 mode a step of ``run`` first starts it from q, mu and phi
-extrapolated in time through the old states of the last steps
-(``_predicted``; Hairer & Wanner, Solving ODEs II, sec. IV.8), and from
-the old state at the same tau if that fails.  It works on the
+extrapolated in shrinking backward differences through up to eight old
+states (``_predicted``; Hairer & Wanner, Solving ODEs II, sec. IV.8), and
+from the old state at the same tau if that fails.  It works on the
 divergence-free velocities, as the weak formulation does (the null-space
 method: Benzi, Golub & Liesen, Numerical solution of saddle
 point problems, Acta Numerica 2005, sec. 6): each iterate moves v by C psi,
@@ -128,7 +128,8 @@ class StepReport:
     backoffs: int = 0
     restarts: int = 0                   # extrapolated starts abandoned (v0)
     converged: bool = False
-    failure_reason: str = ""
+    failure_reason: str = ""            # why the step failed
+    abandoned: list = field(default_factory=list)  # why each attempt failed
     wall_time: float = 0.0
 
 
@@ -241,9 +242,7 @@ class _Terms:
             self.f_q, self.g_q, self.W_phi = lin.f_qk, lin.g_qk, lin.W_k
             self.H = lin.Wp_k
         else:
-            self.f_q = cset.f(q)
-            self.g_q = cset.g(q)
-            self.W_phi = cset.W(phi)
+            self.f_q, self.g_q, self.W_phi = cset.f(q), cset.g(q), cset.W(phi)
             self.H = cset.secant_W(phi, lin.phi_k)
 
         # surfactant equation pieces (old-level W in the transported density)
@@ -419,9 +418,7 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
     eps = lin.params.epsilon
     delta = lin.params.delta
 
-    fq_p = cset.fp(t.q)
-    gq_p = cset.gp(t.q)
-    hq_p = cset.hp(t.q)
+    fq_p, gq_p, hq_p = cset.fp(t.q), cset.gp(t.q), cset.hp(t.q)
     Wp_it = cset.Wp(t.phi)
     dH = cset.dsecant_W_da(t.phi, lin.phi_k)
     w_cc = {
@@ -474,6 +471,10 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
 # spreads, which keeps every v0 decision (the v0 operator, J_CC's LU alone
 # over a cheaper iteration, measured 0.28).
 FACTOR_COST_PER_FILL = 0.17
+
+# Most old states a v0 start extrapolates through: on relaxation-v0 (32^2,
+# 100 steps) 4 give 360 Newton iterations, 10 LUs; 8 to 24 give 290-294, 6.
+PREDICTOR_DEPTH = 8
 
 
 @dataclass
@@ -658,7 +659,7 @@ class _HeldLU:
             C = factor(J.CC, "C")
             report.cc_lus += 1
         except RuntimeError as exc:
-            report.failure_reason = f"Newton linearization failed: {exc}"
+            report.abandoned.append(f"Newton linearization failed: {exc}")
             return False
         self.S, self.CS, self.C, self.tau = S, J.CS, C, t.tau
         self.rebuilt.update(blocks)
@@ -694,7 +695,7 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
         report.iterations += 1
         report.residual_history.append(dict(blocks, total=res))
         if not np.isfinite(res):
-            report.failure_reason = "non-finite residual"
+            report.abandoned.append("non-finite residual")
             return None
         if res <= cfg.tol_nl:
             report.converged = True
@@ -703,8 +704,8 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 report.transport_defect = transport_defect(t)
             return _finalize(state_k, t)
         if newton_left == 0:
-            report.failure_reason = "Newton iteration budget exhausted " \
-                f"(max_newton = {cfg.max_newton})"
+            report.abandoned.append("Newton iteration budget exhausted "
+                                    f"(max_newton = {cfg.max_newton})")
             return None
         stale = held.refactor(res, prev_res, cfg.tol_nl, newton_left,
                               first=newton_left == cfg.max_newton - 1)
@@ -739,7 +740,7 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 continue
             alpha *= 0.5
             if alpha < 1.0 / 256.0:
-                report.failure_reason = "Newton line search stalled"
+                report.abandoned.append("Newton line search stalled")
                 return None
 
 
@@ -790,21 +791,29 @@ def _cells(s: State) -> tuple:
 
 
 def _predicted(state_k: State, history: tuple, tau: float) -> Optional[tuple]:
-    """The start (q, mu, phi) of a step of ``tau`` from ``state_k``
-    extrapolated through the old states of the last accepted steps
-    (``history``, newest first, each with the tau it stepped by):
-    quadratic, 3 (x_k - x_k-1) + x_k-2, when both stepped by ``tau``,
-    else linear, x_k + (tau / tau_k-1) (x_k - x_k-1); None without
-    history."""
-    if not history:
+    """The start (q, mu, phi) of a ``tau`` step from ``state_k`` through
+    ``history`` (the last old states' (tau, q, mu, phi), newest first): None
+    without history or after a shorter step, x_k + (tau / tau_k-1) nabla x_k
+    after a longer one, else per field x_k + nabla x_k + ... + nabla^p x_k
+    over the leading steps of ``tau``, each later difference added while
+    nonzero and shrinking in norm (a constant history gives x_k bitwise)."""
+    if not history or history[0][0] < tau:
         return None
-    (tau1, s1), *earlier = history
-    x, x1 = _cells(state_k), _cells(s1)
-    if earlier and tau1 == tau == earlier[0][0]:
-        x2 = _cells(earlier[0][1])
-        return tuple(3.0 * (a - b) + c for a, b, c in zip(x, x1, x2))
-    ratio = tau / tau1
-    return tuple(a + ratio * (a - b) for a, b in zip(x, x1))
+    if history[0][0] > tau:
+        return tuple(a + tau / history[0][0] * (a - b)
+                     for a, b in zip(_cells(state_k), history[0][1:]))
+    p = next((j for j, h in enumerate(history) if h[0] != tau), len(history))
+    start = []
+    for i, out in enumerate(_cells(state_k)):
+        d, prev = np.stack([out] + [h[1 + i] for h in history[:p]]), math.inf
+        for _ in range(p):
+            d = d[:-1] - d[1:]
+            size = _norm(d[0])
+            if not 0.0 < size < prev:
+                break
+            out, prev = out + d[0], size
+        start.append(out)
+    return tuple(start)
 
 
 def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
@@ -812,16 +821,17 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
          held: Optional[_HeldLU] = None, history: tuple = ()):
     """Advance one implicit step, halving tau on failure up to the limit.
 
-    In v0 mode with ``history``, the old states of the last accepted steps
-    (newest first, each with the tau it stepped by; ``run`` passes the last
-    two), the first attempt starts Newton from their extrapolation
-    (``_predicted``) with v at ``state_k``'s.  If it fails, the step
-    retries from ``state_k`` at the same tau (counted in
-    ``StepReport.restarts``).  That attempt and every halved one start from
-    ``state_k``, as every attempt does in coupled mode and without history.
-    With ``max_newton = 0`` tau is never halved: the old state's residual
-    does not shrink with tau.  ``held`` carries the Newton LU from step to
-    step (``run`` passes one); without it the LU lives for this call only.
+    In v0 mode with ``history``, the (tau, q, mu, phi) of the last old
+    states (newest first; ``run`` passes up to ``PREDICTOR_DEPTH``), the
+    first attempt starts Newton from their extrapolation (``_predicted``)
+    with v at ``state_k``'s.  If it fails, the step retries from
+    ``state_k`` at the same tau (counted in ``StepReport.restarts``).
+    That attempt and every halved one start from ``state_k``, as every
+    attempt does in coupled mode and without history; each failed
+    attempt's reason is listed in ``StepReport.abandoned``.  With
+    ``max_newton = 0`` tau is never halved: the old state's residual does
+    not shrink with tau.  ``held`` carries the Newton LU from step to step
+    (``run`` passes one); without it the LU lives for this call only.
     Returns (state_{k+1}, StepReport).  Raises StepFailure when every retry
     is exhausted; no partial state escapes.
     """
@@ -830,8 +840,7 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
         raise ValueError("v0_mode requires a state with identically zero velocity")
     lin = assemble_linear(state_k, grid, cset, params, cfg)
     report = StepReport()
-    if held is None:
-        held = _HeldLU()
+    held = _HeldLU() if held is None else held
     tau = cfg.tau
     start = _predicted(state_k, history, tau) if cfg.v0_mode else None
     backoffs = cfg.max_backoff if cfg.max_newton else 0
@@ -853,6 +862,7 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
             break
         report.residual_history.append({"total": np.inf, "note": note})
     report.wall_time = _time.perf_counter() - t0
+    report.failure_reason = report.abandoned[-1]
     raise StepFailure(
         f"step failed after {report.backoffs} tau halvings "
         f"(last reason: {report.failure_reason})", report)
@@ -875,20 +885,19 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
     """Repeated stepping to the horizon T with per-step energy accounting.
 
     Appends one ledger row per accepted step.  The Newton LU is held from
-    step to step, and in v0 mode each step gets the old states of the last
-    two steps with their taus (``step``'s ``history``).  A StepFailure
-    propagates with the partial ledger attached to the exception
-    (``exc.partial``).
+    step to step, and in v0 mode each step gets the (tau, q, mu, phi) of
+    the last ``PREDICTOR_DEPTH`` old states (``step``'s ``history``).  A
+    StepFailure propagates with the partial ledger attached to the
+    exception (``exc.partial``).
     """
     from . import energy
 
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"horizon T must be positive and finite, got {T}")
-    rows = []
-    reports = []
+    rows, reports = [], []
     s = state0
     held = _HeldLU()
-    history = ()                    # (tau, old state) of the last two steps
+    history = ()                    # (tau, q, mu, phi), newest first
     result = RunResult(rows, reports, state0,
                        energy.total_energy(state0, cset, params).E_tot)
     E_k = result.E0                 # the energy of s, computed once
@@ -912,7 +921,8 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
             for cb in callbacks:
                 cb(s_new, rep, row)
         if cfg.v0_mode:             # only v0 steps use it
-            history = ((rep.tau_used, s),) + history[:1]
+            history = ((rep.tau_used, *_cells(s)),) \
+                + history[:PREDICTOR_DEPTH - 1]
         s = s_new
     result.final_state = s
     return result

@@ -179,8 +179,8 @@ t_final = 6e-3
             assert "fill" not in header and "factor" not in header
 
     def test_summary_reports_restarts(self, tmp_path, capsys):
-        # on this rough v0 state the extrapolated starts of steps 2 and 3
-        # fail, and each step starts again from its old state
+        # on this rough v0 state the extrapolated start of step 2 fails,
+        # and the step starts again from its old state
         path = write(tmp_path, """
 [grid]
 nx = 16
@@ -200,7 +200,7 @@ t_final = 3e-3
 """)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
         line = capsys.readouterr().out.splitlines()[0]
-        assert ", restarts 2, " in line
+        assert ", restarts 1, " in line
 
     def test_summary_counts_energy_estimate_violations(self, tmp_path,
                                                        capsys):
@@ -290,6 +290,7 @@ t_final = 6e-3
         assert report["cc_lus"] == 1 and report["ss_lus"] == 0
         assert report["orderings"] == 1
         assert "budget" in report["failure_reason"]
+        assert report["abandoned"] == [report["failure_reason"]]
         hist = report["residual_history"]
         assert len(hist) == 2
         assert hist[1]["total"] < hist[0]["total"]

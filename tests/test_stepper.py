@@ -18,9 +18,10 @@ from surfflow.energy import rows_to_csv, total_energy
 from surfflow.mesh import Grid, ScalarField, VectorField, convect_skew
 from surfflow.state import ScenarioConfig, State, initialize_scenario
 from surfflow.stepper import (FACTOR_COST_PER_FILL, StepConfig, StepFailure,
-                              StepReport, _BLOCKS, _CH_BLOCKS, _HeldLU,
-                              _cells, _jacobian, _LU, _Terms, _try_step,
-                              assemble_linear, run, step)
+                              PREDICTOR_DEPTH, StepReport, _BLOCKS,
+                              _CH_BLOCKS, _HeldLU, _cells, _jacobian, _LU,
+                              _predicted, _Terms, _try_step, assemble_linear,
+                              run, step)
 
 
 def _ch_layout(g):
@@ -293,6 +294,9 @@ class TestStepBehavior:
         assert rep.backoffs == 1
         assert not rep.converged
         assert "budget" in rep.failure_reason
+        # both attempts, at tau and tau / 2, are listed; the last is why
+        # the step failed
+        assert rep.abandoned == [rep.failure_reason] * 2
         assert rep.tau_used == pytest.approx(5e-4)
 
     def test_zero_budget_fails_without_halving(self, cset, params):
@@ -626,14 +630,15 @@ class TestHeldLU:
     def test_v0_counts_match_the_one_lu_rule(self, cset, params, relax16):
         # v0 mode has J_CC's LU alone, priced as the whole operator was
         # before each LU had its own price: per step, the Newton iterations
-        # and LUs that rule takes here from the extrapolated starts (120
-        # iterations and 10 LUs from the old states)
+        # and LUs that rule takes here from the backward-difference starts
+        # (120 iterations and 10 LUs from the old states, 106 and 8 from
+        # the linear and quadratic starts)
         g, s0, cfg = relax16
         res = run(s0, g, cset, params, cfg, T=20 * cfg.tau)
         assert [(r.newton_iterations, r.cc_lus) for r in res.reports] == [
-            (5, 2), (5, 1), (4, 1), (8, 0), (4, 1), (7, 0), (4, 1), (6, 0),
-            (7, 0), (3, 1), (5, 0), (6, 0), (7, 0), (7, 0), (7, 0), (2, 1),
-            (4, 0), (5, 0), (5, 0), (5, 0)]
+            (5, 2), (5, 1), (4, 1), (9, 0), (4, 1), (7, 0), (7, 0), (9, 0),
+            (9, 0), (9, 0), (9, 0), (2, 1), (4, 0), (4, 0), (5, 0), (5, 0),
+            (5, 0), (5, 0), (5, 0), (5, 0)]
         assert all(r.ss_lus == 0 for r in res.reports)
 
     def test_coupled_counts_match_the_per_lu_rule(self, shear_droplet_10):
@@ -1433,22 +1438,30 @@ def _first_residual(s, start, g, cset, params, cfg):
 
 class TestPredictedStart:
     """In v0 mode a step of ``run`` first tries Newton from the old states
-    of the last two steps extrapolated, and from its own old state at the
-    same tau if that fails; coupled steps start from the old state."""
+    of up to ``PREDICTOR_DEPTH`` last steps extrapolated, and from its own
+    old state at the same tau if that fails; coupled steps start from the
+    old state."""
 
     def test_start_is_the_extrapolated_state(self, cset, params, relax16):
         g, s0, cfg = relax16
-        (s0, s1, s2, _), reports = _run_states(s0, g, cset, params, cfg, 3)
+        states, reports = _run_states(s0, g, cset, params, cfg, 12)
+        s0, s1, s2 = states[:3]
         # step 1 has no history: its start is the old state
         assert reports[0].residual_history[0] == _first_residual(
             s0, _cells(s0), g, cset, params, cfg)
         linear = [b + (b - a) for a, b in zip(_cells(s0), _cells(s1))]
         assert reports[1].residual_history[0] == _first_residual(
             s1, linear, g, cset, params, cfg)
-        quadratic = [3.0 * (c - b) + a for a, b, c in
+        # every second difference is smaller than the first here
+        quadratic = [c + (c - b) + ((c - b) - (b - a)) for a, b, c in
                      zip(_cells(s0), _cells(s1), _cells(s2))]
         assert reports[2].residual_history[0] == _first_residual(
             s2, quadratic, g, cset, params, cfg)
+        # step 12 extrapolates through the eight old states before its own
+        history = tuple((cfg.tau, *_cells(s)) for s in states[10:2:-1])
+        assert reports[11].residual_history[0] == _first_residual(
+            states[11], _predicted(states[11], history, cfg.tau), g, cset,
+            params, cfg)
         assert all(r.restarts == 0 for r in reports)
         # a step called without history starts from its old state
         _, rep = step(s2, g, cset, params, cfg)
@@ -1470,28 +1483,52 @@ class TestPredictedStart:
             s2, linear, g, cset, params, last)
 
     def test_failed_start_retries_from_the_old_state(self, cset, params):
-        # on this rough state the extrapolated start of steps 2 and 3
-        # stalls; each step then starts again from its old state at the
-        # full tau, before any halving
+        # on this rough state the extrapolated start of step 2 stalls; the
+        # step then starts again from its old state at the full tau, before
+        # any halving, and says why it left the start
         g = Grid(16, 16)
         s0 = initialize_scenario(ScenarioConfig(name="random-seed", sigma=1.0,
                                                 q0=0.1), g, params, cset)
         cfg = StepConfig(tau=1e-3, v0_mode=True)
         states, reports = _run_states(s0, g, cset, params, cfg, 30)
-        assert [k for k, r in enumerate(reports, 1) if r.restarts] == [2, 3]
-        for k in (2, 3):
-            rep, s = reports[k - 1], states[k - 1]
-            assert rep.restarts == 1 and rep.converged
-            assert rep.backoffs == 0 and rep.tau_used == cfg.tau
-            notes = [i for i, h in enumerate(rep.residual_history)
-                     if "note" in h]
-            assert len(notes) == 1
-            i = notes[0]
-            assert rep.residual_history[i] == {
-                "total": np.inf, "note": "retry from the old state"}
-            assert rep.residual_history[i + 1] == _first_residual(
-                s, _cells(s), g, cset, params, cfg)
-            assert dataclasses.asdict(rep)["restarts"] == 1
+        assert [k for k, r in enumerate(reports, 1) if r.restarts] == [2]
+        rep, s = reports[1], states[1]
+        assert rep.restarts == 1 and rep.converged
+        assert rep.backoffs == 0 and rep.tau_used == cfg.tau
+        notes = [i for i, h in enumerate(rep.residual_history)
+                 if "note" in h]
+        assert len(notes) == 1
+        i = notes[0]
+        assert rep.residual_history[i] == {
+            "total": np.inf, "note": "retry from the old state"}
+        assert rep.residual_history[i + 1] == _first_residual(
+            s, _cells(s), g, cset, params, cfg)
+        assert rep.failure_reason == ""
+        assert rep.abandoned == ["Newton line search stalled"]
+        record = dataclasses.asdict(rep)
+        assert record["restarts"] == 1
+        assert record["abandoned"] == ["Newton line search stalled"]
+        assert all(r.failure_reason == "" and r.abandoned == []
+                   for k, r in enumerate(reports, 1) if k != 2)
+
+    def test_no_start_past_a_shorter_step(self, cset, params):
+        # step 1 halves tau four times on this stiff state; step 2 runs at
+        # the full tau, 16 times the last step, and starts from its old
+        # state instead of extrapolating that far
+        g = Grid(16, 16)
+        s0 = initialize_scenario(ScenarioConfig(name="random-seed", sigma=1.0,
+                                                q0=0.5), g, params, cset)
+        cfg = StepConfig(tau=1e-3, v0_mode=True)
+        s1, rep1 = step(s0, g, cset, params, cfg)
+        assert rep1.backoffs == 4 and rep1.tau_used == cfg.tau / 16
+        assert rep1.converged and rep1.failure_reason == ""
+        assert len(rep1.abandoned) == 4
+        history = ((rep1.tau_used, *_cells(s0)),)
+        assert _predicted(s1, history, cfg.tau) is None
+        _, rep2 = step(s1, g, cset, params, cfg, history=history)
+        assert rep2.restarts == 0
+        assert rep2.residual_history[0] == _first_residual(
+            s1, _cells(s1), g, cset, params, cfg)
 
     def test_coupled_run_steps_as_without_history(self, cset, params):
         g = Grid(16, 16)
@@ -1514,3 +1551,105 @@ class TestPredictedStart:
         assert dataclasses.replace(rep, wall_time=0.0) == \
             dataclasses.replace(plain, wall_time=0.0)
         assert np.array_equal(s1.phi.data, s2.phi.data)
+
+
+def _cell_state(q, mu, phi) -> State:
+    """A state on a 4 x 4 grid with cell arrays ``q``, ``mu``, ``phi``."""
+    g = Grid(4, 4)
+    return State(v=VectorField.zeros(g), p=ScalarField.zeros(g),
+                 phi=ScalarField(g, phi), mu=ScalarField(g, mu),
+                 q=ScalarField(g, q))
+
+
+def _history_of(diffs, steps):
+    """The fields x_k, x_k-1, ..., x_k-steps (arrays of shape (3, 16)) whose
+    backward differences at x_k are ``diffs`` (nabla^0 x_k first), exactly
+    in real arithmetic: x_k-i = sum_j (-1)^j C(i, j) nabla^j x_k."""
+    return [sum((-1) ** j * math.comb(i, j) * d for j, d in enumerate(diffs))
+            for i in range(steps + 1)]
+
+
+def _start(xs, taus):
+    """``_predicted`` from the newest of the fields ``xs`` through the
+    others, the steps before them taking ``taus``."""
+    history = tuple((tau, *x) for tau, x in zip(taus, xs[1:]))
+    return np.array(_predicted(_cell_state(*xs[0]), history, 1e-2))
+
+
+class TestBackwardDifferenceStart:
+    """``_predicted`` over the leading steps of the current tau, at most
+    ``PREDICTOR_DEPTH``: x_k + nabla x_k + ... + nabla^p x_k per field,
+    each difference after the first added while it shrinks."""
+
+    def test_constant_history_gives_the_state_bitwise(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(3, 16))
+        x[:, :3] = -0.0
+        start = _start([x] * (PREDICTOR_DEPTH + 1), [1e-2] * PREDICTOR_DEPTH)
+        assert np.array_equal(_bits(start), _bits(x))
+        # a constant field stays bitwise while the others move
+        xs = [x.copy() for _ in range(4)]
+        for i, xi in enumerate(xs):
+            xi[1] += 0.01 * i
+        start = _start(xs, [1e-2] * 3)
+        assert np.array_equal(_bits(start[[0, 2]]), _bits(x[[0, 2]]))
+        assert np.allclose(start[1], x[1] - 0.01, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("degree", range(8))
+    def test_polynomial_in_time_is_predicted(self, degree):
+        # fields polynomial in t, sampled at t_k - i tau on equal taus,
+        # extrapolated to t_k + tau to round-off
+        rng = np.random.default_rng(degree)
+        coef = rng.normal(size=(degree + 1, 3, 16))
+        tau, t_k = 1e-2, 0.3
+
+        def at(t):
+            return sum(c * t ** j for j, c in enumerate(coef))
+
+        xs = [at(t_k - i * tau) for i in range(PREDICTOR_DEPTH + 1)]
+        start = _start(xs, [tau] * PREDICTOR_DEPTH)
+        assert np.abs(start - at(t_k + tau)).max() < 1e-12
+        if degree >= 2:
+            # far from the linear start
+            linear = 2.0 * xs[0] - xs[1]
+            assert np.abs(linear - at(t_k + tau)).max() > 1e-6
+
+    def test_alternating_noise_stops_at_the_second_difference(self):
+        # x_k-i = base + (-1)^i e: nabla^j x_k = 2^j e grows from j = 1 on,
+        # so only the first difference is added
+        rng = np.random.default_rng(1)
+        base, e = rng.normal(size=(2, 3, 16))
+        xs = [base + (-1) ** i * 1e-3 * e for i in range(PREDICTOR_DEPTH + 1)]
+        start = _start(xs, [1e-2] * PREDICTOR_DEPTH)
+        assert np.array_equal(_bits(start), _bits(xs[0] + (xs[0] - xs[1])))
+
+    def test_first_difference_that_grows_ends_the_sum(self):
+        # nabla^3 grows past nabla^2, and nabla^4 shrinks again: the sum
+        # stops at nabla^2, leaving out every difference after it
+        rng = np.random.default_rng(2)
+        u = rng.normal(size=(3, 16))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        diffs = [rng.normal(size=(3, 16))] + [
+            s * u for s in (1.0, 0.5, 0.6, 0.1)]
+        start = _start(_history_of(diffs, PREDICTOR_DEPTH),
+                       [1e-2] * PREDICTOR_DEPTH)
+        assert np.allclose(start, diffs[0] + diffs[1] + diffs[2],
+                           rtol=0, atol=1e-13)
+        assert np.abs(start - sum(diffs[:3]) - diffs[4]).max() > 1e-3
+
+    @pytest.mark.parametrize("depth", range(1, PREDICTOR_DEPTH))
+    def test_tau_change_caps_the_order(self, depth):
+        # the steps before the first one of another tau do not enter: with
+        # shrinking differences the sum ends at nabla^depth x_k
+        rng = np.random.default_rng(depth)
+        diffs = [rng.normal(size=(3, 16)) for _ in range(9)]
+        for j, d in enumerate(diffs[1:], 1):
+            d *= 2.0 ** -j / np.linalg.norm(d, axis=1, keepdims=True)
+        xs = _history_of(diffs, PREDICTOR_DEPTH)
+        taus = [1e-2] * depth + [2e-2] * (PREDICTOR_DEPTH - depth)
+        start = _start(xs, taus)
+        assert np.array_equal(_bits(start),
+                              _bits(_start(xs[:depth + 1], taus[:depth])))
+        assert np.allclose(start, sum(diffs[:depth + 1]), rtol=0,
+                           atol=1e-13)
+        assert np.abs(start - sum(diffs[:depth + 2])).max() > 1e-4
