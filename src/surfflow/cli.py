@@ -401,6 +401,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, not {args.threads}")
         values = parse_config(args.config) if args.config else default_config()
         return _COMMANDS[args.command](values, Path(args.out), args)
     except (ConfigError, ConstitutiveError) as exc:

@@ -17,11 +17,11 @@ The exact secant slope H(a, b) of W, with H(a,b)*(a-b) = W(a) - W(b), is
 computed from per-piece closed forms rather than the naive quotient, so the
 identity survives floating point even for nearly equal arguments.
 
-The piecewise defaults W, W', the secant and its derivative, f', h (through
-F) and rho' are evaluated piece by piece: the interior piece (the quartic
-well, the active interval [q_min, q_max]) on every cell, then each other
-piece only on the cells where it applies, and not at all when none does.
-The closed forms and the piece priority are those of an every-piece
+The piecewise defaults W, W', the secant and its derivative, f' and h
+(through F) go through one piece table, ``_pieces``: the interior piece (the
+quartic well, the active interval [q_min, q_max]) on every cell, then each
+other piece only on the cells where it applies, and not at all when none
+does.  The closed forms and the piece priority are those of an every-piece
 ``np.where``/``np.select``, and the values equal it bit for bit.  f (a
 clamp) and the density's saturation keep ``np.clip``/``np.where``: their
 other pieces cost less than picking out the cells they apply to.
@@ -139,9 +139,18 @@ _WELL_VAL = 2.25       # W at the matching point, (1 - 4)^2 / 4
 _WELL_SLOPE = 6.0      # W' at the matching point
 
 
-def _cells(mask):
-    """Flat (C order) indices of the cells where ``mask`` holds."""
-    return mask.ravel().nonzero()[0]
+def _pieces(first, args, pieces):
+    """The interior piece's values ``first`` with each ``(mask, formula)``
+    of ``pieces`` put, in order, on the cells where its mask holds: a later
+    piece wins where masks overlap.  A formula sees ``args`` taken at its
+    cells (flat, C order) and is not called when its mask picks none."""
+    # asarray: a 0-d input gives a numpy scalar, which put cannot write to
+    out = np.asarray(first)
+    for mask, formula in pieces:
+        i = mask.ravel().nonzero()[0]
+        if i.size:
+            out.put(i, formula(*(a.take(i) for a in args)))
+    return out
 
 
 def _off_quartic(a, b):
@@ -151,22 +160,16 @@ def _off_quartic(a, b):
 
 def _default_W(x):
     x = np.asarray(x, dtype=float)
-    # asarray: a 0-d input gives a numpy scalar, which put cannot write to
-    W = np.asarray((1.0 - x * x) ** 2 / 4.0)
     ax = np.abs(x)
-    i = _cells(ax > _WELL_EDGE)
-    if i.size:
-        W.put(i, _WELL_VAL + _WELL_SLOPE * (ax.take(i) - _WELL_EDGE))
-    return W
+    return _pieces((1.0 - x * x) ** 2 / 4.0, (ax,), [
+        (ax > _WELL_EDGE,
+         lambda ax: _WELL_VAL + _WELL_SLOPE * (ax - _WELL_EDGE))])
 
 
 def _default_Wp(x):
     x = np.asarray(x, dtype=float)
-    Wp = np.asarray((x * x - 1.0) * x)
-    i = _cells(np.abs(x) > _WELL_EDGE)
-    if i.size:
-        Wp.put(i, np.copysign(_WELL_SLOPE, x.take(i)))
-    return Wp
+    return _pieces((x * x - 1.0) * x, (x,), [
+        (np.abs(x) > _WELL_EDGE, lambda x: np.copysign(_WELL_SLOPE, x))])
 
 
 def _secant_quartic(p, q):
@@ -175,36 +178,19 @@ def _secant_quartic(p, q):
     return (p + q) * (p * p + q * q - 2.0) / 4.0
 
 
-def _left_cross(lo, hi):
-    # lo < -2 < hi <= 2: the linear piece up to -2, the quartic beyond
-    e, s = _WELL_EDGE, _WELL_SLOPE
-    return (s * (e + lo) + _secant_quartic(-e, hi) * (hi + e)) / (hi - lo)
-
-
-def _right_cross(lo, hi):
-    # -2 <= lo < 2 < hi: the quartic up to 2, the linear piece beyond
-    e, s = _WELL_EDGE, _WELL_SLOPE
-    return (_secant_quartic(lo, e) * (e - lo) + s * (hi - e)) / (hi - lo)
-
-
-def _full_cross(lo, hi):
-    # lo < -2 and 2 < hi: W(hi) - W(lo) = s (hi + lo) on the two lines
-    return _WELL_SLOPE * (lo + hi) / (hi - lo)
-
-
 def _secant_off_quartic(a, b):
     """The secant on pairs that are not both on the quartic piece."""
     e, s = _WELL_EDGE, _WELL_SLOPE
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    H = np.where(lo >= e, s, -s)          # both ends on one linear piece
-    for cross, piece in (((lo < -e) & (hi > -e) & (hi <= e), _left_cross),
-                         ((lo >= -e) & (lo < e) & (hi > e), _right_cross),
-                         ((lo < -e) & (hi > e), _full_cross)):
-        i = _cells(cross)
-        if i.size:
-            H.put(i, piece(lo.take(i), hi.take(i)))
-    return H
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return _pieces(np.where(lo >= e, s, -s), (lo, hi), [
+        # lo < -2 < hi <= 2: the linear piece up to -2, the quartic beyond
+        ((lo < -e) & (hi > -e) & (hi <= e), lambda lo, hi:
+         (s * (e + lo) + _secant_quartic(-e, hi) * (hi + e)) / (hi - lo)),
+        # -2 <= lo < 2 < hi: the quartic up to 2, the linear piece beyond
+        ((lo >= -e) & (lo < e) & (hi > e), lambda lo, hi:
+         (_secant_quartic(lo, e) * (e - lo) + s * (hi - e)) / (hi - lo)),
+        # lo < -2 and 2 < hi: W(hi) - W(lo) = s (hi + lo) on the two lines
+        ((lo < -e) & (hi > e), lambda lo, hi: s * (lo + hi) / (hi - lo))])
 
 
 def _default_secant_W(a, b):
@@ -219,14 +205,9 @@ def _default_secant_W(a, b):
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
                                np.asarray(b, dtype=float))
-    H = np.asarray(_secant_quartic(a, b))
-    i = _cells(_off_quartic(a, b))
-    if i.size:
-        H.put(i, _secant_off_quartic(a.take(i), b.take(i)))
-    i = _cells(a == b)
-    if i.size:
-        H.put(i, _default_Wp(b.take(i)))
-    return H
+    return _pieces(_secant_quartic(a, b), (a, b), [
+        (_off_quartic(a, b), _secant_off_quartic),
+        (a == b, lambda a, b: _default_Wp(b))])
 
 
 def _dsecant_off_quartic(a, b):
@@ -234,25 +215,18 @@ def _dsecant_off_quartic(a, b):
     # quotient rule is stable because a - b is bounded away from zero by the
     # crossed matching point
     e = _WELL_EDGE
-    dH = np.zeros_like(a)
-    i = _cells(~(((a >= e) & (b >= e)) | ((a <= -e) & (b <= -e))))
-    if i.size:
-        a, b = a.take(i), b.take(i)
-        dH.put(i, (_default_Wp(a) - _default_secant_W(a, b)) / (a - b))
-    return dH
+    return _pieces(np.zeros_like(a), (a, b), [
+        (~(((a >= e) & (b >= e)) | ((a <= -e) & (b <= -e))), lambda a, b:
+         (_default_Wp(a) - _default_secant_W(a, b)) / (a - b))])
 
 
 def _default_dsecant_W_da(a, b):
     """d/da of the exact secant of the default W, piece by piece like the
-    secant: the quartic piece's on every pair, the others where they
-    apply."""
+    secant: the quartic piece's on every pair, the others where they apply."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
                                np.asarray(b, dtype=float))
-    dH = np.asarray((3.0 * a * a + 2.0 * a * b + b * b - 2.0) / 4.0)
-    i = _cells(_off_quartic(a, b))
-    if i.size:
-        dH.put(i, _dsecant_off_quartic(a.take(i), b.take(i)))
-    return dH
+    return _pieces((3.0 * a * a + 2.0 * a * b + b * b - 2.0) / 4.0, (a, b),
+                   [(_off_quartic(a, b), _dsecant_off_quartic)])
 
 
 def build_default_set(params: ModelParams) -> ConstitutiveSet:
@@ -283,26 +257,20 @@ def build_default_set(params: ModelParams) -> ConstitutiveSet:
         return beta * t * t * (3.0 - 2.0 * t)
 
     def fp(q):
-        q = np.asarray(q, dtype=float)
-        t = (q - qlo) / width
-        out = np.asarray(6.0 * beta / width * t * (1.0 - t))
-        out[~((t >= 0.0) & (t <= 1.0))] = 0.0
-        return out
+        t = (np.asarray(q, dtype=float) - qlo) / width
+        return _pieces(6.0 * beta / width * t * (1.0 - t), (),
+                       [(~((t >= 0.0) & (t <= 1.0)), lambda: 0.0)])
 
-    # integral of f from q_min: width * beta * (t^3 - t^4/2) on [0, 1],
-    # then beta per unit q beyond q_max
+    # integral of f from q_min: width * beta * (t^3 - t^4/2) on [0, 1]
+    # (t clamped at 0 below), then its value at t = 1 plus beta per unit q
+    # beyond q_max
+    F_max = width * beta * 0.5
+
     def _F(q):
         q = np.asarray(q, dtype=float)
-        t = np.asarray((q - qlo) / width)
-        # clamp t to [0, 1] (t >= 1 above q_max), then add the linear tail
-        # on the cells above q_max only
-        t[t < 0.0] = 0.0
-        above = _cells(q > qhi)
-        t.put(above, 1.0)
-        F = np.asarray(width * beta * (t ** 3 - 0.5 * t ** 4))
-        if above.size:
-            F.put(above, F.take(above) + beta * (q.take(above) - qhi))
-        return F
+        t = np.maximum((q - qlo) / width, 0.0)
+        return _pieces(width * beta * (t ** 3 - 0.5 * t ** 4), (q,), [
+            (q > qhi, lambda q: F_max + beta * (q - qhi))])
 
     def h(q):
         return h0 - _F(q)
@@ -325,8 +293,7 @@ def build_default_set(params: ModelParams) -> ConstitutiveSet:
         return 0.5 * q * q
 
     def m(phi, q):
-        phi = np.asarray(phi, dtype=float)
-        return np.ones_like(phi)
+        return np.ones_like(np.asarray(phi, dtype=float))
 
     def mtilde(phi):
         return np.ones_like(np.asarray(phi, dtype=float))

@@ -95,15 +95,14 @@ class StudyReport:
     def to_csv(self) -> str:
         if not self.rows:
             return f"# study {self.kind} {self.config_hash}\n"
-        keys = list(self.rows[0].keys())
+        # a failed run's row has none of a finished run's keys
+        keys = list(dict.fromkeys(k for row in self.rows for k in row))
         out = [f"# study {self.kind} config_hash={self.config_hash}",
                ",".join(["label"] + keys)]
         for lab, row in zip(self.labels, self.rows):
-            vals = [str(lab)]
-            for k in keys:
-                v = row[k]
-                vals.append("%.17g" % v if isinstance(v, float) else str(v))
-            out.append(",".join(vals))
+            vals = [row.get(k, "") for k in keys]
+            out.append(",".join([str(lab)] + ["%.17g" % v if isinstance(v, float)
+                                              else str(v) for v in vals]))
         return "\n".join(out) + "\n"
 
 

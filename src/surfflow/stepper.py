@@ -23,12 +23,10 @@ or border multiplier is iterated on, and D v stays at the old state's up
 to round-off.  The iterate is the four field arrays v, q, mu and phi of
 ``_Terms``; each Newton update [dpsi, dq, dmu, dphi] is split into views
 and a line-search trial moves the arrays by C dpsi and the cell blocks
-(``_moved``).  An attempt from the old state takes its model function
-values there from the frozen part (``_Terms``, ``old``).  The
-pressure is recovered from the momentum residual at every iterate with the
-grid's pinned Poisson LU (``_Terms.residual``): it scales the momentum norm
-and is the new state's p.  The Newton operator is one block Gauss-Seidel
-sweep over S and C: y_S = K^-1 r_S with the
+(``_moved``).  The pressure is recovered from the momentum residual at
+every iterate with the grid's pinned Poisson LU (``_Terms.residual``): it
+scales the momentum norm and is the new state's p.  The Newton operator is
+one block Gauss-Seidel sweep over S and C: y_S = K^-1 r_S with the
 stream-function operator K = C^T J_vv C of the velocity block J_vv, then
 y_C = J_CC^-1 (r_C - J_CS C y_S), with sparse LUs of K and J_CC; J_SC, the
 response of the momentum to q, mu and phi, is never built.  In v0 mode
@@ -218,17 +216,11 @@ class _Terms:
     ``q``, ``mu``, ``phi``: the step's frozen part, model functions,
     settings and tau, and every nonlinear coupling evaluated there (shared
     forms, G mu among them, are computed once and reused by the residual,
-    the Jacobian and the defect).
-
-    With ``old`` the iterate is the step's old state, the first iterate of
-    every attempt but an extrapolated start: f(q), g(q), W(phi) and,
-    coupled, rho(phi) are ``lin``'s old-state values, and the secant of W
-    at (phi_k, phi_k) is its defining case W'(phi_k), ``lin.Wp_k``; only
-    h(q) is evaluated."""
+    the Jacobian and the defect)."""
 
     def __init__(self, lin: LinearizedSystem, cset: ConstitutiveSet,
                  cfg: StepConfig, tau: float, v: np.ndarray, q: np.ndarray,
-                 mu: np.ndarray, phi: np.ndarray, old: bool = False):
+                 mu: np.ndarray, phi: np.ndarray):
         g = lin.grid
         ops = g.ops
         eps = lin.params.epsilon
@@ -237,13 +229,8 @@ class _Terms:
         self.v, self.q, self.mu, self.phi = v, q, mu, phi
         self.grad_mu = ops.G @ mu
 
-        self.h_q = cset.h(q)
-        if old:
-            self.f_q, self.g_q, self.W_phi = lin.f_qk, lin.g_qk, lin.W_k
-            self.H = lin.Wp_k
-        else:
-            self.f_q, self.g_q, self.W_phi = cset.f(q), cset.g(q), cset.W(phi)
-            self.H = cset.secant_W(phi, lin.phi_k)
+        self.h_q, self.f_q, self.g_q = cset.h(q), cset.f(q), cset.g(q)
+        self.W_phi, self.H = cset.W(phi), cset.secant_W(phi, lin.phi_k)
 
         # surfactant equation pieces (old-level W in the transported density)
         self.Fq_time = ((self.f_q - lin.f_qk) * lin.W_k
@@ -256,7 +243,7 @@ class _Terms:
             self.transport_q = np.zeros(g.n_cells)
             self.transport_phi = np.zeros(g.n_cells)
         else:
-            self.rho_it = lin.rho_k if old else cset.rho(phi)
+            self.rho_it = cset.rho(phi)
             self.grad_surf = ops.G @ (self.f_q * lin.W_k / eps + self.g_q)
             self.transport_q = ops.Afc @ (self.grad_surf * v)
             self.transport_phi = ops.Afc @ (lin.grad_phi_k * v)
@@ -685,8 +672,7 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
     cells = [slice(ns + i * nc, ns + (i + 1) * nc) for i in range(3)]
     held.begin(tau)
     t = _Terms(lin, cset, cfg, tau, state_k.v.data,
-               *(_cells(state_k) if start is None else start),
-               old=start is None)
+               *(_cells(state_k) if start is None else start))
     rvec, blocks = t.residual()
     newton_left = cfg.max_newton
     prev_res = np.inf

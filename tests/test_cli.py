@@ -422,6 +422,52 @@ taus = 2e-3, 1e-3, 5e-4
         assert "ratios" in capsys.readouterr().out
         assert (out / "study.csv").exists()
 
+    def test_tau_study_with_failed_members(self, tmp_path, capsys):
+        # tau 0.05 and 0.001 fail after two halvings, 5e-4 finishes
+        path = write(tmp_path, """
+[grid]
+nx = 12
+ny = 12
+
+[scenario]
+name = random-seed
+sigma = 2.9
+q0 = 0.1
+
+[stepper]
+tau = 0.05
+v0_mode = true
+max_backoff = 2
+
+[output]
+t_final = 0.05
+
+[study]
+taus = 0.05, 0.001, 0.0005
+""")
+        out = tmp_path / "out"
+        assert main(["study-tau", path, "--out", str(out)]) == EXIT_SOLVER
+        assert "FAILURES: tau=0.05: " in capsys.readouterr().out
+        lines = (out / "study.csv").read_text().splitlines()
+        assert lines[1] == "label,failed,E_final,min_rel_estimate_slack,steps"
+        assert [line.split(",")[:2] for line in lines[2:]] == [
+            ["tau=0.05", "1"], ["tau=0.001", "1"], ["tau=0.0005", ""]]
+        assert lines[4].split(",")[-1] == "105"
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, monkeypatch,
+                                        threads):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+        monkeypatch.setattr("surfflow.harness.ThreadPoolExecutor", no_thread)
+        out = tmp_path / "out"
+        code = main(["study-tau", write(tmp_path, STRESSED), "--out",
+                     str(out), "--threads", threads])
+        assert code == EXIT_VALIDATION
+        assert f"--threads must be at least 1, not {threads}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tau_study_checks_slack_less_defect(self, tmp_path, capsys):
         # every member's raw slack is negative, none violates the estimate
         out = tmp_path / "out"

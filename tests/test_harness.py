@@ -2,8 +2,8 @@
 
 import pytest
 
-from surfflow.harness import (SimulationSetup, study_delta, study_defect,
-                              study_tau)
+from surfflow.harness import (SimulationSetup, StudyReport, study_delta,
+                              study_defect, study_tau)
 from surfflow.mesh import Grid
 from surfflow.state import ScenarioConfig
 from surfflow.stepper import StepConfig
@@ -53,6 +53,21 @@ class TestDeltaStudy:
         rep = study_delta(_uniform_setup(), [1e-2, 1e-3, 1e-4])
         assert rep.config_hash in rep.to_csv()
         assert "delta" in rep.summary()
+
+    def test_csv_of_mixed_rows_has_every_key(self):
+        # a failed run's row has only its own key; the columns are every
+        # row's keys, first seen first, and a missing cell is empty
+        rep = StudyReport(kind="tau", config_hash="abc",
+                          labels=["tau=0.1", "tau=0.05", "tau=0.01"],
+                          rows=[{"failed": 1},
+                                {"E_final": 0.5, "steps": 2},
+                                {"E_final": 0.25, "steps": 10}])
+        assert rep.to_csv().splitlines() == [
+            "# study tau config_hash=abc",
+            "label,failed,E_final,steps",
+            "tau=0.1,1,,",
+            "tau=0.05,,0.5,2",
+            "tau=0.01,,0.25,10"]
 
 
 class TestTauStudy:

@@ -7,7 +7,7 @@ import pytest
 
 import reference_model as ref
 from surfflow.constitutive import (AUDIT_PAIRS, AUDIT_SEED, ModelParams,
-                                   SamplingSpec, build_default_set)
+                                   SamplingSpec, _pieces, build_default_set)
 
 UNARY = ("W", "Wp", "f", "fp", "h", "d", "rho", "rhop")
 BINARY = ("secant_W", "dsecant_W_da")
@@ -143,3 +143,48 @@ def test_inputs_are_not_modified():
     for name in BINARY:
         getattr(new, name)(x, x[::-1])
     assert np.array_equal(x, keep)
+
+
+def _recorded(calls, name, formula):
+    """``formula``, logging its name and the arguments it is called with."""
+    def call(*args):
+        calls.append((name, [a.copy() for a in args]))
+        return formula(*args)
+    return call
+
+
+def test_piece_table_evaluates_each_piece_on_its_cells_only():
+    calls = []
+    x = np.arange(12.0).reshape(3, 4)
+    y = -x
+    out = _pieces(x * 10.0, (x, y), [
+        (x > 5.0, _recorded(calls, "above 5", lambda x, y: x + 100.0)),
+        (x > 99.0, _recorded(calls, "never", lambda x, y: x)),
+        ((x > 8.0) | (x == 0.0), _recorded(calls, "last", lambda x, y: y))])
+    # the formulas see their cells only, in C order; an empty mask calls
+    # nothing
+    assert [name for name, _ in calls] == ["above 5", "last"]
+    (_, (xa, ya)), (_, (xl, yl)) = calls
+    assert np.array_equal(xa, x[x > 5.0]) and np.array_equal(ya, -xa)
+    assert np.array_equal(xl, [0.0, 9.0, 10.0, 11.0])
+    assert np.array_equal(yl, -xl)
+    # a later piece wins where masks overlap
+    want = np.where(x > 5.0, x + 100.0, x * 10.0)
+    want = np.where((x > 8.0) | (x == 0.0), -x, want)
+    assert_bitwise(out, want)
+    assert out.shape == x.shape
+
+
+def test_piece_table_0d_result_is_writable():
+    x = np.asarray(3.0)
+    for mask, want in ((x > 2.0, 1.5), (x > 4.0, 9.0)):
+        out = _pieces(x * x, (x,), [(mask, lambda x: x / 2.0)])
+        assert isinstance(out, np.ndarray) and out.ndim == 0
+        assert out.flags.writeable
+        assert_bitwise(out, np.float64(want))
+    W = build_default_set(PARAMS[0]).W
+    for xi in (np.float64(3.0), 0.5, np.asarray(-2.5)):
+        out = W(xi)
+        assert isinstance(out, np.ndarray) and out.ndim == 0
+        assert out.flags.writeable
+        assert_bitwise(out, ref.W(xi))

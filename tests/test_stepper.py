@@ -20,7 +20,7 @@ from surfflow.state import ScenarioConfig, State, initialize_scenario
 from surfflow.stepper import (FACTOR_COST_PER_FILL, StepConfig, StepFailure,
                               PREDICTOR_DEPTH, StepReport, _BLOCKS,
                               _CH_BLOCKS, _HeldLU, _cells, _jacobian, _LU,
-                              _predicted, _Terms, _try_step, assemble_linear,
+                              _predicted, _Terms, assemble_linear,
                               run, step)
 
 
@@ -1347,76 +1347,8 @@ class TestTransportDefect:
         assert z == pytest.approx(x, rel=1e-13)
 
 
-def _first_iterate_case(name):
-    """(grid, params, cset, stepper config, old state) of a first-iterate
-    case: shipped relaxation-v0 (v0 mode), shipped shear-droplet (coupled),
-    or a 12^2 random-seed state (sigma 2.9, q0 = 0.1) whose cells pass
-    |phi| = 2, in either mode."""
-    if name in ("relaxation-v0", "shear-droplet"):
-        return _shipped(name)
-    params = ModelParams()
-    cset = build_default_set(params)
-    g = Grid(12, 12)
-    s0 = initialize_scenario(ScenarioConfig(name="random-seed", sigma=2.9,
-                                            q0=0.1), g, params, cset)
-    assert np.any(np.abs(s0.phi.data) > 2.0)
-    return g, params, cset, StepConfig(v0_mode=name == "random-seed-v0"), s0
-
-
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
-
-
-FIRST_ITERATE_CASES = ["relaxation-v0", "shear-droplet", "random-seed",
-                       "random-seed-v0"]
-
-
-class TestFirstIterate:
-    """Each attempt's first iterate, the old state, takes f(q_k), g(q_k),
-    W(phi_k), the secant at (phi_k, phi_k) and rho(phi_k) from the frozen
-    part instead of evaluating them, with the same terms bit for bit."""
-
-    @pytest.mark.parametrize("name", FIRST_ITERATE_CASES)
-    def test_equals_recomputed_terms(self, name):
-        g, params, cset, cfg, s0 = _first_iterate_case(name)
-        lin = assemble_linear(s0, g, cset, params, cfg)
-        held = _Terms(lin, cset, cfg, cfg.tau, *iterate_of(s0), old=True)
-        fresh = _Terms(lin, cset, cfg, cfg.tau, *iterate_of(s0))
-        for attr in ("Fq_time", "mu_relation_explicit"):
-            assert np.array_equal(_bits(getattr(held, attr)),
-                                  _bits(getattr(fresh, attr))), attr
-        (r_held, n_held), (r_fresh, n_fresh) = held.residual(), fresh.residual()
-        assert np.array_equal(_bits(r_held), _bits(r_fresh))
-        assert n_held == n_fresh
-        if not cfg.v0_mode:
-            assert np.array_equal(_bits(held.p), _bits(fresh.p))
-
-    @pytest.mark.parametrize("name", FIRST_ITERATE_CASES)
-    def test_attempt_evaluates_no_held_model_function(self, name):
-        g, params, cset, cfg, s0 = _first_iterate_case(name)
-        lin = assemble_linear(s0, g, cset, params, cfg)
-        calls = dict.fromkeys(("f", "g", "h", "W", "secant_W", "rho"), 0)
-
-        def counted(key):
-            fn = getattr(cset, key)
-
-            def call(*args):
-                calls[key] += 1
-                return fn(*args)
-            return call
-
-        counting = dataclasses.replace(
-            cset, **{key: counted(key) for key in calls})
-        # with no Newton budget the attempt builds its first iterate, takes
-        # its residual and stops
-        report = StepReport()
-        no_budget = dataclasses.replace(cfg, max_newton=0)
-        assert _try_step(s0, lin, counting, no_budget, cfg.tau, report,
-                         _HeldLU()) is None
-        assert calls == dict.fromkeys(calls, 0) | {"h": 1}
-        _, norms = _Terms(lin, cset, cfg, cfg.tau, *iterate_of(s0)).residual()
-        assert report.residual_history == [dict(norms,
-                                                total=max(norms.values()))]
 
 
 def _run_states(s0, g, cset, params, cfg, steps):
