@@ -9,8 +9,8 @@ are hard errors (no silent defaults for typos).  Every run writes the fully
 resolved configuration (config.effective.ini) next to its outputs;
 rerunning from that file is bitwise reproducible in single-threaded mode.
 
-Exit codes: 0 success, 1 validation error, 2 solver failure,
-3 audit/selftest failure.
+Exit codes: 0 success, 1 validation error (a usage error included),
+2 solver failure, 3 audit/selftest failure.
 """
 
 from __future__ import annotations
@@ -327,10 +327,10 @@ def _cmd_run(values, outdir, args) -> int:
         result.rows, [rep.transport_defect for rep in result.reports],
         result.E0)
     n_steps = len(result.rows)
-    ss_lus, cc_lus, newton, fill, orderings, restarts = (
+    ss_lus, cc_lus, newton, fill, restarts = (
         sum(getattr(rep, key) for rep in result.reports)
         for key in ("ss_lus", "cc_lus", "newton_iterations", "factor_fill",
-                    "orderings", "restarts"))
+                    "restarts"))
     print(f"run complete: {n_steps} steps to t={last.t:g}, "
           f"E_tot={last.E_tot:.9g}, phi_mass={last.phi_mass:.12g}, "
           f"max|div v|={max(r.div_inf for r in result.rows):.3e}, "
@@ -339,8 +339,7 @@ def _cmd_run(values, outdir, args) -> int:
           f"Stokes LUs/step {ss_lus / n_steps:.3g}, "
           f"J_CC LUs/step {cc_lus / n_steps:.3g}, Newton it./step "
           f"{newton / n_steps:.3g}, "
-          f"fill/LU {fill / max(ss_lus + cc_lus, 1):.0f}, "
-          f"orderings {orderings}")
+          f"fill/LU {fill / max(ss_lus + cc_lus, 1):.0f}")
     print(f"ledger: {outdir / 'ledger.csv'}")
     return EXIT_OK
 
@@ -398,7 +397,10 @@ def main(argv=None) -> int:
                         help="concurrent runs inside studies")
     parser.add_argument("--dump-operators", action="store_true",
                         help="export assembled operator blocks (matrix market)")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:       # argparse exits 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
 
     try:
         if args.threads < 1:

@@ -32,17 +32,17 @@ y_C = J_CC^-1 (r_C - J_CS C y_S), with sparse LUs of K and J_CC; J_SC, the
 response of the momentum to q, mu and phi, is never built.  In v0 mode
 there is no S block and the operator is the LU of J_CC, the exact
 transport-free Jacobian.  J_CS C, J_CC and J_vv less its frozen velocity
-form each have one fixed pattern per grid and mode (``_jacobian_patterns``,
-explicit zeros kept): each term is a constant operator chain with at most
-two diagonal weights, so a block is one sparse product of a per-grid map
-with the weights, for every iterate, step and tau alike.  K = C^T J_vv C
-is one sparse product at each Stokes build: a run makes too few of them
-for a per-grid map of K to pay for itself.  K and J_CC are structurally
-symmetric with a zero-free diagonal, so their LUs take a symmetric
-minimum-degree ordering (half the fill of COLAMD's on J_CC), computed by
-each block's first LU only.  ``run`` holds the operator from step to step
-(chord iterations); ``_HeldLU`` owns it, with the rule that prices each
-LU from its fill and decides which to rebuild and when.
+form each have one fixed pattern per grid and mode
+(``_build_jacobian_patterns``, explicit zeros kept): each term is a
+constant operator chain with at most two diagonal weights, so a block is
+one sparse product of a per-grid map with the weights, for every iterate,
+step and tau alike.  K = C^T J_vv C is one sparse product at each Stokes
+build: a run makes too few of them for a per-grid map of K to pay for
+itself.  K and J_CC are structurally symmetric with a zero-free diagonal, so
+their LUs take a symmetric minimum-degree ordering (half the fill of
+COLAMD's on J_CC), each LU its own.  ``run`` holds the operator from step to
+step (chord iterations); ``_HeldLU`` owns it, with the rule that prices
+each LU from its fill and decides which to rebuild and when.
 A backtracking line search on a fresh operator's direction accepts an
 iterate only if it lowers the scaled residual, so the accepted residual
 history is strictly decreasing; a full step from an operator not built
@@ -120,7 +120,6 @@ class StepReport:
     ss_lus: int = 0                     # Stokes-block LUs (of K), all attempts
     cc_lus: int = 0                     # J_CC LUs built, all attempts
     factor_fill: int = 0                # summed L+U fill (lu.nnz) of every LU
-    orderings: int = 0                  # fill-reducing orderings computed
     tau_used: float = 0.0
     transport_defect: float = 0.0       # at the converged iterate (0 in v0)
     backoffs: int = 0
@@ -335,23 +334,11 @@ class _Jacobian(NamedTuple):
     CC: sp.csc_matrix
 
 
-class _Patterns(NamedTuple):
-    """The fixed patterns of J_vv less its velocity form, J_CS C (None in
-    v0 mode) and J_CC; K, a product formed at each build, has none."""
-    VV: Optional[FixedPattern]
-    CS: Optional[FixedPattern]
-    CC: FixedPattern
-
-
-def _jacobian_patterns(g: Grid, v0: bool) -> _Patterns:
-    """The fixed patterns of ``_jacobian``'s blocks, built on first use per
-    grid and mode: one named term per coefficient, each C block at its
-    index in ``_CH_BLOCKS`` and J_CS C in the psi columns."""
-    return g.ops.cached(("jacobian", v0),
-                        lambda: _build_jacobian_patterns(g, v0))
-
-
-def _build_jacobian_patterns(g: Grid, v0: bool) -> _Patterns:
+def _build_jacobian_patterns(g: Grid, v0: bool) -> tuple:
+    """The fixed patterns (J_vv less its velocity form, J_CS C, J_CC) of
+    ``_jacobian``'s blocks, the first two None in v0 mode: one named term
+    per coefficient, each C block at its index in ``_CH_BLOCKS`` and J_CS C
+    in the psi columns.  K, a product formed at each build, has none."""
     ops = g.ops
     nc, nf = g.n_cells, g.n_faces
     Ic = sp.identity(nc, format="csr")
@@ -373,7 +360,7 @@ def _build_jacobian_patterns(g: Grid, v0: bool) -> _Patterns:
         ("phi_phi_lap", scaled(ops.D @ ops.G, at=at("phi", "phi"))),
     ]
     if v0:
-        return _Patterns(None, None, FixedPattern((nC, nC), cc))
+        return None, None, FixedPattern((nC, nC), cc)
     cc.append(("q_q_transport",
                chain(ops.Afc, Ic, Y=ops.G, at=at("q", "q"))))
 
@@ -389,14 +376,14 @@ def _build_jacobian_patterns(g: Grid, v0: bool) -> _Patterns:
         ("conv", chain(0.5 * conv.O, conv.E)),
         ("flux", chain(0.5 * conv.O, If, Y=conv.Phi)),
     ])
-    return _Patterns(VV, FixedPattern((nC, ops.C.shape[1]), cs),
-                     FixedPattern((nC, nC), cc))
+    return (VV, FixedPattern((nC, ops.C.shape[1]), cs),
+            FixedPattern((nC, nC), cc))
 
 
 def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
     """The blocks J_vv, K, J_CS C and J_CC of the Jacobian of the coupled
     residual at the iterate in ``t``.  J_CS C and J_CC are on the grid's
-    fixed patterns (see ``_jacobian_patterns``), J_vv is its pattern's
+    fixed patterns (``_build_jacobian_patterns``), J_vv is its pattern's
     matrix plus the frozen velocity form, and K is the sparse product
     C^T J_vv C.  Without "S" in ``blocks`` neither J_vv nor K is built
     (``VV`` and ``K`` are None)."""
@@ -419,16 +406,17 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
         "phi_phi": -t.h_q * dH / eps - delta / tau,
         "phi_phi_lap": eps,
     }
-    patterns = _jacobian_patterns(g, cfg.v0_mode)
+    VV_p, CS_p, CC_p = g.ops.cached(("jacobian", cfg.v0_mode), lambda:
+                                    _build_jacobian_patterns(g, cfg.v0_mode))
     if cfg.v0_mode:
-        return _Jacobian(None, None, None, patterns.CC.matrix(w_cc))
+        return _Jacobian(None, None, None, CC_p.matrix(w_cc))
     w_cc["q_q_transport"] = (t.v, fq_p * lin.W_k / eps + gq_p)
-    CS = patterns.CS.matrix({"q_v": t.grad_surf, "mu_v": lin.grad_phi_k})
-    CC = patterns.CC.matrix(w_cc)
+    CS = CS_p.matrix({"q_v": t.grad_surf, "mu_v": lin.grad_phi_k})
+    CC = CC_p.matrix(w_cc)
     if "S" not in blocks:
         return _Jacobian(None, None, CS, CC)
     conv = skew_convection(g)
-    VV = patterns.VV.matrix({
+    VV = VV_p.matrix({
         "v_v": t.rho_faces / tau - 0.5 * t.rho_rate_faces,
         "conv": conv.Phi @ t.M,
         "flux": (conv.E @ t.v, lin.rho_k_faces),
@@ -441,8 +429,8 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
 # ---------------------------------------------------------------------------
 
 # Building one LU of the Newton operator (its blocks of the Jacobian and
-# that LU, its ordering reused) costs about this many chord iterations (one
-# operator apply plus one residual) per unit of its L+U fill per unknown;
+# that LU) costs about this many chord iterations (one operator apply
+# plus one residual) per unit of its L+U fill per unknown;
 # the fill is SuperLU's stored count ``lu.nnz`` (reading ``lu.L``/``lu.U``
 # would copy the factors).  n is the unknown count of the saddle form
 # [v, p, b, q, mu, phi] the constant was fitted on (``_HeldLU.build``), not
@@ -456,7 +444,8 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
 # 0.16-0.23 at 64^2 (fill / n 46).  The medians are 0.18-0.20 for both, so
 # one constant fits both LUs; it stays at 0.17, at the low end of both
 # spreads, which keeps every v0 decision (the v0 operator, J_CC's LU alone
-# over a cheaper iteration, measured 0.28).
+# over a cheaper iteration, measured 0.28).  Fitted while later LUs reused
+# their block's first ordering (J_CC's 10% cheaper), it keeps every decision.
 FACTOR_COST_PER_FILL = 0.17
 
 # Most old states a v0 start extrapolates through: on relaxation-v0 (32^2,
@@ -467,26 +456,14 @@ PREDICTOR_DEPTH = 8
 @dataclass
 class _LU:
     """One held LU of the Newton operator and its chord accounting.
-    ``ordering`` is the fill-reducing ordering the block was permuted by,
-    rows and columns alike, before it was factored in natural order (None:
-    SuperLU ordered it itself).  ``price`` is its rebuild in chord
-    iterations, ``FACTOR_COST_PER_FILL * fill / n``; ``base`` is the Newton
-    iteration count of the first step converged on it without refactoring
-    it, and ``excess`` adds up what each later such step spends beyond
-    that."""
+    ``price`` is its rebuild in chord iterations, ``FACTOR_COST_PER_FILL *
+    fill / n``; ``base`` is the Newton iteration count of the first step
+    converged on it without refactoring it, and ``excess`` adds up what
+    each later such step spends beyond that."""
     lu: object
-    ordering: Optional[np.ndarray]      # A Pc = A[:, ordering]
     price: float
     base: Optional[int] = None
     excess: int = 0
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        o = self.ordering
-        if o is None:
-            return self.lu.solve(rhs)
-        x = np.empty_like(rhs)
-        x[o] = self.lu.solve(rhs[o])
-        return x
 
     def settle(self, iterations: int) -> None:
         """Account a step converged on this LU."""
@@ -527,21 +504,13 @@ class _HeldLU:
     another tau than it was built at (the shorter last step, every tau
     halving).  No clock is read, so reruns repeat bitwise.  In v0 mode
     there is only J_CC, the whole operator, and the rule is the one-LU
-    rule, the first contraction included.
-
-    ``orderings`` (block name "S" or "C" -> ordering) outlive the LUs: the
-    first LU of a block computes it (SuperLU's own ordering, elimination
-    tree postorder included), and every later one factors the block
-    permuted by it, which repeats that LU's fill without a new ordering.
-    They are kept per holder, not per grid, so a rerun with a fresh holder
-    factors its first LUs as the first run did (a symmetrically
-    pre-permuted J_CC LU differs from SuperLU's own at round-off).
+    rule, the first contraction included.  Each LU is SuperLU's own
+    (``linalg.LU_OPTIONS``) and depends only on its block.
     """
     S: Optional[_LU] = None
     CS: Optional[sp.csc_matrix] = None
     C: Optional[_LU] = None
     tau: float = 0.0
-    orderings: dict = field(default_factory=dict)
     rebuilt: set = field(default_factory=set)   # blocks built this attempt
 
     def begin(self, tau: float) -> None:
@@ -553,10 +522,10 @@ class _HeldLU:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The block sweep applied to ``rhs`` over [psi, q, mu, phi]."""
         if self.S is None:
-            return self.C.solve(rhs)
+            return self.C.lu.solve(rhs)
         ns = rhs.size - self.C.lu.shape[0]
-        y_s = self.S.solve(rhs[:ns])
-        return np.concatenate([y_s, self.C.solve(rhs[ns:] - self.CS @ y_s)])
+        y_s = self.S.lu.solve(rhs[:ns])
+        return np.concatenate([y_s, self.C.lu.solve(rhs[ns:] - self.CS @ y_s)])
 
     def price(self, blocks: tuple) -> float:
         """The rebuild of the held LUs among ``blocks``, in chord
@@ -626,24 +595,17 @@ class _HeldLU:
         n = J.CC.shape[0] + (0 if J.CS is None else
                              g.n_faces + g.n_cells + (2 if g.periodic else 0))
 
-        def factor(A: sp.csc_matrix, block: str) -> _LU:
-            o = self.orderings.get(block)
-            if o is None:
-                lu = spla.splu(A, **LU_OPTIONS)
-                self.orderings[block] = np.argsort(lu.perm_c)
-                report.orderings += 1
-            else:
-                lu = spla.splu(A[o][:, o], **dict(LU_OPTIONS,
-                                                   permc_spec="NATURAL"))
+        def factor(A: sp.csc_matrix) -> _LU:
+            lu = spla.splu(A, **LU_OPTIONS)
             report.factor_fill += lu.nnz
-            return _LU(lu, o, FACTOR_COST_PER_FILL * lu.nnz / n)
+            return _LU(lu, FACTOR_COST_PER_FILL * lu.nnz / n)
 
         try:
             S = self.S
             if J.K is not None:
-                S = factor(J.K, "S")
+                S = factor(J.K)
                 report.ss_lus += 1
-            C = factor(J.CC, "C")
+            C = factor(J.CC)
             report.cc_lus += 1
         except RuntimeError as exc:
             report.abandoned.append(f"Newton linearization failed: {exc}")
@@ -668,8 +630,6 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
     g = lin.grid
     # the Newton vector [psi, q, mu, phi] (no psi in v0 mode)
     ns = 0 if cfg.v0_mode else g.ops.C.shape[1]
-    nc = g.n_cells
-    cells = [slice(ns + i * nc, ns + (i + 1) * nc) for i in range(3)]
     held.begin(tau)
     t = _Terms(lin, cset, cfg, tau, state_k.v.data,
                *(_cells(state_k) if start is None else start))
@@ -706,10 +666,10 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
         while True:
             if alpha == 1.0:      # first trial, or after a stale-operator build
                 y = held.solve(-rvec)
-                d = [y[c] for c in cells]
                 dv = None if cfg.v0_mode else g.ops.C @ y[:ns]
+                d = (dv, *y[ns:].reshape(3, -1))
                 report.linear_solves += 1
-            t_try = _Terms(lin, cset, cfg, tau, *_moved(t, dv, *d, alpha))
+            t_try = _Terms(lin, cset, cfg, tau, *_moved(t, d, alpha))
             rvec_try, blocks_try = t_try.residual()
             res_try = max(blocks_try.values())
             if np.isfinite(res_try) and res_try < res:
@@ -730,15 +690,12 @@ def _try_step(state_k: State, lin: LinearizedSystem, cset: ConstitutiveSet,
                 return None
 
 
-def _moved(t: _Terms, dv, dq, dmu, dphi, alpha: float) -> tuple:
+def _moved(t: _Terms, d: tuple, alpha: float) -> tuple:
     """The fields (v, q, mu, phi) of ``t`` moved by ``alpha`` times their
-    updates (a full step without the multiply, which is exact); v stays
-    where ``dv`` is None (v0 mode)."""
-    if alpha != 1.0:
-        dv = None if dv is None else alpha * dv
-        dq, dmu, dphi = alpha * dq, alpha * dmu, alpha * dphi
-    v = t.v if dv is None else t.v + dv
-    return v, t.q + dq, t.mu + dmu, t.phi + dphi
+    updates ``d`` (a full step without the multiply, which is exact); a
+    field whose update is None (v in v0 mode) stays."""
+    return tuple(x if dx is None else x + (dx if alpha == 1.0 else alpha * dx)
+                 for x, dx in zip((t.v, t.q, t.mu, t.phi), d))
 
 
 def transport_defect(t: _Terms) -> float:

@@ -46,26 +46,22 @@ def test_duplicate_binding_is_caught():
 
 
 def splu_calls(tree: ast.Module) -> list:
-    """(line, shared) of every ``splu`` call: shared when it unpacks
-    ``LU_OPTIONS``, alone or as the base of ``dict(LU_OPTIONS, ...)``."""
-    def shared(kw):
-        value = kw.value
-        if isinstance(value, ast.Call) and getattr(value.func, "id", None) \
-                == "dict" and value.args:
-            value = value.args[0]
-        return kw.arg is None and getattr(value, "id", None) == "LU_OPTIONS"
-
-    return [(node.lineno, any(shared(kw) for kw in node.keywords))
+    """(line, shared) of every ``splu`` call: shared when its only keyword
+    argument is ``**LU_OPTIONS``, with no option overridden."""
+    return [(node.lineno, [(kw.arg, getattr(kw.value, "id", None))
+                           for kw in node.keywords] == [(None, "LU_OPTIONS")])
             for node in ast.walk(tree) if isinstance(node, ast.Call)
             and (getattr(node.func, "attr", None) == "splu"
                  or getattr(node.func, "id", None) == "splu")]
 
 
 def test_every_lu_uses_the_shared_options():
-    # one SuperLU option set for every LU (linalg.LU_OPTIONS)
+    # one SuperLU option set for every LU (linalg.LU_OPTIONS), at the two
+    # call sites: linalg.poisson_lu and _HeldLU.build in stepper
     calls = {path.name: splu_calls(ast.parse(path.read_text()))
              for path in sorted(SRC.glob("*.py"))}
-    assert sum(len(found) for found in calls.values()) >= 3
+    assert {name: len(found) for name, found in calls.items() if found} \
+        == {"linalg.py": 1, "stepper.py": 1}
     bare = {name: lines for name, found in calls.items()
             if (lines := [line for line, ok in found if not ok])}
     assert not bare, f"splu without LU_OPTIONS at {bare}"
@@ -74,8 +70,9 @@ def test_every_lu_uses_the_shared_options():
 def test_bare_splu_is_caught():
     tree = ast.parse("spla.splu(A)\nspla.splu(A, **LU_OPTIONS)\n"
                      "splu(A, **dict(LU_OPTIONS, permc_spec='NATURAL'))\n"
-                     "splu(A, **OTHER)\n")
-    assert splu_calls(tree) == [(1, False), (2, True), (3, True), (4, False)]
+                     "splu(A, **OTHER)\nsplu(A, **LU_OPTIONS, relax=1)\n")
+    assert splu_calls(tree) == [(1, False), (2, True), (3, False), (4, False),
+                                (5, False)]
 
 
 def definitions(tree: ast.Module) -> list:

@@ -15,6 +15,7 @@ from fields import from_function, iterate_of, ux2d, view2d
 from surfflow.cli import build_objects, parse_config
 from surfflow.constitutive import ModelParams, build_default_set
 from surfflow.energy import rows_to_csv, total_energy
+from surfflow.linalg import LU_OPTIONS
 from surfflow.mesh import Grid, ScalarField, VectorField, convect_skew
 from surfflow.state import ScenarioConfig, State, initialize_scenario
 from surfflow.stepper import (FACTOR_COST_PER_FILL, StepConfig, StepFailure,
@@ -486,7 +487,6 @@ class TestRun:
         for r, rep, e in zip(res.rows, res.reports, E):
             assert r.slack - rep.transport_defect >= -1e-8 * max(abs(e), 1.0)
         assert sum(rep.ss_lus for rep in res.reports) >= 1
-        assert sum(rep.orderings for rep in res.reports) == 2
         again = once()
         assert rows_to_csv(again.rows) == rows_to_csv(res.rows)
 
@@ -552,10 +552,9 @@ def _forced(held: _HeldLU, price: float, base=None, excess=0) -> _HeldLU:
 def _priced(s_price, c_price, s_base=None, c_base=None) -> _HeldLU:
     """A coupled holder with placeholder LUs at the given prices (no Stokes
     LU without ``s_price``)."""
-    return _HeldLU(S=None if s_price is None else _LU("S", None, s_price,
-                                                      s_base),
+    return _HeldLU(S=None if s_price is None else _LU("S", s_price, s_base),
                    CS=None if s_price is None else "CS",
-                   C=_LU("C", None, c_price, c_base))
+                   C=_LU("C", c_price, c_base))
 
 
 class TestHeldLU:
@@ -848,6 +847,40 @@ class TestFactorOrdering:
         assert np.array_equal(op.C.lu.perm_r, op.C.lu.perm_c)
         assert op.C.lu.nnz <= 0.6 * spla.splu(J.CC).nnz
 
+    def test_every_lu_is_superlus_own(self, cset, params, rng, monkeypatch):
+        # each LU a run builds, first or later, is SuperLU's own LU of its
+        # block: the same orderings and fill, and bitwise the same solves
+        built = []
+        build = _HeldLU.build
+
+        def checked(held, t, report, blocks=_BLOCKS):
+            assert build(held, t, report, blocks)
+            J = _jacobian(t, blocks)
+            for name, A in zip(_BLOCKS, (J.K, J.CC)):
+                if A is None or name not in blocks:
+                    continue
+                lu, own = getattr(held, name).lu, spla.splu(A, **LU_OPTIONS)
+                assert np.array_equal(lu.perm_c, own.perm_c)
+                assert np.array_equal(lu.perm_r, own.perm_r)
+                assert lu.nnz == own.nnz
+                b = rng.standard_normal(A.shape[0])
+                assert np.array_equal(lu.solve(b), own.solve(b))
+                built.append(name)
+            return True
+
+        monkeypatch.setattr(_HeldLU, "build", checked)
+        g = Grid(12, 12)
+        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1,
+                                                shear=0.5), g, params, cset)
+        # the shorter last step drops the operator: every block's LU is
+        # built again
+        run(s0, g, cset, params, StepConfig(tau=1e-3), T=4.5e-3)
+        assert built.count("S") >= 2 and built.count("C") >= 2
+        built.clear()
+        g, s0, cfg = _relaxation(cset, params, 12)
+        run(s0, g, cset, params, cfg, T=4.5 * cfg.tau)
+        assert built == ["C"] * len(built) and len(built) >= 2
+
 
 @pytest.fixture(scope="module")
 def shear_droplet_10():
@@ -902,7 +935,7 @@ class TestBlockOperator:
         b = np.zeros(J_SS.shape[0])
         b[:nf] = rng.standard_normal(nf)
         x = spla.splu(J_SS).solve(b)[:nf]
-        v = C @ held.S.solve(C.T @ b[:nf])
+        v = C @ held.S.lu.solve(C.T @ b[:nf])
         assert np.abs(v - x).max() <= 1e-10 * np.abs(x).max()
 
     def test_v0_operator_is_the_jacobian_lu(self, cset, params, rng, relax16):
@@ -912,7 +945,7 @@ class TestBlockOperator:
         J = _jacobian(_Terms(lin, cset, cfg, cfg.tau, *iterate_of(s0)))
         b = rng.standard_normal(J.CC.shape[0])
         x = held.solve(b)
-        assert np.array_equal(x, held.C.solve(b))
+        assert np.array_equal(x, held.C.lu.solve(b))
         assert np.abs(J.CC @ x - b).max() <= 1e-10 * np.abs(b).max()
 
     def test_coupled_droplet_iterations_stay_low(self):
@@ -935,7 +968,7 @@ class TestBlockOperator:
         held = _held_at(s0, g, cset, params, cfg)
         S, C = held.S, held.C
         b = rng.standard_normal(g.ops.C.shape[1])
-        before = S.solve(b)
+        before = S.lu.solve(b)
         lin = assemble_linear(s0, g, cset, params, cfg)
         t = _Terms(lin, cset, cfg, cfg.tau, *_iterate_near(s0, rng, 0.01, False))
         report = StepReport()
@@ -945,7 +978,7 @@ class TestBlockOperator:
         # the same Stokes solve, so bitwise the same S solves; J_CC's LU
         # and J_CS are those of the new iterate
         assert held.S is S and held.C is not C
-        assert np.array_equal(held.S.solve(b), before)
+        assert np.array_equal(held.S.lu.solve(b), before)
         assert abs(held.CS - _jacobian(t).CS).max() == 0.0
 
     @pytest.mark.parametrize("bc", ["box", "periodic"])
@@ -1140,35 +1173,6 @@ class TestFixedPattern:
             R.data[:] = 1.0
             assert (R - R.multiply(S)).count_nonzero() == 0
 
-    @pytest.mark.parametrize("v0", [True, False])
-    def test_later_lus_reuse_the_first_ordering(self, cset, params, rng, v0):
-        g = Grid(12, 12)
-        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1),
-                                 g, params, cset)
-        if v0:
-            s0.v.data[:] = 0.0
-        cfg = StepConfig(tau=1e-3, v0_mode=v0)
-        lin = assemble_linear(s0, g, cset, params, cfg)
-        t = _Terms(lin, cset, cfg, cfg.tau, *iterate_of(s0))
-        J = _jacobian(t)
-        held, report = _HeldLU(), StepReport()
-        ops = []
-        for _ in range(2):
-            assert held.build(t, report)
-            ops.append(_sub_lus(held))
-        # one ordering per sub-LU, computed by its first LU only
-        assert report.cc_lus == 2 and report.ss_lus == (0 if v0 else 2)
-        assert report.orderings == (1 if v0 else 2)
-        for name, A in (("C", J.CC),) if v0 else (("S", J.K), ("C", J.CC)):
-            first, later = (op[name] for op in ops)
-            b = rng.standard_normal(A.shape[0])
-            x1, x2 = first.solve(b), later.solve(b)
-            assert first.ordering is None and later.ordering is not None
-            assert first.lu.nnz == later.lu.nnz
-            assert np.abs(A @ x2 - b).max() <= 1e-10 * np.abs(b).max()
-            # rows permuted alike: the same LU up to round-off
-            assert np.abs(x1 - x2).max() <= 1e-12 * np.abs(x1).max()
-
     def test_convection_operators_built_once_per_grid(self, cset, params,
                                                       monkeypatch):
         # convect_skew (once per iterate) and the J_vv pattern share the
@@ -1192,18 +1196,6 @@ class TestFixedPattern:
         assert ("jacobian", True) in g16.ops._cache
         assert "convection" not in g16.ops._cache
         assert len(built) == 1
-
-    def test_coupled_run_computes_one_ordering_per_lu(self, cset, params):
-        g = Grid(12, 12)
-        s0 = initialize_scenario(ScenarioConfig(name="shear-droplet", q0=0.1,
-                                                shear=0.5), g, params, cset)
-        # the shorter last step refactors at least once more
-        res = run(s0, g, cset, params, StepConfig(tau=1e-3), T=4.5e-3)
-        assert sum(rep.ss_lus for rep in res.reports) >= 2
-        assert sum(rep.cc_lus for rep in res.reports) >= 2
-        # one for K and one for J_CC (the grid's pinned Poisson LU is no
-        # Newton LU)
-        assert sum(rep.orderings for rep in res.reports) == 2
 
     def test_coupled_run_after_projection_builds_no_poisson_lu(
             self, cset, params, monkeypatch):
