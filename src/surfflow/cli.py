@@ -5,9 +5,10 @@ Configs are flat INI files with sections [grid], [params], [stepper],
 (``_SECTIONS``): its fields are the section's keys, their defaults and
 types, and their ``doc`` metadata the comments of ``print-config``; each
 dataclass checks its own values on construction.  Unknown sections or keys
-are hard errors (no silent defaults for typos).  Every run writes the fully
-resolved configuration (config.effective.ini) next to its outputs;
-rerunning from that file is bitwise reproducible in single-threaded mode.
+and malformed INI text are hard errors (no silent defaults for typos).
+Every run writes the fully resolved configuration (config.effective.ini)
+next to its outputs; rerunning from that file is bitwise reproducible in
+single-threaded mode.
 
 Exit codes: 0 success, 1 validation error (a usage error included),
 2 solver failure, 3 audit/selftest failure.
@@ -123,16 +124,19 @@ def default_config() -> dict:
 def parse_config(path) -> dict:
     """Read an INI config; unknown sections/keys are hard errors."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        sections = {section: cp.items(section) for section in cp.sections()}
+    except configparser.Error as exc:     # malformed INI text
+        raise ConfigError(str(exc)) from exc
     values = default_config()
     unknown = []
-    for section in cp.sections():
+    for section, items in sections.items():
         if section not in values:
             unknown.append(f"[{section}]")
             continue
-        for key, raw in cp.items(section):
+        for key, raw in items:
             if key not in values[section]:
                 unknown.append(f"[{section}] {key}")
                 continue
@@ -272,13 +276,23 @@ def _cmd_selftest(values, outdir, args) -> int:
     return EXIT_OK if ok else EXIT_AUDIT
 
 
-def _cmd_run(values, outdir, args) -> int:
-    grid, params, sampling, stepcfg, scenario, T = build_objects(values)
+def _audited_set(params, sampling):
+    """The default constitutive set of ``params`` if it passes the audit that
+    ``run`` and every study require; else None, the failed checks printed.
+    The audit does not read delta, so it covers every member of a study."""
     cset = build_default_set(params)
     audit = audit_assumptions(cset, params, sampling)
-    if not audit.passed:
-        print("constitutive audit failed: " + ", ".join(audit.failed_ids()),
-              file=sys.stderr)
+    if audit.passed:
+        return cset
+    print("constitutive audit failed: " + ", ".join(audit.failed_ids()),
+          file=sys.stderr)
+    return None
+
+
+def _cmd_run(values, outdir, args) -> int:
+    grid, params, sampling, stepcfg, scenario, T = build_objects(values)
+    cset = _audited_set(params, sampling)
+    if cset is None:
         return EXIT_AUDIT
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.effective.ini").write_text(effective_config_text(values))
@@ -344,28 +358,22 @@ def _cmd_run(values, outdir, args) -> int:
     return EXIT_OK
 
 
-def _study_setup(values):
-    grid, params, _, stepcfg, scenario, T = build_objects(values)
-    return SimulationSetup(grid=grid, params=params, scenario=scenario,
-                           stepcfg=stepcfg, T=T)
-
-
 def _cmd_study(kind):
     def cmd(values, outdir, args) -> int:
-        setup = _study_setup(values)
-        try:
-            if kind == "delta":
-                rep = study_delta(setup, values["study"]["deltas"],
-                                  threads=args.threads)
-            elif kind == "tau":
-                rep = study_tau(setup, values["study"]["taus"],
-                                threads=args.threads)
-            else:
-                rep = study_defect(setup, values["study"]["grids"],
-                                   threads=args.threads)
-        except ValueError as exc:
-            print(f"invalid study configuration: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+        grid, params, sampling, stepcfg, scenario, T = build_objects(values)
+        if _audited_set(params, sampling) is None:
+            return EXIT_AUDIT
+        setup = SimulationSetup(grid=grid, params=params, scenario=scenario,
+                                stepcfg=stepcfg, T=T)
+        if kind == "delta":
+            rep = study_delta(setup, values["study"]["deltas"],
+                              threads=args.threads)
+        elif kind == "tau":
+            rep = study_tau(setup, values["study"]["taus"],
+                            threads=args.threads)
+        else:
+            rep = study_defect(setup, values["study"]["grids"],
+                               threads=args.threads)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "config.effective.ini").write_text(effective_config_text(values))
         (outdir / "study.csv").write_text(rep.to_csv())

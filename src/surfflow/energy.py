@@ -24,7 +24,7 @@ from .linalg import assemble_velocity_form
 from .state import State, observables
 
 __all__ = ["EnergyComponents", "EnergyLedgerRow", "LEDGER_COLUMNS",
-           "total_energy", "audit_step", "ledger_slack", "estimate_slack",
+           "total_energy", "audit_step", "estimate_slack",
            "write_ledger_csv", "rows_to_csv"]
 
 # a relative slack of the one-step estimate (see ``estimate_slack``) below
@@ -152,26 +152,16 @@ def audit_step(state_k: State, state_k1: State, cset: ConstitutiveSet,
     )
 
 
-def ledger_slack(rows, E0: float):
-    """(relative slack, pre-step energy E(k-1)) of each ledger row, as arrays.
-
-    E(k-1) is the previous row's E_tot; for the first row it is ``E0``, the
-    initial state's total energy.  The relative slack is
-    slack / max(|E(k-1)|, 1).
-    """
-    e_prev = np.array([E0] + [r.E_tot for r in rows[:-1]])
-    slack = np.array([r.slack for r in rows])
-    return slack / np.maximum(np.abs(e_prev), 1.0), e_prev
-
-
 def estimate_slack(rows, defects, E0: float):
     """(relative slack, violated) of each step's one-step energy estimate.
 
     The estimate bounds the ledger's slack less the step's transport defect
-    (``stepper.transport_defect``, 0 in v0 mode): the relative slack is
-    (slack - defect) / max(|E(k-1)|, 1), E(k-1) as in ``ledger_slack``, and
-    a step below -SLACK_TOL violates the estimate."""
-    _, e_prev = ledger_slack(rows, E0)
+    (``stepper.transport_defect``, 0 in v0 mode; a zero defect gives the
+    ledger's own relative slack): the relative slack is
+    (slack - defect) / max(|E(k-1)|, 1), E(k-1) the previous row's E_tot,
+    ``E0`` (the initial state's) for the first row, and a step below
+    -SLACK_TOL violates the estimate."""
+    e_prev = np.array([E0] + [r.E_tot for r in rows[:-1]])
     slack = np.array([r.slack for r in rows]) - np.asarray(defects, float)
     rel = slack / np.maximum(np.abs(e_prev), 1.0)
     return rel, rel < -SLACK_TOL

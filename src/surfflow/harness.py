@@ -26,10 +26,10 @@ from typing import Optional
 import numpy as np
 
 from .constitutive import ModelParams, build_default_set
-from .energy import estimate_slack, ledger_slack
+from .energy import estimate_slack
 from .mesh import Grid
 from .state import ScenarioConfig, initialize_scenario
-from .stepper import RunResult, StepConfig, StepFailure, run
+from .stepper import RunResult, StepConfig, run
 
 __all__ = ["SimulationSetup", "StudyReport", "study_delta", "study_tau",
            "study_defect"]
@@ -116,7 +116,7 @@ def _execute_all(setups, threads: int):
     def job(s):
         try:
             return s.execute()
-        except (StepFailure, Exception) as exc:   # noqa: BLE001 - reported
+        except Exception as exc:   # noqa: BLE001 - reported
             return exc
     if threads <= 1:
         return [job(s) for s in setups]
@@ -210,14 +210,14 @@ def study_defect(base: SimulationSetup, grid_sizes,
             continue
         defect = max((abs(rep.transport_defect) for rep in res.reports),
                      default=0.0)
-        rel_slack, e_prev = ledger_slack(res.rows, res.E0)
-        E = np.array([r.E_tot for r in res.rows])
+        rel_slack, _ = estimate_slack(res.rows, 0.0, res.E0)
+        E = np.array([res.E0] + [r.E_tot for r in res.rows])
         neg_slack = max(0.0, -min(r.slack for r in res.rows))
         rep.rows.append({"dx": base.grid.lx / n, "defect_max": defect,
                          "neg_slack": neg_slack,
                          "min_rel_slack": float(rel_slack.min()),
                          "E_final": res.rows[-1].E_tot,
-                         "E_monotone": int(bool(np.all(e_prev >= E - 1e-12))),
+                         "E_monotone": int(bool(np.all(E[:-1] >= E[1:] - 1e-12))),
                          "steps": len(res.rows)})
         metrics.append(defect)
         dxs.append(base.grid.lx / n)

@@ -98,20 +98,13 @@ class KernelCSC(_KernelPath, sp.csc_matrix):
 # ---------------------------------------------------------------------------
 
 def _diff1(n: int, d: float, periodic: bool) -> sp.csr_matrix:
-    """Cell -> face difference.  box: (n-1, n) interior faces; periodic: (n, n)."""
+    """Cell -> face difference.  box: (n-1, n) interior faces; periodic:
+    (n, n), the wrap entry (0, n-1) on its own diagonal."""
     if periodic:
-        rows = np.repeat(np.arange(n), 2)
-        cols = np.empty(2 * n, dtype=int)
-        cols[0::2] = (np.arange(n) - 1) % n
-        cols[1::2] = np.arange(n)
-        vals = np.tile([-1.0 / d, 1.0 / d], n)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    rows = np.repeat(np.arange(n - 1), 2)
-    cols = np.empty(2 * (n - 1), dtype=int)
-    cols[0::2] = np.arange(n - 1)
-    cols[1::2] = np.arange(1, n)
-    vals = np.tile([-1.0 / d, 1.0 / d], n - 1)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n - 1, n))
+        return sp.diags([-1.0 / d, 1.0 / d, -1.0 / d], [-1, 0, n - 1],
+                        shape=(n, n), format="csr")
+    return sp.diags([-1.0 / d, 1.0 / d], [0, 1], shape=(n - 1, n),
+                    format="csr")
 
 
 def _avg1(n: int, periodic: bool) -> sp.csr_matrix:
@@ -121,34 +114,17 @@ def _avg1(n: int, periodic: bool) -> sp.csr_matrix:
     return m
 
 
-def _lap1_normal(n: int, d: float, periodic: bool) -> sp.csr_matrix:
-    """1D Laplacian of a face component along its normal.  box: (n-1, n-1)
-    on the interior faces, which lie between zero-valued wall nodes at
-    distance d; periodic: (n, n)."""
-    if periodic:
-        return _lap1_periodic(n, d)
-    main = -2.0 * np.ones(n - 1)
-    off = np.ones(n - 2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / (d * d)
-
-
 def _lap1_tangential(n: int, d: float, periodic: bool) -> sp.csr_matrix:
-    """1D Laplacian of a face component along its face.  box: odd-reflection
-    ghosts (wall at half spacing, value 0); periodic: wraps.  (n, n)."""
-    if periodic:
-        return _lap1_periodic(n, d)
-    main = -2.0 * np.ones(n)
-    main[0] = main[-1] = -3.0
-    off = np.ones(n - 1)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / (d * d)
-
-
-def _lap1_periodic(n: int, d: float) -> sp.csr_matrix:
-    m = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
-                 [-1, 0, 1], format="lil")
-    m[0, n - 1] += 1.0
-    m[n - 1, 0] += 1.0
-    return (m / (d * d)).tocsr()
+    """1D Laplacian of a face component along its face, -U^T U / d^2 with U
+    the unit difference.  box: odd-reflection ghosts (wall at half spacing,
+    value 0); periodic: wraps.  (n, n).  Scaled once, after the product of
+    exact +-1 entries: a product of d-scaled differences can be 1 ulp off
+    the explicit stencil."""
+    U = _diff1(n, 1.0, periodic)
+    lap = -(U.T @ U)
+    if not periodic:
+        lap = lap - sp.diags(np.r_[2.0, np.zeros(n - 2), 2.0])
+    return (lap / (d * d)).tocsr()
 
 
 def _d1_corner(n: int, d: float, periodic: bool) -> sp.csr_matrix:
@@ -287,13 +263,16 @@ class GridOperators:
         self.Acf = sp.vstack([self.Acf_x, self.Acf_y], format="csr")
         self.Afc = self.Acf.T.tocsr()
 
-        # componentwise vector Laplacian (Dirichlet ghosts in box mode)
+        # componentwise vector Laplacian (Dirichlet ghosts in box mode);
+        # along its normal a face component's is -U U^T / d^2, U the unit
+        # difference (box: the faces lie between zero-valued wall nodes)
         Ifx = sp.identity(d1x.shape[0], format="csr")     # x-face lines in x
         Ify = sp.identity(d1y.shape[0], format="csr")     # y-face lines in y
-        Lxx = (sp.kron(_lap1_normal(nx, dx, per), Iy)
+        ux, uy = _diff1(nx, 1.0, per), _diff1(ny, 1.0, per)
+        Lxx = (sp.kron(-(ux @ ux.T) / (dx * dx), Iy)
                + sp.kron(Ifx, _lap1_tangential(ny, dy, per))).tocsr()
         Lyy = (sp.kron(_lap1_tangential(nx, dx, per), Ify)
-               + sp.kron(Ix, _lap1_normal(ny, dy, per))).tocsr()
+               + sp.kron(Ix, -(uy @ uy.T) / (dy * dy))).tocsr()
         self.Lvec = sp.block_diag([Lxx, Lyy], format="csr")
 
         # symmetric-gradient pieces: normal strains at cells, shear at corners

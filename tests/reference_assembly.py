@@ -7,7 +7,9 @@ block, and the Jacobian of the saddle form over [v, p, b, q, mu, phi]
 blocks, each reduced to the stepper's Newton unknowns [psi, q, mu, phi] by
 the grid's curl (``divergence_free``); and the transport defect of a step
 rebuilt from its two states, which the stepper reads from its converged
-terms."""
+terms.  ``grid_operators`` rebuilds the gradient, the cell -> face average
+and the vector Laplacian of ``mesh.GridOperators`` from explicit 1D
+stencils."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +28,56 @@ def _diff_avg(n, d, periodic):
     avg = sp.csr_matrix((np.full(2 * m, 0.5), (rows, cols.ravel())),
                         shape=(m, n))
     return diff, avg
+
+
+def _lap1_normal(n, d, periodic):
+    """1D Laplacian of a face component along its normal.  box: (n-1, n-1)
+    on the interior faces, which lie between zero-valued wall nodes at
+    distance d; periodic: (n, n)."""
+    if periodic:
+        return _lap1_periodic(n, d)
+    main = -2.0 * np.ones(n - 1)
+    off = np.ones(n - 2)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / (d * d)
+
+
+def _lap1_tangential(n, d, periodic):
+    """1D Laplacian of a face component along its face.  box: odd-reflection
+    ghosts (wall at half spacing, value 0); periodic: wraps.  (n, n)."""
+    if periodic:
+        return _lap1_periodic(n, d)
+    main = -2.0 * np.ones(n)
+    main[0] = main[-1] = -3.0
+    off = np.ones(n - 1)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / (d * d)
+
+
+def _lap1_periodic(n, d):
+    m = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
+                 [-1, 0, 1], format="lil")
+    m[0, n - 1] += 1.0
+    m[n - 1, 0] += 1.0
+    return (m / (d * d)).tocsr()
+
+
+def grid_operators(g):
+    """{name: matrix} of the grid's G, Acf and Lvec, each assembled by
+    Kronecker products of the explicit 1D stencils above in the order
+    ``mesh.GridOperators`` assembles it."""
+    per, nx, ny, dx, dy = g.periodic, g.nx, g.ny, g.dx, g.dy
+    (d1x, a1x), (d1y, a1y) = _diff_avg(nx, dx, per), _diff_avg(ny, dy, per)
+    Ix, Iy = sp.identity(nx, format="csr"), sp.identity(ny, format="csr")
+    Ifx = sp.identity(d1x.shape[0], format="csr")
+    Ify = sp.identity(d1y.shape[0], format="csr")
+    Lxx = (sp.kron(_lap1_normal(nx, dx, per), Iy)
+           + sp.kron(Ifx, _lap1_tangential(ny, dy, per))).tocsr()
+    Lyy = (sp.kron(_lap1_tangential(nx, dx, per), Ify)
+           + sp.kron(Ix, _lap1_normal(ny, dy, per))).tocsr()
+    return {"G": sp.vstack([sp.kron(d1x, Iy, format="csr"),
+                            sp.kron(Ix, d1y, format="csr")], format="csr"),
+            "Acf": sp.vstack([sp.kron(a1x, Iy, format="csr"),
+                              sp.kron(Ix, a1y, format="csr")], format="csr"),
+            "Lvec": sp.block_diag([Lxx, Lyy], format="csr")}
 
 
 def _conv_sets(g):

@@ -8,9 +8,9 @@ import pytest
 
 import surfflow.state as state
 from fields import read_field_snapshot
-from surfflow.cli import (EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, ConfigError,
-                          default_config, effective_config_text, main,
-                          parse_config)
+from surfflow.cli import (EXIT_AUDIT, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
+                          ConfigError, default_config, effective_config_text,
+                          main, parse_config)
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
 
@@ -75,6 +75,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config("/nonexistent/conf.ini")
 
+    @pytest.mark.parametrize("text,match", [
+        ("[grid]\nnx = 8\nnx = 16\n", "already exists"),
+        ("nx = 8\n", "no section headers"),
+        ("[scenario]\nname = 50%droplet\n", "'%'")],
+        ids=["duplicate-key", "no-section", "stray-percent"])
+    def test_malformed_ini_exits_one(self, tmp_path, capsys, text, match):
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError, match=match):
+            parse_config(path)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_invalid_invariant_exits_one(self, tmp_path, capsys):
@@ -115,6 +129,20 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert (out / "audit.txt").exists()
         assert (out / "audit.csv").read_text().startswith("clause_id,")
+
+    @pytest.mark.parametrize("command", ["run", "study-delta", "study-tau",
+                                         "study-defect"])
+    def test_run_and_studies_require_the_audit(self, tmp_path, capsys,
+                                               command):
+        # c2 = 1.5 fails the audit's coefficient bounds; no member runs
+        path = write(tmp_path, "[params]\nc2 = 1.5\n\n[grid]\nnx = 8\n"
+                               "ny = 8\n\n[output]\nt_final = 4e-3\n\n"
+                               "[study]\ngrids = 4, 8\n")
+        out = tmp_path / "out"
+        assert main([command, path, "--out", str(out)]) == EXIT_AUDIT
+        assert capsys.readouterr().err == \
+            "constitutive audit failed: coeff_bounds\n"
+        assert not out.exists()
 
     def test_audit_failure_exits_three(self, tmp_path):
         # h0 below c1 violates the d > c1 clause at build time -> validation
@@ -405,6 +433,9 @@ deltas = 1e-2, 1e-3, 1e-4
         path = write(tmp_path, "[study]\ndeltas = 1e-2, 1e-3\n")
         code = main(["study-delta", path, "--out", str(tmp_path / "out")])
         assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == ("validation error: delta "
+                                           "continuation needs at least 3 "
+                                           "values for a ratio\n")
 
     def test_tau_study_command(self, tmp_path, capsys):
         path = write(tmp_path, """

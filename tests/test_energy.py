@@ -8,8 +8,7 @@ import pytest
 from fields import copy_state, iterate_of
 from surfflow.constitutive import build_default_set
 from surfflow.energy import (LEDGER_COLUMNS, SLACK_TOL, audit_step,
-                             estimate_slack, ledger_slack, rows_to_csv,
-                             total_energy)
+                             estimate_slack, rows_to_csv, total_energy)
 from surfflow.mesh import Grid
 from surfflow.state import ScenarioConfig, initialize_scenario
 from surfflow.stepper import StepConfig, run, step
@@ -152,10 +151,11 @@ class TestLedgerSlack:
                                  g, params, cset)
         res = run(s0, g, cset, params, StepConfig(tau=1e-3), T=2e-3)
         E0 = total_energy(s0, cset, params).E_tot
-        rel, e_prev = ledger_slack(res.rows, E0)
-        assert max(abs(e_prev[0]), 1.0) == max(abs(E0), 1.0)
+        rel, _ = estimate_slack(res.rows, 0.0, E0)
         assert rel[0] == res.rows[0].slack / max(abs(E0), 1.0)
-        assert np.array_equal(e_prev[1:], [r.E_tot for r in res.rows[:-1]])
+        assert np.array_equal(rel[1:], [r.slack / max(abs(e.E_tot), 1.0)
+                                        for r, e in zip(res.rows[1:],
+                                                        res.rows[:-1])])
 
     def test_estimate_slack_is_slack_less_defect(self, params):
         # random-seed at 8^2, tau 1e-2: the raw slack of a coupled step
@@ -167,7 +167,8 @@ class TestLedgerSlack:
                                                 q0=0.1), g, p, cs)
         res = run(s0, g, cs, p, StepConfig(tau=1e-2), T=0.02)
         defects = np.array([rep.transport_defect for rep in res.reports])
-        raw, e_prev = ledger_slack(res.rows, res.E0)
+        raw, _ = estimate_slack(res.rows, 0.0, res.E0)
+        e_prev = np.array([res.E0] + [r.E_tot for r in res.rows[:-1]])
         rel, violated = estimate_slack(res.rows, defects, res.E0)
         slack = np.array([r.slack for r in res.rows])
         assert np.array_equal(rel, (slack - defects)
@@ -184,7 +185,7 @@ class TestLedgerSlack:
         defects = [rep.transport_defect for rep in res.reports]
         assert defects == [0.0, 0.0]
         rel, violated = estimate_slack(res.rows, defects, res.E0)
-        assert np.array_equal(rel, ledger_slack(res.rows, res.E0)[0])
+        assert np.array_equal(rel, estimate_slack(res.rows, 0.0, res.E0)[0])
         assert not violated.any()
 
 
@@ -275,11 +276,10 @@ class TestCoupledEstimateTracksTolerance:
         for tol in self.TOLS + (1e-13,):
             res = run(s0, g, cs, p, StepConfig(tau=1e-2, tol_nl=tol), T=0.05)
             assert len(res.rows) == 5
-            raw, e_prev = ledger_slack(res.rows, res.E0)
+            raw, _ = estimate_slack(res.rows, 0.0, res.E0)
             assert raw.min() < -1e-4
-            defects = np.array([rep.transport_defect for rep in res.reports])
-            slack = np.array([r.slack for r in res.rows])
-            out[tol] = (slack - defects) / np.maximum(np.abs(e_prev), 1.0)
+            defects = [rep.transport_defect for rep in res.reports]
+            out[tol] = estimate_slack(res.rows, defects, res.E0)[0]
         return out
 
     @pytest.mark.parametrize("tol", TOLS)

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 from fields import (div, from_function, grad, iterate_of,
                     read_field_snapshot, ux2d, uy2d, view2d, yface_coords)
 from surfflow.constitutive import ModelParams, build_default_set
-from reference_assembly import convect_flux_jacobian, convect_matrix
+from reference_assembly import (convect_flux_jacobian, convect_matrix,
+                                grid_operators)
 from surfflow.linalg import assemble_velocity_form
 from surfflow.mesh import (FIELD_KIND_CELL, Grid, KernelCSC, KernelCSR,
                            ScalarField, VectorField, convect_skew,
@@ -89,6 +90,26 @@ class TestGradDiv:
             g = Grid(14, 18, 1.0, 1.0, bc)
             u = VectorField(g, rng.standard_normal(g.n_faces))
             assert abs(div(u).data.sum() * g.dV) < 1e-13
+
+
+class TestStencils:
+    """The 1D stencils the operators are built from: ``G``, ``Acf`` and
+    ``Lvec`` equal, byte for byte, their assembly from explicit stencils,
+    on box and periodic grids with unit and non-unit spacing, odd and
+    non-square sizes."""
+
+    @pytest.mark.parametrize("nx,ny,lx,bc", [
+        (7, 8, 0.7, "box"), (10, 11, 0.7, "periodic"), (24, 25, 1.0, "periodic"),
+        (32, 33, 1.0, "box"), (5, 6, 1.3, "box"), (2, 3, 0.3, "box"),
+        (2, 2, 1.0, "periodic")])
+    @pytest.mark.parametrize("name", ["G", "Acf", "Lvec"])
+    def test_operator_equals_explicit_stencils(self, nx, ny, lx, bc, name):
+        g = Grid(nx, ny, lx, 1.0, bc)
+        ref, op = grid_operators(g)[name], getattr(g.ops, name)
+        assert op.shape == ref.shape
+        for arr in ("indptr", "indices", "data"):
+            a, b = getattr(op, arr), getattr(ref, arr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), arr
 
 
 class TestCurl:
