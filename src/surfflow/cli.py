@@ -37,7 +37,7 @@ from .linalg import SolverFailure, gradient_potential
 from .mesh import (FIELD_KIND_CELL, FIELD_KIND_XFACE, FIELD_KIND_YFACE, Grid,
                    sbp_selftest, write_field_snapshot)
 from .state import ScenarioConfig, initialize_scenario
-from .stepper import StepConfig, StepFailure, run
+from .stepper import END_TOL, StepConfig, StepFailure, before_horizon, run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -65,8 +65,10 @@ class _OutputKeys:
     write_fields: bool = config_key(False, "write binary field snapshots")
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_final) and self.t_final > 0):
-            raise ValueError(f"[output] t_final must be positive and finite, "
+        if not (math.isfinite(self.t_final)
+                and before_horizon(0.0, self.t_final)):
+            raise ValueError(f"[output] t_final must be finite and more than "
+                             f"{END_TOL:g} (the end tolerance of a run), "
                              f"got {self.t_final}")
         if self.snapshot_every < 0:
             raise ValueError(f"[output] snapshot_every must be >= 0, "
@@ -212,6 +214,16 @@ def _write_failure_json(path, report) -> None:
                                indent=1, allow_nan=False) + "\n")
 
 
+def _make_outdir(outdir: Path) -> None:
+    """Create ``outdir`` and its parents before a command's work; a path
+    that cannot be a directory is a validation error naming it."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out {outdir}: cannot create the output "
+                         f"directory ({exc.strerror})") from exc
+
+
 def _cmd_print_config(values, outdir, args) -> int:
     sys.stdout.write(effective_config_text(values))
     return EXIT_OK
@@ -221,7 +233,7 @@ def _cmd_audit(values, outdir, args) -> int:
     _, params, sampling, _, _, _ = build_objects(values)
     cset = build_default_set(params)
     report = audit_assumptions(cset, params, sampling)
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_outdir(outdir)
     (outdir / "audit.txt").write_text(report.to_text() + "\n")
     (outdir / "audit.csv").write_text(report.to_csv())
     print(report.to_text())
@@ -294,7 +306,7 @@ def _cmd_run(values, outdir, args) -> int:
     cset = _audited_set(params, sampling)
     if cset is None:
         return EXIT_AUDIT
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_outdir(outdir)
     (outdir / "config.effective.ini").write_text(effective_config_text(values))
     if params.delta == 0.0:
         print("note: delta = 0 disables the regularization terms; the run is "
@@ -363,6 +375,7 @@ def _cmd_study(kind):
         grid, params, sampling, stepcfg, scenario, T = build_objects(values)
         if _audited_set(params, sampling) is None:
             return EXIT_AUDIT
+        _make_outdir(outdir)
         setup = SimulationSetup(grid=grid, params=params, scenario=scenario,
                                 stepcfg=stepcfg, T=T)
         if kind == "delta":
@@ -374,7 +387,6 @@ def _cmd_study(kind):
         else:
             rep = study_defect(setup, values["study"]["grids"],
                                threads=args.threads)
-        outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "config.effective.ini").write_text(effective_config_text(values))
         (outdir / "study.csv").write_text(rep.to_csv())
         print(rep.summary())

@@ -8,13 +8,13 @@ and the secant slope H of W are evaluated implicitly.
 
 The solver is a Newton iteration on the full coupled residual.  With flow
 every attempt (each tau halving included) starts it from the old state.
-In v0 mode a step of ``run`` first starts it from q, mu and phi
-extrapolated in shrinking backward differences through up to eight old
-states (``_predicted``; Hairer & Wanner, Solving ODEs II, sec. IV.8), and
-from the old state at the same tau if that fails.  It works on the
-divergence-free velocities, as the weak formulation does (the null-space
-method: Benzi, Golub & Liesen, Numerical solution of saddle
-point problems, Acta Numerica 2005, sec. 6): each iterate moves v by C psi,
+In v0 mode a step of ``run`` first starts it from q, mu and phi extrapolated
+in shrinking backward differences at the old state, which ``run`` carries
+over up to eight steps (``_predicted``; Hairer & Wanner, Solving ODEs II,
+sec. IV.8), and from the old state at the same tau if that fails.  It works
+on the divergence-free velocities, as the weak formulation does (the
+null-space method: Benzi, Golub & Liesen, Numerical solution of saddle point
+problems, Acta Numerica 2005, sec. 6): each iterate moves v by C psi,
 C the grid's discrete curl (D C = 0; periodic: zero component means), and
 the momentum equation enters tested against C's columns, C^T r_v, which
 has no pressure.  The unknowns are the stream function psi (the Stokes
@@ -70,6 +70,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -86,6 +87,7 @@ from .state import State
 __all__ = [
     "StepConfig", "StepReport", "StepFailure", "LinearizedSystem",
     "assemble_linear", "step", "run", "RunResult", "transport_defect",
+    "END_TOL", "before_horizon",
 ]
 
 
@@ -733,44 +735,45 @@ def _cells(s: State) -> tuple:
     return s.q.data, s.mu.data, s.phi.data
 
 
-def _predicted(state_k: State, history: tuple, tau: float) -> Optional[tuple]:
-    """The start (q, mu, phi) of a ``tau`` step from ``state_k`` through
-    ``history`` (the last old states' (tau, q, mu, phi), newest first): None
-    without history or after a shorter step, x_k + (tau / tau_k-1) nabla x_k
-    after a longer one, else per field x_k + nabla x_k + ... + nabla^p x_k
-    over the leading steps of ``tau``, each later difference added while
-    nonzero and shrinking in norm (a constant history gives x_k bitwise)."""
-    if not history or history[0][0] < tau:
+def _predicted(table: tuple, ratio: float) -> Optional[tuple]:
+    """The start (q, mu, phi) of a step ``ratio`` times the last, from
+    ``table``: None if longer, x_k + ratio nabla x_k if shorter, else x_k +
+    nabla x_k + ... per field, each term while nonzero and shrinking."""
+    if ratio > 1.0:
         return None
-    if history[0][0] > tau:
-        return tuple(a + tau / history[0][0] * (a - b)
-                     for a, b in zip(_cells(state_k), history[0][1:]))
-    p = next((j for j, h in enumerate(history) if h[0] != tau), len(history))
-    start = []
-    for i, out in enumerate(_cells(state_k)):
-        d, prev = np.stack([out] + [h[1 + i] for h in history[:p]]), math.inf
-        for _ in range(p):
-            d = d[:-1] - d[1:]
-            size = _norm(d[0])
+    if ratio < 1.0:
+        return tuple(x + ratio * d for x, d, *_ in table)
+
+    def summed(out, *diffs):
+        prev = math.inf
+        for d in diffs:
+            size = _norm(d)
             if not 0.0 < size < prev:
                 break
-            out, prev = out + d[0], size
-        start.append(out)
-    return tuple(start)
+            out, prev = out + d, size
+        return out
+    return tuple(summed(*col) for col in table)
+
+
+def _advanced(table: tuple, x: tuple, same_tau: bool) -> tuple:
+    """``table``, per field [x, nabla x, ..., nabla^p x] over steps of one
+    tau, at the new cell arrays ``x``: nabla^j x_k = nabla^j-1 x_k -
+    nabla^j-1 x_k-1, p <= PREDICTOR_DEPTH, and p = 1 after a new tau."""
+    keep = PREDICTOR_DEPTH if same_tau else 1
+    return tuple(list(accumulate(col[:keep], np.subtract, initial=new))
+                 for new, col in zip(x, table))
 
 
 def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
          params: ModelParams, cfg: StepConfig,
-         held: Optional[_HeldLU] = None, history: tuple = ()):
+         held: Optional[_HeldLU] = None, start: Optional[tuple] = None):
     """Advance one implicit step, halving tau on failure up to the limit.
 
-    In v0 mode with ``history``, the (tau, q, mu, phi) of the last old
-    states (newest first; ``run`` passes up to ``PREDICTOR_DEPTH``), the
-    first attempt starts Newton from their extrapolation (``_predicted``)
-    with v at ``state_k``'s.  If it fails, the step retries from
-    ``state_k`` at the same tau (counted in ``StepReport.restarts``).
-    That attempt and every halved one start from ``state_k``, as every
-    attempt does in coupled mode and without history; each failed
+    With ``start`` (cell arrays q, mu, phi: ``run``'s v0 extrapolation)
+    the first attempt starts Newton there with v at ``state_k``'s.  If it
+    fails, the step retries from ``state_k`` at the same tau (counted in
+    ``StepReport.restarts``).  That attempt and every halved one start
+    from ``state_k``, as every attempt does without ``start``; each failed
     attempt's reason is listed in ``StepReport.abandoned``.  With
     ``max_newton = 0`` tau is never halved: the old state's residual does
     not shrink with tau.  ``held`` carries the Newton LU from step to step
@@ -785,7 +788,6 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
     report = StepReport()
     held = _HeldLU() if held is None else held
     tau = cfg.tau
-    start = _predicted(state_k, history, tau) if cfg.v0_mode else None
     backoffs = cfg.max_backoff if cfg.max_newton else 0
     while True:
         report.tau_used = tau
@@ -815,6 +817,15 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
 # time loop
 # ---------------------------------------------------------------------------
 
+# a run ends at its first state within END_TOL * max(T, 1) of its horizon T
+END_TOL = 1e-12
+
+
+def before_horizon(t: float, T: float) -> bool:
+    """Whether a run at time ``t`` takes another step towards ``T``."""
+    return t < T - END_TOL * max(T, 1.0)
+
+
 @dataclass
 class RunResult:
     rows: list                    # energy-ledger rows (see energy module)
@@ -828,30 +839,29 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
     """Repeated stepping to the horizon T with per-step energy accounting.
 
     Appends one ledger row per accepted step.  The Newton LU is held from
-    step to step, and in v0 mode each step gets the (tau, q, mu, phi) of
-    the last ``PREDICTOR_DEPTH`` old states (``step``'s ``history``).  A
-    StepFailure propagates with the partial ledger attached to the
-    exception (``exc.partial``).
+    step to step, in v0 mode also ``table`` (``_advanced``) and ``last``,
+    its steps' tau, for each step's start (``_predicted``).  A StepFailure
+    propagates with the partial ledger attached to it (``exc.partial``).
     """
     from . import energy
 
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"horizon T must be positive and finite, got {T}")
+    if not (math.isfinite(T) and before_horizon(state0.t, T)):
+        raise ValueError(f"horizon T = {T} leaves no step from t = {state0.t}")
     rows, reports = [], []
     s = state0
     held = _HeldLU()
-    history = ()                    # (tau, q, mu, phi), newest first
+    table, last = tuple([x] for x in _cells(state0)), None
     result = RunResult(rows, reports, state0,
                        energy.total_energy(state0, cset, params).E_tot)
     E_k = result.E0                 # the energy of s, computed once
-    while s.t < T - 1e-12 * max(T, 1.0):
+    while before_horizon(s.t, T):
         step_cfg = cfg
         remaining = T - s.t
         if remaining < cfg.tau * (1.0 - 1e-12):
             step_cfg = replace(cfg, tau=remaining)
+        start = _predicted(table, step_cfg.tau / last) if last else None
         try:
-            s_new, rep = step(s, grid, cset, params, step_cfg, held=held,
-                              history=history)
+            s_new, rep = step(s, grid, cset, params, step_cfg, held, start)
         except StepFailure as exc:
             exc.partial = result
             raise
@@ -864,8 +874,8 @@ def run(state0: State, grid: Grid, cset: ConstitutiveSet, params: ModelParams,
             for cb in callbacks:
                 cb(s_new, rep, row)
         if cfg.v0_mode:             # only v0 steps use it
-            history = ((rep.tau_used, *_cells(s)),) \
-                + history[:PREDICTOR_DEPTH - 1]
+            table = _advanced(table, _cells(s_new), rep.tau_used == last)
+            last = rep.tau_used
         s = s_new
     result.final_state = s
     return result

@@ -1,23 +1,34 @@
 """The benchmark's traced layers and step counters still name surfflow
-functions and report fields.
+functions and report fields, and its measured child still runs.
 
 ``bench/spans.py`` wraps the functions listed in its ``FUNCTION_LAYERS``
 where the stepper looks them up at call time.  A name that a refactor
 removes is skipped there and reported only as an absent layer of a traced
 run, so these checks keep the list and the package in step.
+``bench/child.py`` drives the package as ``surfflow run`` does (the
+objects ``cli.build_objects`` returns, the audit, ``run``'s callbacks, the
+state's fields); a short run of it, untraced and traced, keeps that in
+step too.
 """
 
 import ast
+import configparser
 import dataclasses
 import importlib.util
+import json
+import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 from surfflow.mesh import Grid
 from surfflow.state import ScenarioConfig, initialize_scenario
 from surfflow.stepper import StepConfig, StepReport, run
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 SPANS = BENCH / "spans.py"
 CHILD = BENCH / "child.py"
 
@@ -101,3 +112,39 @@ def test_traced_v0_run_charges_every_v0_layer(cset, params):
             "stepper.jacobian", "energy.audit"} <= seen, sorted(seen)
     assert not seen & {"mesh.convect", "stepper.transport_defect"}, \
         sorted(seen)
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+def test_child_runs_a_short_coupled_config(tmp_path, trace):
+    # the shipped shear-droplet config cut to 2 steps on 8 x 8, with a
+    # field snapshot after each, as bench/run.py hands it to a fresh child
+    cp = configparser.ConfigParser()
+    cp.read(ROOT / "configs" / "shear-droplet.ini")
+    cp["grid"].update(nx="8", ny="8")
+    cp["output"].update(t_final="2e-3", write_fields="true",
+                        snapshot_every="1")
+    config = tmp_path / "config.ini"
+    with open(config, "w") as fh:
+        cp.write(fh)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "src": str(ROOT / "src"), "config": str(config),
+        "outdir": str(outdir), "run_id": "smoke", "trace": trace,
+        "setup_only": False}))
+    proc = subprocess.run([sys.executable, str(CHILD), str(spec),
+                           repr(time.monotonic())], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads((outdir / "result.json").read_text())
+    assert result["ok"], result["failure"]
+    assert len(result["step_s"]) == 2
+    ledger = (outdir / "ledger.csv").read_text().splitlines()
+    assert len(ledger) == 3                  # the header and two rows
+    assert len(list((outdir / "fields").iterdir())) == 2 * 6
+    if trace:
+        stale = {f"({module}.{dotted})" for module, dotted in KNOWN_STALE}
+        unknown = [name for name in result["absent"]
+                   if name.split(" ", 1)[-1] not in stale]
+        assert not unknown, unknown

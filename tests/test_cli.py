@@ -144,6 +144,36 @@ class TestExitCodes:
             "constitutive audit failed: coeff_bounds\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "study-tau"])
+    def test_horizon_below_end_tolerance_exits_one(self, tmp_path, capsys,
+                                                   command):
+        # a run to 1e-13 would take no step, so leave no ledger behind
+        path = write(tmp_path, "[grid]\nnx = 8\nny = 8\n\n"
+                               "[output]\nt_final = 1e-13\n")
+        out = tmp_path / "out"
+        assert main([command, path, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: [output] t_final")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "audit", "study-tau"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below"])
+    def test_unusable_out_exits_one(self, tmp_path, capsys, monkeypatch,
+                                    command, below):
+        # --out at a file, or below one: no run or study member starts
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was made")
+        monkeypatch.setattr("surfflow.cli.run", no_work)
+        monkeypatch.setattr("surfflow.cli.study_tau", no_work)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "out" if below else taken
+        path = write(tmp_path, "[grid]\nnx = 8\nny = 8\n")
+        assert main([command, path, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            f"validation error: --out {out}: cannot create")
+        assert taken.read_text() == ""
+
     def test_audit_failure_exits_three(self, tmp_path):
         # h0 below c1 violates the d > c1 clause at build time -> validation
         path = write(tmp_path, "[params]\nh0 = 0.05\n")

@@ -33,7 +33,8 @@ REMOVED_KEYS = (
 INVALID_STEPPER = [("max_newton", -3), ("max_backoff", -1),
                    ("tau", math.nan), ("tau", math.inf),
                    ("tol_nl", math.nan), ("tol_nl", math.inf)]
-INVALID_HORIZONS = [math.nan, math.inf, 0.0, -1e-3]
+# 1e-13 is below a run's end tolerance: it would take no step
+INVALID_HORIZONS = [math.nan, math.inf, 0.0, -1e-3, 1e-13]
 # float() reads each of these; none is a finite number
 NON_FINITE = [("run", "grid", "lx", "inf"), ("run", "params", "q_max", "inf"),
               ("run", "params", "delta", "inf"), ("run", "grid", "lx", "nan"),

@@ -20,9 +20,9 @@ from surfflow.mesh import Grid, ScalarField, VectorField, convect_skew
 from surfflow.state import ScenarioConfig, State, initialize_scenario
 from surfflow.stepper import (FACTOR_COST_PER_FILL, StepConfig, StepFailure,
                               PREDICTOR_DEPTH, StepReport, _BLOCKS,
-                              _CH_BLOCKS, _HeldLU, _cells, _jacobian, _LU,
-                              _predicted, _Terms, assemble_linear,
-                              run, step)
+                              _CH_BLOCKS, _HeldLU, _advanced, _cells,
+                              _jacobian, _LU, _predicted, _Terms,
+                              assemble_linear, run, step)
 
 
 def _ch_layout(g):
@@ -1352,6 +1352,28 @@ def _run_states(s0, g, cset, params, cfg, steps):
     return states, res.reports
 
 
+def _table_of(xs):
+    """The backward differences at the newest of the cell arrays ``xs``
+    (newest first), per field [x_k, nabla x_k, ..., nabla^p x_k], each row
+    of differences taken from the whole row before it."""
+    table = []
+    for field in zip(*xs):
+        d = np.stack(field)
+        col = [d[0]]
+        while len(d) > 1:
+            d = d[:-1] - d[1:]
+            col.append(d[0])
+        table.append(col)
+    return tuple(table)
+
+
+def _same_table(a, b) -> bool:
+    return len(a) == len(b) and all(
+        len(ca) == len(cb) and all(np.array_equal(_bits(x), _bits(y))
+                                   for x, y in zip(ca, cb))
+        for ca, cb in zip(a, b))
+
+
 def _first_residual(s, start, g, cset, params, cfg):
     """The first residual_history entry of an attempt of ``cfg.tau`` from
     the old state ``s`` whose first iterate has cell arrays ``start``."""
@@ -1361,16 +1383,16 @@ def _first_residual(s, start, g, cset, params, cfg):
 
 
 class TestPredictedStart:
-    """In v0 mode a step of ``run`` first tries Newton from the old states
-    of up to ``PREDICTOR_DEPTH`` last steps extrapolated, and from its own
-    old state at the same tau if that fails; coupled steps start from the
-    old state."""
+    """In v0 mode ``run`` hands each step a start extrapolated through the
+    old states of up to ``PREDICTOR_DEPTH`` last steps, and the step
+    retries from its own old state at the same tau if that fails; coupled
+    steps are given no start."""
 
     def test_start_is_the_extrapolated_state(self, cset, params, relax16):
         g, s0, cfg = relax16
         states, reports = _run_states(s0, g, cset, params, cfg, 12)
         s0, s1, s2 = states[:3]
-        # step 1 has no history: its start is the old state
+        # step 1 has no old state before it: its start is the old state
         assert reports[0].residual_history[0] == _first_residual(
             s0, _cells(s0), g, cset, params, cfg)
         linear = [b + (b - a) for a, b in zip(_cells(s0), _cells(s1))]
@@ -1382,12 +1404,11 @@ class TestPredictedStart:
         assert reports[2].residual_history[0] == _first_residual(
             s2, quadratic, g, cset, params, cfg)
         # step 12 extrapolates through the eight old states before its own
-        history = tuple((cfg.tau, *_cells(s)) for s in states[10:2:-1])
+        table = _table_of([_cells(s) for s in states[11:2:-1]])
         assert reports[11].residual_history[0] == _first_residual(
-            states[11], _predicted(states[11], history, cfg.tau), g, cset,
-            params, cfg)
+            states[11], _predicted(table, 1.0), g, cset, params, cfg)
         assert all(r.restarts == 0 for r in reports)
-        # a step called without history starts from its old state
+        # a step called without a start starts from its old state
         _, rep = step(s2, g, cset, params, cfg)
         assert rep.residual_history[0] == _first_residual(
             s2, _cells(s2), g, cset, params, cfg)
@@ -1436,31 +1457,75 @@ class TestPredictedStart:
                    for k, r in enumerate(reports, 1) if k != 2)
 
     def test_no_start_past_a_shorter_step(self, cset, params):
-        # step 1 halves tau four times on this stiff state; step 2 runs at
-        # the full tau, 16 times the last step, and starts from its old
-        # state instead of extrapolating that far
+        # step 1 halves tau four times on this stiff state; step 2 first
+        # tries the full tau, 16 times the last step, and starts it from its
+        # old state instead of extrapolating that far
         g = Grid(16, 16)
         s0 = initialize_scenario(ScenarioConfig(name="random-seed", sigma=1.0,
                                                 q0=0.5), g, params, cset)
         cfg = StepConfig(tau=1e-3, v0_mode=True)
-        s1, rep1 = step(s0, g, cset, params, cfg)
+        (_, s1, *_), (rep1, rep2, *_) = _run_states(s0, g, cset, params,
+                                                    cfg, 2)
         assert rep1.backoffs == 4 and rep1.tau_used == cfg.tau / 16
         assert rep1.converged and rep1.failure_reason == ""
         assert len(rep1.abandoned) == 4
-        history = ((rep1.tau_used, *_cells(s0)),)
-        assert _predicted(s1, history, cfg.tau) is None
-        _, rep2 = step(s1, g, cset, params, cfg, history=history)
         assert rep2.restarts == 0
         assert rep2.residual_history[0] == _first_residual(
             s1, _cells(s1), g, cset, params, cfg)
+        table = _advanced(tuple([x] for x in _cells(s0)), _cells(s1), False)
+        assert _predicted(table, cfg.tau / rep1.tau_used) is None
 
-    def test_coupled_run_steps_as_without_history(self, cset, params):
+    def test_table_is_the_differences_of_the_old_states(self, cset, params,
+                                                        monkeypatch):
+        # at every step of this run (tau halvings, a restart and a clamped
+        # last step) the table run carries equals the backward differences
+        # of the old states since the last change of tau, at most
+        # PREDICTOR_DEPTH of them, bit for bit
+        g = Grid(16, 16)
+        s0 = initialize_scenario(ScenarioConfig(name="random-seed", sigma=1.0,
+                                                q0=0.5), g, params, cset)
+        cfg = StepConfig(tau=1e-3, v0_mode=True)
+        calls = []
+
+        def spy(table, ratio):
+            calls.append((table, ratio))
+            return _predicted(table, ratio)
+        monkeypatch.setattr("surfflow.stepper._predicted", spy)
+        states, reports = _run_states(s0, g, cset, params, cfg, 30)
+        taus = [r.tau_used for r in reports]
+        assert sum(r.backoffs for r in reports) > 0
+        assert sum(r.restarts for r in reports) == 1
+        assert cfg.tau / 16 < taus[-1] < cfg.tau
+        assert len(calls) == len(reports) - 1
+        depths = set()
+        for k, (table, ratio) in enumerate(calls, 1):
+            # the call before step k + 1, from states[k]
+            last, p = taus[k - 1], 1
+            while p < min(k, PREDICTOR_DEPTH) and taus[k - 1 - p] == last:
+                p += 1
+            depths.add(p)
+            olds = [_cells(s) for s in states[k::-1][:p + 1]]
+            assert _same_table(table, _table_of(olds)), k
+            if reports[k].backoffs == 0:
+                assert ratio == taus[k] / taus[k - 1]
+        assert {1, PREDICTOR_DEPTH} <= depths
+
+    def test_coupled_run_steps_as_without_history(self, cset, params,
+                                                  monkeypatch):
         g = Grid(16, 16)
         s0 = initialize_scenario(ScenarioConfig(name="shear-droplet",
                                                 shear=0.5, q0=0.1),
                                  g, params, cset)
         cfg = StepConfig(tau=1e-3)
+        starts = []
+
+        def spy(*args, **kwargs):
+            starts.append(args[6] if len(args) > 6 else kwargs.get("start"))
+            return step(*args, **kwargs)
+        monkeypatch.setattr("surfflow.stepper.step", spy)
         res = run(s0, g, cset, params, cfg, T=8 * cfg.tau)
+        # a coupled run hands no step a start
+        assert starts == [None] * 8
         held, s = _HeldLU(), s0
         for rep in res.reports:
             s, plain = step(s, g, cset, params, cfg, held=held)
@@ -1469,12 +1534,6 @@ class TestPredictedStart:
             assert plain.restarts == 0
         assert np.array_equal(s.phi.data, res.final_state.phi.data)
         assert np.array_equal(s.v.data, res.final_state.v.data)
-        # a coupled step handed a history starts from its old state
-        s1, rep = step(s, g, cset, params, cfg, history=((cfg.tau, s0),))
-        s2, plain = step(s, g, cset, params, cfg)
-        assert dataclasses.replace(rep, wall_time=0.0) == \
-            dataclasses.replace(plain, wall_time=0.0)
-        assert np.array_equal(s1.phi.data, s2.phi.data)
 
 
 def _cell_state(q, mu, phi) -> State:
@@ -1494,16 +1553,20 @@ def _history_of(diffs, steps):
 
 
 def _start(xs, taus):
-    """``_predicted`` from the newest of the fields ``xs`` through the
-    others, the steps before them taking ``taus``."""
-    history = tuple((tau, *x) for tau, x in zip(taus, xs[1:]))
-    return np.array(_predicted(_cell_state(*xs[0]), history, 1e-2))
+    """``_predicted`` at the newest of the fields ``xs`` for a step of
+    1e-2, from the table that ``_advanced`` carries from the oldest of
+    them, ``taus`` the steps between them (newest first)."""
+    table, last = tuple([x] for x in xs[-1]), None
+    for x, tau in zip(xs[-2::-1], taus[::-1]):
+        table, last = _advanced(table, tuple(x), tau == last), tau
+    return np.array(_predicted(table, 1e-2 / last))
 
 
 class TestBackwardDifferenceStart:
-    """``_predicted`` over the leading steps of the current tau, at most
-    ``PREDICTOR_DEPTH``: x_k + nabla x_k + ... + nabla^p x_k per field,
-    each difference after the first added while it shrinks."""
+    """``_predicted`` from the table ``_advanced`` carries over the last
+    steps of one tau, at most ``PREDICTOR_DEPTH``: x_k + nabla x_k + ... +
+    nabla^p x_k per field, each difference after the first added while it
+    shrinks."""
 
     def test_constant_history_gives_the_state_bitwise(self):
         rng = np.random.default_rng(0)
