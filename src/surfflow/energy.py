@@ -1,8 +1,9 @@
 """Total energy and the per-step discrete energy audit.
 
-The audit recomputes every term of the one-step energy estimate with the
-same operators and quadrature the stepper uses, then reports the signed
-slack
+The audit evaluates every term of the one-step energy estimate with the
+same operators and quadrature the stepper uses, reading the values each
+state carries (``state.evaluated``: the converged iterate's and the frozen
+part's, evaluated once), then reports the signed slack
 
     slack = E(k) - E(k+1) - sum(dissipation terms),
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .constitutive import ConstitutiveSet, ModelParams
 from .linalg import assemble_velocity_form
-from .state import State, observables
+from .state import State, evaluated, observables
 
 __all__ = ["EnergyComponents", "EnergyLedgerRow", "LEDGER_COLUMNS",
            "total_energy", "audit_step", "estimate_slack",
@@ -43,15 +44,20 @@ class EnergyComponents:
 
 def total_energy(s: State, cset: ConstitutiveSet,
                  params: ModelParams) -> EnergyComponents:
-    """Midpoint-quadrature energy, gradient term through the grid's G."""
+    """Midpoint-quadrature energy, gradient term through the grid's G; W,
+    rho and G phi are the state's (``state.evaluated``).  E_kin is 0 at
+    v = 0 without evaluating rho."""
     g = s.grid
     dV = g.dV
-    phi, q = s.phi.data, s.q.data
-    u2 = g.ops.Afc @ (s.v.data * s.v.data)
-    E_kin = 0.5 * dV * float((cset.rho(phi) * u2).sum())
-    gp = g.ops.G @ phi
+    q = s.q.data
+    E_kin = 0.0
+    if s.v.data.any():
+        u2 = g.ops.Afc @ (s.v.data * s.v.data)
+        E_kin = 0.5 * dV * float((evaluated(s, cset, "rho") * u2).sum())
+    gp = evaluated(s, cset, "grad_phi")
     E_grad = 0.5 * params.epsilon * dV * float(gp @ gp)
-    E_surf = dV * float((cset.d(q) * cset.W(phi)).sum()) / params.epsilon
+    E_surf = dV * float((cset.d(q) * evaluated(s, cset, "W")).sum()) \
+        / params.epsilon
     E_bulk = dV * float(cset.G(q).sum())
     return EnergyComponents(E_kin, E_grad, E_surf, E_bulk,
                             E_kin + E_grad + E_surf + E_bulk)
@@ -101,21 +107,25 @@ def audit_step(state_k: State, state_k1: State, cset: ConstitutiveSet,
     Dissipation coefficients follow the one-step estimate (no factor of two
     on the mtilde term).  All coefficients freeze at the old level exactly
     as in the stepper, and every quadrature shares the stepper's operators,
-    so the reported slack is the scheme's own inequality slack.
+    so the reported slack is the scheme's own inequality slack.  eta, rho
+    and the face mobilities at ``state_k``, G q and G mu at ``state_k1``
+    are the values the states carry (``state.evaluated``).
     """
     g = state_k.grid
     ops = g.ops
     dV = g.dV
     eps, delta = params.epsilon, params.delta
-    phi_k, q_k = state_k.phi.data, state_k.q.data
+    phi_k = state_k.phi.data
     v1 = state_k1.v.data
     E1 = total_energy(state_k1, cset, params)
 
     if float(np.abs(v1).max()) > 0.0 or float(np.abs(state_k.v.data).max()) > 0.0:
-        A_visc = assemble_velocity_form(g, cset.eta(phi_k), 0.0)
+        A_visc = assemble_velocity_form(g, evaluated(state_k, cset, "eta"),
+                                        0.0)
         visc = tau * float(v1 @ (A_visc @ v1))
         dv = v1 - state_k.v.data
-        kin_jump = 0.5 * dV * float(((ops.Acf @ cset.rho(phi_k)) * dv) @ dv)
+        rho_faces = ops.Acf @ evaluated(state_k, cset, "rho")
+        kin_jump = 0.5 * dV * float((rho_faces * dv) @ dv)
         if delta > 0.0:
             lv = ops.Lvec @ v1
             biharm = delta * tau * dV * float(lv @ lv)
@@ -124,10 +134,10 @@ def audit_step(state_k: State, state_k1: State, cset: ConstitutiveSet,
     else:
         visc = kin_jump = biharm = 0.0
 
-    m_faces = ops.Acf @ np.broadcast_to(cset.m(phi_k, q_k), phi_k.shape)
-    mt_faces = ops.Acf @ cset.mtilde(phi_k)
-    gq = ops.G @ state_k1.q.data
-    gmu = ops.G @ state_k1.mu.data
+    m_faces = evaluated(state_k, cset, "m_faces")
+    mt_faces = evaluated(state_k, cset, "mt_faces")
+    gq = evaluated(state_k1, cset, "grad_q")
+    gmu = evaluated(state_k1, cset, "grad_mu")
     q_diss = tau * dV * float((m_faces * gq) @ gq)
     mu_diss = tau * dV * float((mt_faces * gmu) @ gmu)
 

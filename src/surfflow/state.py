@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -10,8 +11,9 @@ from .constitutive import ConstitutiveSet, ModelParams, config_key
 from .linalg import SolverFailure, gradient_potential
 from .mesh import Grid, ScalarField, VectorField
 
-__all__ = ["State", "Observables", "observables", "initialize_scenario",
-           "ScenarioConfig", "SCENARIO_NAMES", "project_divergence_free"]
+__all__ = ["State", "evaluated", "Observables", "observables",
+           "initialize_scenario", "ScenarioConfig", "SCENARIO_NAMES",
+           "project_divergence_free"]
 
 SCENARIO_NAMES = ("uniform", "droplet", "shear-droplet", "random-seed")
 
@@ -19,7 +21,8 @@ SCENARIO_NAMES = ("uniform", "droplet", "shear-droplet", "random-seed")
 @dataclass
 class State:
     """One time level: face velocity, cell pressure (mean zero), order
-    parameter phi, chemical potentials mu and q, time t, step index k."""
+    parameter phi, chemical potentials mu and q, time t, step index k.
+    A stepped state carries arrays evaluated at it (``evaluated``)."""
 
     v: VectorField
     p: ScalarField
@@ -28,6 +31,9 @@ class State:
     q: ScalarField
     t: float = 0.0
     k: int = 0
+    # (the ConstitutiveSet, name -> array) of ``evaluated``
+    _carried: tuple = field(default=(None, None), init=False, repr=False,
+                            compare=False)
 
     @property
     def grid(self) -> Grid:
@@ -45,6 +51,42 @@ class State:
             raise ValueError("pressure mean is not pinned to zero")
 
 
+# the arrays a state can carry: each the one function of the state and its
+# ConstitutiveSet that every reader of it evaluates
+_EVALUATED = {
+    "W": lambda s, c: c.W(s.phi.data),
+    "f": lambda s, c: c.f(s.q.data),
+    "g": lambda s, c: c.g(s.q.data),
+    "rho": lambda s, c: c.rho(s.phi.data),
+    "eta": lambda s, c: c.eta(s.phi.data),
+    "grad_phi": lambda s, c: s.grid.ops.G @ s.phi.data,
+    "grad_q": lambda s, c: s.grid.ops.G @ s.q.data,
+    "grad_mu": lambda s, c: s.grid.ops.G @ s.mu.data,
+    "m_faces": lambda s, c: s.grid.ops.Acf @ np.broadcast_to(
+        c.m(s.phi.data, s.q.data), s.phi.data.shape),
+    "mt_faces": lambda s, c: s.grid.ops.Acf @ c.mtilde(s.phi.data),
+}
+
+
+def evaluated(s: State, cset: ConstitutiveSet, name: str,
+              value: Optional[np.ndarray] = None) -> np.ndarray:
+    """The array ``name`` of ``_EVALUATED`` at ``s`` under ``cset``: the one
+    ``s`` carries under ``cset``, else a fresh evaluation.  ``value``, the
+    stepper's own evaluation of it, is carried from then on, read-only and
+    keyed to ``cset`` (dropping what ``s`` carries under another set)."""
+    key, carried = s._carried
+    if value is None:
+        if key is cset and name in carried:
+            return carried[name]
+        return _EVALUATED[name](s, cset)
+    if key is not cset:
+        carried = {}
+        s._carried = (cset, carried)
+    value.flags.writeable = False
+    carried[name] = value
+    return value
+
+
 @dataclass(frozen=True)
 class Observables:
     phi_mass: float
@@ -55,10 +97,11 @@ class Observables:
 def observables(s: State, cset: ConstitutiveSet, params: ModelParams) -> Observables:
     """Midpoint-rule observables sharing the stepper's operators.
 
-    surf_total integrates the surfactant density f(q) W(phi)/epsilon + g(q).
+    surf_total integrates the surfactant density f(q) W(phi)/epsilon + g(q),
+    from the values the state carries (``evaluated``).
     """
-    phi, q = s.phi.data, s.q.data
-    surf = cset.f(q) * cset.W(phi) / params.epsilon + cset.g(q)
+    surf = evaluated(s, cset, "f") * evaluated(s, cset, "W") / params.epsilon \
+        + evaluated(s, cset, "g")
     return Observables(
         phi_mass=s.phi.integral(),
         surf_total=float(surf.sum()) * s.grid.dV,

@@ -82,7 +82,7 @@ from .linalg import (LU_OPTIONS, FixedPattern, assemble_velocity_form, chain,
                      gradient_potential, scaled)
 from .mesh import (Grid, ScalarField, VectorField, convect_skew,
                    skew_convection)
-from .state import State
+from .state import State, evaluated
 
 __all__ = [
     "StepConfig", "StepReport", "StepFailure", "LinearizedSystem",
@@ -148,15 +148,16 @@ class StepFailure(RuntimeError):
 class LinearizedSystem:
     grid: Grid
     params: ModelParams
-    # frozen coefficient fields (old time level)
+    # frozen coefficient fields (old time level); the four flow fields are
+    # None in v0 mode
     phi_k: np.ndarray
     v_k: np.ndarray
-    rho_k: np.ndarray           # cells
-    rho_k_faces: np.ndarray
-    jcoef_faces: np.ndarray     # rho'(phi_k) mtilde(phi_k) averaged to faces
-    grad_phi_k: np.ndarray      # faces
+    rho_k: Optional[np.ndarray]         # cells
+    rho_k_faces: Optional[np.ndarray]
+    jcoef_faces: Optional[np.ndarray]   # rho'(phi_k) mtilde(phi_k) on faces
+    grad_phi_k: np.ndarray              # faces
     W_k: np.ndarray
-    Wp_k: np.ndarray
+    Wp_k: Optional[np.ndarray]
     f_qk: np.ndarray
     g_qk: np.ndarray
     m_faces: np.ndarray
@@ -172,14 +173,21 @@ def assemble_linear(state_k: State, grid: Grid, cset: ConstitutiveSet,
     Velocity form: 2 eta(phi_k) symmetric-gradient form plus the
     delta-weighted biharmonic pairing (coupled mode only).  The diffusion
     blocks div(m grad .) and div(mtilde grad .) take the face-averaged
-    old-level mobilities.  Mobility/viscosity values outside [c1, c2] at
-    the state samples are rejected.
+    old-level mobilities.  Mobility values outside [c1, c2] at the state
+    samples are rejected, and with flow viscosity values too.  W, f, g,
+    G phi and rho are read from ``state_k`` (``state.evaluated``), which
+    then carries the face mobilities and eta for the step's audit.  In v0
+    mode, without flow, rho_k, rho_k_faces, jcoef_faces, Wp_k and A_form
+    are None and eta is not evaluated.
     """
     phi_k, q_k = state_k.phi.data, state_k.q.data
+    flow = not cfg.v0_mode
     mvals = np.broadcast_to(cset.m(phi_k, q_k), phi_k.shape)
     mtvals = cset.mtilde(phi_k)
-    evals = cset.eta(phi_k)
-    for name, vals in (("m", mvals), ("mtilde", mtvals), ("eta", evals)):
+    bounded = {"m": mvals, "mtilde": mtvals}
+    if flow:
+        bounded["eta"] = evaluated(state_k, cset, "eta", cset.eta(phi_k))
+    for name, vals in bounded.items():
         lo, hi = float(np.min(vals)), float(np.max(vals))
         if lo < params.c1 or hi > params.c2:
             raise ValueError(
@@ -187,20 +195,20 @@ def assemble_linear(state_k: State, grid: Grid, cset: ConstitutiveSet,
                 f"at state samples (range [{lo:.3g}, {hi:.3g}])")
 
     ops = grid.ops
-    rho_k = cset.rho(phi_k)
-    m_faces = ops.Acf @ mvals
-    mt_faces = ops.Acf @ mtvals
+    rho_k = evaluated(state_k, cset, "rho") if flow else None
     return LinearizedSystem(
         grid=grid, params=params,
         phi_k=phi_k.copy(), v_k=state_k.v.data.copy(),
-        rho_k=rho_k, rho_k_faces=ops.Acf @ rho_k,
-        jcoef_faces=ops.Acf @ (cset.rhop(phi_k) * mtvals),
-        grad_phi_k=ops.G @ phi_k,
-        W_k=cset.W(phi_k), Wp_k=cset.Wp(phi_k),
-        f_qk=cset.f(q_k), g_qk=cset.g(q_k),
-        m_faces=m_faces, mt_faces=mt_faces,
-        A_form=None if cfg.v0_mode
-        else assemble_velocity_form(grid, evals, params.delta),
+        rho_k=rho_k, rho_k_faces=ops.Acf @ rho_k if flow else None,
+        jcoef_faces=ops.Acf @ (cset.rhop(phi_k) * mtvals) if flow else None,
+        grad_phi_k=evaluated(state_k, cset, "grad_phi"),
+        W_k=evaluated(state_k, cset, "W"),
+        Wp_k=cset.Wp(phi_k) if flow else None,
+        f_qk=evaluated(state_k, cset, "f"), g_qk=evaluated(state_k, cset, "g"),
+        m_faces=evaluated(state_k, cset, "m_faces", ops.Acf @ mvals),
+        mt_faces=evaluated(state_k, cset, "mt_faces", ops.Acf @ mtvals),
+        A_form=assemble_velocity_form(grid, bounded["eta"], params.delta)
+        if flow else None,
     )
 
 
@@ -228,7 +236,8 @@ class _Terms:
         delta = lin.params.delta
         self.lin, self.cset, self.cfg, self.tau = lin, cset, cfg, tau
         self.v, self.q, self.mu, self.phi = v, q, mu, phi
-        self.grad_mu = ops.G @ mu
+        self.grad_q, self.grad_mu = ops.G @ q, ops.G @ mu
+        self.grad_phi = ops.G @ phi
 
         self.h_q, self.f_q, self.g_q = cset.h(q), cset.f(q), cset.g(q)
         self.W_phi, self.H = cset.W(phi), cset.secant_W(phi, lin.phi_k)
@@ -240,10 +249,7 @@ class _Terms:
         self.mu_relation_explicit = self.h_q * self.H / eps \
             + delta * (phi - lin.phi_k) / tau
 
-        if cfg.v0_mode:
-            self.transport_q = np.zeros(g.n_cells)
-            self.transport_phi = np.zeros(g.n_cells)
-        else:
+        if not cfg.v0_mode:
             self.rho_it = cset.rho(phi)
             self.grad_surf = ops.G @ (self.f_q * lin.W_k / eps + self.g_q)
             self.transport_q = ops.Afc @ (self.grad_surf * v)
@@ -277,23 +283,29 @@ class _Terms:
         ops = g.ops
         eps = lin.params.epsilon
 
-        diff_q = ops.D @ (lin.m_faces * (ops.G @ self.q))
-        r_q = self.Fq_time + self.transport_q - diff_q
+        diff_q = ops.D @ (lin.m_faces * self.grad_q)
         diff_mu = ops.D @ (lin.mt_faces * self.grad_mu)
         dphi = (self.phi - lin.phi_k) / tau
-        r_mu = dphi + self.transport_phi - diff_mu
         # factored application: exactly zero on constants, unlike the
         # precomputed product matrix
-        lap_phi = eps * (ops.D @ (ops.G @ self.phi))
+        lap_phi = eps * (ops.D @ self.grad_phi)
         r_phi = self.mu + lap_phi - self.mu_relation_explicit
+        mu_relation = _rel(r_phi, [self.mu, lap_phi,
+                                   self.mu_relation_explicit])
+        if self.cfg.v0_mode:        # no transport terms
+            r_q, r_mu = self.Fq_time - diff_q, dphi - diff_mu
+            return np.concatenate([r_q, r_mu, r_phi]), {
+                "q": _rel(r_q, [self.Fq_time, diff_q]),
+                "phi_evolution": _rel(r_mu, [dphi, diff_mu]),
+                "mu_relation": mu_relation,
+            }
+        r_q = self.Fq_time + self.transport_q - diff_q
+        r_mu = dphi + self.transport_phi - diff_mu
         norms = {
             "q": _rel(r_q, [self.Fq_time, self.transport_q, diff_q]),
             "phi_evolution": _rel(r_mu, [dphi, self.transport_phi, diff_mu]),
-            "mu_relation": _rel(r_phi, [self.mu, lap_phi,
-                                        self.mu_relation_explicit]),
+            "mu_relation": mu_relation,
         }
-        if self.cfg.v0_mode:
-            return np.concatenate([r_q, r_mu, r_phi]), norms
 
         visc = (lin.A_form @ self.v) / g.dV
         r_v = visc - self.rhs_v
@@ -716,10 +728,12 @@ def transport_defect(t: _Terms) -> float:
 def _finalize(state_k: State, t: _Terms) -> State:
     """The new state at the converged iterate ``t``; its pressure is the
     one recovered by the residual (the old state's in v0 mode), shifted to
-    mean zero."""
+    mean zero.  It carries the iterate's W(phi), f(q), g(q), G phi, G q,
+    G mu and, with flow, rho(phi) for the ledger audit and the next step
+    (``state.evaluated``)."""
     grid = state_k.grid
     p = state_k.p.data if t.cfg.v0_mode else t.p
-    return State(
+    s = State(
         v=VectorField(grid, t.v.copy()),
         p=ScalarField(grid, p - p.mean()),
         phi=ScalarField(grid, t.phi.copy()),
@@ -728,6 +742,13 @@ def _finalize(state_k: State, t: _Terms) -> State:
         t=state_k.t + t.tau,
         k=state_k.k + 1,
     )
+    values = {"W": t.W_phi, "f": t.f_q, "g": t.g_q, "grad_phi": t.grad_phi,
+              "grad_q": t.grad_q, "grad_mu": t.grad_mu}
+    if not t.cfg.v0_mode:
+        values["rho"] = t.rho_it
+    for name, value in values.items():
+        evaluated(s, t.cset, name, value)
+    return s
 
 
 def _cells(s: State) -> tuple:

@@ -1,16 +1,19 @@
 """Total energy evaluation and the per-step energy audit."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fields import copy_state, iterate_of
+from surfflow.cli import build_objects, parse_config
 from surfflow.constitutive import build_default_set
 from surfflow.energy import (LEDGER_COLUMNS, SLACK_TOL, audit_step,
                              estimate_slack, rows_to_csv, total_energy)
 from surfflow.mesh import Grid
-from surfflow.state import ScenarioConfig, initialize_scenario
+from surfflow.state import (ScenarioConfig, evaluated, initialize_scenario,
+                            observables)
 from surfflow.stepper import StepConfig, run, step
 
 
@@ -141,6 +144,82 @@ class TestEnergyReuse:
                             nl_iters=rep.iterations)
                  for old, new, rep in zip(states, states[1:], res.reports)]
         assert rows_to_csv(fresh) == rows_to_csv(res.rows)
+
+
+@pytest.fixture(scope="module", ids=lambda p: p[0],
+                params=[("relaxation-v0", 20), ("shear-droplet", 5)])
+def shipped_run_16(request):
+    """A shipped config at 16^2 run its given steps: (params, cset, stepper
+    config, the states from the initial one on, the run result)."""
+    name, steps = request.param
+    config = Path(__file__).parent.parent / "configs" / f"{name}.ini"
+    _, params, _, cfg, scenario, _ = build_objects(parse_config(config))
+    g = Grid(16, 16)
+    cset = build_default_set(params)
+    states = [initialize_scenario(scenario, g, params, cset)]
+    res = run(states[0], g, cset, params, cfg, T=steps * cfg.tau,
+              callbacks=[lambda s, rep, row: states.append(s)])
+    assert len(res.rows) == steps
+    return params, cset, cfg, states, res
+
+
+class TestCarriedValues:
+    """Each accepted state carries the values evaluated at it
+    (``state.evaluated``); the ledger reads them instead of evaluating them
+    again."""
+
+    def test_rows_equal_audits_of_fresh_states(self, shipped_run_16):
+        # fresh copies carry nothing: every row equals, bit for bit, the
+        # audit that evaluates each term from the fields alone
+        params, cset, _, states, res = shipped_run_16
+        E_k = total_energy(copy_state(states[0]), cset, params).E_tot
+        assert E_k == res.E0
+        for old, new, rep, row in zip(states, states[1:], res.reports,
+                                      res.rows):
+            fresh = audit_step(copy_state(old), copy_state(new), cset, params,
+                               rep.tau_used, E_k, nl_iters=rep.iterations)
+            assert rows_to_csv([fresh]) == rows_to_csv([row])
+            E_k = fresh.E_tot
+
+    def test_carried_arrays_equal_fresh_evaluations(self, shipped_run_16):
+        # no reader writes a carried array in place: after the run each one
+        # still equals its evaluation on a fresh copy of its state
+        _, cset, cfg, states, _ = shipped_run_16
+        flow = not cfg.v0_mode
+        iterate = {"W", "f", "g", "grad_phi", "grad_q", "grad_mu"} | (
+            {"rho"} if flow else set())
+        frozen = {"m_faces", "mt_faces"} | ({"eta"} if flow else set())
+        for k, s in enumerate(states):
+            key, carried = s._carried
+            assert key is cset
+            assert carried.keys() == (iterate if k else set()) | (
+                frozen if k < len(states) - 1 else set()), k
+            fresh = copy_state(s)
+            for name, value in carried.items():
+                assert not value.flags.writeable
+                assert np.array_equal(value, evaluated(fresh, cset, name)), \
+                    (k, name)
+
+    def test_values_belong_to_their_set(self, shipped_run_16):
+        # under a second set the states' carried values are not read: the
+        # energy, the observables and the audit equal those of fresh copies
+        params, cset, _, states, res = shipped_run_16
+        p2 = dataclasses.replace(params, beta=2.0 * params.beta,
+                                 rho2=1.25 * params.rho2,
+                                 eta2=1.5 * params.eta2)
+        cs2 = build_default_set(p2)
+        old, new = states[-2], states[-1]
+        E_old = total_energy(copy_state(old), cs2, p2).E_tot
+        want = (total_energy(copy_state(new), cs2, p2),
+                observables(copy_state(new), cs2, p2),
+                audit_step(copy_state(old), copy_state(new), cs2, p2,
+                           res.reports[-1].tau_used, E_old))
+        assert want[1] != observables(new, cset, params)
+        got = (total_energy(new, cs2, p2), observables(new, cs2, p2),
+               audit_step(old, new, cs2, p2, res.reports[-1].tau_used, E_old))
+        assert got == want
+        # reads under another set leave the states their own set's values
+        assert old._carried[0] is cset and new._carried[0] is cset
 
 
 class TestLedgerSlack:

@@ -11,7 +11,7 @@ from scipy.optimize import root
 
 import reference_assembly
 import surfflow.mesh as mesh
-from fields import from_function, iterate_of, ux2d, view2d
+from fields import copy_state, from_function, iterate_of, ux2d, view2d
 from surfflow.cli import build_objects, parse_config
 from surfflow.constitutive import ModelParams, build_default_set
 from surfflow.energy import rows_to_csv, total_energy
@@ -555,6 +555,43 @@ def _priced(s_price, c_price, s_base=None, c_base=None) -> _HeldLU:
     return _HeldLU(S=None if s_price is None else _LU("S", s_price, s_base),
                    CS=None if s_price is None else "CS",
                    C=_LU("C", c_price, c_base))
+
+
+class TestTransportFreeStep:
+    def test_frozen_part_has_no_flow_fields(self, cset, params, relax16):
+        g, s0, cfg = relax16
+        lin = assemble_linear(s0, g, cset, params, cfg)
+        assert (lin.rho_k, lin.rho_k_faces, lin.jcoef_faces, lin.Wp_k,
+                lin.A_form) == (None,) * 5
+
+    def test_viscosity_bounded_with_flow_only(self, cset, params, relax16):
+        # eta enters the velocity form alone, which a v0 step does not have
+        g, s0, cfg = relax16
+        wild = dataclasses.replace(cset, eta=lambda phi: 100.0 + 0.0 * phi)
+        assert assemble_linear(copy_state(s0), g, wild, params, cfg).A_form \
+            is None
+        with pytest.raises(ValueError, match="coefficient eta leaves"):
+            assemble_linear(copy_state(s0), g, wild, params,
+                            dataclasses.replace(cfg, v0_mode=False))
+
+    def test_model_function_calls_per_step(self, cset, params, relax16):
+        # each accepted state's values are evaluated once, by its converged
+        # iterate, and shared with the audit and the next step: 40.05 calls
+        # per step here, against 53.95 when each reader evaluated its own
+        g, s0, cfg = relax16
+        calls = []
+
+        def counted(fn):
+            def call(*args):
+                calls.append(fn)
+                return fn(*args)
+            return call
+        counting = dataclasses.replace(cset, **{
+            f.name: counted(getattr(cset, f.name))
+            for f in dataclasses.fields(cset)})
+        res = run(copy_state(s0), g, counting, params, cfg, T=20 * cfg.tau)
+        assert len(res.rows) == 20
+        assert len(calls) / len(res.rows) <= 41
 
 
 class TestHeldLU:
