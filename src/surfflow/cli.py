@@ -37,7 +37,8 @@ from .linalg import SolverFailure, gradient_potential
 from .mesh import (FIELD_KIND_CELL, FIELD_KIND_XFACE, FIELD_KIND_YFACE, Grid,
                    sbp_selftest, write_field_snapshot)
 from .state import ScenarioConfig, initialize_scenario
-from .stepper import END_TOL, StepConfig, StepFailure, before_horizon, run
+from .stepper import (END_TOL, StepConfig, StepFailure, before_horizon,
+                      check_v0_mode, run)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -306,12 +307,13 @@ def _cmd_run(values, outdir, args) -> int:
     cset = _audited_set(params, sampling)
     if cset is None:
         return EXIT_AUDIT
+    state0 = initialize_scenario(scenario, grid, params, cset)
+    check_v0_mode(state0, stepcfg)
     _make_outdir(outdir)
     (outdir / "config.effective.ini").write_text(effective_config_text(values))
     if params.delta == 0.0:
         print("note: delta = 0 disables the regularization terms; the run is "
               "outside the regime the dissipative structure covers")
-    state0 = initialize_scenario(scenario, grid, params, cset)
     snap_every = values["output"]["snapshot_every"]
     write_fields = values["output"]["write_fields"]
     callbacks = []
@@ -373,8 +375,12 @@ def _cmd_run(values, outdir, args) -> int:
 def _cmd_study(kind):
     def cmd(values, outdir, args) -> int:
         grid, params, sampling, stepcfg, scenario, T = build_objects(values)
-        if _audited_set(params, sampling) is None:
+        cset = _audited_set(params, sampling)
+        if cset is None:
             return EXIT_AUDIT
+        # the members share the base setup's scenario and v0_mode
+        check_v0_mode(initialize_scenario(scenario, grid, params, cset),
+                      stepcfg)
         _make_outdir(outdir)
         setup = SimulationSetup(grid=grid, params=params, scenario=scenario,
                                 stepcfg=stepcfg, T=T)

@@ -2,8 +2,8 @@
 
 The free-energy structure is carried by a small family of scalar functions:
 a double-well potential W for the order parameter, an interfacial coupling f
-and squared surface tension h for the surfactant potential q (related by
-h' = -f, with d = h + f*q the interfacial free-energy density), a bulk
+and squared surface tension h for the surfactant potential q (the set
+derives h' = -f and the interfacial free-energy density d = h + f*q), a bulk
 potential pair (g, G) with G'(q) = g'(q)*q, mobilities m and m_tilde, the
 viscosity eta and the extended density rho.
 
@@ -106,10 +106,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ConstitutiveSet:
-    """A complete set of model functions.  All callables broadcast over numpy
-    arrays.  ``secant_W`` is the exact divided difference of W;
-    ``dsecant_W_da`` is its derivative in the first argument (used by the
-    stepper's Newton Jacobian)."""
+    """A complete set of model functions, broadcasting over numpy arrays:
+    ``secant_W`` is the exact divided difference of W, ``dsecant_W_da`` its
+    derivative in the first argument, for the stepper's Newton Jacobian.
+    h' and d are no fields but methods, derived from the set's f and h."""
 
     W: Callable
     Wp: Callable
@@ -119,8 +119,6 @@ class ConstitutiveSet:
     gp: Callable
     G: Callable
     h: Callable
-    hp: Callable
-    d: Callable
     m: Callable
     mtilde: Callable
     eta: Callable
@@ -128,6 +126,15 @@ class ConstitutiveSet:
     rhop: Callable
     secant_W: Callable
     dsecant_W_da: Callable
+
+    def hp(self, q):
+        """h'(q) = -f(q)."""
+        return -self.f(q)
+
+    def d(self, q):
+        """The interfacial free-energy density d(q) = h(q) + f(q) q."""
+        q = np.asarray(q, dtype=float)
+        return self.h(q) + self.f(q) * q
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +244,7 @@ def build_default_set(params: ModelParams) -> ConstitutiveSet:
 
         f(q) = beta * t^2 (3 - 2t),  t = clamp((q - q_min)/(q_max - q_min))
         h(q) = h0 - integral of f from q_min
-        d(q) = h(q) + f(q) q
+        d(q) = h(q) + f(q) q, and h' = -f: derived by the set
         g(q) = q, G(q) = q^2/2, m = m_tilde = 1
         eta, rho: linear in phi on [-1, 1], saturating outside (rho) or
         clamped (eta)
@@ -274,13 +281,6 @@ def build_default_set(params: ModelParams) -> ConstitutiveSet:
 
     def h(q):
         return h0 - _F(q)
-
-    def hp(q):
-        return -f(q)
-
-    def d(q):
-        q = np.asarray(q, dtype=float)
-        return h(q) + f(q) * q
 
     def g(q):
         return np.asarray(q, dtype=float)
@@ -327,7 +327,7 @@ def build_default_set(params: ModelParams) -> ConstitutiveSet:
     return ConstitutiveSet(
         W=_default_W, Wp=_default_Wp,
         f=f, fp=fp, g=g, gp=gp, G=G,
-        h=h, hp=hp, d=d,
+        h=h,
         m=m, mtilde=mtilde, eta=eta,
         rho=rho, rhop=rhop,
         secant_W=_default_secant_W,

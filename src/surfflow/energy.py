@@ -119,7 +119,7 @@ def audit_step(state_k: State, state_k1: State, cset: ConstitutiveSet,
     v1 = state_k1.v.data
     E1 = total_energy(state_k1, cset, params)
 
-    if float(np.abs(v1).max()) > 0.0 or float(np.abs(state_k.v.data).max()) > 0.0:
+    if v1.any() or state_k.v.data.any():
         A_visc = assemble_velocity_form(g, evaluated(state_k, cset, "eta"),
                                         0.0)
         visc = tau * float(v1 @ (A_visc @ v1))

@@ -210,7 +210,7 @@ def initialize_scenario(scn: ScenarioConfig, grid: Grid, params: ModelParams,
         q = ScalarField.full(grid, scn.q0)
         v = VectorField.zeros(grid)
 
-    if float(np.abs(v.data).max()) > 0.0:
+    if v.data.any():
         v = project_divergence_free(v)
         if grid.periodic:
             # every Newton update C dpsi has zero component means, so the

@@ -87,7 +87,7 @@ from .state import State, evaluated
 __all__ = [
     "StepConfig", "StepReport", "StepFailure", "LinearizedSystem",
     "assemble_linear", "step", "run", "RunResult", "transport_defect",
-    "END_TOL", "before_horizon",
+    "END_TOL", "before_horizon", "check_v0_mode",
 ]
 
 
@@ -271,7 +271,8 @@ class _Terms:
 
         The vector follows the Jacobian's row order; each norm is
         ``|r| / (1 + largest term norm)`` of one equation in field units.
-        The momentum rows of the vector are C^T r_v, which has no pressure.
+        Only with flow do the q and phi rows take their transport terms,
+        and the vector has momentum rows, C^T r_v, which has no pressure.
         Its norm is that of r_v + G p with the pressure p that makes it
         divergence free, p = -x with x r_v's gradient potential (the grid's
         pinned Poisson LU, ``linalg.gradient_potential``; kept as
@@ -290,22 +291,21 @@ class _Terms:
         # precomputed product matrix
         lap_phi = eps * (ops.D @ self.grad_phi)
         r_phi = self.mu + lap_phi - self.mu_relation_explicit
-        mu_relation = _rel(r_phi, [self.mu, lap_phi,
-                                   self.mu_relation_explicit])
-        if self.cfg.v0_mode:        # no transport terms
-            r_q, r_mu = self.Fq_time - diff_q, dphi - diff_mu
-            return np.concatenate([r_q, r_mu, r_phi]), {
-                "q": _rel(r_q, [self.Fq_time, diff_q]),
-                "phi_evolution": _rel(r_mu, [dphi, diff_mu]),
-                "mu_relation": mu_relation,
-            }
-        r_q = self.Fq_time + self.transport_q - diff_q
-        r_mu = dphi + self.transport_phi - diff_mu
+        # the time terms, then with flow the transport terms
+        rate_q, rate_phi = [self.Fq_time], [dphi]
+        if not self.cfg.v0_mode:
+            rate_q.append(self.transport_q)
+            rate_phi.append(self.transport_phi)
+        r_q = sum(rate_q[1:], rate_q[0]) - diff_q
+        r_mu = sum(rate_phi[1:], rate_phi[0]) - diff_mu
         norms = {
-            "q": _rel(r_q, [self.Fq_time, self.transport_q, diff_q]),
-            "phi_evolution": _rel(r_mu, [dphi, self.transport_phi, diff_mu]),
-            "mu_relation": mu_relation,
+            "q": _rel(r_q, rate_q + [diff_q]),
+            "phi_evolution": _rel(r_mu, rate_phi + [diff_mu]),
+            "mu_relation": _rel(r_phi, [self.mu, lap_phi,
+                                        self.mu_relation_explicit]),
         }
+        if self.cfg.v0_mode:
+            return np.concatenate([r_q, r_mu, r_phi]), norms
 
         visc = (lin.A_form @ self.v) / g.dV
         r_v = visc - self.rhs_v
@@ -406,7 +406,7 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
     eps = lin.params.epsilon
     delta = lin.params.delta
 
-    fq_p, gq_p, hq_p = cset.fp(t.q), cset.gp(t.q), cset.hp(t.q)
+    fq_p, gq_p = cset.fp(t.q), cset.gp(t.q)
     Wp_it = cset.Wp(t.phi)
     dH = cset.dsecant_W_da(t.phi, lin.phi_k)
     w_cc = {
@@ -415,7 +415,7 @@ def _jacobian(t: _Terms, blocks: tuple = _BLOCKS) -> _Jacobian:
         "q_phi": t.f_q * Wp_it / (eps * tau),
         "mu_mu": -lin.mt_faces,
         "mu_phi": 1.0 / tau,
-        "phi_q": -hq_p * t.H / eps,
+        "phi_q": t.f_q * t.H / eps,         # -h'(q) H / eps
         "const": 1.0,
         "phi_phi": -t.h_q * dH / eps - delta / tau,
         "phi_phi_lap": eps,
@@ -785,6 +785,13 @@ def _advanced(table: tuple, x: tuple, same_tau: bool) -> tuple:
                  for new, col in zip(x, table))
 
 
+def check_v0_mode(s: State, cfg: StepConfig) -> None:
+    """Raise ValueError when ``cfg`` freezes v = 0 (``v0_mode``) but the
+    state ``s`` has flow."""
+    if cfg.v0_mode and s.v.data.any():
+        raise ValueError("v0_mode requires a state with identically zero velocity")
+
+
 def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
          params: ModelParams, cfg: StepConfig,
          held: Optional[_HeldLU] = None, start: Optional[tuple] = None):
@@ -800,11 +807,10 @@ def step(state_k: State, grid: Grid, cset: ConstitutiveSet,
     not shrink with tau.  ``held`` carries the Newton LU from step to step
     (``run`` passes one); without it the LU lives for this call only.
     Returns (state_{k+1}, StepReport).  Raises StepFailure when every retry
-    is exhausted; no partial state escapes.
+    is exhausted; no partial state escapes.  ``check_v0_mode`` comes first.
     """
     t0 = _time.perf_counter()
-    if cfg.v0_mode and float(np.abs(state_k.v.data).max()) != 0.0:
-        raise ValueError("v0_mode requires a state with identically zero velocity")
+    check_v0_mode(state_k, cfg)
     lin = assemble_linear(state_k, grid, cset, params, cfg)
     report = StepReport()
     held = _HeldLU() if held is None else held

@@ -77,7 +77,6 @@ def test_criterion_2_pointwise_inequalities(acc_cset):
     planted = dataclasses.replace(
         acc_cset,
         h=lambda q: np.asarray(q, dtype=float) ** 2,
-        hp=lambda q: 2.0 * np.asarray(q, dtype=float),
         f=lambda q: -2.0 * np.asarray(q, dtype=float))
     bad = pointwise_step_inequalities(planted, [(0.0, 1.0)])
     elapsed = time.perf_counter() - t0

@@ -1,16 +1,20 @@
 """Command-line interface: config validation, exit codes, reproducibility."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import surfflow.state as state
 from fields import read_field_snapshot
 from surfflow.cli import (EXIT_AUDIT, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                           ConfigError, default_config, effective_config_text,
                           main, parse_config)
+from surfflow.stepper import END_TOL
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
 
@@ -38,6 +42,27 @@ t_final = 0.02
 
 [study]
 taus = 1e-2, 5e-3, 2.5e-3
+"""
+
+
+# the shrunk example of the exit-code contract's property test (below)
+V0_WITH_FLOW = """
+[grid]
+nx = 4
+ny = 4
+
+[scenario]
+name = shear-droplet
+shear = 0.5
+
+[stepper]
+v0_mode = true
+
+[output]
+t_final = 2e-3
+
+[study]
+grids = 4, 8
 """
 
 
@@ -179,6 +204,18 @@ class TestExitCodes:
         path = write(tmp_path, "[params]\nh0 = 0.05\n")
         code = main(["audit", path, "--out", str(tmp_path / "out")])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command", ["run", "study-delta", "study-tau",
+                                         "study-defect"])
+    def test_v0_mode_with_flow_exits_one(self, tmp_path, capsys, command):
+        # v0_mode freezes v = 0, a sheared start has flow: found before any
+        # output is written or any study member runs
+        path = write(tmp_path, V0_WITH_FLOW)
+        out = tmp_path / "out"
+        assert main([command, path, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "validation error: v0_mode " \
+            "requires a state with identically zero velocity\n"
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -571,3 +608,77 @@ grids = 8, 16
                      "--threads", "2"])
         assert code == EXIT_OK
         assert "decay order: inf" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract as a property of small configs
+# ---------------------------------------------------------------------------
+
+# grids of at most 8^2 (nx = 1 is invalid), every stepper key, extreme
+# values among the other choices (c0 = 2 fails the audit); the budgets stay
+# small so that a failing step is cheap.  A failing example shrinks toward
+# the defaults and each key's first choice.
+_CONFIGS = st.fixed_dictionaries({
+    "grid": st.fixed_dictionaries(
+        {"nx": st.sampled_from([4, 2, 3, 8, 1]),
+         "ny": st.sampled_from([4, 2, 3, 8])},
+        optional={"bc": st.sampled_from(["periodic", "box"])}),
+    "params": st.fixed_dictionaries({}, optional={
+        key: st.sampled_from(choices) for key, choices in (
+            ("epsilon", [1.0, 0.02]), ("delta", [0.0, 1.0]),
+            ("rho2", [1.0, 2.9]), ("eta2", [0.5, 9.0]),
+            ("beta", [0.1, 10.0]), ("h0", [0.2, 5.0]),
+            ("q_max", [0.5, 3.0]), ("c0", [0.1, 0.9, 2.0]))}),
+    "stepper": st.fixed_dictionaries(
+        {"max_newton": st.sampled_from([5, 0, 1, 20]),
+         "max_backoff": st.sampled_from([1, 0, 2]),
+         "v0_mode": st.booleans()},
+        optional={"tau": st.sampled_from([1e-2, 0.1, 1e-4]),
+                  "tol_nl": st.sampled_from([1e-6, 1e-14])}),
+    "scenario": st.fixed_dictionaries(
+        {"name": st.sampled_from(state.SCENARIO_NAMES),
+         "shear": st.sampled_from([0.5, 5.0, 0.0])},
+        optional={"phi0": st.sampled_from([0.5, -2.5]),
+                  "q0": st.sampled_from([0.1, 2.0, -1.0]),
+                  "radius": st.sampled_from([0.1, 0.45]),
+                  "sigma": st.sampled_from([0.5, 2.9]),
+                  "seed": st.sampled_from([1, 2])}),
+})
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(config=_CONFIGS, steps=st.sampled_from([1.0, 2.0, 1.5]))
+@example(steps=1.0, config={     # V0_WITH_FLOW, shrunk
+    "grid": {"nx": 4, "ny": 4}, "params": {},
+    "stepper": {"max_newton": 5, "max_backoff": 1, "v0_mode": True},
+    "scenario": {"name": "shear-droplet", "shear": 0.5}})
+def test_exit_code_contract(config, steps):
+    # run, audit, print-config and a tau study over a horizon of 1-2 steps:
+    # the exit code is one of the four, a validation or audit failure
+    # leaves no output (the audit its reports), a failed run its report
+    # and partial ledger, a finished run a ledger to its horizon
+    T = steps * config["stepper"].get("tau", 1e-3)
+    values = default_config()
+    for section, keys in dict(config, output={"t_final": T}, study={
+            "taus": (T, 2.0 * T / 3.0, 0.5 * T)}).items():
+        values[section].update(keys)
+    text = effective_config_text(values)
+    for command in ("run", "audit", "print-config", "study-tau"):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "config.ini", Path(tmp) / "out"
+            path.write_text(text)
+            code = main([command, str(path), "--out", str(out)])
+            files = sorted(p.relative_to(out).as_posix()
+                           for p in out.rglob("*")) if out.exists() else []
+            ledger = (out / "ledger.csv").read_text().splitlines() \
+                if "ledger.csv" in files else []
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_SOLVER, EXIT_AUDIT)
+        if command == "audit" and code == EXIT_AUDIT:
+            assert files == ["audit.csv", "audit.txt"]
+        elif code in (EXIT_VALIDATION, EXIT_AUDIT):
+            assert files == [], command
+        elif command == "run" and code == EXIT_SOLVER:
+            assert {"failure.json", "ledger.csv"} <= set(files)
+        elif command == "run":
+            t = float(ledger[-1].split(",")[ledger[0].split(",").index("t")])
+            assert abs(t - T) <= END_TOL * max(T, 1.0)

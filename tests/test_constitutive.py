@@ -121,10 +121,12 @@ class TestAudit:
         assert "g_strong_monotone" in failed
 
     def test_convex_h_fails_concavity(self, cset, params):
+        # f = -2q makes the derived h' = 2q that of h = q^2: the set is
+        # convex, not merely inconsistent
         bad = dataclasses.replace(
             cset,
             h=lambda q: np.asarray(q, dtype=float) ** 2,
-            hp=lambda q: 2.0 * np.asarray(q, dtype=float),
+            f=lambda q: -2.0 * np.asarray(q, dtype=float),
         )
         rep = audit_assumptions(bad, params)
         assert "h_concave" in rep.failed_ids()
@@ -152,6 +154,21 @@ class TestStructuralIdentities:
         err = np.abs(cset.hp(q) + cset.f(q))
         assert np.all(err <= 1e-12 * (1.0 + np.abs(cset.f(q))))
 
+    @pytest.mark.parametrize("change", [
+        {}, {"h": lambda q: np.cos(np.asarray(q, dtype=float))},
+        {"f": lambda q: np.tanh(np.asarray(q, dtype=float))}],
+        ids=["default", "h", "f"])
+    def test_hp_and_d_derived_from_f_and_h(self, cset, change):
+        # h' and d are no fields: a set computes them, bit for bit, from
+        # its own f and h, a replaced one included
+        assert {f.name for f in dataclasses.fields(cset)}.isdisjoint(
+            {"hp", "d"})
+        s = dataclasses.replace(cset, **change)
+        q = np.linspace(-2.0, 3.0, 10_001)
+        assert s.hp(q).tobytes() == (-s.f(q)).tobytes()
+        assert s.d(q).tobytes() == (s.h(q) + s.f(q) * q).tobytes()
+        assert s.d(2.5) == s.h(2.5) + s.f(2.5) * 2.5
+
     def test_G_prime_identity_exact(self, cset):
         q = np.linspace(-4.0, 4.0, 10_000)
         h = 1e-6
@@ -178,7 +195,6 @@ class TestStepInequalities:
         bad = dataclasses.replace(
             cset,
             h=lambda q: np.asarray(q, dtype=float) ** 2,
-            hp=lambda q: 2.0 * np.asarray(q, dtype=float),
             f=lambda q: -2.0 * np.asarray(q, dtype=float),
         )
         rep = pointwise_step_inequalities(bad, [(0.0, 1.0)])

@@ -167,3 +167,34 @@ def test_unreferenced_definition_is_caught():
                           "print(A().y)\n")}
     assert unreferenced(trees, ["a.py"], {"wrapped"}) == [
         "a.py: z", "a.py: k", "a.py: idle"]
+
+
+RESIDUALS = ("r_q", "r_mu", "r_phi")
+
+
+def residual_bindings(tree: ast.Module) -> dict:
+    """How often ``_Terms.residual`` binds each name of ``RESIDUALS``
+    (assigned, unpacked or augmented)."""
+    terms = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_Terms")
+    residual = next(node for node in terms.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "residual")
+    bound = Counter(node.id for node in ast.walk(residual)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Store))
+    return {name: bound[name] for name in RESIDUALS}
+
+
+def test_each_residual_is_one_formula():
+    # one expression per equation, for the coupled and the v0 step alike
+    tree = ast.parse((SRC / "stepper.py").read_text())
+    assert residual_bindings(tree) == dict.fromkeys(RESIDUALS, 1)
+
+
+def test_second_residual_formula_is_caught():
+    tree = ast.parse("class _Terms:\n    def residual(self):\n"
+                     "        r_phi = 0\n        if v0:\n"
+                     "            r_q, r_mu = 1, 2\n"
+                     "        r_q = 3\n        r_mu += 4\n")
+    assert residual_bindings(tree) == {"r_q": 2, "r_mu": 2, "r_phi": 1}
